@@ -22,7 +22,10 @@
    after it (JSON as the final stdout line).
 
    Policy files use the Dolx_policy.Policy_file language; node anchors
-   written as @<xpath> are resolved against the document. *)
+   written as @<xpath> are resolved against the document.
+
+   Exit status 2 with one line on stderr means bad input: an undeclared
+   subject or a malformed query. *)
 
 module Tree = Dolx_xml.Tree
 module Parser = Dolx_xml.Parser
@@ -94,10 +97,15 @@ let compile tree path ~mode =
   let labeling = Propagate.compile tree ~subjects ~mode:mode_id rules in
   (subjects, modes, labeling)
 
+(* Bad input reported as a typed error (see the entry point below): one
+   line on stderr, exit 2.  A malformed query raises
+   [Dolx_nok.Xpath.Parse_error] and is reported the same way. *)
+exception Unknown_subject of string
+
 let subject_id subjects name =
   match Subject.find_opt subjects name with
   | Some s -> s
-  | None -> failwith (Printf.sprintf "subject %S not declared in policy" name)
+  | None -> raise (Unknown_subject name)
 
 (* --- arguments --- *)
 
@@ -584,6 +592,8 @@ let serve_cmd =
    disconnect and release the query's reader pin. *)
 let connect socket tenant subject path_semantics mix mix_subjects seed duration
     show_stats print_ids abort_after report queries =
+  (* reject a malformed query before dialing, as a typed error *)
+  List.iter (fun q -> ignore (Dolx_nok.Xpath.parse q)) queries;
   let cl = Wire_client.connect ~retry_for:10.0 ~client:"dolx-connect" socket in
   let aborted = ref false in
   Fun.protect
@@ -1016,4 +1026,22 @@ let main_cmd =
       stats_db_cmd; explain_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* Typed input errors exit 2 with one line on stderr; anything else is
+   an internal error, reported as cmdliner would (exit 125). *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main_cmd with
+    | code -> code
+    | exception Unknown_subject name ->
+        Printf.eprintf "dolx: subject %S not declared in policy\n" name;
+        2
+    | exception Dolx_nok.Xpath.Parse_error { position; message } ->
+        Printf.eprintf "dolx: malformed query at position %d: %s\n" position
+          message;
+        2
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "dolx: internal error, uncaught exception:\n%s\n"
+          (Printexc.to_string e);
+        Printexc.print_raw_backtrace stderr bt;
+        Cmd.Exit.internal_error)

@@ -12,10 +12,10 @@
 
     - {!run_batch}: inter-query parallelism — independent (pattern,
       semantics) jobs spread over the pool, results in submission order;
-    - {!run}: intra-query parallelism — one query whose per-segment
+    - {!stream} / {!run}: intra-query parallelism — the engine's one
+      staged driver with a pooled segment evaluator: per-segment
       candidate roots are partitioned into contiguous document-order
-      chunks evaluated concurrently, merged back into one sorted run
-      before each structural join.
+      chunks evaluated concurrently and merged back into one sorted run.
 
     Both are byte-identical to sequential {!Engine.run} on the same
     inputs: chunks are merged with the same sort-and-dedup the engine
@@ -34,22 +34,6 @@ module Value_index = Dolx_index.Value_index
 module Engine = Dolx_nok.Engine
 module Pattern = Dolx_nok.Pattern
 module Xpath = Dolx_nok.Xpath
-module Decompose = Dolx_nok.Decompose
-module Structural_join = Dolx_nok.Structural_join
-module Metrics = Dolx_obs.Metrics
-
-(* The registry hands out one cell per name, so these are the very same
-   counters [Engine.run] bumps — the parallel driver keeps the process
-   totals coherent no matter which path served a query. *)
-let c_queries = Metrics.counter "engine.queries"
-
-let c_segments = Metrics.counter "engine.segments"
-
-let c_joins = Metrics.counter "engine.joins"
-
-let c_candidates = Metrics.counter "engine.candidates_scanned"
-
-let c_answers = Metrics.counter "engine.answers"
 
 (** {1 Domain pool} *)
 
@@ -227,14 +211,13 @@ let min_chunk = 32
    document-order chunks.  Per-chunk outputs are sorted-deduplicated
    lists; their concatenation re-sorted and deduplicated is exactly what
    the sequential engine computes over the whole root list (expansion is
-   per-root, so partitioning the roots partitions the raw expansion). *)
-let par_eval_segment t mode seg roots =
+   per-root, so partitioning the roots partitions the raw expansion).
+   Per-chunk scan counts are summed into [scanned] after the barrier, on
+   the calling domain. *)
+let par_eval_segment t mode seg roots scanned =
   let n_roots = List.length roots in
-  if t.pool.jobs = 1 || n_roots < 2 * min_chunk then begin
-    let scanned = ref 0 in
-    let out = Engine.eval_segment t.readers.(0) t.index mode seg roots scanned in
-    (out, !scanned)
-  end
+  if t.pool.jobs = 1 || n_roots < 2 * min_chunk then
+    Engine.eval_segment t.readers.(0) t.index mode seg roots scanned
   else begin
     let arr = Array.of_list roots in
     let chunk =
@@ -254,164 +237,26 @@ let par_eval_segment t mode seg roots =
           counts.(ci) <- !scanned)
     in
     run_tasks t.pool tasks;
-    let out = List.sort_uniq compare (List.concat (Array.to_list outs)) in
-    (out, Array.fold_left ( + ) 0 counts)
+    scanned := Array.fold_left ( + ) !scanned counts;
+    List.sort_uniq compare (List.concat (Array.to_list outs))
   end
 
-(* The same driver as [Engine.run], with the segment evaluation fanned
-   out; joins consume the merged sorted runs sequentially on reader 0
-   (the workers are idle between barriers, so the handle is unshared). *)
-let run t pattern semantics =
-  let plan = Decompose.plan pattern in
-  let mode = Engine.match_mode t.options semantics in
-  let main = t.readers.(0) in
-  let summary = Engine.summary_analysis main pattern semantics in
-  let scanned = ref 0 in
-  let joins = ref 0 in
-  let rec go segments roots =
-    match segments with
-    | [] -> roots
-    | (seg : Decompose.segment) :: rest -> (
-        let bindings, seg_scanned = par_eval_segment t mode seg roots in
-        scanned := !scanned + seg_scanned;
-        match rest with
-        | [] -> bindings
-        | next :: _ ->
-            if bindings = [] then []
-            else begin
-              incr joins;
-              let next_step =
-                match next.Decompose.steps with
-                | s :: _ -> s
-                | [] -> invalid_arg "Exec: empty segment"
-              in
-              let dlist =
-                Engine.join_candidates ?value_index:t.value_index ?summary main
-                  t.index ~semantics ~bindings next_step.Decompose.pnode
-              in
-              let pairs =
-                match semantics with
-                | Engine.Secure_path subject ->
-                    Structural_join.secure_stack_tree_desc main ~subject
-                      ~alist:bindings ~dlist
-                | Engine.Insecure | Engine.Secure _ ->
-                    Structural_join.stack_tree_desc main ~alist:bindings ~dlist
-              in
-              go rest (Structural_join.descendants_of_pairs pairs)
-            end)
-  in
-  let first_roots () =
-    Engine.first_roots ?value_index:t.value_index ?summary main t.index
-      semantics plan
-  in
-  (* the summary-path plan, when it applies, runs on the main reader —
-     identical answers to the fanned-out navigational evaluation *)
-  let answers =
-    match summary with
-    | Some sp -> (
-        match
-          Engine.try_summary_path ?value_index:t.value_index ~summary:sp main
-            t.index mode semantics plan scanned
-        with
-        | Some answers -> answers
-        | None -> go plan.Decompose.segments (first_roots ()))
-    | None -> go plan.Decompose.segments (first_roots ())
-  in
-  let segments = Decompose.segment_count plan in
-  Metrics.incr c_queries;
-  Metrics.add c_segments segments;
-  Metrics.add c_joins !joins;
-  Metrics.add c_candidates !scanned;
-  Metrics.add c_answers (List.length answers);
-  {
-    Engine.answers;
-    segments;
-    joins = !joins;
-    candidates_scanned = !scanned;
-  }
-
-let query t xpath semantics = run t (Xpath.parse xpath) semantics
-
-(** {1 Streaming evaluation}
-
-    The pooled counterpart of {!Engine.stream}: staging (every segment
-    but the last, and the joins between them) fans each segment out with
-    {!par_eval_segment}; the last segment's roots are then pulled
-    through an {!Engine.stream_of_source} cursor in groups big enough to
-    keep the pool busy ([4 * min_chunk * jobs] roots per refill), so the
-    stream parallelizes refills while the cursor's barrier logic keeps
-    emission in exact document order.  Draining equals {!run}'s answers
-    byte for byte; jobs = 1 degenerates to the sequential engine. *)
-
+(* [Engine.stream_with] with the segment evaluation fanned out: staging,
+   seeding and joins run on reader 0 (the workers are idle between
+   barriers, so the handle is unshared), and the last segment's roots
+   are pulled in groups big enough to keep the pool busy. *)
 let stream ?chunk t pattern semantics =
-  let plan = Decompose.plan pattern in
-  let mode = Engine.match_mode t.options semantics in
-  let main = t.readers.(0) in
-  let summary = Engine.summary_analysis main pattern semantics in
-  let scanned = ref 0 in
-  let joins = ref 0 in
-  let rec stage segments roots =
-    match segments with
-    | [] -> Engine.Filtered ([], fun _ -> true)
-    | [ (seg : Decompose.segment) ] ->
-        Engine.Tail
-          {
-            roots;
-            group = 4 * min_chunk * t.pool.jobs;
-            eval =
-              (fun group ->
-                let out, seg_scanned = par_eval_segment t mode seg group in
-                scanned := !scanned + seg_scanned;
-                out);
-          }
-    | (seg : Decompose.segment) :: (next :: _ as rest) ->
-        let bindings, seg_scanned = par_eval_segment t mode seg roots in
-        scanned := !scanned + seg_scanned;
-        if bindings = [] then Engine.Filtered ([], fun _ -> true)
-        else begin
-          incr joins;
-          let next_step =
-            match next.Decompose.steps with
-            | s :: _ -> s
-            | [] -> invalid_arg "Exec: empty segment"
-          in
-          let dlist =
-            Engine.join_candidates ?value_index:t.value_index ?summary main
-              t.index ~semantics ~bindings next_step.Decompose.pnode
-          in
-          let pairs =
-            match semantics with
-            | Engine.Secure_path subject ->
-                Structural_join.secure_stack_tree_desc main ~subject
-                  ~alist:bindings ~dlist
-            | Engine.Insecure | Engine.Secure _ ->
-                Structural_join.stack_tree_desc main ~alist:bindings ~dlist
-          in
-          stage rest (Structural_join.descendants_of_pairs pairs)
-        end
-  in
-  let staged () =
-    stage plan.Decompose.segments
-      (Engine.first_roots ?value_index:t.value_index ?summary main t.index
-         semantics plan)
-  in
-  let source =
-    match summary with
-    | Some sp -> (
-        match
-          Engine.summary_path_filter ?value_index:t.value_index ~summary:sp
-            main t.index mode semantics plan scanned
-        with
-        | Some (cands, keep) -> Engine.Filtered (cands, keep)
-        | None -> staged ())
-    | None -> staged ()
-  in
-  Engine.stream_of_source ?chunk
-    ~segments:(Decompose.segment_count plan)
-    ~scanned ~joins source
+  Engine.stream_with ~options:t.options ?value_index:t.value_index ?chunk
+    ~eval:(par_eval_segment t)
+    ~group:(4 * min_chunk * t.pool.jobs)
+    t.readers.(0) t.index pattern semantics
 
 let stream_query ?chunk t xpath semantics =
   stream ?chunk t (Xpath.parse xpath) semantics
+
+let run t pattern semantics = Engine.drain (stream t pattern semantics)
+
+let query t xpath semantics = run t (Xpath.parse xpath) semantics
 
 (** {1 Statistics} *)
 

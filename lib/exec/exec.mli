@@ -70,28 +70,28 @@ val query_batch : t -> (string * Engine.semantics) list -> Engine.result list
 
 (** {1 Intra-query parallelism} *)
 
-(** Evaluate one query with each segment's candidate roots partitioned
-    into contiguous document-order chunks across the pool; chunk outputs
-    are merged (sorted, deduplicated) before each structural join.
-    Answers and statistics equal [Engine.run] on the same input. *)
-val run : t -> Dolx_nok.Pattern.t -> Engine.semantics -> Engine.result
-
-(** {!run} on an XPath string. *)
-val query : t -> string -> Engine.semantics -> Engine.result
-
-(** {1 Streaming evaluation} *)
-
-(** Pooled counterpart of {!Engine.stream}: staging fans every non-final
-    segment out across the pool; the last segment's candidate roots are
-    then evaluated lazily in pool-sized groups as the cursor is pulled.
-    Drained answers equal {!run}'s byte for byte ([jobs = 1] degenerates
-    to the sequential engine).  The stream borrows the executor's
-    readers — exhaust or {!Engine.stream_close} it before {!shutdown}. *)
+(** The engine's staged driver ({!Engine.stream_with}) with a pooled
+    segment evaluator: each segment's candidate roots are partitioned
+    into contiguous document-order chunks across the pool and the chunk
+    outputs merged (sorted, deduplicated); staging, seeding, the
+    summary-path plan and the structural joins are the engine's own.
+    The last segment's roots are evaluated lazily, [4 * 32 * jobs] per
+    refill, as the cursor is pulled.  Answers and statistics equal
+    {!Engine.stream}'s on the same input ([jobs = 1] is the sequential
+    engine).  The stream borrows the executor's readers — exhaust or
+    {!Engine.stream_close} it before {!shutdown}. *)
 val stream :
   ?chunk:int -> t -> Dolx_nok.Pattern.t -> Engine.semantics -> Engine.stream
 
 (** {!stream} on an XPath string. *)
 val stream_query : ?chunk:int -> t -> string -> Engine.semantics -> Engine.stream
+
+(** A drain of {!stream} ({!Engine.drain}): answers and statistics
+    equal [Engine.run] on the same input. *)
+val run : t -> Dolx_nok.Pattern.t -> Engine.semantics -> Engine.result
+
+(** {!run} on an XPath string. *)
+val query : t -> string -> Engine.semantics -> Engine.result
 
 (** {1 Statistics} *)
 

@@ -297,13 +297,12 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    [Nok_match.path_clear], which enforces exactly the ε-STD condition
    (and is a no-op outside path semantics).
 
+   [summary_path_steps] is the plan-shape test, shared with {!explain};
    [summary_path_filter] returns the plan as data — the sorted
-   candidate list and the qualification predicate — so the streaming
-   evaluator can apply the filter lazily, one candidate at a time,
-   instead of materializing the whole answer list.  [try_summary_path]
-   is the eager composition the materializing paths use. *)
-let summary_path_filter ?value_index ~summary store index mode semantics
-    (plan : Decompose.plan) scanned =
+   candidate list and the qualification predicate — so the stream
+   applies the filter lazily, one candidate at a time, instead of
+   materializing the whole answer list. *)
+let summary_path_steps (plan : Decompose.plan) =
   let steps =
     Array.of_list
       (List.concat_map
@@ -311,81 +310,75 @@ let summary_path_filter ?value_index ~summary store index mode semantics
          plan.Decompose.segments)
   in
   let k = Array.length steps - 1 in
-  let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   let usable =
     k >= 0
     && (match steps.(k).Decompose.pnode.Pattern.test with
        | Pattern.Tag _ -> true
        | Pattern.Wildcard -> false)
-    &&
-    let rec no_fs i = i > k || (axis i <> Pattern.Following_sibling && no_fs (i + 1)) in
-    no_fs 0
+    && Array.for_all
+         (fun (st : Decompose.step) ->
+           st.Decompose.pnode.Pattern.axis <> Pattern.Following_sibling)
+         steps
   in
-  if not usable then None
-  else begin
-    Metrics.incr c_plan_path;
-    let last = steps.(k).Decompose.pnode in
-    if Summary_prune.empty_for summary last then Some ([], fun _ -> false)
-    else begin
-      let cands = index_candidates ?value_index store index last in
-      let cands = Summary_prune.restrict summary last cands in
-      let cands = prune_candidates store semantics cands in
-      let ps = Store.path_summary store in
-      let adm =
-        Array.map
-          (fun (st : Decompose.step) ->
-            Summary_prune.classes summary st.Decompose.pnode)
-          steps
-      in
-      let admissible i v = adm.(i).(Path_summary.class_of ps v) in
-      let qualify i v =
-        incr scanned;
-        Nok_match.qualifies store index mode steps.(i).Decompose.pnode
-          ~preds:steps.(i).Decompose.preds v
-      in
-      let n = Tree.size (Store.tree store) in
-      let memo = Hashtbl.create 512 in
-      let rec match_up i v =
-        match Hashtbl.find_opt memo ((i * n) + v) with
-        | Some b -> b
-        | None ->
-            let above =
-              if i = 0 then
-                match axis 0 with
-                | Pattern.Child -> v = Tree.root
-                | Pattern.Descendant | Pattern.Following_sibling -> true
-              else
-                match axis i with
-                | Pattern.Child ->
-                    let u = Store.parent store v in
-                    u <> Tree.nil && match_up (i - 1) u
-                | Pattern.Descendant ->
-                    let rec search u =
-                      u <> Tree.nil
-                      && ((admissible (i - 1) u
-                          && match_up (i - 1) u
-                          && Nok_match.path_clear store mode ~ctx:u v)
-                         || search (Store.parent store u))
-                    in
-                    search (Store.parent store v)
-                | Pattern.Following_sibling -> false
-            in
-            let b = above && qualify i v in
-            Hashtbl.add memo ((i * n) + v) b;
-            b
-      in
-      Some (cands, fun v -> match_up k v)
-    end
-  end
+  if usable then Some steps else None
 
-let try_summary_path ?value_index ~summary store index mode semantics plan
+let summary_path_filter ?value_index ~summary store index mode semantics steps
     scanned =
-  match
-    summary_path_filter ?value_index ~summary store index mode semantics plan
-      scanned
-  with
-  | None -> None
-  | Some (cands, keep) -> Some (List.filter keep cands)
+  let k = Array.length steps - 1 in
+  let axis i = steps.(i).Decompose.pnode.Pattern.axis in
+  Metrics.incr c_plan_path;
+  let last = steps.(k).Decompose.pnode in
+  if Summary_prune.empty_for summary last then ([], fun _ -> false)
+  else begin
+    let cands = index_candidates ?value_index store index last in
+    let cands = Summary_prune.restrict summary last cands in
+    let cands = prune_candidates store semantics cands in
+    let ps = Store.path_summary store in
+    let adm =
+      Array.map
+        (fun (st : Decompose.step) ->
+          Summary_prune.classes summary st.Decompose.pnode)
+        steps
+    in
+    let admissible i v = adm.(i).(Path_summary.class_of ps v) in
+    let qualify i v =
+      incr scanned;
+      Nok_match.qualifies store index mode steps.(i).Decompose.pnode
+        ~preds:steps.(i).Decompose.preds v
+    in
+    let n = Tree.size (Store.tree store) in
+    let memo = Hashtbl.create 512 in
+    let rec match_up i v =
+      match Hashtbl.find_opt memo ((i * n) + v) with
+      | Some b -> b
+      | None ->
+          let above =
+            if i = 0 then
+              match axis 0 with
+              | Pattern.Child -> v = Tree.root
+              | Pattern.Descendant | Pattern.Following_sibling -> true
+            else
+              match axis i with
+              | Pattern.Child ->
+                  let u = Store.parent store v in
+                  u <> Tree.nil && match_up (i - 1) u
+              | Pattern.Descendant ->
+                  let rec search u =
+                    u <> Tree.nil
+                    && ((admissible (i - 1) u
+                        && match_up (i - 1) u
+                        && Nok_match.path_clear store mode ~ctx:u v)
+                       || search (Store.parent store u))
+                  in
+                  search (Store.parent store v)
+              | Pattern.Following_sibling -> false
+          in
+          let b = above && qualify i v in
+          Hashtbl.add memo ((i * n) + v) b;
+          b
+    in
+    (cands, fun v -> match_up k v)
+  end
 
 (* Candidate roots of the plan's first segment: the document root for a
    child entry, class-filtered + run-pruned index postings for a
@@ -405,98 +398,16 @@ let first_roots ?value_index ?summary store index semantics
           | s :: _ -> seed_candidates ?value_index ?summary store index semantics s
           | [] -> []))
 
-(* The segment/join pipeline, stopped just short of the last segment:
-   either the answers are already decided ([Done]), or evaluation has
-   narrowed to the last segment over its sorted candidate roots
-   ([Last]).  [run] finishes with one [eval_segment] call; [stream]
-   finishes by pulling the same roots through the cursor — both see
-   exactly the intermediate state this function computed, so their
-   answers and statistics agree by construction. *)
-type staged =
-  | Done of int list
-  | Last of Decompose.segment * int list
-
-let stage ?value_index ?summary store index mode semantics ~scanned ~joins
-    (plan : Decompose.plan) =
-  let rec go segments roots =
-    match segments with
-    | [] -> Done []
-    | [ (seg : Decompose.segment) ] -> Last (seg, roots)
-    | (seg : Decompose.segment) :: (next :: _ as rest) ->
-        let bindings =
-          Trace.with_span "engine.segment" @@ fun () ->
-          eval_segment store index mode seg roots scanned
-        in
-        if bindings = [] then Done []
-        else begin
-          incr joins;
-          Trace.with_span "engine.join" @@ fun () ->
-          let next_step =
-            match next.Decompose.steps with
-            | s :: _ -> s
-            | [] -> invalid_arg "Engine: empty segment"
-          in
-          let dlist =
-            join_candidates ?value_index ?summary store index ~semantics
-              ~bindings next_step.Decompose.pnode
-          in
-          let pairs =
-            match semantics with
-            | Secure_path subject ->
-                Structural_join.secure_stack_tree_desc store ~subject
-                  ~alist:bindings ~dlist
-            | Insecure | Secure _ ->
-                Structural_join.stack_tree_desc store ~alist:bindings ~dlist
-          in
-          let surviving = Structural_join.descendants_of_pairs pairs in
-          go rest surviving
-        end
-  in
-  go plan.Decompose.segments
-    (first_roots ?value_index ?summary store index semantics plan)
-
-let run ?(options = default_options) ?value_index store index pattern semantics =
-  Trace.with_span "engine.query" @@ fun () ->
-  let plan = Decompose.plan pattern in
-  let mode = match_mode options semantics in
-  let summary = summary_analysis store pattern semantics in
-  let scanned = ref 0 in
-  let joins = ref 0 in
-  let staged =
-    match summary with
-    | Some sp -> (
-        match
-          try_summary_path ?value_index ~summary:sp store index mode semantics
-            plan scanned
-        with
-        | Some answers -> Done answers
-        | None ->
-            stage ?value_index ?summary store index mode semantics ~scanned
-              ~joins plan)
-    | None -> stage ?value_index store index mode semantics ~scanned ~joins plan
-  in
-  let answers =
-    match staged with
-    | Done answers -> answers
-    | Last (seg, roots) ->
-        Trace.with_span "engine.segment" @@ fun () ->
-        eval_segment store index mode seg roots scanned
-  in
-  let segments = Decompose.segment_count plan in
-  Metrics.incr c_queries;
-  Metrics.add c_segments segments;
-  Metrics.add c_joins !joins;
-  Metrics.add c_candidates !scanned;
-  Metrics.add c_answers (List.length answers);
-  { answers; segments; joins = !joins; candidates_scanned = !scanned }
-
 (** {1 Streaming evaluation}
 
-    A pull cursor over the same pipeline: staging (every segment but the
-    last, with its joins) runs once when the stream is built; answers
-    are then produced chunk by chunk from the last segment's candidate
-    roots, so per-query result memory is bounded by the chunk size plus
-    the document-order reorder margin — never by the answer count.
+    The one driver of the §4 pipeline.  Building a stream picks the
+    source and stages it: the summary-path filter when the plan shape
+    allows it, otherwise every segment but the last (with its joins)
+    runs eagerly.  Answers are then produced chunk by chunk — from the
+    filter's candidates, or from the last segment's candidate roots —
+    so per-query result memory is bounded by the chunk size plus the
+    document-order reorder margin, never by the answer count.  {!run}
+    is a drain of this stream.
 
     Ordering invariant: every answer produced from a candidate root [r]
     has preorder >= [r] (the root binds the segment's first trunk step,
@@ -504,8 +415,8 @@ let run ?(options = default_options) ?value_index store index pattern semantics 
     preorder).  Roots are consumed in ascending order, so once every
     root below a barrier has been evaluated, buffered answers below that
     barrier are final and can be emitted — the emitted sequence is
-    exactly [sort_uniq] of the per-root outputs, i.e. byte-identical to
-    {!run}'s answer list. *)
+    exactly [sort_uniq] of the per-root outputs, whatever the group
+    size. *)
 
 (* Union of two sorted duplicate-free lists. *)
 let merge_uniq xs ys =
@@ -524,10 +435,6 @@ let rec take_n n l =
   else match l with [] -> ([], []) | x :: rest ->
     let taken, rem = take_n (n - 1) rest in
     (x :: taken, rem)
-
-type stream_source =
-  | Filtered of int list * (int -> bool)
-  | Tail of { roots : int list; group : int; eval : int list -> int list }
 
 type stream = {
   st_chunk : int;
@@ -552,18 +459,71 @@ and tail = {
   mutable tl_pending : int list; (* sorted answers >= the next barrier *)
 }
 
-let stream_of_source ?(chunk = 256) ~segments ~scanned ~joins source =
+type segment_eval =
+  Nok_match.mode -> Decompose.segment -> int list -> int ref -> int list
+
+let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
+    ~group store index pattern semantics =
   if chunk < 1 then invalid_arg "Engine.stream: chunk must be >= 1";
+  if group < 1 then invalid_arg "Engine.stream: group must be >= 1";
+  let plan = Decompose.plan pattern in
+  let mode = match_mode options semantics in
+  let summary = summary_analysis store pattern semantics in
+  let scanned = ref 0 in
+  let joins = ref 0 in
+  let eval seg roots = eval mode seg roots scanned in
+  let rec stage segments roots =
+    match segments with
+    | [] -> S_end
+    | [ seg ] ->
+        S_tail { tl_eval = eval seg; tl_group = group; tl_roots = roots; tl_pending = [] }
+    | (seg : Decompose.segment) :: (next :: _ as rest) ->
+        let bindings =
+          Trace.with_span "engine.segment" @@ fun () -> eval seg roots
+        in
+        if bindings = [] then S_end
+        else begin
+          incr joins;
+          let surviving =
+            Trace.with_span "engine.join" @@ fun () ->
+            let next_step =
+              match next.Decompose.steps with
+              | s :: _ -> s
+              | [] -> invalid_arg "Engine: empty segment"
+            in
+            let dlist =
+              join_candidates ?value_index ?summary store index ~semantics
+                ~bindings next_step.Decompose.pnode
+            in
+            let pairs =
+              match semantics with
+              | Secure_path subject ->
+                  Structural_join.secure_stack_tree_desc store ~subject
+                    ~alist:bindings ~dlist
+              | Insecure | Secure _ ->
+                  Structural_join.stack_tree_desc store ~alist:bindings ~dlist
+            in
+            Structural_join.descendants_of_pairs pairs
+          in
+          stage rest surviving
+        end
+  in
   let src =
-    match source with
-    | Filtered (cands, keep) -> S_filter (cands, keep)
-    | Tail { roots; group; eval } ->
-        if group < 1 then invalid_arg "Engine.stream: group must be >= 1";
-        S_tail { tl_eval = eval; tl_group = group; tl_roots = roots; tl_pending = [] }
+    Trace.with_span "engine.stream_stage" @@ fun () ->
+    match (summary, summary_path_steps plan) with
+    | Some sp, Some steps ->
+        let cands, keep =
+          summary_path_filter ?value_index ~summary:sp store index mode
+            semantics steps scanned
+        in
+        S_filter (cands, keep)
+    | _ ->
+        stage plan.Decompose.segments
+          (first_roots ?value_index ?summary store index semantics plan)
   in
   {
     st_chunk = chunk;
-    st_segments = segments;
+    st_segments = Decompose.segment_count plan;
     st_scanned = scanned;
     st_joins = joins;
     st_src = src;
@@ -655,47 +615,30 @@ let stream_joins st = !(st.st_joins)
 
 let stream_segments st = st.st_segments
 
-let stream ?(options = default_options) ?value_index ?chunk store index pattern
-    semantics =
-  let plan = Decompose.plan pattern in
-  let mode = match_mode options semantics in
-  let summary = summary_analysis store pattern semantics in
-  let scanned = ref 0 in
-  let joins = ref 0 in
-  let staged_source () =
-    match stage ?value_index ?summary store index mode semantics ~scanned ~joins plan with
-    | Done answers -> Filtered (answers, fun _ -> true)
-    | Last (seg, roots) ->
-        (* group 1: pending never holds more than one root's overlap *)
-        Tail
-          {
-            roots;
-            group = 1;
-            eval = (fun g -> eval_segment store index mode seg g scanned);
-          }
-  in
-  let source =
-    Trace.with_span "engine.stream_stage" @@ fun () ->
-    match summary with
-    | Some sp -> (
-        match
-          summary_path_filter ?value_index ~summary:sp store index mode
-            semantics plan scanned
-        with
-        | Some (cands, keep) -> Filtered (cands, keep)
-        | None -> staged_source ())
-    | None -> staged_source ()
-  in
-  stream_of_source ?chunk ~segments:(Decompose.segment_count plan) ~scanned
-    ~joins source
+(* The sequential evaluator: one root per refill, so pending never holds
+   more than one root's overlap. *)
+let stream ?options ?value_index ?chunk store index pattern semantics =
+  stream_with ?options ?value_index ?chunk ~eval:(eval_segment store index)
+    ~group:1 store index pattern semantics
 
-(* Drain a stream to a list — the reference the equality tests compare
-   against [run]. *)
 let stream_collect st =
   let rec go acc =
     match stream_next st with [] -> List.concat (List.rev acc) | c -> go (c :: acc)
   in
   go []
+
+let drain st =
+  let answers = stream_collect st in
+  {
+    answers;
+    segments = stream_segments st;
+    joins = stream_joins st;
+    candidates_scanned = stream_scanned st;
+  }
+
+let run ?options ?value_index store index pattern semantics =
+  Trace.with_span "engine.query" @@ fun () ->
+  drain (stream ?options ?value_index store index pattern semantics)
 
 (** {1 Full binding tuples}
 
@@ -769,12 +712,17 @@ let bindings ?(options = default_options) ?(limit = max_int) store index pattern
             roots));
   List.rev !out
 
-(** Human-readable evaluation plan: the NoK segments, the joins between
-    them, and the index candidate count seeding each segment.  The
-    database-explain view of §3.1's decomposition. *)
+(** Human-readable evaluation plan: the strategy {!stream} picks on this
+    handle, then the NoK segments, the joins between them, and the index
+    candidate count seeding each segment.  The database-explain view of
+    §3.1's decomposition. *)
 let explain store index pattern =
   let plan = Decompose.plan pattern in
   let buf = Buffer.create 256 in
+  Buffer.add_string buf
+    (if Store.summary_enabled store && summary_path_steps plan <> None then
+       "strategy: summary path (bottom-up from the last step, no structural joins)"
+     else "strategy: segments + joins");
   List.iteri
     (fun i (seg : Decompose.segment) ->
       if i > 0 then Buffer.add_string buf "\n  |X| structural join (ancestor-descendant)\n"

@@ -31,9 +31,9 @@ type result = {
   candidates_scanned : int;
 }
 
-(** Evaluate a pattern.  When a [value_index] is supplied, segment roots
-    with a text-equality constraint draw their candidates from it
-    instead of the (larger) tag postings. *)
+(** Evaluate a pattern: a drain of {!stream}.  When a [value_index] is
+    supplied, segment roots with a text-equality constraint draw their
+    candidates from it instead of the (larger) tag postings. *)
 val run :
   ?options:options -> ?value_index:Dolx_index.Value_index.t -> Store.t ->
   Dolx_index.Tag_index.t -> Pattern.t -> semantics -> result
@@ -58,47 +58,26 @@ val bindings :
   ?options:options -> ?limit:int -> Store.t -> Dolx_index.Tag_index.t ->
   Pattern.t -> semantics -> Dolx_xml.Tree.node list list
 
-(** Human-readable evaluation plan: segments, joins, per-segment index
-    candidate counts. *)
+(** Human-readable evaluation plan: a leading line naming the strategy
+    {!stream} runs on this handle (summary path, or segments + joins),
+    then the segments, joins and per-segment index candidate counts. *)
 val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** {1 Evaluator internals}
 
-    Exposed for [Dolx_exec], which re-drives the segment pipeline with
-    candidate lists partitioned across domains.  Results are identical
-    to what {!run} computes from the same inputs. *)
-
-(** Candidate roots for a descendant-entry segment step: tag postings,
-    or value postings when the step constrains text and a value index is
-    given.  Sorted in document order. *)
-val index_candidates :
-  ?value_index:Dolx_index.Value_index.t -> Store.t -> Dolx_index.Tag_index.t ->
-  Pattern.pnode -> int list
-
-(** Drop candidates the subject provably cannot access (run-index
-    intersection); identity under [Insecure] or with the run index off.
-    Answer-preserving: a pruned candidate would fail its own access
-    check at qualification time. *)
-val prune_candidates : Store.t -> semantics -> int list -> int list
+    The segment evaluator is the one part of the pipeline a caller may
+    swap: [Dolx_exec] plugs in a pooled evaluator that partitions each
+    segment's candidate roots across domains.  Staging, candidate
+    seeding, the summary-path plan and the joins stay in {!stream_with}
+    whatever the evaluator, so answers and statistics are identical to
+    {!run} from the same inputs. *)
 
 (** Deliberate fault site for the differential fuzzer's self-test: when
-    armed, {!prune_candidates} silently drops node 2 from every pruned
-    candidate set (run index on, secure semantics only).  Armed at
+    armed, run-index candidate pruning silently drops node 2 from every
+    pruned candidate set (run index on, secure semantics only).  Armed at
     startup by [DOLX_FUZZ_PLANT_BUG=prune]; tests may toggle the ref
     directly.  Never set on production paths. *)
 val planted_bug : bool ref
-
-(** Cost-based candidate selection for the next segment's entry step at
-    a structural join: chooses between the global index postings and
-    per-binding subtree probes using tag cardinality, binding subtree
-    coverage and run statistics (accessible fraction), then run-prunes
-    the result.  Both access paths yield identical final answers.
-    [Dolx_exec] must use this same function so parallel plans match
-    sequential ones exactly. *)
-val join_candidates :
-  ?value_index:Dolx_index.Value_index.t -> ?summary:Summary_prune.t ->
-  Store.t -> Dolx_index.Tag_index.t ->
-  semantics:semantics -> bindings:int list -> Pattern.pnode -> int list
 
 (** Class analysis of the query against the handle's path summary
     ({!Summary_prune}); [None] when the summary tier is disabled on this
@@ -108,42 +87,6 @@ val join_candidates :
 val summary_analysis :
   Store.t -> Pattern.t -> semantics -> Summary_prune.t option
 
-(** Candidate roots for a first segment entered on the descendant axis:
-    index postings, class-filtered when a summary analysis is given,
-    then run-pruned.  {!run} and [Dolx_exec] share this seeding. *)
-val seed_candidates :
-  ?value_index:Dolx_index.Value_index.t -> ?summary:Summary_prune.t ->
-  Store.t -> Dolx_index.Tag_index.t -> semantics -> Decompose.step -> int list
-
-(** Summary-path plan: when the trunk uses only child and descendant
-    axes and ends in a tag test, answer the query bottom-up from the
-    last step's class-filtered postings, verifying each candidate's
-    ancestor binding chain with per-(step, node) memoization and
-    class-guided ancestor search.  [None] when the plan shape does not
-    apply (a following-sibling step, or a wildcard last step); [Some
-    answers] is identical to the segment/join result under all three
-    semantics.  [scanned] is incremented per qualification. *)
-val try_summary_path :
-  ?value_index:Dolx_index.Value_index.t -> summary:Summary_prune.t ->
-  Store.t -> Dolx_index.Tag_index.t -> Nok_match.mode -> semantics ->
-  Decompose.plan -> int ref -> int list option
-
-(** Lazy form of {!try_summary_path}: instead of filtering eagerly,
-    returns the sorted candidate list together with the qualification
-    predicate, so a stream can apply it candidate by candidate.
-    [try_summary_path] = [List.filter keep cands]. *)
-val summary_path_filter :
-  ?value_index:Dolx_index.Value_index.t -> summary:Summary_prune.t ->
-  Store.t -> Dolx_index.Tag_index.t -> Nok_match.mode -> semantics ->
-  Decompose.plan -> int ref -> (int list * (int -> bool)) option
-
-(** Candidate roots of the plan's first segment: the document root for a
-    child entry, class-filtered + run-pruned index postings for a
-    descendant entry. *)
-val first_roots :
-  ?value_index:Dolx_index.Value_index.t -> ?summary:Summary_prune.t ->
-  Store.t -> Dolx_index.Tag_index.t -> semantics -> Decompose.plan -> int list
-
 (** Evaluate one NoK segment from the given (sorted) candidate roots;
     returns the bindings of the segment's last trunk step, sorted and
     deduplicated.  [scanned] is incremented per candidate examined. *)
@@ -151,41 +94,43 @@ val eval_segment :
   Store.t -> Dolx_index.Tag_index.t -> Nok_match.mode -> Decompose.segment ->
   int list -> int ref -> int list
 
+(** A segment evaluator: [eval mode seg roots scanned] must return what
+    [eval_segment store index mode seg roots scanned] returns — the
+    sorted, deduplicated bindings of [seg]'s last trunk step, with
+    [scanned] advanced by the candidates examined. *)
+type segment_eval =
+  Nok_match.mode -> Decompose.segment -> int list -> int ref -> int list
+
 (** {1 Streaming evaluation}
 
-    A pull cursor over the {!run} pipeline: all segments but the last
-    (and their joins) are staged when the stream is built; answers are
-    then produced chunk by chunk from the last segment's candidate
+    The single driver of the §4 pipeline.  Building a stream picks the
+    plan and stages it: the summary-path filter (answer bottom-up from
+    the last step's class-filtered postings) when the summary tier is on
+    and the trunk uses only child and descendant axes and ends in a tag
+    test; otherwise every segment but the last is evaluated eagerly and
+    joined with (ε-)Stack-Tree-Desc.  Answers are then produced chunk by
+    chunk from the filter's candidates or the last segment's candidate
     roots, so per-query buffered-result memory is bounded by the chunk
     size plus the document-order reorder margin — never by the answer
-    count.  Draining a stream yields exactly {!run}'s answer list and
-    flushes the same [engine.*] counters, once, at exhaustion (or at
-    {!stream_close} for a stream abandoned early). *)
-
-(** Where a stream draws its answers from.  [Filtered] walks a sorted
-    candidate list through a qualification predicate (summary-path
-    plans, or already-final answers with a constant-true predicate).
-    [Tail] evaluates the plan's last segment lazily: [roots] are its
-    sorted candidate roots, [eval] maps a group of roots to that group's
-    sorted answers, and [group] is how many roots each refill evaluates
-    at once (bigger groups amortize [eval] overhead — e.g. a parallel
-    fan-out — at the cost of a larger reorder margin). *)
-type stream_source =
-  | Filtered of int list * (int -> bool)
-  | Tail of { roots : int list; group : int; eval : int list -> int list }
+    count.  {!run} drains this stream; the [engine.*] counters are
+    flushed once, at exhaustion (or at {!stream_close} for a stream
+    abandoned early). *)
 
 type stream
 
-(** Build a stream over a staged source.  [chunk] (default 256) bounds
-    each {!stream_next} batch; [segments]/[scanned]/[joins] are the
-    plan's statistics, flushed into the process counters at
-    finalization.  @raise Invalid_argument on [chunk < 1] or a [Tail]
-    group [< 1]. *)
-val stream_of_source :
-  ?chunk:int -> segments:int -> scanned:int ref -> joins:int ref ->
-  stream_source -> stream
+(** Stage a pattern into a stream with the given segment evaluator.
+    [group] is how many of the last segment's candidate roots each
+    refill hands to [eval] (bigger groups amortize a parallel fan-out at
+    the cost of a larger reorder margin); [chunk] (default 256) bounds
+    each {!stream_next} batch.  Answers do not depend on either.
+    @raise Invalid_argument on [chunk < 1] or [group < 1]. *)
+val stream_with :
+  ?options:options -> ?value_index:Dolx_index.Value_index.t -> ?chunk:int ->
+  eval:segment_eval -> group:int -> Store.t -> Dolx_index.Tag_index.t ->
+  Pattern.t -> semantics -> stream
 
-(** Stage a pattern into a stream (the lazy counterpart of {!run}). *)
+(** The sequential stream: {!stream_with} with {!eval_segment} and
+    group 1. *)
 val stream :
   ?options:options -> ?value_index:Dolx_index.Value_index.t -> ?chunk:int ->
   Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> semantics -> stream
@@ -201,6 +146,10 @@ val stream_close : stream -> unit
 
 (** Drain to a list — equals [(run ...).answers] from the same inputs. *)
 val stream_collect : stream -> int list
+
+(** Drain to a {!result}: the answers plus the stream's statistics.
+    {!run} is [drain (stream ...)]. *)
+val drain : stream -> result
 
 val stream_finished : stream -> bool
 val stream_emitted : stream -> int

@@ -213,19 +213,44 @@ let test_pattern_helpers () =
   let r = Pattern.returning_node p in
   Alcotest.(check bool) "returning is c" true (r.Pattern.test = Pattern.Tag "c")
 
-let test_engine_explain () =
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let library_store () =
   let tree = Fixtures.library_tree () in
   let dol = Dol.of_bool_array (Array.make (Tree.size tree) true) in
-  let store = Store.create tree dol in
-  let index = Tag_index.build tree in
+  (Store.create tree dol, Tag_index.build tree)
+
+let test_engine_explain () =
+  let store, index = library_store () in
   let s = Engine.explain store index (Xpath.parse "//shelf//title[book]") in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "mentions join" true (contains s "structural join");
   Alcotest.(check bool) "mentions candidates" true (contains s "index candidates")
+
+(* The strategy line names the plan the stream actually runs: the
+   summary path performs no joins; a following-sibling trunk cannot take
+   it and stages its segments through a structural join. *)
+let test_explain_strategy_matches_run () =
+  let store, index = library_store () in
+  List.iter
+    (fun (q, want) ->
+      let pattern = Xpath.parse q in
+      let strategy =
+        List.hd (String.split_on_char '\n' (Engine.explain store index pattern))
+      in
+      let st = Engine.stream store index pattern Engine.Insecure in
+      ignore (Engine.stream_collect st);
+      let ran =
+        if Engine.stream_joins st = 0 then "summary path" else "segments + joins"
+      in
+      Alcotest.(check bool) (q ^ ": explains " ^ want) true (contains strategy want);
+      Alcotest.(check string) (q ^ ": runs the explained plan") want ran)
+    [
+      ("//shelf//title[book]", "summary path");
+      ("//shelf//book/following-sibling::box", "segments + joins");
+    ]
 
 let test_insert_subtree_errors () =
   let t = Fixtures.figure2_tree () in
@@ -257,5 +282,7 @@ let suite =
     Alcotest.test_case "codebook bytes" `Quick test_codebook_bytes;
     Alcotest.test_case "pattern helpers" `Quick test_pattern_helpers;
     Alcotest.test_case "engine explain" `Quick test_engine_explain;
+    Alcotest.test_case "explain strategy matches run" `Quick
+      test_explain_strategy_matches_run;
     Alcotest.test_case "insert subtree errors" `Quick test_insert_subtree_errors;
   ]

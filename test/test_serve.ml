@@ -72,8 +72,28 @@ let queries ~subjects ~seed =
 
 (* --- stream vs run: answers and statistics, across the lattice --- *)
 
+(* The naive oracle's answers, with the subject's accessibility on this
+   handle (quarantined ranges deny) as the predicate.  [run] drains
+   [stream], so stream = run holds by construction; the oracle is what
+   keeps these checks meaningful. *)
+let oracle store xpath sem =
+  let tree = Store.tree store in
+  let access s =
+    let acc = Array.init (Tree.size tree) (Store.accessible store ~subject:s) in
+    fun v -> acc.(v)
+  in
+  let rsem =
+    match sem with
+    | Engine.Insecure -> Reference.Any
+    | Engine.Secure s -> Reference.Bound (access s)
+    | Engine.Secure_path s -> Reference.Path (access s)
+  in
+  Reference.eval tree rsem (Dolx_nok.Xpath.parse xpath)
+
 let stream_vs_run ?chunk name store index xpath sem =
   let expected = Engine.query store index xpath sem in
+  check Alcotest.(list int) (name ^ ": oracle") (oracle store xpath sem)
+    expected.Engine.answers;
   let st = Engine.stream ?chunk store index (Dolx_nok.Xpath.parse xpath) sem in
   let got = Engine.stream_collect st in
   check Alcotest.(list int) (name ^ ": answers") expected.Engine.answers got;
@@ -142,6 +162,7 @@ let test_stream_chunk_sizes () =
   let store, index = make_store 66 in
   let xpath = "//text" in
   let expected = (Engine.query store index xpath Engine.Insecure).Engine.answers in
+  check Alcotest.(list int) "oracle" (oracle store xpath Engine.Insecure) expected;
   check Alcotest.bool "enough answers to stream" true
     (List.length expected > 64);
   List.iter
@@ -193,6 +214,9 @@ let test_exec_stream_matches_sequential () =
           check Alcotest.(list int)
             (Printf.sprintf "exec stream q%d %s" i xpath)
             expected.Engine.answers got;
+          check Alcotest.(list int)
+            (Printf.sprintf "exec stream q%d oracle" i)
+            (oracle store xpath sem) got;
           check Alcotest.int
             (Printf.sprintf "exec stream q%d scanned" i)
             expected.Engine.candidates_scanned (Engine.stream_scanned st))
