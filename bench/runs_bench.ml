@@ -21,6 +21,11 @@
 
     Answers are checked byte-identical on vs off for every
     configuration, and for one batch per density on a 4-domain pool.
+
+    The build section times the run builder itself: per density, the
+    median wall microseconds of one subject's build into a fresh index
+    (codebook columns already decoded, as on an LRU rebuild), with every
+    subject's built runs checked node by node against [Dol.accessible].
     Results land in BENCH_runs.json at the repo root.
 
     Overrides: DOLX_BENCH_SCALE (document size), DOLX_BENCH_RUNS_REPS
@@ -28,6 +33,7 @@
 
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
+module Access_runs = Dolx_core.Access_runs
 module Store = Dolx_core.Secure_store
 module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
@@ -177,6 +183,45 @@ let batch_identical store index =
   Exec.shutdown exec;
   List.for_all2 (fun b r -> b = r.Engine.answers) baseline results
 
+type build_point = {
+  b_density : string;
+  transitions : int;
+  runs_per_subject : float;
+  build_us : float;  (* median wall per build *)
+  b_identical : bool;
+}
+
+(* Time [repetitions] builds of every subject, each rep into a fresh
+   index; the codebook columns are decoded off the clock first. *)
+let bench_build ~density dol =
+  let n = Dol.n_nodes dol in
+  let warm = Access_runs.create dol in
+  let runs_total = ref 0 and identical = ref true in
+  for s = 0 to n_subjects - 1 do
+    let r = Access_runs.runs warm ~subject:s in
+    runs_total := !runs_total + Access_runs.run_count r;
+    for v = 0 to n - 1 do
+      if Access_runs.mem r v <> Dol.accessible dol ~subject:s v then
+        identical := false
+    done
+  done;
+  let times = Array.make (repetitions * n_subjects) 0.0 in
+  for rep = 0 to repetitions - 1 do
+    let ri = Access_runs.create dol in
+    for s = 0 to n_subjects - 1 do
+      let t0 = Unix.gettimeofday () in
+      ignore (Access_runs.runs ri ~subject:s);
+      times.((rep * n_subjects) + s) <- Unix.gettimeofday () -. t0
+    done
+  done;
+  {
+    b_density = density;
+    transitions = Dol.transition_count dol;
+    runs_per_subject = float_of_int !runs_total /. float_of_int n_subjects;
+    build_us = median times *. 1e6;
+    b_identical = !identical;
+  }
+
 let run () =
   header "Access-run index: per-query cost, runs on vs off";
   Printf.printf
@@ -185,9 +230,11 @@ let run () =
     nodes n_subjects page_size pool_capacity repetitions;
   let all_points = ref [] in
   let all_batches_ok = ref true in
+  let builds = ref [] in
   List.iter
     (fun (density, params) ->
       let _tree, store, index = make_store params 131 in
+      builds := bench_build ~density (Store.dol store) :: !builds;
       List.iter
         (fun subject ->
           List.iter
@@ -219,6 +266,20 @@ let run () =
     ([ "density"; "subj"; "query"; "off ms"; "on ms"; "speedup";
        "run answers"; "touches saved"; "answers" ]
     :: rows);
+  let builds = List.rev !builds in
+  table
+    ([ "density"; "transitions"; "runs/subject"; "build us"; "runs" ]
+    :: List.map
+         (fun b ->
+           [
+             b.b_density;
+             string_of_int b.transitions;
+             Printf.sprintf "%.0f" b.runs_per_subject;
+             Printf.sprintf "%.1f" b.build_us;
+             (if b.b_identical then "= oracle" else "DIVERGED");
+           ])
+         builds);
+  let build_identical = List.for_all (fun b -> b.b_identical) builds in
   let identical = List.for_all (fun p -> p.identical) points in
   let speedups which =
     points
@@ -249,6 +310,19 @@ let run () =
         ("batch_identical", Json.Bool !all_batches_ok);
         ("checks_elided", Json.num_of_int elided);
         ("dense_median_speedup", Json.Num dense_speedup);
+        ("build_identical", Json.Bool build_identical);
+        ( "build",
+          Json.Arr
+            (List.map
+               (fun b ->
+                 Json.Obj
+                   [
+                     ("density", Json.Str b.b_density);
+                     ("transitions", Json.num_of_int b.transitions);
+                     ("runs_per_subject", Json.Num b.runs_per_subject);
+                     ("build_us_p50", Json.Num b.build_us);
+                   ])
+               builds) );
         ( "points",
           Json.Arr
             (List.map
@@ -278,4 +352,4 @@ let run () =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Json.to_string doc));
   Printf.printf "wrote %s\n%!" path;
-  if not (identical && !all_batches_ok) then exit 1
+  if not (identical && !all_batches_ok && build_identical) then exit 1

@@ -60,10 +60,18 @@ def check_runs(doc):
     require(dense, "no dense-policy points")
     med = statistics.median(dense)
     require(med >= 1.0, f"dense-policy median regressed vs runs-off: {med:.2f}x")
+    # Build timings are recorded, not gated: CI hosts vary.
+    require(doc["build_identical"] is True, "built runs diverged from the per-node oracle")
+    builds = doc["build"]
+    require(builds, "no build points")
+    for b in builds:
+        for key in ("transitions", "runs_per_subject", "build_us_p50"):
+            require(is_num(b[key]), f"bad {key} in build point {b}")
     return {
         "points": len(points),
         "elided": doc["checks_elided"],
         "dense_median": round(med, 2),
+        "build_us_p50": {b["density"]: round(b["build_us_p50"], 1) for b in builds},
     }
 
 

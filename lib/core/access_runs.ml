@@ -11,6 +11,7 @@
 module Binsearch = Dolx_util.Binsearch
 module Int_vec = Dolx_util.Int_vec
 module Metrics = Dolx_obs.Metrics
+module Trace = Dolx_obs.Trace
 
 let c_builds = Metrics.counter "runs.builds"
 
@@ -44,6 +45,8 @@ type t = {
      from its DOL snapshot while the live store fills in fresh ones;
      stale generations age out through the LRU. *)
   table : ((int * int) * entry) array Atomic.t;
+  (* Boundary buffer of {!build}; guarded by [lock]. *)
+  mutable scratch : int array;
 }
 
 let default_capacity = 64
@@ -70,6 +73,7 @@ let create ?(capacity = default_capacity) ?(deny = []) dol =
     lock = Mutex.create ();
     tick = Atomic.make 0;
     table = Atomic.make [||];
+    scratch = [||];
   }
 
 let capacity t = t.cap
@@ -103,39 +107,102 @@ let push_minus_deny deny di starts stops lo hi =
     end
   done
 
+(* Subtract the sorted disjoint [deny] intervals from sorted disjoint
+   runs. *)
+let subtract_deny deny starts stops =
+  let s = Int_vec.create () and e = Int_vec.create () in
+  let di = ref 0 in
+  Array.iteri (fun j lo -> push_minus_deny deny di s e lo stops.(j)) starts;
+  (Int_vec.to_array s, Int_vec.to_array e)
+
+(* Transitions per block of the boundary pass: before each block the
+   scratch is grown to hold one more boundary per transition, so the
+   inner loop stores without a capacity check while the scratch itself
+   tracks the boundary count, not the transition count. *)
+let block = 4096
+
+let reserve t need =
+  let len = Array.length t.scratch in
+  if len < need then begin
+    let s = Array.make (max need (2 * len)) 0 in
+    Array.blit t.scratch 0 s 0 len;
+    t.scratch <- s
+  end
+
+(* The boundary pass over transitions [i, stop).  Each transition's
+   preorder is stored at [scratch.(m)] unconditionally and [m] advances
+   by [verdict lxor previous verdict], so the scratch keeps exactly the
+   preorders where the subject's accessibility flips, with no branch on
+   the verdict.  [m] counts the flips so far, hence [m land 1] is the
+   previous verdict.  Stops early at a code past [column]; returns where
+   it stopped and the new [m].  No call inside, so the loop state stays
+   in registers. *)
+let scan_flips (codes : int array) (pres : int array) column
+    (scratch : int array) i stop m =
+  let len = Bytes.length column in
+  let i = ref i and m = ref m and prev = ref (m land 1) in
+  while
+    !i < stop && (let c = Array.unsafe_get codes !i in c >= 0 && c < len)
+  do
+    let b = Char.code (Bytes.unsafe_get column (Array.unsafe_get codes !i)) in
+    Array.unsafe_set scratch !m (Array.unsafe_get pres !i);
+    m := !m + (b lxor !prev);
+    prev := b;
+    incr i
+  done;
+  (!i, !m)
+
 (* Materialize [subject]'s accessible runs from [dol] at generation
-   [gen].  One pass over the transition list: consecutive transitions
-   whose codes grant the subject coalesce into a single run. *)
+   [gen], under [t.lock] (which also guards [t.scratch]): one pass over
+   the transitions reading each verdict as a byte of the subject's
+   codebook column.  The flips alternate run starts and exclusive run
+   ends; the quarantine's deny intervals are subtracted from the
+   paired runs. *)
 let build t dol subject gen =
+  Trace.with_span "runs.build" @@ fun () ->
   let cb = Dol.codebook dol in
   let pres = dol.Dol.trans_pre and codes = dol.Dol.trans_code in
   let k = Array.length pres in
+  if Array.length codes <> k then invalid_arg "Access_runs.build: ragged DOL";
   let n = Dol.n_nodes dol in
-  let starts = Int_vec.create () and stops = Int_vec.create () in
-  let covered = ref 0 in
-  let di = ref 0 in
-  let i = ref 0 in
+  let col = ref (Codebook.column cb subject) in
+  let m = ref 0 and i = ref 0 in
   while !i < k do
-    if Codebook.grants cb codes.(!i) subject then begin
-      let lo = pres.(!i) in
-      incr i;
-      while !i < k && Codebook.grants cb codes.(!i) subject do incr i done;
-      let hi = if !i < k then pres.(!i) - 1 else n - 1 in
-      let before = Int_vec.length starts in
-      push_minus_deny t.deny di starts stops lo hi;
-      for j = before to Int_vec.length starts - 1 do
-        covered := !covered + Int_vec.get stops j - Int_vec.get starts j + 1
-      done
+    let stop = if k - !i > block then !i + block else k in
+    reserve t (!m + (stop - !i));
+    let i', m' = scan_flips codes pres !col t.scratch !i stop !m in
+    i := i';
+    m := m';
+    if i' < stop then begin
+      (* a code interned since the column was fetched: [grants] raises
+         on an unknown code, otherwise re-fetch the extended column *)
+      ignore (Codebook.grants cb codes.(i') subject);
+      col := Codebook.column cb subject
     end
-    else incr i
+  done;
+  (* close a trailing run at [n - 1] *)
+  let m = !m in
+  reserve t (m + 1);
+  let scratch = t.scratch in
+  scratch.(m) <- n;
+  let r = (m + 1) / 2 in
+  let starts = Array.init r (fun j -> scratch.(2 * j)) in
+  let stops = Array.init r (fun j -> scratch.((2 * j) + 1) - 1) in
+  let starts, stops =
+    if Array.length t.deny = 0 then (starts, stops)
+    else subtract_deny t.deny starts stops
+  in
+  let covered = ref 0 in
+  for j = 0 to Array.length starts - 1 do
+    covered := !covered + stops.(j) - starts.(j) + 1
   done;
   Metrics.incr c_builds;
   {
     r_subject = subject;
     r_generation = gen;
     r_n = n;
-    starts = Int_vec.to_array starts;
-    stops = Int_vec.to_array stops;
+    starts;
+    stops;
     r_covered = !covered;
   }
 

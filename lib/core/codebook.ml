@@ -29,7 +29,8 @@ type t = {
      grants the subject, so the ACCESS check of Algorithm 1 is a single
      byte load instead of a bit extraction behind two bounds checks.
      Built lazily per subject; a slice shorter than [count] simply means
-     codes interned since it was built miss to the slow path.  [Atomic]
+     codes interned since it was built miss to the slow path, which
+     extends it.  [Atomic]
      gives publication safety when evaluator domains share the book;
      subject addition/removal (single-threaded maintenance phases)
      reallocate the array wholesale. *)
@@ -108,12 +109,22 @@ let get t c =
   if c < 0 || c >= t.count then invalid_arg "Codebook.get: unknown code";
   t.entries.(c)
 
-let rebuild_slice t subject =
-  let b = Bytes.make t.count '\000' in
-  for c = 0 to t.count - 1 do
+(* Extend [subject]'s slice to [count] entries and publish it.  Interning
+   never rewrites an existing entry and width changes reset the slices
+   wholesale, so the old prefix stays valid: only the codes interned
+   since it was decoded are decoded now. *)
+let extend_slice t subject =
+  let cell = t.slices.(subject) in
+  let old = Atomic.get cell in
+  let count = t.count in
+  let have = Bytes.length old in
+  let b = Bytes.make count '\000' in
+  Bytes.blit old 0 b 0 have;
+  for c = have to count - 1 do
     if Bitset.get t.entries.(c) subject then Bytes.unsafe_set b c '\001'
   done;
-  Atomic.set t.slices.(subject) b
+  Atomic.set cell b;
+  b
 
 (** "The s-th bit in that code book entry indicates the accessibility of
     the node for subject s" (§3.3).  Served from the subject's decoded
@@ -124,14 +135,22 @@ let grants t c subject =
     if c >= 0 && c < Bytes.length b && c < t.count then
       Bytes.unsafe_get b c <> '\000'
     else begin
-      (* slow path: validate [c] exactly as before, then (re)decode the
+      (* slow path: validate [c] exactly as before, then extend the
          column so later lookups for this subject hit *)
       let r = Bitset.get (get t c) subject in
-      rebuild_slice t subject;
+      ignore (extend_slice t subject);
       r
     end
   end
   else Bitset.get (get t c) subject
+
+(** [subject]'s decoded column, extended first when codes were interned
+    since it was last decoded. *)
+let column t subject =
+  if subject < 0 || subject >= Array.length t.slices then
+    invalid_arg "Codebook.column: unknown subject";
+  let b = Atomic.get t.slices.(subject) in
+  if Bytes.length b >= t.count then b else extend_slice t subject
 
 (** Code for the ACL equal to entry [c] with [subject]'s bit set to [b]. *)
 let with_bit t c subject b =

@@ -319,6 +319,37 @@ let test_counter_parity_on_table1_run () =
     (v "engine.queries");
   Alcotest.(check bool) "work happened" true (io.Store.page_touches > 0)
 
+(* --- run builds are attributed per query --- *)
+
+(* A traced secure query for a subject whose runs are not materialized
+   builds them once, inside a [runs.build] span that also feeds the
+   [span.runs.build] histogram; repeating the query hits the index. *)
+let test_runs_build_span () =
+  let tree = Xmark.generate_nodes ~seed:73 2_000 in
+  let labeling = Synth_acl.generate_multi tree ~seed:74 ~n_subjects:3 () in
+  let store =
+    Store.create ~page_size:1024 ~pool_capacity:16 tree (Dol.of_labeling labeling)
+  in
+  let index = Tag_index.build tree in
+  let hist = Metrics.histogram "span.runs.build" in
+  let traced () =
+    Trace.reset ();
+    Trace.set_enabled true;
+    let before = Metrics.observations hist in
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () -> ignore (Engine.query store index "//item//name" (Engine.Secure 1)));
+    let spans =
+      List.filter (fun s -> s.Trace.name = "runs.build") (Trace.spans Trace.default)
+    in
+    (List.length spans, Metrics.observations hist - before)
+  in
+  let cold = traced () in
+  let warm = traced () in
+  Trace.reset ();
+  check Alcotest.(pair int int) "cold subject: one build span" (1, 1) cold;
+  check Alcotest.(pair int int) "warm subject: no build span" (0, 0) warm
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -342,4 +373,6 @@ let suite =
     Alcotest.test_case "trace json" `Quick test_trace_json;
     Alcotest.test_case "counter parity with io_stats" `Quick
       test_counter_parity_on_table1_run;
+    Alcotest.test_case "runs.build span per cold subject" `Quick
+      test_runs_build_span;
   ]

@@ -5,7 +5,9 @@
 
 module Tree = Dolx_xml.Tree
 module Prng = Dolx_util.Prng
+module Bitset = Dolx_util.Bitset
 module Dol = Dolx_core.Dol
+module Codebook = Dolx_core.Codebook
 module Access_runs = Dolx_core.Access_runs
 module Update = Dolx_core.Update
 module Store = Dolx_core.Secure_store
@@ -47,6 +49,93 @@ let prop_runs_match_dol =
           if Access_runs.accessible ri cu ~dol ~subject:s v <> want then
             QCheck2.Test.fail_reportf "cursor: subject %d node %d" s v
         done
+      done;
+      true)
+
+(* Per-node verdict read from the codebook entry's bit-vector, bypassing
+   the decoded per-subject columns the run builder reads. *)
+let entry_grants dol ~subject v =
+  Bitset.get (Codebook.get (Dol.codebook dol) (Dol.code_at dol v)) subject
+
+(* The maximal runs of [want] over [0, n). *)
+let oracle_runs n want =
+  let acc = ref [] and v = ref 0 in
+  while !v < n do
+    if want !v then begin
+      let lo = !v in
+      while !v < n && want !v do incr v done;
+      acc := (lo, !v - 1) :: !acc
+    end
+    else incr v
+  done;
+  List.rev !acc
+
+(* Random quarantine intervals that overlap, abut, touch preorders 0 and
+   [n - 1], and cover whole runs of some subject. *)
+let random_deny rng dol ~subjects =
+  let n = Dol.n_nodes dol in
+  let clamp v = max 0 (min (n - 1) v) in
+  let last = ref (0, 0) in
+  List.init (Prng.int rng 6) (fun _ ->
+      let len = Prng.int rng 40 in
+      let lo, hi =
+        match Prng.int rng 6 with
+        | 0 -> (0, len)
+        | 1 -> (n - 1 - len, n - 1)
+        | 2 -> (snd !last + 1, snd !last + 1 + len)
+        | 3 -> (fst !last + (len / 2), snd !last + len)
+        | 4 ->
+            let s = Prng.int rng subjects in
+            let runs = oracle_runs n (entry_grants dol ~subject:s) in
+            if runs = [] then (0, 0)
+            else List.nth runs (Prng.int rng (List.length runs))
+        | _ ->
+            let a = Prng.int rng n in
+            (a, a + len)
+      in
+      last := (clamp lo, clamp hi);
+      !last)
+
+(* Exact per-node [mem] plus a run count equal to the oracle's maximal
+   run count forces the built runs to be exactly the maximal runs, hence
+   disjoint and maximal. *)
+let check_runs_against r ~n ~want ~what =
+  let runs = oracle_runs n want in
+  for v = 0 to n - 1 do
+    if Access_runs.mem r v <> want v then
+      QCheck2.Test.fail_reportf "%s: mem node %d" what v
+  done;
+  if Access_runs.run_count r <> List.length runs then
+    QCheck2.Test.fail_reportf "%s: %d runs, oracle has %d maximal runs" what
+      (Access_runs.run_count r) (List.length runs);
+  let covered = List.fold_left (fun a (lo, hi) -> a + hi - lo + 1) 0 runs in
+  if Access_runs.covered r <> covered then
+    QCheck2.Test.fail_reportf "%s: covered %d, oracle %d" what
+      (Access_runs.covered r) covered;
+  List.iter
+    (fun (lo, hi) ->
+      if not (Access_runs.span_inside r ~lo ~hi) then
+        QCheck2.Test.fail_reportf "%s: run [%d,%d] split" what lo hi;
+      if Access_runs.next_accessible r lo <> Some lo then
+        QCheck2.Test.fail_reportf "%s: run [%d,%d] start" what lo hi)
+    runs
+
+let prop_runs_minus_deny =
+  Fixtures.qtest ~count:60 "runs = oracle minus random deny intervals"
+    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 4) (int_range 0 10_000))
+    (fun (seed, subjects, deny_seed) ->
+      let _, dol = make_dol ~nodes:600 ~subjects seed in
+      let n = Dol.n_nodes dol in
+      let deny = random_deny (Prng.create deny_seed) dol ~subjects in
+      let denied = Array.make n false in
+      List.iter
+        (fun (lo, hi) -> for v = lo to hi do denied.(v) <- true done)
+        deny;
+      let ri = Access_runs.create ~deny dol in
+      for s = 0 to subjects - 1 do
+        check_runs_against (Access_runs.runs ri ~subject:s) ~n
+          ~want:(fun v -> entry_grants dol ~subject:s v && not denied.(v))
+          ~what:(Printf.sprintf "subject %d" s)
       done;
       true)
 
@@ -147,6 +236,59 @@ let prop_rebuild_after_updates =
         done
       done;
       true)
+
+(* --- stale columns: codes interned after every column was decoded --- *)
+
+let test_stale_columns () =
+  (* 12 subjects: 2^12 possible ACLs, so subtree flips mint new codes *)
+  let subjects = 12 in
+  let tree, dol = make_dol ~nodes:1500 ~subjects 61 in
+  let n = Dol.n_nodes dol in
+  let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+  let dol = Store.dol store in
+  let ri = Store.run_index store in
+  (* building every subject's runs decodes every column *)
+  for s = 0 to subjects - 1 do
+    ignore (Access_runs.runs ri ~subject:s)
+  done;
+  let cb = Dol.codebook dol in
+  let count0 = Codebook.count cb in
+  let rng = Prng.create 62 in
+  let rounds = ref 0 in
+  while Codebook.count cb = count0 && !rounds < 100 do
+    Update.set_subtree_accessibility store ~subject:(Prng.int rng subjects)
+      ~grant:(Prng.bool rng ~p:0.5) (Prng.int rng n);
+    incr rounds
+  done;
+  check Alcotest.bool "updates interned new codes" true
+    (Codebook.count cb > count0);
+  let check_grants s =
+    for c = count0 to Codebook.count cb - 1 do
+      check Alcotest.bool
+        (Printf.sprintf "grants subject %d new code %d" s c)
+        (Bitset.get (Codebook.get cb c) s)
+        (Codebook.grants cb c s)
+    done
+  in
+  let check_runs s =
+    let r = Access_runs.runs ri ~subject:s in
+    for v = 0 to n - 1 do
+      if Access_runs.mem r v <> entry_grants dol ~subject:s v then
+        Alcotest.failf "rebuilt runs: subject %d node %d" s v
+    done
+  in
+  (* either consumer may be the one that finds the column stale *)
+  for s = 0 to subjects - 1 do
+    if s mod 2 = 0 then (check_grants s; check_runs s)
+    else (check_runs s; check_grants s);
+    let col = Codebook.column cb s in
+    check Alcotest.int "column extended to count" (Codebook.count cb)
+      (Bytes.length col);
+    for c = 0 to Codebook.count cb - 1 do
+      if Bytes.get col c <> '\000' <> Bitset.get (Codebook.get cb c) s then
+        Alcotest.failf "column subject %d code %d" s c
+    done
+  done
 
 (* --- LRU bound --- *)
 
@@ -264,7 +406,10 @@ let suite =
     prop_dol_cursor_matches_code_at;
     Alcotest.test_case "range helpers vs brute force" `Quick test_range_helpers;
     Alcotest.test_case "run statistics" `Quick test_run_stats;
+    prop_runs_minus_deny;
     prop_rebuild_after_updates;
+    Alcotest.test_case "stale columns extend after interning" `Quick
+      test_stale_columns;
     Alcotest.test_case "LRU bound and rebuild" `Quick test_lru_bound;
     Alcotest.test_case "engine: answers on = off (all semantics)" `Quick
       test_engine_equivalence;
