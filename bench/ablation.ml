@@ -76,7 +76,7 @@ let run_page_size () =
            (* run index off: the sweep measures page-level misses and
               the header table *)
            let store =
-             Store.create ~run_index:false ~succinct:false ~path_summary:false ~page_size ~pool_capacity:64 tree dol
+             Store.create ~run_index:false ~path_summary:false ~page_size ~pool_capacity:64 tree dol
            in
            let pattern = Dolx_nok.Xpath.parse "//item//emph" in
            Buffer_pool.clear (Store.pool store);
@@ -159,7 +159,7 @@ let run_secure_std () =
            (* run index off: the table compares the §4.2 join variants'
               own check patterns *)
            let store =
-             Store.create ~run_index:false ~succinct:false ~path_summary:false ~page_size:4096 ~pool_capacity:128
+             Store.create ~run_index:false ~path_summary:false ~page_size:4096 ~pool_capacity:128
                tree dol
            in
            Store.reset_stats store;

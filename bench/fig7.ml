@@ -56,7 +56,7 @@ let setup () =
         (* run index off: this figure reproduces the paper's §3.3
            header-skip mechanism, which the run index would subsume *)
         let store =
-          Store.create ~run_index:false ~succinct:false ~path_summary:false ~page_size:4096 ~pool_capacity:128 tree
+          Store.create ~run_index:false ~path_summary:false ~page_size:4096 ~pool_capacity:128 tree
             dol
         in
         (a, frac, store))

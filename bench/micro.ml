@@ -24,7 +24,7 @@ let tests () =
   let cam = Cam.build tree bools in
   (* run index off: the micro-benchmark times the physical in-page
      check path *)
-  let store = Store.create ~run_index:false ~succinct:false ~path_summary:false ~page_size:4096 tree dol in
+  let store = Store.create ~run_index:false ~path_summary:false ~page_size:4096 tree dol in
   (* warm the pool so the access-check benchmark measures the in-memory
      path, as in a steady-state query *)
   for v = 0 to n - 1 do

@@ -31,7 +31,7 @@ let setup () =
   (* run index off: CRC share is measured on the page-read path, which
      the run index would partially elide *)
   let store =
-    Store.create ~run_index:false ~succinct:false ~path_summary:false ~page_size:4096 ~pool_capacity:128 tree dol
+    Store.create ~run_index:false ~path_summary:false ~page_size:4096 ~pool_capacity:128 tree dol
   in
   let index = Tag_index.build tree in
   (tree, index, store)

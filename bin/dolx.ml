@@ -143,7 +143,7 @@ let metrics_begin fmt store =
       Trace.reset ();
       Store.reset_stats store;
       Metrics.reset Metrics.default;
-      (* reset zeroed the structural-tier gauges; re-publish them *)
+      (* reset zeroed the path-summary gauge; re-publish it *)
       Store.refresh_gauges store
 
 let metrics_end fmt =
@@ -163,15 +163,8 @@ let no_run_index_arg =
            ~doc:"Disable the per-subject access-run index; answer access \
                  checks from the physical pages.")
 
-(* --no-succinct / --no-path-summary: the ablation sides of
-   `bench succinct` — navigate via the pointer tree, and plan without
-   DataGuide candidate pruning. *)
-let no_succinct_arg =
-  Arg.(value & flag
-       & info [ "no-succinct" ]
-           ~doc:"Disable the succinct balanced-parentheses tree tier; \
-                 navigate via the pointer-based tree.")
-
+(* --no-path-summary: the ablation side of `bench succinct` — plan
+   without DataGuide candidate pruning. *)
 let no_summary_arg =
   Arg.(value & flag
        & info [ "no-path-summary" ]
@@ -272,15 +265,15 @@ let print_stream tree store index q sem =
       pump ());
   Engine.stream_emitted st
 
-let query doc policy mode subject path_semantics no_run_index no_succinct
-    no_summary metrics q =
+let query doc policy mode subject path_semantics no_run_index no_summary
+    metrics q =
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let s = subject_id subjects subject in
   let dol = Dol.of_labeling labeling in
   let store =
-    Store.create ~run_index:(not no_run_index) ~succinct:(not no_succinct)
-      ~path_summary:(not no_summary) tree dol
+    Store.create ~run_index:(not no_run_index) ~path_summary:(not no_summary)
+      tree dol
   in
   let index = Tag_index.build tree in
   let sem = if path_semantics then Engine.Secure_path s else Engine.Secure s in
@@ -297,7 +290,7 @@ let query_cmd =
   let q = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v (Cmd.info "query" ~doc:"Evaluate a twig query as a subject")
     Term.(const query $ doc_arg $ policy_arg $ mode_arg $ subject_arg $ path_sem
-          $ no_run_index_arg $ no_succinct_arg $ no_summary_arg $ metrics_arg $ q)
+          $ no_run_index_arg $ no_summary_arg $ metrics_arg $ q)
 
 (* --- query-batch --- *)
 
@@ -341,14 +334,14 @@ let semantics_name = function
   | Engine.Secure s -> Printf.sprintf "s%d" s
   | Engine.Secure_path s -> Printf.sprintf "s%d/path" s
 
-let query_batch doc policy mode jobs path_semantics no_run_index no_succinct
-    no_summary metrics queries_file mix mix_seed =
+let query_batch doc policy mode jobs path_semantics no_run_index no_summary
+    metrics queries_file mix mix_seed =
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let dol = Dol.of_labeling labeling in
   let store =
-    Store.create ~run_index:(not no_run_index) ~succinct:(not no_succinct)
-      ~path_summary:(not no_summary) tree dol
+    Store.create ~run_index:(not no_run_index) ~path_summary:(not no_summary)
+      tree dol
   in
   let index = Tag_index.build tree in
   let batch =
@@ -405,8 +398,8 @@ let query_batch_cmd =
     (Cmd.info "query-batch"
        ~doc:"Evaluate a batch of twig queries on a worker-domain pool")
     Term.(const query_batch $ doc_arg $ policy_arg $ mode_arg $ jobs $ path_sem
-          $ no_run_index_arg $ no_succinct_arg $ no_summary_arg $ metrics_arg
-          $ queries_file $ mix $ mix_seed)
+          $ no_run_index_arg $ no_summary_arg $ metrics_arg $ queries_file
+          $ mix $ mix_seed)
 
 (* --- serve: the multi-tenant streaming query service --- *)
 
@@ -873,11 +866,9 @@ let compile_db_cmd =
        ~doc:"Compile document + policy into a single-file secured database")
     Term.(const compile_db $ doc_arg $ policy_arg $ mode_arg $ output)
 
-let query_db db subject path_semantics no_run_index no_succinct no_summary
-    metrics q =
+let query_db db subject path_semantics no_run_index no_summary metrics q =
   let store, registries = Dolx_core.Db_file.load db in
   if no_run_index then Store.set_run_index store false;
-  if no_succinct then Store.set_succinct store false;
   if no_summary then Store.set_summary store false;
   let tree = Store.tree store in
   let index = Tag_index.build tree in
@@ -908,7 +899,7 @@ let query_db_cmd =
   Cmd.v
     (Cmd.info "query-db" ~doc:"Evaluate a twig query against a compiled database file")
     Term.(const query_db $ db $ subject_bit $ path_sem $ no_run_index_arg
-          $ no_succinct_arg $ no_summary_arg $ metrics_arg $ q)
+          $ no_summary_arg $ metrics_arg $ q)
 
 (* --- stats-db: database-file statistics --- *)
 
@@ -931,10 +922,12 @@ let stats_db db =
     (Dol.transition_count dol)
     (Dol.transition_density dol)
     (Dol.embedded_bytes dol);
-  let succ = Store.succinct store in
   let module Succinct = Dolx_index.Succinct in
+  (* the BP image is off the query path: built here only to report its
+     size *)
+  let succ = Succinct.build tree in
   let module Path_summary = Dolx_index.Path_summary in
-  Printf.printf "succinct tier: %d bits (%.2f bits/node)\n"
+  Printf.printf "succinct image: %d bits (%.2f bits/node)\n"
     (Succinct.size_bits succ) (Succinct.bits_per_node succ);
   let ps = Store.path_summary store in
   let st = Tree_stats.compute tree in

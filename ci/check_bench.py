@@ -77,7 +77,7 @@ def check_runs(doc):
 
 def check_succinct(doc):
     require(doc["identical"] is True,
-            "answers diverged with the succinct tier / path summary on")
+            "answers diverged with the path summary on")
     require(doc["batch_identical"] is True, "4-domain batch diverged from baseline")
     require(is_num(doc["bits_per_node"]) and doc["bits_per_node"] <= 4.0,
             f"succinct structure over budget: {doc['bits_per_node']} bits/node")
@@ -90,12 +90,16 @@ def check_succinct(doc):
             require(is_num(p[key]), f"bad {key} in {p}")
         require(p["identical"] is True, f"point diverged: {p}")
     med = statistics.median(p["speedup"] for p in points)
-    require(med >= 1.0, f"Table-1 median regressed vs tiers-off: {med:.2f}x")
+    require(med >= 1.0, f"Table-1 median regressed vs summary-off: {med:.2f}x")
+    # The wall-clock median is reported beside the modeled one, not
+    # gated: CI hosts vary.
+    require(is_num(doc["wall_median_speedup"]), "bad wall_median_speedup")
     return {
         "points": len(points),
         "bits_per_node": round(doc["bits_per_node"], 2),
         "classes_pruned": doc["dense_summary_pruned"],
         "median": round(med, 2),
+        "wall_median": round(doc["wall_median_speedup"], 2),
     }
 
 

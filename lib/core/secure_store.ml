@@ -13,12 +13,9 @@ module Buffer_pool = Dolx_storage.Buffer_pool
 module Disk = Dolx_storage.Disk
 module Epoch = Dolx_storage.Epoch
 module Metrics = Dolx_obs.Metrics
-module Succinct = Dolx_index.Succinct
 module Path_summary = Dolx_index.Path_summary
 
 let c_access_checks = Metrics.counter "store.access_checks"
-
-let g_succ_bits = Metrics.gauge "succinct.bits_per_node"
 
 let g_summary_nodes = Metrics.gauge "summary.nodes"
 
@@ -58,21 +55,14 @@ type pub = {
   p_epoch : int;
   p_dol : Dol.t; (* shallow snapshot: arrays never mutated in place *)
   p_layout : Nok_layout.t; (* frozen *)
-  (* The succinct structural tier and the path summary ride the same
-     snapshot: tree structure is immutable within a store's lifetime
-     (structural updates go through [rebuild]), so publishing re-stamps
-     the same immutable images at the new epoch. *)
-  p_succ : Succinct.t;
-  p_summary : Path_summary.t;
 }
 
 type t = {
   tree : Tree.t;
-  (* Succinct balanced-parentheses image of [tree] and its DataGuide
-     path summary — per-epoch immutable, rebuilt with the store. *)
-  succ : Succinct.t;
+  (* DataGuide path summary of [tree].  Tree structure is immutable
+     within a store's lifetime (structural updates go through
+     [rebuild]), so every epoch's readers share it unchanged. *)
   summary : Path_summary.t;
-  mutable use_succinct : bool;
   mutable use_summary : bool;
   mutable dol : Dol.t;
   layout : Nok_layout.t;
@@ -105,17 +95,15 @@ type t = {
   mutable epoch_pin : int option;
 }
 
-(* Build the per-epoch structural tier and publish its size gauges. *)
+(* Build the path summary and publish its size gauge. *)
 let structural_tier tree =
-  let succ = Succinct.build tree in
   let summary = Path_summary.build tree in
-  Metrics.gauge_set g_succ_bits (Succinct.bits_per_node succ);
   Metrics.gauge_set g_summary_nodes
     (float_of_int (Path_summary.node_count summary));
-  (succ, summary)
+  summary
 
 let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
-    ?(run_index = true) ?(succinct = true) ?(path_summary = true) tree dol =
+    ?(run_index = true) ?(path_summary = true) tree dol =
   if Dol.n_nodes dol <> Tree.size tree then
     invalid_arg "Secure_store.create: tree / DOL size mismatch";
   let disk = Disk.create ~page_size () in
@@ -124,9 +112,8 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
   in
   let layout = Nok_layout.build ~fill disk tree ~transitions in
   let pool = Buffer_pool.create ~capacity:pool_capacity disk in
-  let succ, summary = structural_tier tree in
-  { tree; succ; summary;
-    use_succinct = succinct; use_summary = path_summary;
+  let summary = structural_tier tree in
+  { tree; summary; use_summary = path_summary;
     dol; layout; pool; disk; pool_capacity;
     cursor = Nok_layout.cursor layout;
     runs = Access_runs.create dol;
@@ -141,8 +128,6 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
           p_epoch = Epoch.current (Disk.epoch disk);
           p_dol = Dol.snapshot dol;
           p_layout = Nok_layout.freeze layout;
-          p_succ = succ;
-          p_summary = summary;
         };
     write_m = Mutex.create ();
     epoch_pin = None }
@@ -151,7 +136,7 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
     layout must already live on [disk].  [quarantine] lists preorder
     ranges whose labels were lost to corruption and must be denied. *)
 let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
-    ?(succinct = true) ?(path_summary = true) ~tree ~dol ~disk ~layout () =
+    ?(path_summary = true) ~tree ~dol ~disk ~layout () =
   if Dol.n_nodes dol <> Tree.size tree then
     invalid_arg "Secure_store.assemble: tree / DOL size mismatch";
   List.iter
@@ -163,9 +148,8 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
     Array.of_list (List.sort (fun (a, _) (b, _) -> compare a b) quarantine)
   in
   let pool = Buffer_pool.create ~capacity:pool_capacity disk in
-  let succ, summary = structural_tier tree in
-  { tree; succ; summary;
-    use_succinct = succinct; use_summary = path_summary;
+  let summary = structural_tier tree in
+  { tree; summary; use_summary = path_summary;
     dol; layout; pool; disk; pool_capacity;
     cursor = Nok_layout.cursor layout;
     (* quarantined ranges are subtracted at run-build time, so a run
@@ -182,8 +166,6 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
           p_epoch = Epoch.current (Disk.epoch disk);
           p_dol = Dol.snapshot dol;
           p_layout = Nok_layout.freeze layout;
-          p_succ = succ;
-          p_summary = summary;
         };
     write_m = Mutex.create ();
     epoch_pin = None }
@@ -236,8 +218,6 @@ let reader ?pool_capacity t =
       t with
       dol = s.p_dol;
       layout = s.p_layout;
-      succ = s.p_succ;
-      summary = s.p_summary;
       pool = Buffer_pool.create ~capacity:pool_capacity ~epoch:e t.disk;
       cursor = Nok_layout.cursor s.p_layout;
       run_cursor = Access_runs.cursor ();
@@ -284,8 +264,6 @@ let publish t =
       p_epoch = Epoch.current ep + 1;
       p_dol = Dol.snapshot t.dol;
       p_layout = Nok_layout.freeze t.layout;
-      p_succ = t.succ;
-      p_summary = t.summary;
     };
   ignore (Epoch.advance ep);
   ignore (Disk.retire t.disk)
@@ -332,17 +310,13 @@ let codebook t = Dol.codebook t.dol
 let run_index t = t.runs
 let run_index_enabled t = t.use_runs
 let set_run_index t b = t.use_runs <- b
-let succinct t = t.succ
 let path_summary t = t.summary
-let succinct_enabled t = t.use_succinct
-let set_succinct t b = t.use_succinct <- b
 let summary_enabled t = t.use_summary
 let set_summary t b = t.use_summary <- b
 
-(** Re-publish the structural-tier size gauges (they are zeroed by a
-    registry [Metrics.reset], e.g. at the start of a measured window). *)
+(** Re-publish the path-summary size gauge (it is zeroed by a registry
+    [Metrics.reset], e.g. at the start of a measured window). *)
 let refresh_gauges t =
-  Metrics.gauge_set g_succ_bits (Succinct.bits_per_node t.succ);
   Metrics.gauge_set g_summary_nodes
     (float_of_int (Path_summary.node_count t.summary))
 
@@ -392,40 +366,29 @@ let pp_io ppf s =
 
 (** {1 Navigation (with I/O accounting)}
 
-    The structural answers come from the succinct encoding; every visited
-    node costs a touch of its page, which is how the paper's NoK evaluator
-    behaves ("nodes connected by next-of-kin relationships are clustered …
-    a NoK query processor can match a NoK pattern using just a few I/O
-    operations", §3.1). *)
+    The structural answers come from the resident pointer arena, one
+    array load each; every visited node costs a touch of its page, which
+    is how the paper's NoK evaluator behaves ("nodes connected by
+    next-of-kin relationships are clustered … a NoK query processor can
+    match a NoK pattern using just a few I/O operations", §3.1). *)
 
 let touch t v = ignore (Nok_layout.touch t.layout t.pool v)
 
-(** FIRST-CHILD of Algorithm 1: position of the first child, computed from
-    the succinct structure without fetching the child's page — the caller
-    decides whether to visit (fetch) it, which is what lets the header
-    optimization of §3.3 skip provably-inaccessible pages.  Served from
-    the balanced-parentheses tier when it is enabled (the default) and
-    from the arena otherwise; both agree exactly.  Returns [Tree.nil] if
-    none. *)
-let first_child t v =
-  if t.use_succinct then Succinct.first_child t.succ v
-  else Tree.first_child t.tree v
+(** FIRST-CHILD of Algorithm 1: position of the first child, read from
+    the arena without fetching the child's page — the caller decides
+    whether to visit (fetch) it, which is what lets the header
+    optimization of §3.3 skip provably-inaccessible pages.  Returns
+    [Tree.nil] if none. *)
+let first_child t v = Tree.first_child t.tree v
 
 (** FOLLOWING-SIBLING of Algorithm 1.  Returns [Tree.nil] if none. *)
-let following_sibling t v =
-  if t.use_succinct then Succinct.next_sibling t.succ v
-  else Tree.next_sibling t.tree v
+let following_sibling t v = Tree.next_sibling t.tree v
 
-let parent t v =
-  if t.use_succinct then Succinct.parent t.succ v else Tree.parent t.tree v
+let parent t v = Tree.parent t.tree v
 
-let subtree_end t v =
-  if t.use_succinct then Succinct.subtree_end t.succ v
-  else Tree.subtree_end t.tree v
+let subtree_end t v = Tree.subtree_end t.tree v
 
-let is_ancestor t a d =
-  if t.use_succinct then Succinct.is_ancestor t.succ a d
-  else Tree.is_ancestor t.tree a d
+let is_ancestor t a d = Tree.is_ancestor t.tree a d
 
 let tag t v = Tree.tag t.tree v
 
@@ -546,4 +509,4 @@ let accessible_fraction t ~subject =
 let rebuild t tree dol =
   let page_size = Dolx_storage.Disk.page_size t.disk in
   create ~page_size ~pool_capacity:t.pool_capacity ~run_index:t.use_runs
-    ~succinct:t.use_succinct ~path_summary:t.use_summary tree dol
+    ~path_summary:t.use_summary tree dol

@@ -14,16 +14,14 @@ type t
     accessible intervals instead of page decodes, and the engine can
     prune candidate sets by range intersection.  Disable it to measure
     the paper's unaided §3.3 path.
-    [succinct] (default [true]) routes structural navigation through the
-    balanced-parentheses tier ({!Dolx_index.Succinct}); [path_summary]
-    (default [true]) enables DataGuide candidate-class pruning in the
-    engine.  Both images are always built (they are per-epoch snapshot
-    state); the flags only govern use, per handle, so on/off benchmark
-    sides share one physical store.
+    [path_summary] (default [true]) enables DataGuide candidate-class
+    pruning in the engine.  The summary is always built; the flag only
+    governs use, per handle, so on/off benchmark sides share one
+    physical store.
     @raise Invalid_argument on tree/DOL size mismatch. *)
 val create :
   ?page_size:int -> ?pool_capacity:int -> ?fill:float -> ?run_index:bool ->
-  ?succinct:bool -> ?path_summary:bool -> Tree.t -> Dol.t -> t
+  ?path_summary:bool -> Tree.t -> Dol.t -> t
 
 (** Assemble from pre-built parts (used by {!Db_file}); the layout must
     already live on [disk].  [quarantine] lists inclusive preorder ranges
@@ -33,7 +31,7 @@ val create :
     @raise Invalid_argument on a malformed range. *)
 val assemble :
   ?pool_capacity:int -> ?quarantine:(int * int) list -> ?run_index:bool ->
-  ?succinct:bool -> ?path_summary:bool ->
+  ?path_summary:bool ->
   tree:Tree.t -> dol:Dol.t -> disk:Dolx_storage.Disk.t ->
   layout:Dolx_storage.Nok_layout.t -> unit -> t
 
@@ -98,23 +96,14 @@ val run_index_enabled : t -> bool
     comparisons over the same physical store). *)
 val set_run_index : t -> bool -> unit
 
-(** {1 Succinct tree tier & path summary}
+(** {1 Path summary}
 
-    Immutable per published epoch: built at store creation, re-stamped
-    into each published snapshot alongside the frozen layout, and
-    captured by {!reader} handles, so concurrent readers at different
-    epochs each see a consistent image.  The [set_*] toggles are
-    per-handle (a reader inherits the parent handle's setting at
-    creation), mirroring {!set_run_index}. *)
-
-val succinct : t -> Dolx_index.Succinct.t
+    Built at store creation and immutable for the store's lifetime
+    (structural updates go through {!rebuild}), so readers at every
+    epoch share it.  The toggle is per-handle (a reader inherits the
+    parent handle's setting at creation), mirroring {!set_run_index}. *)
 
 val path_summary : t -> Dolx_index.Path_summary.t
-
-(** Is navigation served from the succinct tier on this handle? *)
-val succinct_enabled : t -> bool
-
-val set_succinct : t -> bool -> unit
 
 (** Is DataGuide candidate-class pruning available to the engine on this
     handle? *)
@@ -122,8 +111,7 @@ val summary_enabled : t -> bool
 
 val set_summary : t -> bool -> unit
 
-(** Re-publish the [succinct.bits_per_node] / [summary.nodes] gauges
-    after a registry reset. *)
+(** Re-publish the [summary.nodes] gauge after a registry reset. *)
 val refresh_gauges : t -> unit
 
 (** {1 Fuzzer fault site}
@@ -164,7 +152,7 @@ val pp_io : Format.formatter -> io_stats -> unit
 
 (** {1 Navigation}
 
-    Positions come from the succinct structure without I/O; the caller
+    Positions come from the resident pointer arena without I/O; the caller
     decides whether to visit (fetch) a node — that is what lets the
     header optimization of §3.3 skip provably-inaccessible pages. *)
 

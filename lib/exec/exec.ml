@@ -2,7 +2,7 @@
 
     One store, many domains: an {!t} owns a fixed pool of worker domains
     and one {!Secure_store.reader} handle per worker slot.  The handles
-    share the immutable evaluation state (succinct tree, DOL, NoK page
+    share the immutable evaluation state (document arena, DOL, NoK page
     layout, codebook, tag index) and the simulated disk — which
     serializes physical page I/O internally — while each keeps a private
     buffer pool, scan cursor and statistics, so evaluation never takes a

@@ -2,7 +2,7 @@
 
     An executor owns a fixed pool of worker domains and one
     {!Dolx_core.Secure_store.reader} handle per worker slot: the handles
-    share the immutable evaluation state (succinct tree, DOL, page
+    share the immutable evaluation state (document arena, DOL, page
     layout, codebook, tag index) and the simulated disk (which
     serializes physical I/O internally) while keeping private buffer
     pools, scan cursors and statistics — no lock is taken on the

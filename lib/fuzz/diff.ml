@@ -16,7 +16,6 @@ module Bitset = Dolx_util.Bitset
 
 type config = {
   run_index : bool;
-  succinct : bool;
   summary : bool;
   jobs : int;
   faults : bool;
@@ -26,7 +25,6 @@ type config = {
 let base_config =
   {
     run_index = true;
-    succinct = true;
     summary = true;
     jobs = 1;
     faults = false;
@@ -37,9 +35,7 @@ let lattice =
   [
     base_config;
     { base_config with run_index = false };
-    { base_config with succinct = false };
     { base_config with summary = false };
-    { base_config with succinct = false; summary = false };
     { base_config with jobs = 4 };
     { base_config with faults = true };
     { base_config with recovery = true };
@@ -51,17 +47,15 @@ let lattice =
 let config_for_case i =
   let i = abs i in
   let run_index = i land 1 = 0 in
-  let succinct = (i lsr 1) land 1 = 0 in
-  let summary = (i lsr 2) land 1 = 0 in
+  let summary = (i lsr 1) land 1 = 0 in
   match i mod 3 with
-  | 0 -> { base_config with run_index; succinct; summary; jobs = 4 }
-  | 1 -> { base_config with run_index; succinct; summary; faults = true }
-  | _ -> { base_config with run_index; succinct; summary; recovery = true }
+  | 0 -> { base_config with run_index; summary; jobs = 4 }
+  | 1 -> { base_config with run_index; summary; faults = true }
+  | _ -> { base_config with run_index; summary; recovery = true }
 
 let config_name c =
-  Printf.sprintf "runs=%s,succ=%s,sum=%s,jobs=%d,faults=%s,recovery=%s"
+  Printf.sprintf "runs=%s,sum=%s,jobs=%d,faults=%s,recovery=%s"
     (if c.run_index then "on" else "off")
-    (if c.succinct then "on" else "off")
     (if c.summary then "on" else "off")
     c.jobs
     (if c.faults then "on" else "off")
@@ -95,7 +89,6 @@ let install_faults st =
    (as Update's contract requires) and the tag index. *)
 let apply_flags cfg store =
   Store.set_run_index store cfg.run_index;
-  Store.set_succinct store cfg.succinct;
   Store.set_summary store cfg.summary
 
 let rebuilt st dol' =
@@ -590,7 +583,7 @@ let check_params cfg (params : Gen.params) =
     Dol.validate dol;
     let store =
       Store.create ~page_size:case.Gen.page_size ~pool_capacity:8 ~run_index:cfg.run_index
-        ~succinct:cfg.succinct ~path_summary:cfg.summary case.Gen.tree dol
+        ~path_summary:cfg.summary case.Gen.tree dol
     in
     let st =
       {

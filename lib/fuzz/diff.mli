@@ -17,7 +17,6 @@
 type config = {
   run_index : bool;  (** store-level run index setting (the opposite is
                          also probed inside every check) *)
-  succinct : bool;   (** navigation through the succinct BP tier *)
   summary : bool;    (** DataGuide candidate-class pruning + the
                          summary-path plan in the engine *)
   jobs : int;        (** > 1 adds an executor-batch cross-check *)
@@ -29,8 +28,8 @@ type config = {
 (** Plain sequential configuration: run index on, no extras. *)
 val base_config : config
 
-(** The checked points of the lattice (run index on/off, succinct
-    on/off, summary on/off, jobs 1/4, faults, recovery) — used when
+(** The checked points of the lattice (run index on/off, summary
+    on/off, jobs 1/4, faults, recovery) — used when
     replaying corpus seeds. *)
 val lattice : config list
 

@@ -1,4 +1,4 @@
-(** Succinct balanced-parentheses tree tier.
+(** Succinct balanced-parentheses tree image.
 
     The document tree as a 2n-bit balanced-parentheses (BP) vector — the
     materialized form of the paper's §3.1 document-order string
@@ -10,8 +10,10 @@
     the (v+1)-th open parenthesis, so node identities are shared with
     the arena {!Dolx_xml.Tree} and every index keyed by preorder.
 
-    The image is immutable: build it once per published tree (structural
-    updates rebuild the store, and with it this tier). *)
+    The image is immutable.  It is not on the query path: the store
+    keeps the arena resident and navigates it, one array load per hop,
+    which measured far faster than these bit scans.  [dolx stats-db] and
+    the [succinct] bench build it on demand to report its size. *)
 
 type t
 

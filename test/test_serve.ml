@@ -2,7 +2,7 @@
 
     The streaming cursor must be byte-identical to materialized
     evaluation — across all three semantics, quarantined stores, the
-    succinct/run-index/summary toggle lattice, chunk sizes, and the
+    run-index/summary toggle lattice, chunk sizes, and the
     4-domain pooled path — while keeping buffered-result memory bounded
     and releasing its epoch pin on early close.  The service must be
     answer-correct per tenant, weighted-fair under flooding, and shed
@@ -127,32 +127,22 @@ let test_stream_vs_run_quarantined () =
         xpath sem)
     (queries ~subjects:4 ~seed:900)
 
-(* The succinct / run-index / path-summary toggle lattice: the stream
-   must agree with run under every handle configuration. *)
+(* The run-index / path-summary toggle lattice: the stream must agree
+   with run under every handle configuration. *)
 let test_stream_toggle_lattice () =
   let store, index = make_store 55 in
-  let combos =
-    [
-      (true, true, true);
-      (false, true, true);
-      (true, false, true);
-      (true, true, false);
-      (false, false, false);
-    ]
-  in
+  let combos = [ (true, true); (false, true); (true, false); (false, false) ] in
   List.iter
-    (fun (succinct, runs, summary) ->
-      Store.set_succinct store succinct;
+    (fun (runs, summary) ->
       Store.set_run_index store runs;
       Store.set_summary store summary;
       List.iteri
         (fun i (xpath, sem) ->
           stream_vs_run
-            (Printf.sprintf "lattice(%b,%b,%b) q%d" succinct runs summary i)
+            (Printf.sprintf "lattice(%b,%b) q%d" runs summary i)
             store index xpath sem)
         (queries ~subjects:6 ~seed:414))
     combos;
-  Store.set_succinct store true;
   Store.set_run_index store true;
   Store.set_summary store true
 
