@@ -1,13 +1,13 @@
-(** Observability bench: registry overhead + per-query operator breakdown.
+(** Observability bench: tracing overhead + per-query operator breakdown.
 
     Two parts:
 
-    - Overhead: run the Table-1 query suite with the default metrics
-      registry enabled and disabled and report the time ratio.  The
-      instrumented increments are a [bool ref] dereference, a branch and
-      a store, so the enabled/disabled ratio should stay within the
-      noise floor — the acceptance bar is < 2% enabled (disabled is the
-      same dereference + branch without the store, i.e. ~0%).
+    - Overhead: run the Table-1 query suite with span tracing off and
+      on ([Trace.set_enabled]) and report the time ratio.  The metrics
+      registry is always on; its storage and check counts are folded in
+      once per query, so what the switch prices is the spans (a clock
+      read pair, a record and a histogram observation per span).  The
+      budget is < 2%.
 
     - Breakdown: re-run each query with metrics + span tracing on and
       emit [BENCH_obs.json]: per query, the answer count, wall time, the
@@ -55,7 +55,7 @@ let run_suite store index =
     patterns
 
 (* Mean wall time of [reps] back-to-back suite runs in the current
-   registry state. *)
+   tracing state. *)
 let time_suite_once ?(reps = 5) store index =
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
@@ -69,37 +69,38 @@ let median a =
   let n = Array.length a in
   if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-(* Interleaved A/B: each repetition times the suite with the registry
-   off then on, so slow drift (GC heap shape, CPU frequency, competing
-   load) lands on both configurations instead of biasing whichever was
+(* Interleaved A/B: each repetition times the suite with tracing off
+   then on, so slow drift (GC heap shape, CPU frequency, competing load)
+   lands on both configurations instead of biasing whichever was
    measured second; the reported pair is the per-configuration median
    over [repetitions] >= 5.  The pool is warmed first so both see
    identical I/O. *)
 let overhead ?(repetitions = 7) store index =
-  header "Observability overhead: Table-1 suite, registry on vs off";
-  let was_enabled = Metrics.enabled Metrics.default in
+  header "Observability overhead: Table-1 suite, span tracing off vs on";
+  Trace.set_clock Unix.gettimeofday;
   Trace.set_enabled false;
-  Metrics.set_enabled Metrics.default false;
   run_suite store index;
   let offs = Array.make repetitions 0.0 in
   let ons = Array.make repetitions 0.0 in
   for i = 0 to repetitions - 1 do
-    Metrics.set_enabled Metrics.default false;
+    Trace.set_enabled false;
     offs.(i) <- time_suite_once store index;
-    Metrics.set_enabled Metrics.default true;
+    Trace.reset ();
+    Trace.set_enabled true;
     ons.(i) <- time_suite_once store index
   done;
-  Metrics.set_enabled Metrics.default was_enabled;
+  Trace.set_enabled false;
+  Trace.reset ();
   let t_off = median offs in
   let t_on = median ons in
   let pct = ((t_on /. t_off) -. 1.0) *. 100.0 in
   table
     [
       [ "config"; "suite ms"; "overhead" ];
-      [ "metrics off"; fmt_f (t_off *. 1000.0); "baseline" ];
-      [ "metrics on"; fmt_f (t_on *. 1000.0); Printf.sprintf "%+.2f%%" pct ];
+      [ "tracing off"; fmt_f (t_off *. 1000.0); "baseline" ];
+      [ "tracing on"; fmt_f (t_on *. 1000.0); Printf.sprintf "%+.2f%%" pct ];
     ];
-  Printf.printf "registry overhead %s the 2%% budget (%+.2f%%)\n%!"
+  Printf.printf "tracing overhead %s the 2%% budget (%+.2f%%)\n%!"
     (if pct < 2.0 then "within" else "OVER")
     pct;
   (t_off, t_on, pct)
@@ -178,8 +179,8 @@ let run () =
         ( "overhead",
           Json.Obj
             [
-              ("suite_ms_metrics_off", Json.Num (t_off *. 1000.0));
-              ("suite_ms_metrics_on", Json.Num (t_on *. 1000.0));
+              ("suite_ms_trace_off", Json.Num (t_off *. 1000.0));
+              ("suite_ms_trace_on", Json.Num (t_on *. 1000.0));
               ("overhead_pct", Json.Num pct);
             ] );
         ("queries", Json.Arr per_query);

@@ -27,6 +27,7 @@ run_one() {
                     DOLX_BENCH_SERVE_SECS=4) ;;
     wire)     envs=(DOLX_BENCH_WIRE_NODES=6000 DOLX_BENCH_WIRE_SUBJECTS=200
                     DOLX_BENCH_WIRE_SECS=4) ;;
+    obs)      envs=() ;;
     *)
       echo "bench_smoke: unknown bench '$name'" >&2
       exit 2

@@ -592,6 +592,9 @@ let of_bytes ?pool_capacity ?(on_bad_page = `Fail) buf =
   (* rebuild structure from the pages, then attach the values *)
   let skeleton =
     let pool = Dolx_storage.Buffer_pool.create ~capacity:8 disk in
+    (* no store handle owns this pool, so fold its counts here *)
+    Fun.protect ~finally:(fun () -> Dolx_storage.Buffer_pool.fold_metrics pool)
+    @@ fun () ->
     try Nok_layout.decode_tree layout pool ~tag_table:table
     with Invalid_argument m | Failure m -> corrupt "pages: %s" m
   in

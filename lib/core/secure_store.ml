@@ -15,15 +15,16 @@ module Epoch = Dolx_storage.Epoch
 module Metrics = Dolx_obs.Metrics
 module Path_summary = Dolx_index.Path_summary
 
+(* Registry counters for the [counts] fields, fed by {!fold_metrics}. *)
 let c_access_checks = Metrics.counter "store.access_checks"
-
-let g_summary_nodes = Metrics.gauge "summary.nodes"
 
 let c_header_skips = Metrics.counter "store.header_skips"
 
 let c_codebook_lookups = Metrics.counter "store.codebook_lookups"
 
 let c_run_answers = Metrics.counter "store.run_answers"
+
+let g_summary_nodes = Metrics.gauge "summary.nodes"
 
 (* Deliberate fault site for the differential fuzzer's self-test (see
    docs/ARCHITECTURE.md): when armed, node 3 is reported inaccessible
@@ -57,6 +58,18 @@ type pub = {
   p_layout : Nok_layout.t; (* frozen *)
 }
 
+(* One handle's check counts: plain ints bumped on the hot path, added
+   to the registry by {!fold_metrics}. *)
+type counts = {
+  mutable access_checks : int;
+  mutable header_skips : int; (* page loads avoided via the header check *)
+  mutable codebook_lookups : int; (* Codebook.grants evaluations *)
+  mutable run_answers : int; (* checks answered by the run index *)
+}
+
+let zero_counts () =
+  { access_checks = 0; header_skips = 0; codebook_lookups = 0; run_answers = 0 }
+
 type t = {
   tree : Tree.t;
   (* DataGuide path summary of [tree].  Tree structure is immutable
@@ -77,10 +90,8 @@ type t = {
   runs : Access_runs.t;
   mutable use_runs : bool;
   run_cursor : Access_runs.cursor;
-  mutable access_checks : int;
-  mutable header_skips : int; (* page loads avoided via the header check *)
-  mutable codebook_lookups : int; (* Codebook.grants evaluations *)
-  mutable run_answers : int; (* checks answered by the run index *)
+  mutable counts : counts;
+  mutable folded : counts; (* the values of [counts] at the last fold *)
   (* Fail-secure quarantine: sorted disjoint preorder ranges [lo, hi]
      whose label pages could not be recovered after corruption.  Access
      to a quarantined node is denied for every subject — recovery must
@@ -101,36 +112,6 @@ let structural_tier tree =
   Metrics.gauge_set g_summary_nodes
     (float_of_int (Path_summary.node_count summary));
   summary
-
-let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
-    ?(run_index = true) ?(path_summary = true) tree dol =
-  if Dol.n_nodes dol <> Tree.size tree then
-    invalid_arg "Secure_store.create: tree / DOL size mismatch";
-  let disk = Disk.create ~page_size () in
-  let transitions =
-    Array.of_list (Dol.transitions dol)
-  in
-  let layout = Nok_layout.build ~fill disk tree ~transitions in
-  let pool = Buffer_pool.create ~capacity:pool_capacity disk in
-  let summary = structural_tier tree in
-  { tree; summary; use_summary = path_summary;
-    dol; layout; pool; disk; pool_capacity;
-    cursor = Nok_layout.cursor layout;
-    runs = Access_runs.create dol;
-    use_runs = run_index;
-    run_cursor = Access_runs.cursor ();
-    access_checks = 0;
-    header_skips = 0; codebook_lookups = 0; run_answers = 0;
-    quarantine = [||];
-    published =
-      Atomic.make
-        {
-          p_epoch = Epoch.current (Disk.epoch disk);
-          p_dol = Dol.snapshot dol;
-          p_layout = Nok_layout.freeze layout;
-        };
-    write_m = Mutex.create ();
-    epoch_pin = None }
 
 (** Assemble a store from pre-built parts (database-file loading): the
     layout must already live on [disk].  [quarantine] lists preorder
@@ -157,8 +138,7 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
     runs = Access_runs.create ~deny:quarantine dol;
     use_runs = run_index;
     run_cursor = Access_runs.cursor ();
-    access_checks = 0;
-    header_skips = 0; codebook_lookups = 0; run_answers = 0;
+    counts = zero_counts (); folded = zero_counts ();
     quarantine = quarantine_a;
     published =
       Atomic.make
@@ -169,6 +149,15 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
         };
     write_m = Mutex.create ();
     epoch_pin = None }
+
+let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
+    ?(run_index = true) ?(path_summary = true) tree dol =
+  if Dol.n_nodes dol <> Tree.size tree then
+    invalid_arg "Secure_store.create: tree / DOL size mismatch";
+  let disk = Disk.create ~page_size () in
+  let transitions = Array.of_list (Dol.transitions dol) in
+  let layout = Nok_layout.build ~fill disk tree ~transitions in
+  assemble ~pool_capacity ~run_index ~path_summary ~tree ~dol ~disk ~layout ()
 
 (** A read-only evaluation handle over the same store: shares the
     immutable parts (tree, DOL, layout, disk, quarantine) but owns a
@@ -181,66 +170,67 @@ let reader ?pool_capacity t =
   let pool_capacity =
     match pool_capacity with Some c -> c | None -> t.pool_capacity
   in
-  if !planted_stale then
-    (* Planted MVCC bug: hand out the LIVE dol / layout and an un-pinned
-       pool, so this "reader" observes in-flight updates — the
-       linearizability fuzz must catch it. *)
-    {
-      t with
-      pool = Buffer_pool.create ~capacity:pool_capacity t.disk;
-      cursor = Nok_layout.cursor t.layout;
-      run_cursor = Access_runs.cursor ();
-      pool_capacity;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
-      epoch_pin = None;
-    }
-  else begin
-    (* Pin-then-validate: pin the current epoch, then check that the
-       published snapshot is the one current at that epoch.  The writer
-       publishes the new snapshot BEFORE advancing the epoch, so a
-       mismatch only happens in that short window — retry. *)
-    let ep = Disk.epoch t.disk in
-    let rec pin () =
-      let e = Epoch.pin ep in
-      let s = Atomic.get t.published in
-      if s.p_epoch = e then (e, s)
-      else begin
-        Epoch.unpin ep e;
-        Domain.cpu_relax ();
-        pin ()
-      end
-    in
-    let e, s = pin () in
-    {
-      t with
-      dol = s.p_dol;
-      layout = s.p_layout;
-      pool = Buffer_pool.create ~capacity:pool_capacity ~epoch:e t.disk;
-      cursor = Nok_layout.cursor s.p_layout;
-      run_cursor = Access_runs.cursor ();
-      pool_capacity;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
-      epoch_pin = Some e;
-    }
-  end
+  let epoch_pin, dol, layout =
+    if !planted_stale then
+      (* Planted MVCC bug: hand out the LIVE dol / layout and an
+         un-pinned pool, so this "reader" observes in-flight updates —
+         the linearizability fuzz must catch it. *)
+      (None, t.dol, t.layout)
+    else begin
+      (* Pin-then-validate: pin the current epoch, then check that the
+         published snapshot is the one current at that epoch.  The
+         writer publishes the new snapshot BEFORE advancing the epoch,
+         so a mismatch only happens in that short window — retry. *)
+      let ep = Disk.epoch t.disk in
+      let rec pin () =
+        let e = Epoch.pin ep in
+        let s = Atomic.get t.published in
+        if s.p_epoch = e then (Some e, s.p_dol, s.p_layout)
+        else begin
+          Epoch.unpin ep e;
+          Domain.cpu_relax ();
+          pin ()
+        end
+      in
+      pin ()
+    end
+  in
+  {
+    t with
+    dol;
+    layout;
+    pool = Buffer_pool.create ~capacity:pool_capacity ?epoch:epoch_pin t.disk;
+    cursor = Nok_layout.cursor layout;
+    run_cursor = Access_runs.cursor ();
+    pool_capacity;
+    counts = zero_counts ();
+    folded = zero_counts ();
+    epoch_pin;
+  }
+
+(* The disk folds under its own lock and marks, since readers share it. *)
+let fold_metrics t =
+  let c = t.counts and f = t.folded in
+  Metrics.add c_access_checks (c.access_checks - f.access_checks);
+  Metrics.add c_header_skips (c.header_skips - f.header_skips);
+  Metrics.add c_codebook_lookups (c.codebook_lookups - f.codebook_lookups);
+  Metrics.add c_run_answers (c.run_answers - f.run_answers);
+  t.folded <- { c with access_checks = c.access_checks };
+  Buffer_pool.fold_metrics t.pool;
+  Disk.fold_metrics t.disk
 
 (** Release a reader's epoch pin (idempotent; no-op on non-pinned
-    handles).  Retirement of page versions nobody can see anymore
-    piggybacks on release, so long-running stores do not accumulate
-    superseded images. *)
+    handles), then fold.  Retirement of page versions nobody can see
+    anymore piggybacks on release, so long-running stores do not
+    accumulate superseded images. *)
 let release t =
-  match t.epoch_pin with
+  (match t.epoch_pin with
   | None -> ()
   | Some e ->
       t.epoch_pin <- None;
       Epoch.unpin (Disk.epoch t.disk) e;
-      ignore (Disk.retire t.disk)
+      ignore (Disk.retire t.disk));
+  fold_metrics t
 
 (** Epoch this handle reads at: the pinned epoch for a reader, the
     current epoch for the live store. *)
@@ -282,7 +272,9 @@ let with_write t f =
   | None -> ());
   Mutex.lock t.write_m;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.write_m)
+    ~finally:(fun () ->
+      fold_metrics t;
+      Mutex.unlock t.write_m)
     (fun () ->
       let r = f t in
       publish t;
@@ -337,25 +329,25 @@ type io_stats = {
 let io_stats t =
   let ps = Buffer_pool.stats t.pool in
   let ds = Disk.stats t.disk in
+  let c = t.counts in
   {
     page_touches = ps.Buffer_pool.touches;
     pool_hits = ps.Buffer_pool.hits;
     pool_misses = ps.Buffer_pool.misses;
     disk_reads = ds.Disk.reads;
     disk_writes = ds.Disk.writes;
-    access_checks = t.access_checks;
-    header_skips = t.header_skips;
-    codebook_lookups = t.codebook_lookups;
-    run_answers = t.run_answers;
+    access_checks = c.access_checks;
+    header_skips = c.header_skips;
+    codebook_lookups = c.codebook_lookups;
+    run_answers = c.run_answers;
   }
 
 let reset_stats t =
+  fold_metrics t;
   Buffer_pool.reset_stats t.pool;
   Disk.reset_stats t.disk;
-  t.access_checks <- 0;
-  t.header_skips <- 0;
-  t.codebook_lookups <- 0;
-  t.run_answers <- 0
+  t.counts <- zero_counts ();
+  t.folded <- zero_counts ()
 
 let pp_io ppf s =
   Fmt.pf ppf
@@ -400,19 +392,16 @@ let text t v = Tree.text t.tree v
     page, so this incurs no I/O beyond the page the evaluator already
     loaded to visit [v]. *)
 let grants (t : t) code subject =
-  t.codebook_lookups <- t.codebook_lookups + 1;
-  Metrics.incr c_codebook_lookups;
+  t.counts.codebook_lookups <- t.counts.codebook_lookups + 1;
   Codebook.grants (Dol.codebook t.dol) code subject
 
 (* Answer one check from the run index through this handle's cursor. *)
 let run_verdict (t : t) ~subject v =
-  t.run_answers <- t.run_answers + 1;
-  Metrics.incr c_run_answers;
+  t.counts.run_answers <- t.counts.run_answers + 1;
   Access_runs.accessible t.runs t.run_cursor ~dol:t.dol ~subject v
 
 let accessible (t : t) ~subject v =
-  t.access_checks <- t.access_checks + 1;
-  Metrics.incr c_access_checks;
+  t.counts.access_checks <- t.counts.access_checks + 1;
   if !planted_bug && v = 3 then false
   else if in_quarantine t v then false
   else if t.use_runs then run_verdict t ~subject v
@@ -434,8 +423,7 @@ let page_provably_inaccessible t ~subject v =
 (** ACCESS with the header optimization: consult the in-memory header
     first and only fall back to loading the page when it cannot decide. *)
 let accessible_with_skip (t : t) ~subject v =
-  t.access_checks <- t.access_checks + 1;
-  Metrics.incr c_access_checks;
+  t.counts.access_checks <- t.counts.access_checks + 1;
   if !planted_bug && v = 3 then false
   else if in_quarantine t v then false
   else if t.use_runs then begin
@@ -448,8 +436,7 @@ let accessible_with_skip (t : t) ~subject v =
     ok
   end
   else if page_provably_inaccessible t ~subject v then begin
-    t.header_skips <- t.header_skips + 1;
-    Metrics.incr c_header_skips;
+    t.counts.header_skips <- t.counts.header_skips + 1;
     false
   end
   else

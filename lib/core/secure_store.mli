@@ -46,8 +46,10 @@ val assemble :
     versions can be retired. *)
 val reader : ?pool_capacity:int -> t -> t
 
-(** Release a reader's epoch pin.  Idempotent; no-op on the live store
-    handle.  The reader must not be used afterwards. *)
+(** Release a reader's epoch pin and {!fold_metrics} the handle, so a
+    query that died on a fault still reaches the registry.  Idempotent;
+    the pin part is a no-op on the live store handle.  The reader must
+    not be used afterwards. *)
 val release : t -> unit
 
 (** [with_reader t f] = [f (reader t)] with a guaranteed {!release}. *)
@@ -62,7 +64,8 @@ val snapshot_epoch : t -> int
     created afterwards see all of [f]'s effects, readers pinned before
     keep their snapshot.  On exception nothing is published (the next
     successful window supersedes the partial state; pinned readers stay
-    consistent via the disk's page-version chains).
+    consistent via the disk's page-version chains).  Either way the
+    window ends with a {!fold_metrics}.
     @raise Invalid_argument on a reader handle. *)
 val with_write : t -> (t -> 'a) -> 'a
 
@@ -146,6 +149,16 @@ type io_stats = {
 
 val io_stats : t -> io_stats
 
+(** Add to the registry what this handle's pool and check counts, and
+    its disk, gained since their last fold, and move the marks forward
+    (the disk keeps its own, since readers share it).  Called at stream
+    end, {!release}, the end of {!with_write} and after each [Exec]
+    barrier; folding twice adds nothing. *)
+val fold_metrics : t -> unit
+
+(** Fold, then zero this handle's pool and check counts and the disk's
+    ({!Dolx_storage.Disk.reset_stats}), marks included.  Reset the store
+    and then the registry to start both views at zero. *)
 val reset_stats : t -> unit
 
 val pp_io : Format.formatter -> io_stats -> unit

@@ -28,7 +28,6 @@
     be retired. *)
 
 module Store = Dolx_core.Secure_store
-module Disk = Dolx_storage.Disk
 module Tag_index = Dolx_index.Tag_index
 module Value_index = Dolx_index.Value_index
 module Engine = Dolx_nok.Engine
@@ -237,6 +236,8 @@ let par_eval_segment t mode seg roots scanned =
           counts.(ci) <- !scanned)
     in
     run_tasks t.pool tasks;
+    (* the workers are idle now: fold the counts their readers gained *)
+    Array.iter Store.fold_metrics t.readers;
     scanned := Array.fold_left ( + ) !scanned counts;
     List.sort_uniq compare (List.concat (Array.to_list outs))
   end
@@ -260,43 +261,4 @@ let query t xpath semantics = run t (Xpath.parse xpath) semantics
 
 (** {1 Statistics} *)
 
-(* Pool- and store-level fields are per-reader and sum exactly; the disk
-   is shared, so its counters are taken once (each reader's io_stats
-   reports the same shared numbers). *)
-let aggregate_io t =
-  let zero =
-    {
-      Store.page_touches = 0;
-      pool_hits = 0;
-      pool_misses = 0;
-      disk_reads = 0;
-      disk_writes = 0;
-      access_checks = 0;
-      header_skips = 0;
-      codebook_lookups = 0;
-      run_answers = 0;
-    }
-  in
-  let tot =
-    Array.fold_left
-      (fun acc r ->
-        let s = Store.io_stats r in
-        {
-          acc with
-          Store.page_touches = acc.Store.page_touches + s.Store.page_touches;
-          pool_hits = acc.Store.pool_hits + s.Store.pool_hits;
-          pool_misses = acc.Store.pool_misses + s.Store.pool_misses;
-          access_checks = acc.Store.access_checks + s.Store.access_checks;
-          header_skips = acc.Store.header_skips + s.Store.header_skips;
-          codebook_lookups =
-            acc.Store.codebook_lookups + s.Store.codebook_lookups;
-          run_answers = acc.Store.run_answers + s.Store.run_answers;
-        })
-      zero t.readers
-  in
-  let ds = Disk.stats (Store.disk t.store) in
-  { tot with Store.disk_reads = ds.Disk.reads; disk_writes = ds.Disk.writes }
-
-let reset_stats t =
-  Array.iter Store.reset_stats t.readers;
-  Disk.reset_stats (Store.disk t.store)
+let reset_stats t = Array.iter Store.reset_stats t.readers

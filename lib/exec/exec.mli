@@ -95,9 +95,6 @@ val query : t -> string -> Engine.semantics -> Engine.result
 
 (** {1 Statistics} *)
 
-(** Sum of the per-reader pool/store statistics; the shared disk's
-    counters are included once. *)
-val aggregate_io : t -> Store.io_stats
-
-(** Zero every reader's statistics and the shared disk's. *)
+(** Zero every reader's statistics and the shared disk's
+    ({!Dolx_core.Secure_store.reset_stats} on each reader). *)
 val reset_stats : t -> unit

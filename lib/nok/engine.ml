@@ -437,6 +437,7 @@ let rec take_n n l =
     (x :: taken, rem)
 
 type stream = {
+  st_store : Store.t;
   st_chunk : int;
   st_segments : int;
   st_scanned : int ref;
@@ -522,6 +523,7 @@ let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
           (first_roots ?value_index ?summary store index semantics plan)
   in
   {
+    st_store = store;
     st_chunk = chunk;
     st_segments = Decompose.segment_count plan;
     st_scanned = scanned;
@@ -532,9 +534,10 @@ let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
     st_done = false;
   }
 
-(* Flush the stream's totals into the process counters exactly once —
-   at exhaustion, or at [stream_close] for a stream abandoned early (the
-   partial tallies are what the query actually cost). *)
+(* Flush the stream's totals, and its store handle's storage and check
+   counts, into the process counters exactly once — at exhaustion, or at
+   [stream_close] for a stream abandoned early (the partial tallies are
+   what the query actually cost). *)
 let stream_finalize st =
   if not st.st_done then begin
     st.st_done <- true;
@@ -543,7 +546,8 @@ let stream_finalize st =
     Metrics.add c_segments st.st_segments;
     Metrics.add c_joins !(st.st_joins);
     Metrics.add c_candidates !(st.st_scanned);
-    Metrics.add c_answers st.st_emitted
+    Metrics.add c_answers st.st_emitted;
+    Store.fold_metrics st.st_store
   end
 
 let stream_next st =

@@ -113,8 +113,9 @@ type segment_eval =
     roots, so per-query buffered-result memory is bounded by the chunk
     size plus the document-order reorder margin — never by the answer
     count.  {!run} drains this stream; the [engine.*] counters are
-    flushed once, at exhaustion (or at {!stream_close} for a stream
-    abandoned early). *)
+    flushed, and the store handle's counts folded
+    ({!Dolx_core.Secure_store.fold_metrics}), once, at exhaustion (or
+    at {!stream_close} for a stream abandoned early). *)
 
 type stream
 

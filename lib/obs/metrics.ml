@@ -4,25 +4,22 @@
     The paper's headline result — ε-NoK secure evaluation costs ≈2% over
     insecure evaluation (§5.2) — is a claim about {e counters}: page
     touches, buffer hits, disk I/Os, access checks.  This registry is the
-    one place those counters live, so the CLI, the bench harness and the
-    tests all read the same numbers.  The storage and engine modules keep
-    their original [stats] records (every existing accessor still works);
-    they additionally route each increment through a registry counter, so
-    the two views are equal by construction whenever they are reset
-    together.
+    one place the process-wide totals live, so the CLI, the bench harness
+    and the tests all read the same numbers.
 
-    Cost model: a counter increment is one [bool ref] dereference, one
-    branch and one [Atomic.fetch_and_add] — cheap enough to leave enabled
-    on the hot path (the [obs] micro-bench bounds the overhead at < 2% on
-    the Table-1 query suite).  Disabling a registry reduces every
-    instrument to the dereference and branch.
+    The storage and store hot paths do not write here.  They bump plain
+    [int] fields on the handle that owns the event (a disk, a buffer
+    pool, a store handle), and the store folds what those fields gained
+    into this registry at query and update boundaries
+    ([Secure_store.fold_metrics]).  What is written here directly runs
+    at query, request or update rate: engine totals, plan choices,
+    serve/wire/commit events, span histograms.
 
     Concurrency: counters and gauges are [Atomic.t]-backed, so the same
-    named cell can be bumped from several domains (the [Dolx_exec] pool)
-    without losing increments — the dual-written legacy stats records
-    stay per-instance (one owner domain each), and their sums equal the
-    registry totals exactly.  Histograms remain single-writer: they back
-    span tracing, which only records on the main domain.
+    named cell can be bumped from several domains (the [Dolx_exec] pool,
+    the [Serve] workers) without losing increments.  Histograms remain
+    single-writer: they back span tracing, which only records on the
+    main domain.
 
     Histograms are log-scale (one bucket per power of two, exponents
     −32…31) with an exact reservoir for the first {!reservoir_cap}
@@ -40,13 +37,12 @@ let n_buckets = 64
 (* exponent −32 maps to bucket 0 *)
 let exp_bias = 32
 
-type counter = { c_name : string; count : int Atomic.t; c_on : bool ref }
+type counter = { c_name : string; count : int Atomic.t }
 
-type gauge = { g_name : string; value : float Atomic.t; g_on : bool ref }
+type gauge = { g_name : string; value : float Atomic.t }
 
 type histogram = {
   h_name : string;
-  h_on : bool ref;
   buckets : int array; (* counts per power-of-two bucket *)
   mutable zeros : int; (* samples <= 0 *)
   mutable h_count : int;
@@ -59,15 +55,13 @@ type histogram = {
 }
 
 type t = {
-  enabled : bool ref;
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
 }
 
-let create ?(enabled = true) () =
+let create () =
   {
-    enabled = ref enabled;
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
@@ -76,23 +70,19 @@ let create ?(enabled = true) () =
 (** The process-wide registry every instrumented module registers in. *)
 let default = create ()
 
-let enabled t = !(t.enabled)
-
-let set_enabled t b = t.enabled := b
-
 (** {1 Counters} *)
 
 let counter ?(reg = default) name =
   match Hashtbl.find_opt reg.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; count = Atomic.make 0; c_on = reg.enabled } in
+      let c = { c_name = name; count = Atomic.make 0 } in
       Hashtbl.add reg.counters name c;
       c
 
-let incr c = if !(c.c_on) then Atomic.incr c.count
+let incr c = Atomic.incr c.count
 
-let add c n = if !(c.c_on) then ignore (Atomic.fetch_and_add c.count n)
+let add c n = ignore (Atomic.fetch_and_add c.count n)
 
 let count c = Atomic.get c.count
 
@@ -112,21 +102,16 @@ let gauge ?(reg = default) name =
   match Hashtbl.find_opt reg.gauges name with
   | Some g -> g
   | None ->
-      let g = { g_name = name; value = Atomic.make 0.0; g_on = reg.enabled } in
+      let g = { g_name = name; value = Atomic.make 0.0 } in
       Hashtbl.add reg.gauges name g;
       g
 
-let gauge_set g v = if !(g.g_on) then Atomic.set g.value v
+let gauge_set g v = Atomic.set g.value v
 
-let gauge_add g v =
-  if !(g.g_on) then begin
-    (* CAS loop: adds from concurrent domains must not be lost *)
-    let rec go () =
-      let old = Atomic.get g.value in
-      if not (Atomic.compare_and_set g.value old (old +. v)) then go ()
-    in
-    go ()
-  end
+(* CAS loop: adds from concurrent domains must not be lost *)
+let rec gauge_add g v =
+  let old = Atomic.get g.value in
+  if not (Atomic.compare_and_set g.value old (old +. v)) then gauge_add g v
 
 let gauge_value g = Atomic.get g.value
 
@@ -141,7 +126,6 @@ let histogram ?(reg = default) name =
       let h =
         {
           h_name = name;
-          h_on = reg.enabled;
           buckets = Array.make n_buckets 0;
           zeros = 0;
           h_count = 0;
@@ -169,20 +153,19 @@ let bucket_of v =
 let representative i = 1.5 *. Float.pow 2.0 (float_of_int (i - exp_bias))
 
 let observe h v =
-  if !(h.h_on) then
-    if not (Float.is_finite v) then h.dropped <- h.dropped + 1
-    else begin
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      if h.exact then begin
-        if h.h_count <= reservoir_cap then h.reservoir.(h.h_count - 1) <- v
-        else h.exact <- false
-      end;
-      if v <= 0.0 then h.zeros <- h.zeros + 1
-      else h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1
-    end
+  if not (Float.is_finite v) then h.dropped <- h.dropped + 1
+  else begin
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. v;
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v;
+    if h.exact then begin
+      if h.h_count <= reservoir_cap then h.reservoir.(h.h_count - 1) <- v
+      else h.exact <- false
+    end;
+    if v <= 0.0 then h.zeros <- h.zeros + 1
+    else h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1
+  end
 
 let observations h = h.h_count
 
@@ -299,7 +282,6 @@ let to_json t =
   in
   Json.Obj
     [
-      ("enabled", Json.Bool !(t.enabled));
       ("counters", Json.Obj counters);
       ("gauges", Json.Obj gauges);
       ("histograms", Json.Obj histograms);

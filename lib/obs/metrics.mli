@@ -1,24 +1,21 @@
 (** Metrics registry: named counters, gauges and log-scale histograms.
 
     Instruments are registered once (module-initialization time, by
-    name) and then updated through the returned handle — an update is a
-    [bool ref] dereference, a branch and an atomic add, cheap enough for
-    the storage/engine hot paths.  Disabling a registry turns every
-    update into the dereference + branch alone.
+    name) and then updated through the returned handle; every update is
+    live — there is no on/off switch.
 
     Counters and gauges are [Atomic.t]-backed: increments from several
-    domains (the {!Dolx_exec} pool evaluating a batch) are never lost,
-    so the dual-written per-instance stats records sum exactly to the
-    registry totals.  Histograms are single-writer (they back span
-    tracing, which records only on the main domain).
+    domains (the {!Dolx_exec} pool, the [Serve] workers) are never lost.
+    Histograms are single-writer (they back span tracing, which records
+    only on the main domain).
 
-    The legacy per-module [stats] records ({!Dolx_storage.Disk.stats},
-    {!Dolx_storage.Buffer_pool.stats}, [Secure_store.io_stats]) remain
-    the per-instance view; registry counters aggregate the same
-    increments process-wide.  Reset both together (e.g.
-    [Metrics.reset Metrics.default] next to [Store.reset_stats]) and the
-    two views stay equal by construction — the [obs] test suite asserts
-    this parity on a Table-1 query run. *)
+    Storage and store counts (disk reads, pool touches, access checks,
+    …) are plain fields of their owners ({!Dolx_storage.Disk.stats},
+    {!Dolx_storage.Buffer_pool.stats}, [Secure_store.io_stats]);
+    [Secure_store.fold_metrics] adds what they gained to the registry at
+    query end, reader release and update-window end, so there the
+    registry equals the sum of the records.  Reset the store, then the
+    registry, and both start at zero. *)
 
 type t
 
@@ -32,14 +29,10 @@ type histogram
     sample count is below this, bucket-approximated beyond. *)
 val reservoir_cap : int
 
-val create : ?enabled:bool -> unit -> t
+val create : unit -> t
 
 (** The process-wide registry all built-in instrumentation uses. *)
 val default : t
-
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
 
 (** {1 Counters} *)
 
@@ -110,7 +103,7 @@ val summary : histogram -> summary
 (** Zero every instrument; registrations and handles survive. *)
 val reset : t -> unit
 
-(** [{"enabled":…,"counters":{…},"gauges":{…},"histograms":{…}}] with
+(** [{"counters":{…},"gauges":{…},"histograms":{…}}] with
     keys sorted, histogram values summarized (count/sum/min/max/mean/
     p50/p95/p99). *)
 val to_json : t -> Json.t

@@ -14,6 +14,9 @@
 module Lru = Dolx_util.Lru
 module Metrics = Dolx_obs.Metrics
 
+(* Registry counters.  The first six mirror [stats] fields and are fed
+   only by {!fold_metrics}; flushes have no field and are counted here
+   directly. *)
 let c_touches = Metrics.counter "pool.touches"
 
 let c_hits = Metrics.counter "pool.hits"
@@ -55,6 +58,10 @@ type stats = {
          victim stays resident, so no modified page is ever dropped *)
 }
 
+let zero_stats () =
+  { touches = 0; hits = 0; misses = 0; retries = 0; evictions = 0;
+    eviction_flush_failures = 0 }
+
 type frame = {
   mutable page_id : int;
   data : Page.t;
@@ -76,6 +83,7 @@ type t = {
   frames : (int, frame) Hashtbl.t; (* page_id -> frame *)
   lru : Lru.t;
   stats : stats;
+  mutable folded : stats; (* the values of [stats] at the last fold *)
 }
 
 let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
@@ -89,28 +97,34 @@ let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
     epoch;
     frames = Hashtbl.create (2 * capacity);
     lru = Lru.create ~capacity_hint:capacity ();
-    stats =
-      {
-        touches = 0;
-        hits = 0;
-        misses = 0;
-        retries = 0;
-        evictions = 0;
-        eviction_flush_failures = 0;
-      };
+    stats = zero_stats ();
+    folded = zero_stats ();
   }
 
 let disk t = t.disk
 
 let stats t = t.stats
 
+let fold_metrics t =
+  let s = t.stats and f = t.folded in
+  Metrics.add c_touches (s.touches - f.touches);
+  Metrics.add c_hits (s.hits - f.hits);
+  Metrics.add c_misses (s.misses - f.misses);
+  Metrics.add c_retries (s.retries - f.retries);
+  Metrics.add c_evictions (s.evictions - f.evictions);
+  Metrics.add c_eviction_flush_failures
+    (s.eviction_flush_failures - f.eviction_flush_failures);
+  t.folded <- { s with touches = s.touches }
+
 let reset_stats t =
+  fold_metrics t;
   t.stats.touches <- 0;
   t.stats.hits <- 0;
   t.stats.misses <- 0;
   t.stats.retries <- 0;
   t.stats.evictions <- 0;
-  t.stats.eviction_flush_failures <- 0
+  t.stats.eviction_flush_failures <- 0;
+  t.folded <- zero_stats ()
 
 let flush_frame t frame =
   if frame.dirty then begin
@@ -134,12 +148,10 @@ let evict_one t =
       | () -> ()
       | exception e ->
           t.stats.eviction_flush_failures <- t.stats.eviction_flush_failures + 1;
-          Metrics.incr c_eviction_flush_failures;
           frame.lnode <- Lru.insert t.lru victim;
           raise e);
       Hashtbl.remove t.frames victim;
       t.stats.evictions <- t.stats.evictions + 1;
-      Metrics.incr c_evictions;
       frame
 
 (* Read with bounded retry: only [Transient_read] faults are retried —
@@ -149,7 +161,6 @@ let read_retrying t id dst =
     try Disk.read ?epoch:t.epoch t.disk id dst with
     | Disk.Fault { kind = Disk.Transient_read; _ } when attempts_left > 0 ->
         t.stats.retries <- t.stats.retries + 1;
-        Metrics.incr c_retries;
         go (attempts_left - 1)
   in
   go t.max_read_retries
@@ -160,16 +171,13 @@ let read_retrying t id dst =
     through the frame's node, a no-op when the frame is already MRU). *)
 let get t id =
   t.stats.touches <- t.stats.touches + 1;
-  Metrics.incr c_touches;
   match Hashtbl.find_opt t.frames id with
   | Some frame ->
       t.stats.hits <- t.stats.hits + 1;
-      Metrics.incr c_hits;
       Lru.touch_node t.lru frame.lnode;
       frame.data
   | None ->
       t.stats.misses <- t.stats.misses + 1;
-      Metrics.incr c_misses;
       let frame =
         if Hashtbl.length t.frames >= t.capacity then begin
           let f = evict_one t in

@@ -40,6 +40,12 @@ val disk : t -> Disk.t
 
 val stats : t -> stats
 
+(** Add what {!stats} gained since the last fold to the [pool.*]
+    registry counters, and move the marks forward.  Call it from the
+    pool's domain, or after synchronizing with it. *)
+val fold_metrics : t -> unit
+
+(** Fold, then zero every {!stats} field and its mark. *)
 val reset_stats : t -> unit
 
 (** Fetch a page, reading from disk on a miss (evicting LRU when full).

@@ -22,10 +22,11 @@ module Prng = Dolx_util.Prng
 module Crc = Dolx_util.Crc
 module Metrics = Dolx_obs.Metrics
 
-(* Process-wide mirrors of the per-instance stats record (see
-   docs/ARCHITECTURE.md, "Observability"): every increment below is
-   routed to both, so the registry totals equal the legacy record sums
-   whenever they are reset together. *)
+(* Registry counters.  The [stats] fields and the two simulated clocks
+   reach them only through {!fold_metrics}, which adds what each field
+   gained since the disk's last fold (see docs/ARCHITECTURE.md §7); bad
+   pages and the live-version gauge have no field and are written here
+   directly. *)
 let c_reads = Metrics.counter "disk.reads"
 
 let c_writes = Metrics.counter "disk.writes"
@@ -94,12 +95,23 @@ type stats = {
   mutable versions_retired : int;  (** retained images dropped at the horizon *)
 }
 
+let zero_stats () =
+  { reads = 0; writes = 0; allocations = 0; transient_faults = 0;
+    torn_writes = 0; bit_flips = 0; checksum_failures = 0;
+    versions_saved = 0; versions_retired = 0 }
+
+let copy_stats s = { s with reads = s.reads }
+
 type t = {
   page_size : int;
   mutable pages : Page.t array;
   mutable crcs : int array; (* CRC32C of the *intended* image of each page *)
   mutable count : int;
   stats : stats;
+  (* The values [stats] and the clocks had at the last fold. *)
+  mutable folded : stats;
+  mutable folded_us : float;
+  mutable folded_crc_us : float;
   (* Synthetic cost model: simulated microseconds charged per page I/O,
      accumulated so experiments can report "disk time". *)
   read_cost_us : float;
@@ -144,18 +156,10 @@ let create ?(page_size = Page.default_size) ?(read_cost_us = 100.0)
     pages = Array.make 16 (Page.create 0);
     crcs = Array.make 16 0;
     count = 0;
-    stats =
-      {
-        reads = 0;
-        writes = 0;
-        allocations = 0;
-        transient_faults = 0;
-        torn_writes = 0;
-        bit_flips = 0;
-        checksum_failures = 0;
-        versions_saved = 0;
-        versions_retired = 0;
-      };
+    stats = zero_stats ();
+    folded = zero_stats ();
+    folded_us = 0.0;
+    folded_crc_us = 0.0;
     read_cost_us;
     write_cost_us;
     crc_cost_us;
@@ -182,15 +186,43 @@ let simulated_us t = t.simulated_us
 
 let crc_us t = t.crc_us
 
+let fold_locked t =
+  let s = t.stats and f = t.folded in
+  Metrics.add c_reads (s.reads - f.reads);
+  Metrics.add c_writes (s.writes - f.writes);
+  Metrics.add c_allocations (s.allocations - f.allocations);
+  Metrics.add c_transient_faults (s.transient_faults - f.transient_faults);
+  Metrics.add c_torn_writes (s.torn_writes - f.torn_writes);
+  Metrics.add c_bit_flips (s.bit_flips - f.bit_flips);
+  Metrics.add c_checksum_failures (s.checksum_failures - f.checksum_failures);
+  Metrics.add c_versions_saved (s.versions_saved - f.versions_saved);
+  Metrics.add c_versions_retired (s.versions_retired - f.versions_retired);
+  Metrics.gauge_add g_simulated_us (t.simulated_us -. t.folded_us);
+  Metrics.gauge_add g_crc_us (t.crc_us -. t.folded_crc_us);
+  t.folded <- copy_stats s;
+  t.folded_us <- t.simulated_us;
+  t.folded_crc_us <- t.crc_us
+
+let fold_metrics t = locked t (fun () -> fold_locked t)
+
+(* Fold first, so the registry keeps every event; the lifetime fields
+   (allocations, versions_saved, versions_retired) keep their values,
+   and their marks already equal them. *)
 let reset_stats t =
-  t.stats.reads <- 0;
-  t.stats.writes <- 0;
-  t.stats.transient_faults <- 0;
-  t.stats.torn_writes <- 0;
-  t.stats.bit_flips <- 0;
-  t.stats.checksum_failures <- 0;
+  locked t @@ fun () ->
+  fold_locked t;
+  let s = t.stats in
+  s.reads <- 0;
+  s.writes <- 0;
+  s.transient_faults <- 0;
+  s.torn_writes <- 0;
+  s.bit_flips <- 0;
+  s.checksum_failures <- 0;
+  t.folded <- copy_stats s;
   t.simulated_us <- 0.0;
-  t.crc_us <- 0.0
+  t.crc_us <- 0.0;
+  t.folded_us <- 0.0;
+  t.folded_crc_us <- 0.0
 
 let set_fault_plan t plan = t.plan <- plan
 
@@ -226,7 +258,6 @@ let allocate t =
   t.crcs.(id) <- t.zero_crc;
   t.count <- id + 1;
   t.stats.allocations <- t.stats.allocations + 1;
-  Metrics.incr c_allocations;
   id
 
 let check t id op =
@@ -236,6 +267,10 @@ let check t id op =
          t.count)
 
 let draw plan p = p > 0.0 && Prng.bool plan.fault_prng ~p
+
+let bad_page id =
+  Metrics.incr c_bad_page_faults;
+  raise (Fault { page = id; kind = Bad_page })
 
 (* The image of [id] visible at epoch [e]: the oldest retained version
    with [visible_until > e], or the live page.  Chains are descending by
@@ -262,17 +297,11 @@ let read ?epoch t id dst =
   locked t @@ fun () ->
   check t id "read";
   t.stats.reads <- t.stats.reads + 1;
-  Metrics.incr c_reads;
   t.simulated_us <- t.simulated_us +. t.read_cost_us;
-  Metrics.gauge_add g_simulated_us t.read_cost_us;
-  if Hashtbl.mem t.bad id then begin
-    Metrics.incr c_bad_page_faults;
-    raise (Fault { page = id; kind = Bad_page })
-  end;
+  if Hashtbl.mem t.bad id then bad_page id;
   (match t.plan with
   | Some plan when draw plan plan.transient_read_p ->
       t.stats.transient_faults <- t.stats.transient_faults + 1;
-      Metrics.incr c_transient_faults;
       raise (Fault { page = id; kind = Transient_read })
   | _ -> ());
   let src, crc =
@@ -287,11 +316,8 @@ let read ?epoch t id dst =
   if t.verify_reads then begin
     t.simulated_us <- t.simulated_us +. t.crc_cost_us;
     t.crc_us <- t.crc_us +. t.crc_cost_us;
-    Metrics.gauge_add g_simulated_us t.crc_cost_us;
-    Metrics.gauge_add g_crc_us t.crc_cost_us;
     if Crc.digest_sub dst ~pos:0 ~len:t.page_size <> crc then begin
       t.stats.checksum_failures <- t.stats.checksum_failures + 1;
-      Metrics.incr c_checksum_failures;
       raise (Fault { page = id; kind = Checksum_mismatch })
     end
   end
@@ -305,13 +331,8 @@ let write t id src =
   locked t @@ fun () ->
   check t id "write";
   t.stats.writes <- t.stats.writes + 1;
-  Metrics.incr c_writes;
   t.simulated_us <- t.simulated_us +. t.write_cost_us;
-  Metrics.gauge_add g_simulated_us t.write_cost_us;
-  if Hashtbl.mem t.bad id then begin
-    Metrics.incr c_bad_page_faults;
-    raise (Fault { page = id; kind = Bad_page })
-  end;
+  if Hashtbl.mem t.bad id then bad_page id;
   (* Copy-on-write: with readers pinned, retain the image being
      overwritten.  All writes of one update window share the tag
      [current + 1] (the epoch the update will publish as), so only the
@@ -325,21 +346,18 @@ let write t id src =
         Hashtbl.replace t.versions id
           ((vu, t.crcs.(id), Bytes.copy t.pages.(id)) :: chain);
         t.stats.versions_saved <- t.stats.versions_saved + 1;
-        Metrics.incr c_versions_saved;
         Metrics.gauge_add g_versions_live 1.0
   end;
   t.crcs.(id) <- Crc.digest_sub src ~pos:0 ~len:t.page_size;
   (match t.plan with
   | Some plan when draw plan plan.torn_write_p ->
       t.stats.torn_writes <- t.stats.torn_writes + 1;
-      Metrics.incr c_torn_writes;
       let keep = Prng.int plan.fault_prng t.page_size in
       Bytes.blit src 0 t.pages.(id) 0 keep
   | _ -> Bytes.blit src 0 t.pages.(id) 0 t.page_size);
   (match t.plan with
   | Some plan when draw plan plan.bit_flip_p ->
       t.stats.bit_flips <- t.stats.bit_flips + 1;
-      Metrics.incr c_bit_flips;
       let bit = Prng.int plan.fault_prng (t.page_size * 8) in
       let b = Bytes.get_uint8 t.pages.(id) (bit / 8) in
       Bytes.set_uint8 t.pages.(id) (bit / 8) (b lxor (1 lsl (bit mod 8)))
@@ -373,7 +391,6 @@ let retire t =
     updates;
   if !dropped > 0 then begin
     t.stats.versions_retired <- t.stats.versions_retired + !dropped;
-    Metrics.add c_versions_retired !dropped;
     Metrics.gauge_add g_versions_live (-.float_of_int !dropped)
   end;
   !dropped

@@ -10,7 +10,8 @@
     {!clear_bad} are serialized by an internal mutex, so one disk can be
     shared by the per-domain buffer pools of [Dolx_exec] readers.
     Configuration setters ({!set_fault_plan}, {!set_verify_reads}) and
-    {!reset_stats} are for quiescent use between runs. *)
+    {!reset_stats} are for quiescent use between runs.  Events bump
+    plain {!stats} fields; the registry learns them by {!fold_metrics}. *)
 
 type fault_kind =
   | Transient_read  (** the read failed but a retry may succeed *)
@@ -84,7 +85,17 @@ val simulated_us : t -> float
 (** Share of {!simulated_us} spent verifying page checksums. *)
 val crc_us : t -> float
 
-(** Zero the counters and the simulated clock. *)
+(** Add what {!stats} and the two clocks gained since the last fold to
+    the [disk.*] registry instruments, and move the marks forward.
+    Serialized with I/O, so readers sharing the disk may fold from any
+    domain. *)
+val fold_metrics : t -> unit
+
+(** Fold, then zero [reads], [writes], [transient_faults],
+    [torn_writes], [bit_flips], [checksum_failures], {!simulated_us} and
+    {!crc_us}.  The lifetime counts [allocations], [versions_saved] and
+    [versions_retired] keep their values.  Every mark then equals its
+    field, so the next fold reports only events after the reset. *)
 val reset_stats : t -> unit
 
 (** Install ([Some]) or clear ([None]) the failure schedule.  Pages that

@@ -1,7 +1,9 @@
 (** Observability layer: metrics registry, histograms vs exact
     percentiles, span tracing with a deterministic clock, JSON
-    round-trips, and counter parity against the legacy
-    [Secure_store.io_stats] record on a Table-1 query run. *)
+    round-trips, and the fold of per-instance counts into the registry:
+    after every fold point (query end, early close, update window,
+    [Exec] barrier, reader release after a fault) the registry equals
+    the per-instance records. *)
 
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
@@ -11,6 +13,10 @@ module Prng = Dolx_util.Prng
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
+module Update = Dolx_core.Update
+module Disk = Dolx_storage.Disk
+module Buffer_pool = Dolx_storage.Buffer_pool
+module Exec = Dolx_exec.Exec
 module Engine = Dolx_nok.Engine
 module Tag_index = Dolx_index.Tag_index
 module Xmark = Dolx_workload.Xmark
@@ -41,28 +47,6 @@ let test_counter_basics () =
   check Alcotest.int "reset zeroes" 0 (Metrics.count c);
   Metrics.incr c;
   check Alcotest.int "handle survives reset" 1 (Metrics.count c)
-
-let test_disabled_registry_noops () =
-  let reg = Metrics.create ~enabled:false () in
-  let c = Metrics.counter ~reg "test.c" in
-  let g = Metrics.gauge ~reg "test.g" in
-  let h = Metrics.histogram ~reg "test.h" in
-  Metrics.incr c;
-  Metrics.add c 10;
-  Metrics.gauge_set g 3.0;
-  Metrics.gauge_add g 4.0;
-  Metrics.observe h 1.0;
-  check Alcotest.int "counter untouched" 0 (Metrics.count c);
-  check (Alcotest.float 0.0) "gauge untouched" 0.0 (Metrics.gauge_value g);
-  check Alcotest.int "histogram untouched" 0 (Metrics.observations h);
-  (* re-enabling flips every existing handle (they share the flag) *)
-  Metrics.set_enabled reg true;
-  Metrics.incr c;
-  Metrics.gauge_add g 4.0;
-  Metrics.observe h 1.0;
-  check Alcotest.int "counter live after enable" 1 (Metrics.count c);
-  check (Alcotest.float 0.0) "gauge live after enable" 4.0 (Metrics.gauge_value g);
-  check Alcotest.int "histogram live after enable" 1 (Metrics.observations h)
 
 (* --- histograms --- *)
 
@@ -278,11 +262,38 @@ let test_trace_json () =
         (Option.bind (Json.member "depth" b) Json.to_int)
   | _ -> Alcotest.fail "expected a 2-span array"
 
-(* --- parity with the legacy stats records --- *)
+(* --- the fold: registry = per-instance records at every fold point --- *)
 
-(* The registry mirrors every legacy increment, so after resetting both
-   views together a Table-1 query run must leave them equal. *)
-let test_counter_parity_on_table1_run () =
+(* Pool and check counts summed over [handles], disk counts once (the
+   handles share one disk), each against its registry counter. *)
+let check_folded label handles disk =
+  let sum f = List.fold_left (fun acc h -> acc + f h) 0 handles in
+  let io f = sum (fun h -> f (Store.io_stats h)) in
+  let pool f = sum (fun h -> f (Buffer_pool.stats (Store.pool h))) in
+  let ds = Disk.stats disk in
+  List.iter
+    (fun (name, expected) ->
+      check Alcotest.int (label ^ ": " ^ name) expected
+        (Metrics.counter_value name))
+    [
+      ("pool.touches", io (fun s -> s.Store.page_touches));
+      ("pool.hits", io (fun s -> s.Store.pool_hits));
+      ("pool.misses", io (fun s -> s.Store.pool_misses));
+      ("pool.retries", pool (fun s -> s.Buffer_pool.retries));
+      ("pool.evictions", pool (fun s -> s.Buffer_pool.evictions));
+      ("store.access_checks", io (fun s -> s.Store.access_checks));
+      ("store.header_skips", io (fun s -> s.Store.header_skips));
+      ("store.codebook_lookups", io (fun s -> s.Store.codebook_lookups));
+      ("store.run_answers", io (fun s -> s.Store.run_answers));
+      ("disk.reads", ds.Disk.reads);
+      ("disk.writes", ds.Disk.writes);
+      ("disk.transient_faults", ds.Disk.transient_faults);
+    ];
+  check (Alcotest.float 0.0) (label ^ ": disk.simulated_us")
+    (Disk.simulated_us disk)
+    (Metrics.gauge_value (Metrics.gauge "disk.simulated_us"))
+
+let table1_store () =
   let tree = Xmark.generate_nodes ~seed:71 4_000 in
   let params =
     { Dolx_workload.Synth_acl.propagation_ratio = 0.1;
@@ -292,9 +303,19 @@ let test_counter_parity_on_table1_run () =
   bools.(0) <- true;
   let dol = Dol.of_bool_array bools in
   let store = Store.create ~page_size:1024 ~pool_capacity:16 tree dol in
-  let index = Tag_index.build tree in
+  (store, Tag_index.build tree)
+
+(* Both views start at zero: the store first (its reset folds what is
+   pending), then the registry. *)
+let reset_views store =
   Store.reset_stats store;
-  Metrics.reset Metrics.default;
+  Metrics.reset Metrics.default
+
+(* Queries on the live handle fold at each stream's end, so after a
+   Table-1 run the two views are equal. *)
+let test_counter_parity_on_table1_run () =
+  let store, index = table1_store () in
+  reset_views store;
   List.iter
     (fun (_, q) ->
       ignore (Engine.query store index q (Engine.Secure 0));
@@ -317,7 +338,90 @@ let test_counter_parity_on_table1_run () =
     (v "store.run_answers");
   check Alcotest.int "queries counted" (2 * List.length Xmark.queries)
     (v "engine.queries");
+  check_folded "table-1" [ store ] (Store.disk store);
   Alcotest.(check bool) "work happened" true (io.Store.page_touches > 0)
+
+(* [stream_close] after the first chunk folds the partial work. *)
+let test_fold_on_early_close () =
+  let store, index = table1_store () in
+  reset_views store;
+  let r = Store.reader store in
+  let st =
+    Engine.stream ~chunk:4 r index (Dolx_nok.Xpath.parse "//keyword")
+      (Engine.Secure 0)
+  in
+  check Alcotest.int "first chunk full" 4 (List.length (Engine.stream_next st));
+  Alcotest.(check bool) "more to come" false (Engine.stream_finished st);
+  Engine.stream_close st;
+  check_folded "early close" [ r ] (Store.disk store);
+  check Alcotest.int "query counted" 1 (Metrics.counter_value "engine.queries");
+  Alcotest.(check bool) "work happened" true
+    ((Store.io_stats r).Store.page_touches > 0);
+  Store.release r
+
+(* Intra-query [Exec.run] at two domains: worker readers have no stream
+   of their own, so the fold after each barrier is what brings their
+   counts in.  Read before shutdown (whose release would fold too). *)
+let test_fold_after_exec_barrier () =
+  let store, index = table1_store () in
+  (* the segment path: the summary filter would evaluate no segment *)
+  Store.set_summary store false;
+  Exec.with_executor ~jobs:2 store index (fun exec ->
+      Exec.reset_stats exec;
+      Metrics.reset Metrics.default;
+      (* a few rounds, so both workers take chunks *)
+      for _ = 1 to 4 do
+        List.iter
+          (fun q ->
+            let r = Exec.query exec q (Engine.Secure 0) in
+            (* each answer is a last-segment root, so >= 64 roots went
+               through the chunked evaluator *)
+            Alcotest.(check bool) (q ^ ": >= 64 answers") true
+              (List.length r.Engine.answers >= 64))
+          [ "//site//text"; "//site//keyword"; "//site//name";
+            "//description//keyword" ]
+      done;
+      check_folded "exec jobs=2" (Exec.readers exec) (Store.disk store))
+
+(* An update window folds at its end; [Disk.reset_stats] leaves the
+   lifetime [versions_saved] in place, and the registry then counts
+   only what the next window adds. *)
+let test_fold_on_update_window () =
+  let store, _ = table1_store () in
+  let flip grant =
+    Store.with_reader store (fun _pinned ->
+        Update.set_subtree_accessibility store ~subject:0 ~grant 1)
+  in
+  flip false;
+  let lifetime = (Disk.stats (Store.disk store)).Disk.versions_saved in
+  Alcotest.(check bool) "a pinned reader kept versions" true (lifetime > 0);
+  reset_views store;
+  flip true;
+  check_folded "update window" [ store ] (Store.disk store);
+  let saved = (Disk.stats (Store.disk store)).Disk.versions_saved in
+  check Alcotest.int "versions_saved is the window's delta" (saved - lifetime)
+    (Metrics.counter_value "disk.versions_saved");
+  Alcotest.(check bool) "the window saved versions" true (saved > lifetime)
+
+(* A query that dies on a disk fault never finishes its stream; the
+   reader's release folds what it did. *)
+let test_fold_on_release_after_fault () =
+  let store, index = table1_store () in
+  let disk = Store.disk store in
+  reset_views store;
+  let r = Store.reader store in
+  Disk.set_fault_plan disk
+    (Some (Disk.fault_plan ~transient_read_p:1.0 (Prng.create 5)));
+  Fun.protect
+    ~finally:(fun () -> Disk.set_fault_plan disk None)
+    (fun () ->
+      match Engine.query r index "//keyword" (Engine.Secure 0) with
+      | _ -> Alcotest.fail "expected a disk fault"
+      | exception Disk.Fault { kind = Disk.Transient_read; _ } -> ());
+  Store.release r;
+  check_folded "fault + release" [ r ] disk;
+  Alcotest.(check bool) "retries counted" true
+    (Metrics.counter_value "pool.retries" > 0)
 
 (* --- run builds are attributed per query --- *)
 
@@ -353,8 +457,6 @@ let test_runs_build_span () =
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
-    Alcotest.test_case "disabled registry no-ops" `Quick
-      test_disabled_registry_noops;
     Alcotest.test_case "histogram exact = Stats.percentile" `Quick
       test_histogram_exact_matches_stats;
     Alcotest.test_case "histogram approx within bucket" `Quick
@@ -373,6 +475,14 @@ let suite =
     Alcotest.test_case "trace json" `Quick test_trace_json;
     Alcotest.test_case "counter parity with io_stats" `Quick
       test_counter_parity_on_table1_run;
+    Alcotest.test_case "fold on early stream close" `Quick
+      test_fold_on_early_close;
+    Alcotest.test_case "fold after exec barrier (jobs=2)" `Quick
+      test_fold_after_exec_barrier;
+    Alcotest.test_case "fold on update window; versions_saved delta" `Quick
+      test_fold_on_update_window;
+    Alcotest.test_case "fold on release after a disk fault" `Quick
+      test_fold_on_release_after_fault;
     Alcotest.test_case "runs.build span per cold subject" `Quick
       test_runs_build_span;
   ]
