@@ -34,7 +34,7 @@ def check_parallel(doc):
     require(points, "no sweep points")
     for p in points.values():
         for key in ("wall_s", "sim_io_s", "modeled_s", "wall_qps", "modeled_qps"):
-            require(is_num(p[key]), f"jobs={p['jobs']}: bad {key}")
+            require(is_num(p.get(key)), f"jobs={p['jobs']}: bad {key}")
     jobs = sorted(points)
     if len(jobs) > 1:
         lo, hi = jobs[0], jobs[-1]
@@ -43,7 +43,15 @@ def check_parallel(doc):
             f"jobs={hi} modeled throughput regressed: "
             f"{points[hi]['modeled_qps']:.1f} < {points[lo]['modeled_qps']:.1f} q/s",
         )
-    return {j: round(points[j]["modeled_qps"], 1) for j in jobs}
+    # Wall throughput is reported beside the modeled gate, not gated:
+    # CI hosts vary.
+    return {
+        j: {
+            "modeled_qps": round(points[j]["modeled_qps"], 1),
+            "wall_qps": round(points[j]["wall_qps"], 1),
+        }
+        for j in jobs
+    }
 
 
 def check_runs(doc):

@@ -5,8 +5,9 @@
     the snapshot with no lock; builds and evictions serialize on a
     mutex, re-check the snapshot, and publish a fresh array.  LRU
     recency is a per-entry [int Atomic.t] stamped from a global tick, so
-    hits on the lock-free path still update recency without contending
-    on the mutex. *)
+    table probes on the lock-free path still update recency without
+    contending on the mutex.  A handle's cursor holds the runs it last
+    probed, so repeat lookups for one subject touch no shared state. *)
 
 module Binsearch = Dolx_util.Binsearch
 module Int_vec = Dolx_util.Int_vec
@@ -208,13 +209,15 @@ let build t dol subject gen =
 
 (** {1 Table} *)
 
-let lookup table key =
+(* Binary search of the table for ([subject], [gen]): the entry, or
+   [None]. *)
+let lookup table subject gen =
   let lo = ref 0 and hi = ref (Array.length table - 1) in
   let res = ref None in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let k, e = table.(mid) in
-    let c = compare (k : int * int) key in
+    let (s, g), e = table.(mid) in
+    let c = if s <> subject then compare (s : int) subject else compare (g : int) gen in
     if c = 0 then begin
       res := Some e;
       lo := !hi + 1
@@ -265,17 +268,33 @@ let install t key e =
   Atomic.set t.table table;
   publish_gauges t
 
-(** Materialized runs for [subject] as seen by [dol] — the live DOL for
-    the writer, a pinned snapshot for an epoch reader.  [dol] must share
-    the store's subject population history (its generation identifies
-    the policy state the runs were built from). *)
-let runs_for t ~dol ~subject =
+(** {1 Cursors} *)
+
+(* A handle's view of the index: [held] is the last answer of
+   {!runs_for}, [cr]/[ci] the runs and run position {!accessible} scans,
+   and [hits] the answers that were not builds, folded into [runs.hits]
+   by {!fold_metrics}. *)
+type cursor = {
+  mutable held : runs option;
+  mutable cr : runs option;
+  mutable ci : int;
+  mutable hits : int;
+  mutable folded_hits : int;
+}
+
+let cursor () = { held = None; cr = None; ci = 0; hits = 0; folded_hits = 0 }
+
+let fold_metrics cu =
+  Metrics.add c_hits (cu.hits - cu.folded_hits);
+  cu.folded_hits <- cu.hits
+
+(* The table's runs for [subject] at [gen], built under the lock when
+   absent; a hit refreshes the entry's recency. *)
+let resolve t cu dol subject gen =
   if subject < 0 then invalid_arg "Access_runs.runs: negative subject";
-  let gen = Dol.generation dol in
-  let key = (subject, gen) in
-  match lookup (Atomic.get t.table) key with
+  match lookup (Atomic.get t.table) subject gen with
   | Some e ->
-      Metrics.incr c_hits;
+      cu.hits <- cu.hits + 1;
       touch t e;
       e.e_runs
   | None ->
@@ -284,19 +303,41 @@ let runs_for t ~dol ~subject =
         ~finally:(fun () -> Mutex.unlock t.lock)
         (fun () ->
           (* re-check: another domain may have built while we waited *)
-          match lookup (Atomic.get t.table) key with
+          match lookup (Atomic.get t.table) subject gen with
           | Some e ->
-              Metrics.incr c_hits;
+              cu.hits <- cu.hits + 1;
               touch t e;
               e.e_runs
           | None ->
               let r = build t dol subject gen in
               let e = { e_runs = r; e_used = Atomic.make 0 } in
               touch t e;
-              install t key e;
+              install t (subject, gen) e;
               r)
 
-let runs t ~subject = runs_for t ~dol:t.dol ~subject
+let is_for r subject gen = r.r_subject = subject && r.r_generation = gen
+
+(** Materialized runs for [subject] as seen by [dol] — the live DOL for
+    the writer, a pinned snapshot for an epoch reader.  [dol] must share
+    the store's subject population history (its generation identifies
+    the policy state the runs were built from).  A repeat of the
+    cursor's last answer is a hit without a table probe. *)
+let runs_for t cu ~dol ~subject =
+  let gen = Dol.generation dol in
+  match cu.held with
+  | Some r when is_for r subject gen ->
+      cu.hits <- cu.hits + 1;
+      r
+  | _ ->
+      let r = resolve t cu dol subject gen in
+      cu.held <- Some r;
+      r
+
+let runs t ~subject =
+  let cu = cursor () in
+  let r = runs_for t cu ~dol:t.dol ~subject in
+  fold_metrics cu;
+  r
 
 (** {1 Queries} *)
 
@@ -352,19 +393,12 @@ let intersect r xs =
       xs
   end
 
-(** {1 Cursors} *)
-
-type cursor = { mutable cr : runs option; mutable ci : int }
-
-let cursor () = { cr = None; ci = 0 }
-
 let accessible t cu ~dol ~subject v =
-  let gen = Dol.generation dol in
   let r =
     match cu.cr with
-    | Some r when r.r_subject = subject && r.r_generation = gen -> r
+    | Some r when is_for r subject (Dol.generation dol) -> r
     | _ ->
-        let r = runs_for t ~dol ~subject in
+        let r = runs_for t cu ~dol ~subject in
         cu.cr <- Some r;
         cu.ci <- 0;
         r

@@ -47,6 +47,23 @@ val total_bytes : t -> int
 (** Iterate over materialized subjects (snapshot; no locking). *)
 val iter_materialized : (int -> runs -> unit) -> t -> unit
 
+(** {1 Cursors}
+
+    A cursor caches the runs value and the last run position for one
+    (subject, generation) pair, so a document-order traversal advances
+    monotonically instead of binary-searching per node, and counts the
+    table hits its handle made.  Cursors are cheap, unsynchronized, and
+    private to one reader; create one per handle.  Any access pattern
+    is correct — backward seeks restart. *)
+
+type cursor
+
+val cursor : unit -> cursor
+
+(** Add the hits [cu] counted since its last fold to [runs.hits].  Call
+    it from the cursor's domain, or after synchronizing with it. *)
+val fold_metrics : cursor -> unit
+
 (** Materialized runs for [subject] at the current generation of the
     live DOL: served from the snapshot when fresh (lock-free), built
     under a mutex when absent or stale.  Counted by metrics [runs.hits]
@@ -54,10 +71,13 @@ val iter_materialized : (int -> runs -> unit) -> t -> unit
 val runs : t -> subject:int -> runs
 
 (** {!runs} as seen by [dol] — the live DOL for the writer, a pinned
-    snapshot for an epoch reader.  Entries are keyed by
-    (subject, generation), so runs from distinct policy states coexist
-    and a snapshot reader never mixes runs from two generations. *)
-val runs_for : t -> dol:Dol.t -> subject:int -> runs
+    snapshot for an epoch reader — through the caller's cursor: a
+    repeat of [cu]'s last answer needs no table probe, and every answer
+    that is not a build counts as a hit on [cu] (see {!fold_metrics}).  Entries
+    are keyed by (subject, generation), so runs from distinct policy
+    states coexist and a snapshot reader never mixes runs from two
+    generations. *)
+val runs_for : t -> cursor -> dol:Dol.t -> subject:int -> runs
 
 (** {1 Queries on materialized runs} *)
 
@@ -86,21 +106,12 @@ val span_inside : runs -> lo:int -> hi:int -> bool
     accessible runs; preserves order and multiplicity. *)
 val intersect : runs -> int list -> int list
 
-(** {1 Cursors}
-
-    A cursor caches the runs value and the last run position for one
-    (subject, generation) pair, so a document-order traversal advances
-    monotonically instead of binary-searching per node.  Cursors are
-    cheap, unsynchronized, and private to one reader; create one per
-    handle.  Any access pattern is correct — backward seeks restart. *)
-
-type cursor
-
-val cursor : unit -> cursor
+(** {1 Membership} *)
 
 (** [accessible t cu ~dol ~subject v] — membership through the cursor,
     revalidating subject and generation (of [dol], the caller's DOL —
-    live or pinned snapshot) as needed. *)
+    live or pinned snapshot) as needed.  Only a change of subject or
+    generation reaches {!runs_for} (and its hit count). *)
 val accessible : t -> cursor -> dol:Dol.t -> subject:int -> int -> bool
 
 (** {1 Introspection} *)

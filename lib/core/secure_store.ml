@@ -82,9 +82,11 @@ type t = {
   pool : Buffer_pool.t;
   disk : Disk.t;
   pool_capacity : int;
-  (* Scan-resume cursor for [Nok_layout.code_in_force_at]: per handle,
-     so reader handles never share scan state. *)
+  (* Scan-resume cursor for [Nok_layout.code_in_force_at] and the span
+     of the page last touched: per handle, so reader handles never share
+     scan state. *)
   cursor : Nok_layout.cursor;
+  span : Nok_layout.span;
   (* Per-subject access-run index (shared across reader handles; builds
      are internally synchronized) and this handle's private run cursor. *)
   runs : Access_runs.t;
@@ -133,6 +135,7 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
   { tree; summary; use_summary = path_summary;
     dol; layout; pool; disk; pool_capacity;
     cursor = Nok_layout.cursor layout;
+    span = Nok_layout.span ();
     (* quarantined ranges are subtracted at run-build time, so a run
        verdict is already fail-secure *)
     runs = Access_runs.create ~deny:quarantine dol;
@@ -201,6 +204,7 @@ let reader ?pool_capacity t =
     layout;
     pool = Buffer_pool.create ~capacity:pool_capacity ?epoch:epoch_pin t.disk;
     cursor = Nok_layout.cursor layout;
+    span = Nok_layout.span ();
     run_cursor = Access_runs.cursor ();
     pool_capacity;
     counts = zero_counts ();
@@ -216,6 +220,7 @@ let fold_metrics t =
   Metrics.add c_codebook_lookups (c.codebook_lookups - f.codebook_lookups);
   Metrics.add c_run_answers (c.run_answers - f.run_answers);
   t.folded <- { c with access_checks = c.access_checks };
+  Access_runs.fold_metrics t.run_cursor;
   Buffer_pool.fold_metrics t.pool;
   Disk.fold_metrics t.disk
 
@@ -364,7 +369,7 @@ let pp_io ppf s =
     next-of-kin relationships are clustered … a NoK query processor can
     match a NoK pattern using just a few I/O operations", §3.1). *)
 
-let touch t v = ignore (Nok_layout.touch t.layout t.pool v)
+let touch t v = Nok_layout.touch t.layout t.span t.pool v
 
 (** FIRST-CHILD of Algorithm 1: position of the first child, read from
     the arena without fetching the child's page — the caller decides
@@ -449,16 +454,15 @@ let accessible_with_skip (t : t) ~subject v =
     Each helper degrades to a conservative identity when the index is
     off, so callers need no mode split; none of them touches a page. *)
 
+(* [subject]'s runs as this handle's DOL sees them, through its cursor. *)
+let runs_of t ~subject = Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~subject
+
 (** Least accessible preorder [>= v]; [v] itself when the index is off
     (no skipping), [n_nodes] when no accessible node remains. *)
 let next_accessible t ~subject v =
   if not t.use_runs then v
   else
-    match
-      Access_runs.next_accessible
-        (Access_runs.runs_for t.runs ~dol:t.dol ~subject)
-        v
-    with
+    match Access_runs.next_accessible (runs_of t ~subject) v with
     | Some u -> u
     | None -> Dol.n_nodes t.dol
 
@@ -466,24 +470,18 @@ let next_accessible t ~subject v =
     intersection with the accessible runs); identity when off. *)
 let intersect_accessible t ~subject vs =
   if not t.use_runs then vs
-  else Access_runs.intersect (Access_runs.runs_for t.runs ~dol:t.dol ~subject) vs
+  else Access_runs.intersect (runs_of t ~subject) vs
 
 (** Is every node in [\[lo, hi\]] provably accessible (single-run
     containment)?  [false] means "unknown" when the index is off. *)
 let span_provably_accessible t ~subject ~lo ~hi =
-  lo > hi
-  || (t.use_runs
-     && Access_runs.span_inside
-          (Access_runs.runs_for t.runs ~dol:t.dol ~subject)
-          ~lo ~hi)
+  lo > hi || (t.use_runs && Access_runs.span_inside (runs_of t ~subject) ~lo ~hi)
 
 (** Accessible fraction for [subject] (cost-model input); 1.0 when the
     index is off, i.e. assume nothing can be pruned. *)
 let accessible_fraction t ~subject =
   if not t.use_runs then 1.0
-  else
-    Access_runs.accessible_fraction
-      (Access_runs.runs_for t.runs ~dol:t.dol ~subject)
+  else Access_runs.accessible_fraction (runs_of t ~subject)
 
 (** {1 Structural reorganization}
 

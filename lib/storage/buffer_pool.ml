@@ -11,7 +11,6 @@
     {!flush_all} attempts every dirty frame before reporting failures,
     so one bad page cannot silently discard unrelated dirty pages. *)
 
-module Lru = Dolx_util.Lru
 module Metrics = Dolx_obs.Metrics
 
 (* Registry counters.  The first six mirror [stats] fields and are fed
@@ -62,26 +61,36 @@ let zero_stats () =
   { touches = 0; hits = 0; misses = 0; retries = 0; evictions = 0;
     eviction_flush_failures = 0 }
 
-type frame = {
-  mutable page_id : int;
-  data : Page.t;
-  mutable dirty : bool;
-  (* The frame's position in the recency list, so a hit touches the LRU
-     through the node (pointer compare when already MRU) instead of a
-     second hash lookup. *)
-  mutable lnode : Lru.node;
-}
-
+(* Frames live in [capacity] slots.  The page table, the recency list
+   and the free list are int arrays indexed by page id or slot, so a
+   touch costs array loads, no hashing.  Recency is one doubly-linked
+   list over the slots ([prev]/[next], -1 terminated), most recently
+   used at [head]: exact LRU. *)
 type t = {
   disk : Disk.t;
   capacity : int;
   max_read_retries : int;
   (* [Some e]: a reader pool pinned at epoch [e] — misses resolve
      through the disk's version chains to the image live at [e].
-     Pinned pools never hold dirty frames (readers do not write). *)
+     Pinned pools never hold dirty frames (readers do not write), so a
+     frame simply borrows the disk's immutable image; the live pool
+     copies each image into a private frame that {!mark_dirty} may
+     modify. *)
   epoch : int option;
-  frames : (int, frame) Hashtbl.t; (* page_id -> frame *)
-  lru : Lru.t;
+  mutable slot_of : int array; (* page id -> slot, -1 when not resident *)
+  page_at : int array; (* slot -> page id, -1 when free *)
+  frames : Page.t array; (* slot -> image *)
+  dirty : bool array;
+  prev : int array;
+  next : int array;
+  mutable head : int; (* most recently used slot, -1 when empty *)
+  mutable tail : int; (* least recently used slot *)
+  mutable free : int list;
+  (* The page [get] last returned and its frame: it is the head, so a
+     repeat [get] is a hit with nothing to move.  [last_id] is -1 while
+     no such page is known. *)
+  mutable last_id : int;
+  mutable last : Page.t;
   stats : stats;
   mutable folded : stats; (* the values of [stats] at the last fold *)
 }
@@ -95,8 +104,17 @@ let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
     capacity;
     max_read_retries;
     epoch;
-    frames = Hashtbl.create (2 * capacity);
-    lru = Lru.create ~capacity_hint:capacity ();
+    slot_of = Array.make (max 16 (Disk.page_count disk)) (-1);
+    page_at = Array.make capacity (-1);
+    frames = Array.make capacity Bytes.empty;
+    dirty = Array.make capacity false;
+    prev = Array.make capacity (-1);
+    next = Array.make capacity (-1);
+    head = -1;
+    tail = -1;
+    free = List.init capacity Fun.id;
+    last_id = -1;
+    last = Bytes.empty;
     stats = zero_stats ();
     folded = zero_stats ();
   }
@@ -126,106 +144,151 @@ let reset_stats t =
   t.stats.eviction_flush_failures <- 0;
   t.folded <- zero_stats ()
 
-let flush_frame t frame =
-  if frame.dirty then begin
-    Disk.write t.disk frame.page_id frame.data;
-    frame.dirty <- false
+(* {2 Recency list} *)
+
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  if p >= 0 then t.next.(p) <- n else t.head <- n;
+  if n >= 0 then t.prev.(n) <- p else t.tail <- p;
+  t.prev.(s) <- -1;
+  t.next.(s) <- -1
+
+let push_front t s =
+  t.next.(s) <- t.head;
+  if t.head >= 0 then t.prev.(t.head) <- s else t.tail <- s;
+  t.head <- s
+
+let to_front t s =
+  if t.head <> s then begin
+    unlink t s;
+    push_front t s
   end
 
+let slot t id = if id >= 0 && id < Array.length t.slot_of then t.slot_of.(id) else -1
+
+let flush_slot t s =
+  if t.dirty.(s) then begin
+    Disk.write t.disk t.page_at.(s) t.frames.(s);
+    t.dirty.(s) <- false
+  end
+
+(* Free the least recently used slot and return it. *)
 let evict_one t =
-  match Lru.pop_lru t.lru with
-  | None -> failwith "Buffer_pool: all frames pinned (impossible: no pinning)"
-  | Some victim ->
-      let frame = Hashtbl.find t.frames victim in
-      (* Flush the victim BEFORE unregistering it.  The old order
-         (remove, then flush) orphaned the frame when the write faulted:
-         the dirty page was silently lost and a later [get] re-read the
-         stale on-disk copy.  On a flush fault the victim is re-queued
-         as most-recently-used — still resident, still dirty — and the
-         fault propagates; a permanently bad page then surfaces on every
-         further eviction attempt instead of failing open. *)
-      (match flush_frame t frame with
-      | () -> ()
-      | exception e ->
-          t.stats.eviction_flush_failures <- t.stats.eviction_flush_failures + 1;
-          frame.lnode <- Lru.insert t.lru victim;
-          raise e);
-      Hashtbl.remove t.frames victim;
-      t.stats.evictions <- t.stats.evictions + 1;
-      frame
+  let s = t.tail in
+  if s < 0 then failwith "Buffer_pool: no frame to evict";
+  (* Flush the victim BEFORE unregistering it.  Unregistering first
+     orphaned the frame when the write faulted: the dirty page was
+     silently lost and a later [get] re-read the stale on-disk copy.  On
+     a flush fault the victim is moved to most-recently-used — still
+     resident, still dirty — and the fault propagates; a permanently bad
+     page then surfaces on every further eviction attempt instead of
+     failing open. *)
+  (match flush_slot t s with
+  | () -> ()
+  | exception e ->
+      t.stats.eviction_flush_failures <- t.stats.eviction_flush_failures + 1;
+      to_front t s;
+      raise e);
+  unlink t s;
+  t.slot_of.(t.page_at.(s)) <- -1;
+  t.page_at.(s) <- -1;
+  t.stats.evictions <- t.stats.evictions + 1;
+  s
 
 (* Read with bounded retry: only [Transient_read] faults are retried —
    bad pages and checksum mismatches are not going to get better. *)
-let read_retrying t id dst =
+let read_retrying t id =
   let rec go attempts_left =
-    try Disk.read ?epoch:t.epoch t.disk id dst with
+    try Disk.read ?epoch:t.epoch t.disk id with
     | Disk.Fault { kind = Disk.Transient_read; _ } when attempts_left > 0 ->
         t.stats.retries <- t.stats.retries + 1;
         go (attempts_left - 1)
   in
   go t.max_read_retries
 
+let register t id s =
+  if id >= Array.length t.slot_of then begin
+    let a = Array.make (max (id + 1) (2 * Array.length t.slot_of)) (-1) in
+    Array.blit t.slot_of 0 a 0 (Array.length t.slot_of);
+    t.slot_of <- a
+  end;
+  t.slot_of.(id) <- s;
+  t.page_at.(s) <- id
+
+let miss t id =
+  t.stats.misses <- t.stats.misses + 1;
+  (* eviction below may recycle the remembered page's frame *)
+  t.last_id <- -1;
+  let s =
+    match t.free with
+    | s :: rest ->
+        t.free <- rest;
+        s
+    | [] -> evict_one t
+  in
+  match read_retrying t id with
+  | exception e ->
+      (* the slot was never populated: give it back *)
+      t.free <- s :: t.free;
+      raise e
+  | img ->
+      (match t.epoch with
+      | Some _ -> t.frames.(s) <- img
+      | None ->
+          let size = Disk.page_size t.disk in
+          if Bytes.length t.frames.(s) <> size then t.frames.(s) <- Page.create size;
+          Bytes.blit img 0 t.frames.(s) 0 size);
+      t.dirty.(s) <- false;
+      register t id s;
+      push_front t s;
+      t.last_id <- id;
+      t.last <- t.frames.(s);
+      t.frames.(s)
+
 (** Fetch page [id], reading from disk on a miss.  The returned bytes are
     the pool's frame: treat as read-only unless followed by
-    [mark_dirty].  The hit path is one hash lookup (the LRU is touched
-    through the frame's node, a no-op when the frame is already MRU). *)
+    [mark_dirty].  A repeat of the previous page is a counter bump; any
+    other hit is a page-table load and a relink. *)
 let get t id =
   t.stats.touches <- t.stats.touches + 1;
-  match Hashtbl.find_opt t.frames id with
-  | Some frame ->
+  if id = t.last_id then begin
+    t.stats.hits <- t.stats.hits + 1;
+    t.last
+  end
+  else
+    let s = slot t id in
+    if s >= 0 then begin
       t.stats.hits <- t.stats.hits + 1;
-      Lru.touch_node t.lru frame.lnode;
-      frame.data
-  | None ->
-      t.stats.misses <- t.stats.misses + 1;
-      let frame =
-        if Hashtbl.length t.frames >= t.capacity then begin
-          let f = evict_one t in
-          f.page_id <- id;
-          f
-        end
-        else
-          {
-            page_id = id;
-            data = Page.create (Disk.page_size t.disk);
-            dirty = false;
-            lnode = Lru.detached ();
-          }
-      in
-      (match read_retrying t id frame.data with
-      | () -> ()
-      | exception e ->
-          (* Recycled frames must not stay registered under their old id
-             with stale dirty state; the read never populated [frame]. *)
-          frame.dirty <- false;
-          raise e);
-      frame.dirty <- false;
-      Hashtbl.replace t.frames id frame;
-      frame.lnode <- Lru.insert t.lru id;
-      frame.data
+      to_front t s;
+      t.last_id <- id;
+      t.last <- t.frames.(s);
+      t.last
+    end
+    else miss t id
 
 (** Declare that the cached copy of [id] has been modified in place. *)
 let mark_dirty t id =
-  match Hashtbl.find_opt t.frames id with
-  | Some frame -> frame.dirty <- true
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Buffer_pool.mark_dirty: page %d not resident (mark_dirty must \
-            follow the get that produced the frame, before any other get \
-            that could evict it)"
-           id)
+  if t.epoch <> None then
+    invalid_arg "Buffer_pool.mark_dirty: pinned pools are read-only";
+  let s = slot t id in
+  if s >= 0 then t.dirty.(s) <- true
+  else
+    invalid_arg
+      (Printf.sprintf
+         "Buffer_pool.mark_dirty: page %d not resident (mark_dirty must \
+          follow the get that produced the frame, before any other get \
+          that could evict it)"
+         id)
 
 (** Write all dirty frames back to disk.  Every dirty frame is attempted;
     failures are collected and reported together. *)
 let flush_all t =
   Metrics.incr c_flushes;
   let failures = ref [] in
-  Hashtbl.iter
-    (fun pid frame ->
-      try flush_frame t frame
-      with e -> failures := (pid, e) :: !failures)
-    t.frames;
+  for s = 0 to t.capacity - 1 do
+    if t.page_at.(s) >= 0 then
+      try flush_slot t s with e -> failures := (t.page_at.(s), e) :: !failures
+  done;
   match !failures with
   | [] -> ()
   | fs ->
@@ -236,10 +299,12 @@ let flush_all t =
     counters. *)
 let clear t =
   let flush_error = try flush_all t; None with e -> Some e in
-  Hashtbl.reset t.frames;
-  while Lru.pop_lru t.lru <> None do
-    ()
-  done;
+  Array.iter (fun id -> if id >= 0 then t.slot_of.(id) <- -1) t.page_at;
+  List.iter (fun a -> Array.fill a 0 t.capacity (-1)) [ t.page_at; t.prev; t.next ];
+  t.head <- -1;
+  t.tail <- -1;
+  t.free <- List.init t.capacity Fun.id;
+  t.last_id <- -1;
   match flush_error with None -> () | Some e -> raise e
 
-let resident t id = Hashtbl.mem t.frames id
+let resident t id = slot t id >= 0

@@ -30,8 +30,9 @@ type t
     faults ([Bad_page], [Checksum_mismatch]) are never retried.
     [?epoch] pins the pool to a snapshot: misses resolve through the
     disk's version chains to the page images live at that (pinned)
-    epoch.  Pinned pools are for readers — they must never hold dirty
-    frames.
+    epoch.  Pinned pools are for readers: their frames are the disk's
+    shared, immutable images, and {!mark_dirty} refuses them.  An
+    unpinned pool copies each image into a private frame.
     @raise Invalid_argument when [capacity < 1] or
     [max_read_retries < 0]. *)
 val create : ?capacity:int -> ?max_read_retries:int -> ?epoch:int -> Disk.t -> t
@@ -67,7 +68,8 @@ val get : t -> int -> Page.t
     may evict the (still clean-looking) frame and the modification is
     silently lost.  Calling it on a non-resident page therefore raises
     rather than degrades to a no-op.
-    @raise Invalid_argument when the page is not resident. *)
+    @raise Invalid_argument when the page is not resident, or when the
+    pool is pinned. *)
 val mark_dirty : t -> int -> unit
 
 (** Write all dirty frames back to disk.  Every dirty frame is attempted

@@ -102,10 +102,25 @@ let zero_stats () =
 
 let copy_stats s = { s with reads = s.reads }
 
+(* A superseded image retained for pinned readers, kept by reference
+   together with the CRC and verified bit it had when it was live. *)
+type version = {
+  visible_until : int;
+  v_crc : int;
+  v_img : Page.t;
+  mutable v_ok : bool;
+}
+
 type t = {
   page_size : int;
+  (* Live images.  An installed image is never mutated: {!write}
+     installs a fresh one, so readers may hold an image by reference. *)
   mutable pages : Page.t array;
   mutable crcs : int array; (* CRC32C of the *intended* image of each page *)
+  (* [ok.(id)]: the live image of [id] has passed its CRC since it was
+     installed.  Cleared by {!write} and {!allocate}; set only by a read
+     whose CRC matched. *)
+  mutable ok : bool array;
   mutable count : int;
   stats : stats;
   (* The values [stats] and the clocks had at the last fold. *)
@@ -122,15 +137,16 @@ type t = {
   mutable verify_reads : bool;
   mutable plan : fault_plan option;
   bad : (int, unit) Hashtbl.t; (* permanently failed pages *)
-  zero_crc : int; (* CRC of an all-zero page, stored at allocation *)
+  zero : Page.t; (* the shared all-zero image every allocation installs *)
+  zero_crc : int; (* CRC of [zero], stored at allocation *)
   (* MVCC: the epoch clock plus per-page version chains.  A chain entry
-     [(visible_until, crc, image)] is the image a page had before the
-     update window ending at epoch [visible_until] overwrote it — a
-     reader pinned at epoch [e] sees the oldest entry with
-     [visible_until > e], or the live page when the chain has none.
-     Chains are kept newest-first (descending [visible_until]). *)
+     is the image a page had before the update window ending at epoch
+     [visible_until] overwrote it — a reader pinned at epoch [e] sees
+     the oldest entry with [visible_until > e], or the live page when
+     the chain has none.  Chains are kept newest-first (descending
+     [visible_until]). *)
   epoch : Epoch.t;
-  versions : (int, (int * int * Page.t) list) Hashtbl.t;
+  versions : (int, version list) Hashtbl.t;
   (* One device, many domains: [Dolx_exec] readers share the disk while
      holding private buffer pools, so the page store, the stats record
      and the fault machinery are serialized here.  Contention is low by
@@ -151,10 +167,12 @@ let locked t f =
 
 let create ?(page_size = Page.default_size) ?(read_cost_us = 100.0)
     ?(write_cost_us = 120.0) ?(crc_cost_us = 2.0) ?(verify_reads = true) () =
+  let zero = Page.create page_size in
   {
     page_size;
-    pages = Array.make 16 (Page.create 0);
+    pages = Array.make 16 zero;
     crcs = Array.make 16 0;
+    ok = Array.make 16 false;
     count = 0;
     stats = zero_stats ();
     folded = zero_stats ();
@@ -168,7 +186,8 @@ let create ?(page_size = Page.default_size) ?(read_cost_us = 100.0)
     verify_reads;
     plan = None;
     bad = Hashtbl.create 8;
-    zero_crc = Crc.digest (Page.create page_size);
+    zero;
+    zero_crc = Crc.digest zero;
     epoch = Epoch.create ();
     versions = Hashtbl.create 16;
     m = Mutex.create ();
@@ -240,22 +259,25 @@ let mark_bad t id =
     after a write failure. *)
 let clear_bad t id = locked t (fun () -> Hashtbl.remove t.bad id)
 
-let is_bad t id = Hashtbl.mem t.bad id
+let is_bad t id = locked t (fun () -> Hashtbl.mem t.bad id)
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (** Allocate a fresh zeroed page, returning its id. *)
 let allocate t =
   locked t @@ fun () ->
   if t.count >= Array.length t.pages then begin
-    let pages = Array.make (2 * Array.length t.pages) (Page.create 0) in
-    Array.blit t.pages 0 pages 0 t.count;
-    t.pages <- pages;
-    let crcs = Array.make (Array.length pages) 0 in
-    Array.blit t.crcs 0 crcs 0 t.count;
-    t.crcs <- crcs
+    t.pages <- grow t.pages t.zero;
+    t.crcs <- grow t.crcs 0;
+    t.ok <- grow t.ok false
   end;
   let id = t.count in
-  t.pages.(id) <- Page.create t.page_size;
+  t.pages.(id) <- t.zero;
   t.crcs.(id) <- t.zero_crc;
+  t.ok.(id) <- false;
   t.count <- id + 1;
   t.stats.allocations <- t.stats.allocations + 1;
   id
@@ -272,28 +294,45 @@ let bad_page id =
   Metrics.incr c_bad_page_faults;
   raise (Fault { page = id; kind = Bad_page })
 
-(* The image of [id] visible at epoch [e]: the oldest retained version
-   with [visible_until > e], or the live page.  Chains are descending by
-   [visible_until], so the scan stops at the first entry at or below [e]. *)
+(* The retained version of [id] visible at epoch [e]: the oldest one
+   with [visible_until > e], or [None] for the live page.  Chains are
+   descending by [visible_until], so the scan stops at the first entry
+   at or below [e]. *)
 let version_at t id e =
   match Hashtbl.find_opt t.versions id with
   | None -> None
   | Some chain ->
       let rec oldest_above acc = function
-        | (vu, crc, img) :: rest when vu > e ->
-            oldest_above (Some (crc, img)) rest
+        | v :: rest when v.visible_until > e -> oldest_above (Some v) rest
         | _ -> acc
       in
       oldest_above None chain
 
-(** Read page [id] into [dst] (a full-page buffer).  With [?epoch], read
+(* Charge one verification and check [img] against [crc] unless it has
+   already passed ([ok]).  Returns whether the image is now verified;
+   a mismatch raises and never marks anything. *)
+let verify t id img crc ok =
+  if not t.verify_reads then false
+  else begin
+    t.simulated_us <- t.simulated_us +. t.crc_cost_us;
+    t.crc_us <- t.crc_us +. t.crc_cost_us;
+    if (not ok) && Crc.digest_sub img ~pos:0 ~len:t.page_size <> crc then begin
+      t.stats.checksum_failures <- t.stats.checksum_failures + 1;
+      raise (Fault { page = id; kind = Checksum_mismatch })
+    end;
+    true
+  end
+
+(** The image of page [id], verified against its CRC.  With [?epoch],
     the image that was live at that (pinned) epoch: superseded images
-    come from the version chain, still verified against the CRC they had
-    when retained.
+    come from the version chain, verified against the CRC they had when
+    retained.  An image's CRC is computed on its first verified read
+    only; every read is charged as verified.  The result is shared and
+    must not be mutated.
     @raise Fault on a bad page, an injected transient error, or a
     checksum mismatch between the stored bytes and the CRC recorded at
     write time (torn write or bit rot). *)
-let read ?epoch t id dst =
+let read ?epoch t id =
   locked t @@ fun () ->
   check t id "read";
   t.stats.reads <- t.stats.reads + 1;
@@ -304,28 +343,20 @@ let read ?epoch t id dst =
       t.stats.transient_faults <- t.stats.transient_faults + 1;
       raise (Fault { page = id; kind = Transient_read })
   | _ -> ());
-  let src, crc =
-    match epoch with
-    | None -> (t.pages.(id), t.crcs.(id))
-    | Some e -> (
-        match version_at t id e with
-        | Some (crc, img) -> (img, crc)
-        | None -> (t.pages.(id), t.crcs.(id)))
-  in
-  Bytes.blit src 0 dst 0 t.page_size;
-  if t.verify_reads then begin
-    t.simulated_us <- t.simulated_us +. t.crc_cost_us;
-    t.crc_us <- t.crc_us +. t.crc_cost_us;
-    if Crc.digest_sub dst ~pos:0 ~len:t.page_size <> crc then begin
-      t.stats.checksum_failures <- t.stats.checksum_failures + 1;
-      raise (Fault { page = id; kind = Checksum_mismatch })
-    end
-  end
+  match Option.bind epoch (version_at t id) with
+  | Some v ->
+      if verify t id v.v_img v.v_crc v.v_ok then v.v_ok <- true;
+      v.v_img
+  | None ->
+      let img = t.pages.(id) in
+      if verify t id img t.crcs.(id) t.ok.(id) then t.ok.(id) <- true;
+      img
 
-(** Write [src] to page [id].  The CRC of the *intended* image is always
-    recorded; an injected torn write or bit flip corrupts the stored
-    bytes without touching it, so the damage is caught by the next
-    verified read.
+(** Write [src] to page [id] by installing a fresh image.  The CRC of
+    the *intended* image is always recorded; an injected torn write
+    (the old image with a prefix of [src]) or bit flip corrupts the
+    installed image without touching it, so the damage is caught by the
+    next verified read.
     @raise Fault when the page has gone permanently bad. *)
 let write t id src =
   locked t @@ fun () ->
@@ -333,35 +364,44 @@ let write t id src =
   t.stats.writes <- t.stats.writes + 1;
   t.simulated_us <- t.simulated_us +. t.write_cost_us;
   if Hashtbl.mem t.bad id then bad_page id;
+  let old = t.pages.(id) in
   (* Copy-on-write: with readers pinned, retain the image being
-     overwritten.  All writes of one update window share the tag
-     [current + 1] (the epoch the update will publish as), so only the
-     first overwrite of a page per window saves a copy. *)
+     replaced, by reference.  All writes of one update window share the
+     tag [current + 1] (the epoch the update will publish as), so only
+     the first overwrite of a page per window saves a version. *)
   if Epoch.pinned t.epoch then begin
     let vu = Epoch.current t.epoch + 1 in
     let chain = Option.value (Hashtbl.find_opt t.versions id) ~default:[] in
     match chain with
-    | (vu0, _, _) :: _ when vu0 = vu -> ()
+    | v :: _ when v.visible_until = vu -> ()
     | _ ->
         Hashtbl.replace t.versions id
-          ((vu, t.crcs.(id), Bytes.copy t.pages.(id)) :: chain);
+          ({ visible_until = vu; v_crc = t.crcs.(id); v_img = old;
+             v_ok = t.ok.(id) }
+          :: chain);
         t.stats.versions_saved <- t.stats.versions_saved + 1;
         Metrics.gauge_add g_versions_live 1.0
   end;
   t.crcs.(id) <- Crc.digest_sub src ~pos:0 ~len:t.page_size;
-  (match t.plan with
-  | Some plan when draw plan plan.torn_write_p ->
-      t.stats.torn_writes <- t.stats.torn_writes + 1;
-      let keep = Prng.int plan.fault_prng t.page_size in
-      Bytes.blit src 0 t.pages.(id) 0 keep
-  | _ -> Bytes.blit src 0 t.pages.(id) 0 t.page_size);
+  let img =
+    match t.plan with
+    | Some plan when draw plan plan.torn_write_p ->
+        t.stats.torn_writes <- t.stats.torn_writes + 1;
+        let keep = Prng.int plan.fault_prng t.page_size in
+        let img = Bytes.copy old in
+        Bytes.blit src 0 img 0 keep;
+        img
+    | _ -> Bytes.sub src 0 t.page_size
+  in
   (match t.plan with
   | Some plan when draw plan plan.bit_flip_p ->
       t.stats.bit_flips <- t.stats.bit_flips + 1;
       let bit = Prng.int plan.fault_prng (t.page_size * 8) in
-      let b = Bytes.get_uint8 t.pages.(id) (bit / 8) in
-      Bytes.set_uint8 t.pages.(id) (bit / 8) (b lxor (1 lsl (bit mod 8)))
+      let b = Bytes.get_uint8 img (bit / 8) in
+      Bytes.set_uint8 img (bit / 8) (b lxor (1 lsl (bit mod 8)))
   | _ -> ());
+  t.pages.(id) <- img;
+  t.ok.(id) <- false;
   match t.plan with
   | Some plan when draw plan plan.bad_page_p -> Hashtbl.replace t.bad id ()
   | _ -> ()
@@ -377,7 +417,7 @@ let retire t =
   let updates =
     Hashtbl.fold
       (fun id chain acc ->
-        let keep = List.filter (fun (vu, _, _) -> vu > horizon) chain in
+        let keep = List.filter (fun v -> v.visible_until > horizon) chain in
         if List.length keep = List.length chain then acc
         else (id, keep, List.length chain - List.length keep) :: acc)
       t.versions []

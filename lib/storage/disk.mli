@@ -6,9 +6,10 @@
     torn writes and bit flips) so the storage stack above can be tested
     for fail-secure behavior.
 
-    Thread-safety: {!read}, {!write}, {!allocate}, {!mark_bad} and
-    {!clear_bad} are serialized by an internal mutex, so one disk can be
-    shared by the per-domain buffer pools of [Dolx_exec] readers.
+    Thread-safety: {!read}, {!write}, {!allocate}, {!mark_bad},
+    {!clear_bad} and {!is_bad} are serialized by an internal mutex, so
+    one disk can be shared by the per-domain buffer pools of
+    [Dolx_exec] readers.
     Configuration setters ({!set_fault_plan}, {!set_verify_reads}) and
     {!reset_stats} are for quiescent use between runs.  Events bump
     plain {!stats} fields; the registry learns them by {!fold_metrics}. *)
@@ -119,23 +120,32 @@ val is_bad : t -> int -> bool
 (** Allocate a fresh zeroed page; returns its id. *)
 val allocate : t -> int
 
-(** Read page [id] into [dst] (a full-page buffer).  With [?epoch], read
-    the image that was live at that (pinned) epoch: superseded images
-    come from the copy-on-write version chain, still CRC-verified against
+(** The image of page [id], verified against its checksum.  With
+    [?epoch], the image that was live at that (pinned) epoch: superseded
+    images come from the copy-on-write version chain, verified against
     the checksum they had when retained.
+
+    Images are immutable once installed, so the checksum is computed on
+    an image's first clean read only; later reads of the same image are
+    still counted and charged ([reads], {!simulated_us}, {!crc_us}) and
+    still draw transient faults, exactly as a verifying read.  The
+    result is shared with the disk and with every other reader: callers
+    that need a mutable buffer copy it.
     @raise Fault on a bad page, an injected transient error, or a
     checksum mismatch (torn write or bit rot detected).
     @raise Invalid_argument on an out-of-range id (the message names the
     page id and the page count). *)
-val read : ?epoch:int -> t -> int -> Page.t -> unit
+val read : ?epoch:int -> t -> int -> Page.t
 
-(** Write [src] to page [id].  The CRC of the intended image is always
-    recorded; injected torn writes and bit flips corrupt the stored
-    bytes without touching it, so damage surfaces on the next verified
-    read.
-    While any epoch is pinned, the image being overwritten is retained
-    on the page's version chain (copy-on-write) so pinned readers keep a
-    consistent view; see {!retire}.
+(** Write the first page-size bytes of [src] to page [id] by installing
+    a fresh image ([src] is copied, never retained).  The CRC of the
+    intended image is always recorded; an injected torn write (the old
+    image with a random prefix of [src]) or bit flip corrupts the
+    installed image without touching it, so damage surfaces on the next
+    verified read.
+    While any epoch is pinned, the image being replaced is retained by
+    reference on the page's version chain (copy-on-write) so pinned
+    readers keep a consistent view; see {!retire}.
     @raise Fault when the page is permanently bad.
     @raise Invalid_argument on an out-of-range id. *)
 val write : t -> int -> Page.t -> unit

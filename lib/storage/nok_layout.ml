@@ -149,11 +149,15 @@ let header t lp =
 
 (** Logical page holding preorder [pre] — binary search of the in-memory
     page table, no I/O. *)
-let page_of t pre =
+(* [page_of] against one loaded view, so callers read a consistent
+   table. *)
+let page_in t vw pre =
   if pre < 0 || pre >= t.n_nodes then invalid_arg "Nok_layout.page_of";
-  match Binsearch.predecessor t.view.first_pres pre with
+  match Binsearch.predecessor vw.first_pres pre with
   | Some lp -> lp
   | None -> assert false
+
+let page_of t pre = page_in t t.view pre
 
 let physical_page t lp = t.view.phys.(lp)
 
@@ -311,15 +315,13 @@ let build ?(fill = 0.9) disk tree ~transitions =
     page table is reconstructed from the page headers in one scan. *)
 let attach disk ~n_pages =
   if n_pages <= 0 then invalid_arg "Nok_layout.attach: no pages";
-  let page_size = Disk.page_size disk in
-  let buf = Page.create page_size in
   let first_pres = Array.make n_pages 0 in
   let first_codes = Array.make n_pages 0 in
   let first_depths = Array.make n_pages 0 in
   let changes = Array.make n_pages false in
   let n_nodes = ref 0 in
   for lp = 0 to n_pages - 1 do
-    Disk.read disk lp buf;
+    let buf = Disk.read disk lp in
     let n = Page.get_u16 buf 0 in
     first_pres.(lp) <- Page.get_u32 buf 2;
     first_codes.(lp) <- Page.get_u32 buf 6;
@@ -348,24 +350,41 @@ let attach disk ~n_pages =
     renumbered = false;
   }
 
-(** Page image of logical page [lp] (for database-file export), bypassing
-    the pool. *)
+(** A private copy of the image of logical page [lp] (for database-file
+    export), bypassing the pool. *)
 let page_image t lp =
   let vw = t.view in
   if lp < 0 || lp >= vw.n_pages then invalid_arg "Nok_layout.page_image";
-  let buf = Page.create (Disk.page_size t.disk) in
-  Disk.read t.disk vw.phys.(lp) buf;
-  buf
+  Page.copy (Disk.read t.disk vw.phys.(lp))
 
 (** {1 Page-level access through a buffer pool} *)
 
-(** Fetch the page holding [pre]; returns its logical page id.  This is
-    the only way query evaluation touches data, so the pool's counters
-    capture all I/O. *)
-let touch t pool pre =
-  let lp = page_of t pre in
-  ignore (Buffer_pool.get pool (t.view.phys.(lp)));
-  lp
+(* The page a handle touched last: preorders [lo, hi] live on physical
+   page [pid] under view generation [gen].  A touch inside the span
+   needs no search of the page table. *)
+type span = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable pid : int;
+  mutable gen : int;
+}
+
+let span () = { lo = 0; hi = -1; pid = -1; gen = -1 }
+
+(** Fetch the page holding [pre].  This is the only way query
+    evaluation touches data, so the pool's counters capture all I/O. *)
+let touch t sp pool pre =
+  let vw = t.view in
+  if not (pre >= sp.lo && pre <= sp.hi && sp.gen = vw.vgen) then begin
+    let lp = page_in t vw pre in
+    sp.lo <- vw.first_pres.(lp);
+    sp.hi <-
+      (if lp + 1 < vw.n_pages then vw.first_pres.(lp + 1) - 1
+       else t.n_nodes - 1);
+    sp.pid <- vw.phys.(lp);
+    sp.gen <- vw.vgen
+  end;
+  ignore (Buffer_pool.get pool sp.pid)
 
 let records t pool lp =
   let vw = t.view in
@@ -381,12 +400,7 @@ let records t pool lp =
     instead of replaying from the page start. *)
 let code_in_force_at t cu pool pre =
   let vw = t.view in
-  if pre < 0 || pre >= t.n_nodes then invalid_arg "Nok_layout.page_of";
-  let lp =
-    match Binsearch.predecessor vw.first_pres pre with
-    | Some lp -> lp
-    | None -> assert false
-  in
+  let lp = page_in t vw pre in
   let page = Buffer_pool.get pool vw.phys.(lp) in
   if not vw.changes.(lp) then vw.first_codes.(lp)
   else begin

@@ -78,13 +78,20 @@ val build : ?fill:float -> Disk.t -> Tree.t -> transitions:(int * int) array -> 
     the page headers.  @raise Invalid_argument on out-of-order pages. *)
 val attach : Disk.t -> n_pages:int -> t
 
-(** Raw image of logical page [lp], bypassing the pool (database-file
-    export). *)
+(** A private copy of the image of logical page [lp], bypassing the pool
+    (database-file export). *)
 val page_image : t -> int -> Page.t
 
-(** Fetch the page holding [pre] through the pool (accounted I/O);
-    returns its logical page id. *)
-val touch : t -> Buffer_pool.t -> int -> int
+(** A handle's memo of the page it touched last: that page's preorder
+    span and physical id, stamped with the page-table generation, so a
+    touch inside the span skips the page-table search.  A rewrite
+    invalidates it.  One per handle. *)
+type span
+
+val span : unit -> span
+
+(** Fetch the page holding [pre] through the pool (accounted I/O). *)
+val touch : t -> span -> Buffer_pool.t -> int -> unit
 
 (** Decode all records of logical page [lp]. *)
 val records : t -> Buffer_pool.t -> int -> record list

@@ -11,7 +11,6 @@ module Stats = Dolx_util.Stats
 module Bitset = Dolx_util.Bitset
 module Varint = Dolx_util.Varint
 module Int_vec = Dolx_util.Int_vec
-module Lru = Dolx_util.Lru
 module Subject = Dolx_policy.Subject
 module Mode = Dolx_policy.Mode
 module Acl = Dolx_policy.Acl
@@ -98,12 +97,6 @@ let test_int_vec_misc () =
   Int_vec.iteri (fun i x -> seen := (i, x) :: !seen) v;
   check Alcotest.(list (pair int int)) "iteri" [ (0, 9) ] !seen
 
-let test_lru_mem () =
-  let l = Lru.create () in
-  Lru.touch l 3;
-  Alcotest.(check bool) "mem" true (Lru.mem l 3);
-  Alcotest.(check bool) "not mem" false (Lru.mem l 4)
-
 let test_registry_errors () =
   let subjects = Subject.create () in
   ignore (Subject.add_user subjects "x");
@@ -177,7 +170,7 @@ let test_disk_errors () =
   let d = Disk.create ~page_size:64 () in
   Alcotest.check_raises "bad page id"
     (Invalid_argument "Disk.read: page 0 out of range (page count 0)")
-    (fun () -> Disk.read d 0 (Bytes.create 64))
+    (fun () -> ignore (Disk.read d 0))
 
 let test_btree_accessors () =
   let t = Btree.create ~order:4 () in
@@ -268,7 +261,6 @@ let suite =
     Alcotest.test_case "bitset misc" `Quick test_bitset_misc;
     Alcotest.test_case "varint errors" `Quick test_varint_errors;
     Alcotest.test_case "int_vec misc" `Quick test_int_vec_misc;
-    Alcotest.test_case "lru mem" `Quick test_lru_mem;
     Alcotest.test_case "registry errors" `Quick test_registry_errors;
     Alcotest.test_case "acl empty/full" `Quick test_acl_empty_full;
     Alcotest.test_case "pretty-printers" `Quick test_pp_smoke;

@@ -9,6 +9,7 @@ module Varint = Dolx_util.Varint
 module Page = Dolx_storage.Page
 module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
+module Epoch = Dolx_storage.Epoch
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Codebook = Dolx_core.Codebook
@@ -130,10 +131,10 @@ let test_disk_transient_read () =
     (Some (Disk.fault_plan ~transient_read_p:1.0 (Prng.create 1)));
   Alcotest.check_raises "transient fault"
     (Disk.Fault { page = pid; kind = Disk.Transient_read })
-    (fun () -> Disk.read d pid (Page.create 64));
+    (fun () -> ignore (Disk.read d pid));
   check Alcotest.int "counted" 1 (Disk.stats d).Disk.transient_faults;
   Disk.set_fault_plan d None;
-  Disk.read d pid (Page.create 64)
+  ignore (Disk.read d pid)
 
 let test_disk_torn_write_detected () =
   let d = Disk.create ~page_size:64 () in
@@ -144,7 +145,7 @@ let test_disk_torn_write_detected () =
   check Alcotest.int "torn counted" 1 (Disk.stats d).Disk.torn_writes;
   Alcotest.check_raises "torn write caught on read"
     (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
-    (fun () -> Disk.read d pid (Page.create 64));
+    (fun () -> ignore (Disk.read d pid));
   check Alcotest.int "mismatch counted" 1
     (Disk.stats d).Disk.checksum_failures
 
@@ -156,12 +157,11 @@ let test_disk_bit_flip_detected () =
   check Alcotest.int "flip counted" 1 (Disk.stats d).Disk.bit_flips;
   Alcotest.check_raises "bit rot caught on read"
     (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
-    (fun () -> Disk.read d pid (Page.create 64));
+    (fun () -> ignore (Disk.read d pid));
   (* with verification off the corrupt bytes come back silently — the
      A/B configuration used to measure checksum overhead *)
   Disk.set_verify_reads d false;
-  let buf = Page.create 64 in
-  Disk.read d pid buf;
+  let buf = Disk.read d pid in
   Alcotest.(check bool) "verify off reads corrupt bytes" true
     (Bytes.exists (fun c -> c <> 'x') buf)
 
@@ -172,7 +172,7 @@ let test_disk_bad_page () =
   Alcotest.(check bool) "is_bad" true (Disk.is_bad d pid);
   Alcotest.check_raises "read bad"
     (Disk.Fault { page = pid; kind = Disk.Bad_page })
-    (fun () -> Disk.read d pid (Page.create 64));
+    (fun () -> ignore (Disk.read d pid));
   Alcotest.check_raises "write bad"
     (Disk.Fault { page = pid; kind = Disk.Bad_page })
     (fun () -> Disk.write d pid (Page.create 64))
@@ -182,7 +182,7 @@ let test_disk_bounds_messages () =
   ignore (Disk.allocate d);
   Alcotest.check_raises "read"
     (Invalid_argument "Disk.read: page 5 out of range (page count 1)")
-    (fun () -> Disk.read d 5 (Page.create 64));
+    (fun () -> ignore (Disk.read d 5));
   Alcotest.check_raises "write"
     (Invalid_argument "Disk.write: page -1 out of range (page count 1)")
     (fun () -> Disk.write d (-1) (Page.create 64));
@@ -196,15 +196,69 @@ let test_disk_crc_accounting () =
   Disk.write d pid (Bytes.make 64 'a');
   Disk.reset_stats d;
   for _ = 1 to 10 do
-    Disk.read d pid (Page.create 64)
+    ignore (Disk.read d pid)
   done;
   check (Alcotest.float 1e-9) "crc time charged" 20.0 (Disk.crc_us d);
   Alcotest.(check bool) "crc time inside simulated time" true
     (Disk.crc_us d < Disk.simulated_us d);
   Disk.set_verify_reads d false;
   Disk.reset_stats d;
-  Disk.read d pid (Page.create 64);
+  ignore (Disk.read d pid);
   check (Alcotest.float 1e-9) "no crc time when off" 0.0 (Disk.crc_us d)
+
+(* --- verified-once images --- *)
+
+(* A clean page, read through a cold pool of the given kind so its image
+   is verified; then rewritten under [plan], so the installed image is
+   corrupt.  A cold pool of the same kind (pinned after the rewrite is
+   published, for the borrowing path) must refuse the new image. *)
+let check_rewrite_caught ~pinned plan =
+  let d = Disk.create ~page_size:64 () in
+  let pid = Disk.allocate d in
+  Disk.write d pid (Bytes.make 64 'a');
+  let pool () =
+    let epoch = if pinned then Some (Epoch.pin (Disk.epoch d)) else None in
+    Buffer_pool.create ?epoch d
+  in
+  check Alcotest.char "clean read" 'a' (Bytes.get (Buffer_pool.get (pool ()) pid) 0);
+  check Alcotest.char "verified image served again" 'a'
+    (Bytes.get (Buffer_pool.get (pool ()) pid) 0);
+  Disk.set_fault_plan d (Some (plan (Prng.create 17)));
+  Disk.write d pid (Bytes.make 64 'b');
+  Disk.set_fault_plan d None;
+  ignore (Epoch.advance (Disk.epoch d));
+  Alcotest.check_raises "corrupt rewrite caught"
+    (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
+    (fun () -> ignore (Buffer_pool.get (pool ()) pid))
+
+let test_verified_rewrite_rechecked () =
+  List.iter
+    (fun pinned ->
+      check_rewrite_caught ~pinned (Disk.fault_plan ~bit_flip_p:1.0);
+      check_rewrite_caught ~pinned (Disk.fault_plan ~torn_write_p:1.0))
+    [ true; false ]
+
+(* A read that faults — transient or checksum — never marks the image
+   verified: every later read still checks it, and still fails. *)
+let test_faulted_read_never_verifies () =
+  let d = Disk.create ~page_size:64 () in
+  let pid = Disk.allocate d in
+  Disk.set_fault_plan d (Some (Disk.fault_plan ~bit_flip_p:1.0 (Prng.create 3)));
+  Disk.write d pid (Bytes.make 64 'x');
+  Disk.set_fault_plan d
+    (Some (Disk.fault_plan ~transient_read_p:1.0 (Prng.create 4)));
+  Alcotest.check_raises "transient first"
+    (Disk.Fault { page = pid; kind = Disk.Transient_read })
+    (fun () -> ignore (Disk.read d pid));
+  Disk.set_fault_plan d None;
+  for i = 1 to 3 do
+    Alcotest.check_raises
+      (Printf.sprintf "mismatch on read %d" i)
+      (Disk.Fault { page = pid; kind = Disk.Checksum_mismatch })
+      (fun () -> ignore (Disk.read d pid))
+  done;
+  check Alcotest.int "every read verified" 3
+    (Disk.stats d).Disk.checksum_failures
 
 (* --- buffer pool fault handling --- *)
 
@@ -263,11 +317,10 @@ let test_pool_flush_failures_collected () =
           check Alcotest.int "failed page reported" pids.(1) pid
       | _ -> Alcotest.fail "wrong failure list"));
   (* the other dirty frames must have been written despite the failure *)
-  let buf = Page.create 64 in
-  Disk.read d pids.(0) buf;
-  check Alcotest.int "page 0 flushed" 100 (Bytes.get_uint8 buf 0);
-  Disk.read d pids.(2) buf;
-  check Alcotest.int "page 2 flushed" 102 (Bytes.get_uint8 buf 0)
+  check Alcotest.int "page 0 flushed" 100
+    (Bytes.get_uint8 (Disk.read d pids.(0)) 0);
+  check Alcotest.int "page 2 flushed" 102
+    (Bytes.get_uint8 (Disk.read d pids.(2)) 0)
 
 (* Regression: evict_one used to unregister the victim *before* flushing
    it, so a faulting flush orphaned the frame — the dirty page was
@@ -300,8 +353,7 @@ let test_eviction_flush_failure_keeps_dirty_page () =
   (* sector remapped: the retained dirty page becomes durable *)
   Disk.clear_bad d p0;
   Buffer_pool.flush_all pool;
-  let buf = Page.create 64 in
-  Disk.read d p0 buf;
+  let buf = Disk.read d p0 in
   check Alcotest.int "dirty page durable after repair" 77 (Bytes.get_uint8 buf 0);
   (* and eviction proceeds normally again *)
   ignore (Buffer_pool.get pool p1);
@@ -627,6 +679,10 @@ let suite =
     Alcotest.test_case "disk: bad page" `Quick test_disk_bad_page;
     Alcotest.test_case "disk: bounds messages" `Quick test_disk_bounds_messages;
     Alcotest.test_case "disk: crc accounting" `Quick test_disk_crc_accounting;
+    Alcotest.test_case "disk: verified image rewritten corrupt is caught" `Quick
+      test_verified_rewrite_rechecked;
+    Alcotest.test_case "disk: faulted read never verifies" `Quick
+      test_faulted_read_never_verifies;
     Alcotest.test_case "pool: retry exhaustion" `Quick test_pool_retry_exhaustion;
     Alcotest.test_case "pool: retry recovers" `Quick test_pool_retry_recovers;
     Alcotest.test_case "pool: flush failures collected" `Quick

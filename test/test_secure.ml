@@ -204,6 +204,111 @@ let test_skip_saves_io_when_mostly_inaccessible () =
     (s.Store.page_touches < without);
   Alcotest.(check bool) "skips recorded" true (s.Store.header_skips > 0)
 
+(* --- golden page-model counts --- *)
+
+(* The page model's exact counts for Table-1 Q1–Q6 on a fixed XMark
+   store labeled as in Figure 7 (70% accessible): (touches, hits,
+   misses, disk reads, evictions) per query, store configuration and
+   semantics.  "serve" is the default store (run index and path summary
+   on), "eps" the paper's ε-NoK store (both off).  Each row must hold
+   twice: on the live store with a cleared pool, and on a cold
+   epoch-pinned reader.  These are the paper's I/O figures in
+   miniature; a change that moves any of them changes what every I/O
+   experiment reports, so it must update this table on purpose. *)
+let golden_counts =
+  [
+    ("Q1 serve insecure", (185, 183, 2, 2, 0));
+    ("Q1 serve secure", (173, 171, 2, 2, 0));
+    ("Q2 serve insecure", (28, 26, 2, 2, 0));
+    ("Q2 serve secure", (12, 10, 2, 2, 0));
+    ("Q3 serve insecure", (23, 21, 2, 2, 0));
+    ("Q3 serve secure", (10, 8, 2, 2, 0));
+    ("Q4 serve insecure", (506, 451, 55, 55, 47));
+    ("Q4 serve secure", (327, 277, 50, 50, 42));
+    ("Q5 serve insecure", (741, 684, 57, 57, 49));
+    ("Q5 serve secure", (490, 435, 55, 55, 47));
+    ("Q6 serve insecure", (703, 675, 28, 28, 20));
+    ("Q6 serve secure", (386, 358, 28, 28, 20));
+    ("Q1 eps insecure", (195, 185, 10, 10, 2));
+    ("Q1 eps secure", (210, 200, 10, 10, 2));
+    ("Q2 eps insecure", (139, 134, 5, 5, 0));
+    ("Q2 eps secure", (87, 82, 5, 5, 0));
+    ("Q3 eps insecure", (117, 112, 5, 5, 0));
+    ("Q3 eps secure", (76, 71, 5, 5, 0));
+    ("Q4 eps insecure", (845, 733, 112, 112, 104));
+    ("Q4 eps secure", (757, 649, 108, 108, 100));
+    ("Q5 eps insecure", (1528, 1414, 114, 114, 106));
+    ("Q5 eps secure", (1409, 1296, 113, 113, 105));
+    ("Q6 eps insecure", (897, 841, 56, 56, 48));
+    ("Q6 eps secure", (729, 673, 56, 56, 48));
+  ]
+
+let page_model_counts () =
+  let tree = Xmark.generate_nodes ~seed:71 20000 in
+  let params =
+    { Synth_acl.propagation_ratio = 0.1; accessibility_ratio = 0.7;
+      sibling_copy_p = 0.5 }
+  in
+  let dol = Dol.of_bool_array (Synth_acl.generate_bool tree ~params (Prng.create 72)) in
+  let index = Tag_index.build tree in
+  let counts h =
+    let s = Store.io_stats h in
+    (* every read is charged as a verified read, whether or not its
+       image was verified before: 100 us of I/O plus 2 us of CRC *)
+    let reads = float_of_int s.Store.disk_reads in
+    let disk = Store.disk h in
+    if Disk.simulated_us disk <> 102.0 *. reads || Disk.crc_us disk <> 2.0 *. reads
+    then
+      Alcotest.failf "modeled disk time moved: %.1f us (crc %.1f) for %d reads"
+        (Disk.simulated_us disk) (Disk.crc_us disk) s.Store.disk_reads;
+    ( s.Store.page_touches,
+      s.Store.pool_hits,
+      s.Store.pool_misses,
+      s.Store.disk_reads,
+      (Buffer_pool.stats (Store.pool h)).Buffer_pool.evictions )
+  in
+  List.concat_map
+    (fun (config, tiers) ->
+      let store =
+        Store.create ~run_index:tiers ~path_summary:tiers ~page_size:1024
+          ~pool_capacity:8 tree dol
+      in
+      List.concat_map
+        (fun (name, q) ->
+          List.map
+            (fun (sem_name, sem) ->
+              Buffer_pool.clear (Store.pool store);
+              Store.reset_stats store;
+              ignore (Engine.query store index q sem);
+              let live = counts store in
+              let pinned =
+                Store.with_reader store (fun r ->
+                    Store.reset_stats r;
+                    ignore (Engine.query r index q sem);
+                    counts r)
+              in
+              (Printf.sprintf "%s %s %s" name config sem_name, live, pinned))
+            [ ("insecure", Engine.Insecure); ("secure", Engine.Secure 0) ])
+        Xmark.queries)
+    [ ("serve", true); ("eps", false) ]
+
+let test_golden_page_model_counts () =
+  let got = page_model_counts () in
+  let show (k, (t, h, m, r, e)) =
+    Printf.sprintf "    (%S, (%d, %d, %d, %d, %d));" k t h m r e
+  in
+  List.iter
+    (fun (k, _, pinned) ->
+      let want = List.assoc_opt k golden_counts in
+      if want <> Some pinned then
+        Alcotest.failf "%s: pinned reader counts moved; now:\n%s" k
+          (String.concat "\n" (List.map (fun (k, _, p) -> show (k, p)) got)))
+    got;
+  let live = List.map (fun (k, l, _) -> (k, l)) got in
+  if live <> golden_counts then
+    Alcotest.failf "live store counts moved; now:\n%s"
+      (String.concat "\n" (List.map show live))
+
 let suite =
   [
     Alcotest.test_case "access check: no extra I/O" `Quick test_access_check_no_extra_io;
@@ -219,4 +324,6 @@ let suite =
       test_epsilon_nok_same_misses_as_plain;
     Alcotest.test_case "header skip saves I/O when inaccessible" `Quick
       test_skip_saves_io_when_mostly_inaccessible;
+    Alcotest.test_case "golden page-model counts (Table 1)" `Quick
+      test_golden_page_model_counts;
   ]

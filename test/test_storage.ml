@@ -4,6 +4,7 @@
 module Page = Dolx_storage.Page
 module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
+module Epoch = Dolx_storage.Epoch
 module Nok_layout = Dolx_storage.Nok_layout
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
@@ -28,8 +29,7 @@ let test_disk_counters () =
   let buf = Page.create 128 in
   Bytes.set_uint8 buf 0 7;
   Disk.write d a buf;
-  let buf2 = Page.create 128 in
-  Disk.read d a buf2;
+  let buf2 = Disk.read d a in
   check Alcotest.int "roundtrip" 7 (Bytes.get_uint8 buf2 0);
   let s = Disk.stats d in
   check Alcotest.int "reads" 1 s.Disk.reads;
@@ -71,8 +71,7 @@ let test_pool_writeback () =
   Bytes.set_uint8 frame 5 42;
   Buffer_pool.mark_dirty pool pid;
   Buffer_pool.flush_all pool;
-  let buf = Page.create 64 in
-  Disk.read d pid buf;
+  let buf = Disk.read d pid in
   check Alcotest.int "dirty page written back" 42 (Bytes.get_uint8 buf 5)
 
 (* Regression for the evict-then-mark race: a frame modified after its
@@ -99,10 +98,64 @@ let test_pool_mark_dirty_after_evict () =
   Bytes.set_uint8 frame 0 42;
   Buffer_pool.mark_dirty pool a;
   ignore (Buffer_pool.get pool b);
-  let buf = Page.create 64 in
-  Disk.read d a buf;
+  let buf = Disk.read d a in
   check Alcotest.int "marked modification survives eviction" 42
     (Bytes.get_uint8 buf 0)
+
+(* The pool against a reference LRU: a list of resident pages, most
+   recently used first.  Random get sequences over 12 pages at
+   capacities 1–8, on a live (copying) or an epoch-pinned (borrowing)
+   pool, must agree on every hit, miss and eviction, on the resident
+   set, and on the bytes served. *)
+let prop_pool_matches_reference_lru =
+  Fixtures.qtest ~count:300 "pool LRU = reference list-LRU (random gets)"
+    QCheck2.Gen.(
+      triple (int_range 1 8) bool (list_size (int_bound 200) (int_bound 11)))
+    (fun (capacity, pinned, gets) ->
+      let d = Disk.create ~page_size:64 () in
+      let pages =
+        Array.init 12 (fun i ->
+            let pid = Disk.allocate d in
+            Disk.write d pid (Bytes.make 64 (Char.chr (65 + i)));
+            pid)
+      in
+      let epoch = if pinned then Some (Epoch.pin (Disk.epoch d)) else None in
+      let pool = Buffer_pool.create ~capacity ?epoch d in
+      let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      List.for_all
+        (fun i ->
+          let pid = pages.(i) in
+          if List.mem pid !lru then begin
+            incr hits;
+            lru := pid :: List.filter (( <> ) pid) !lru
+          end
+          else begin
+            incr misses;
+            if List.length !lru = capacity then begin
+              incr evictions;
+              lru := List.filteri (fun j _ -> j < capacity - 1) !lru
+            end;
+            lru := pid :: !lru
+          end;
+          let frame = Buffer_pool.get pool pid in
+          let s = Buffer_pool.stats pool in
+          Bytes.get frame 0 = Char.chr (65 + i)
+          && s.Buffer_pool.hits = !hits
+          && s.Buffer_pool.misses = !misses
+          && s.Buffer_pool.evictions = !evictions
+          && Array.for_all
+               (fun p -> Buffer_pool.resident pool p = List.mem p !lru)
+               pages)
+        gets)
+
+let test_pinned_pool_mark_dirty_raises () =
+  let d = Disk.create ~page_size:64 () in
+  let pid = Disk.allocate d in
+  let pool = Buffer_pool.create ~epoch:(Epoch.pin (Disk.epoch d)) d in
+  ignore (Buffer_pool.get pool pid);
+  Alcotest.check_raises "pinned pools are read-only"
+    (Invalid_argument "Buffer_pool.mark_dirty: pinned pools are read-only")
+    (fun () -> Buffer_pool.mark_dirty pool pid)
 
 (* --- NoK layout --- *)
 
@@ -270,6 +323,9 @@ let suite =
     Alcotest.test_case "pool writeback" `Quick test_pool_writeback;
     Alcotest.test_case "pool mark_dirty after evict" `Quick
       test_pool_mark_dirty_after_evict;
+    prop_pool_matches_reference_lru;
+    Alcotest.test_case "pinned pool mark_dirty raises" `Quick
+      test_pinned_pool_mark_dirty_raises;
     Alcotest.test_case "layout roundtrip (figure 2)" `Quick test_layout_roundtrip_figure2;
     Alcotest.test_case "layout codes" `Quick test_layout_codes;
     Alcotest.test_case "layout headers" `Quick test_layout_headers;

@@ -4,7 +4,6 @@
 module Prng = Dolx_util.Prng
 module Bitset = Dolx_util.Bitset
 module Varint = Dolx_util.Varint
-module Lru = Dolx_util.Lru
 module Binsearch = Dolx_util.Binsearch
 module Int_vec = Dolx_util.Int_vec
 module Stats = Dolx_util.Stats
@@ -153,33 +152,6 @@ let test_varint_lengths () =
   check Alcotest.int "2 bytes" 2 (Varint.encoded_length 128);
   check Alcotest.int "3 bytes" 3 (Varint.encoded_length (1 lsl 14))
 
-(* --- LRU --- *)
-
-let test_lru_eviction_order () =
-  let l = Lru.create () in
-  Lru.touch l 1;
-  Lru.touch l 2;
-  Lru.touch l 3;
-  Lru.touch l 1;
-  (* LRU order now: 2 (oldest), 3, 1 *)
-  check Alcotest.(option int) "evict 2" (Some 2) (Lru.pop_lru l);
-  check Alcotest.(option int) "evict 3" (Some 3) (Lru.pop_lru l);
-  check Alcotest.(option int) "evict 1" (Some 1) (Lru.pop_lru l);
-  check Alcotest.(option int) "empty" None (Lru.pop_lru l)
-
-let test_lru_remove () =
-  let l = Lru.create () in
-  Lru.touch l 1;
-  Lru.touch l 2;
-  Lru.remove l 1;
-  check Alcotest.int "size" 1 (Lru.size l);
-  check Alcotest.(option int) "only 2 left" (Some 2) (Lru.pop_lru l)
-
-let test_lru_to_list () =
-  let l = Lru.create () in
-  List.iter (Lru.touch l) [ 5; 6; 7; 5 ];
-  check Fixtures.int_list "mru first" [ 5; 7; 6 ] (Lru.to_list l)
-
 (* --- Binary search --- *)
 
 let prop_predecessor =
@@ -285,9 +257,6 @@ let suite =
     prop_bitset_roundtrip;
     prop_varint_roundtrip;
     Alcotest.test_case "varint lengths" `Quick test_varint_lengths;
-    Alcotest.test_case "lru eviction order" `Quick test_lru_eviction_order;
-    Alcotest.test_case "lru remove" `Quick test_lru_remove;
-    Alcotest.test_case "lru to_list" `Quick test_lru_to_list;
     prop_predecessor;
     prop_successor;
     Alcotest.test_case "binsearch find" `Quick test_binsearch_find;
