@@ -23,9 +23,11 @@
     configuration, and for one batch per density on a 4-domain pool.
 
     The build section times the run builder itself: per density, the
-    median wall microseconds of one subject's build into a fresh index
-    (codebook columns already decoded, as on an LRU rebuild), with every
-    subject's built runs checked node by node against [Dol.accessible].
+    median wall microseconds of one subject's build into a fresh table
+    (read straight from the codebook entries, as on a subject's first
+    use in a policy state) and the mean bytes of a resident flip list,
+    with every subject's built runs checked node by node against
+    [Dol.accessible].
     Results land in BENCH_runs.json at the repo root.
 
     Overrides: DOLX_BENCH_SCALE (document size), DOLX_BENCH_RUNS_REPS
@@ -188,17 +190,18 @@ type build_point = {
   transitions : int;
   runs_per_subject : float;
   build_us : float;  (* median wall per build *)
+  bytes_per_subject : float;  (* mean resident bytes of one list *)
   b_identical : bool;
 }
 
-(* Time [repetitions] builds of every subject, each rep into a fresh
-   index; the codebook columns are decoded off the clock first. *)
+(* Check every subject's list against the oracle, then time
+   [repetitions] builds of every subject, each rep into a fresh table. *)
 let bench_build ~density dol =
   let n = Dol.n_nodes dol in
-  let warm = Access_runs.create dol in
+  let checked = Access_runs.create dol in
   let runs_total = ref 0 and identical = ref true in
   for s = 0 to n_subjects - 1 do
-    let r = Access_runs.runs warm ~subject:s in
+    let r = Access_runs.runs checked ~subject:s in
     runs_total := !runs_total + Access_runs.run_count r;
     for v = 0 to n - 1 do
       if Access_runs.mem r v <> Dol.accessible dol ~subject:s v then
@@ -219,6 +222,8 @@ let bench_build ~density dol =
     transitions = Dol.transition_count dol;
     runs_per_subject = float_of_int !runs_total /. float_of_int n_subjects;
     build_us = median times *. 1e6;
+    bytes_per_subject =
+      float_of_int (Access_runs.total_bytes checked) /. float_of_int n_subjects;
     b_identical = !identical;
   }
 
@@ -268,7 +273,7 @@ let run () =
     :: rows);
   let builds = List.rev !builds in
   table
-    ([ "density"; "transitions"; "runs/subject"; "build us"; "runs" ]
+    ([ "density"; "transitions"; "runs/subject"; "build us"; "bytes/subject"; "runs" ]
     :: List.map
          (fun b ->
            [
@@ -276,6 +281,7 @@ let run () =
              string_of_int b.transitions;
              Printf.sprintf "%.0f" b.runs_per_subject;
              Printf.sprintf "%.1f" b.build_us;
+             Printf.sprintf "%.0f" b.bytes_per_subject;
              (if b.b_identical then "= oracle" else "DIVERGED");
            ])
          builds);
@@ -321,6 +327,7 @@ let run () =
                      ("transitions", Json.num_of_int b.transitions);
                      ("runs_per_subject", Json.Num b.runs_per_subject);
                      ("build_us_p50", Json.Num b.build_us);
+                     ("bytes_per_subject", Json.Num b.bytes_per_subject);
                    ])
                builds) );
         ( "points",

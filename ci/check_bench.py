@@ -73,13 +73,15 @@ def check_runs(doc):
     builds = doc["build"]
     require(builds, "no build points")
     for b in builds:
-        for key in ("transitions", "runs_per_subject", "build_us_p50"):
+        for key in ("transitions", "runs_per_subject", "build_us_p50",
+                    "bytes_per_subject"):
             require(is_num(b[key]), f"bad {key} in build point {b}")
     return {
         "points": len(points),
         "elided": doc["checks_elided"],
         "dense_median": round(med, 2),
         "build_us_p50": {b["density"]: round(b["build_us_p50"], 1) for b in builds},
+        "bytes_per_subject": {b["density"]: round(b["bytes_per_subject"]) for b in builds},
     }
 
 

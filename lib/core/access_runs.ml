@@ -1,15 +1,15 @@
 (** Per-subject access-run index — see the interface for the design.
 
-    Concurrency: the table of materialized subjects is an immutable
-    sorted array published through an [Atomic.t].  Lookups binary-search
-    the snapshot with no lock; builds and evictions serialize on a
-    mutex, re-check the snapshot, and publish a fresh array.  LRU
-    recency is a per-entry [int Atomic.t] stamped from a global tick, so
-    table probes on the lock-free path still update recency without
-    contending on the mutex.  A handle's cursor holds the runs it last
-    probed, so repeat lookups for one subject touch no shared state. *)
+    Concurrency: a table is one [runs option Atomic.t] cell per subject.
+    A hit is an array index and an [Atomic.get]; a miss builds under the
+    mutex that every table of one store family shares, re-checks the
+    cell first, and publishes with [Atomic.set].  A cell is filled once
+    and never cleared: a new policy state gets a new table, which shares
+    the cells of the subjects whose verdicts did not change.  A handle's
+    cursor holds the list it last probed, so repeat lookups for one
+    subject touch no shared state. *)
 
-module Binsearch = Dolx_util.Binsearch
+module Bitset = Dolx_util.Bitset
 module Int_vec = Dolx_util.Int_vec
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
@@ -18,320 +18,266 @@ let c_builds = Metrics.counter "runs.builds"
 
 let c_hits = Metrics.counter "runs.hits"
 
-let c_evictions = Metrics.counter "runs.evictions"
-
 let g_bytes = Metrics.gauge "runs.bytes"
 
 let g_subjects = Metrics.gauge "runs.subjects"
 
+(* The flips of one subject, in blocks of 2^16 preorders: flip [j] is
+   [(b lsl 16) lor u16 j] where [dir.(b) <= j < dir.(b + 1)].  The
+   directory has one entry per block plus a last one, the flip count. *)
 type runs = {
-  r_subject : int;
-  r_generation : int;
   r_n : int;  (* n_nodes at build time *)
-  starts : int array;  (* sorted run starts *)
-  stops : int array;   (* parallel inclusive run ends; disjoint, maximal *)
-  r_covered : int;     (* sum of run lengths *)
+  flips : Bytes.t;  (* low 16 bits of each flip, native-endian u16 *)
+  dir : int array;  (* dir.(b): index of the first flip >= b lsl 16 *)
+  r_covered : int;  (* nodes inside accessible runs *)
 }
-
-type entry = { e_runs : runs; e_used : int Atomic.t }
 
 type t = {
-  dol : Dol.t; (* the live DOL; snapshot readers pass their own *)
-  deny : (int * int) array;  (* sorted disjoint inaccessible intervals *)
-  cap : int;
-  lock : Mutex.t;
-  tick : int Atomic.t;
-  (* Sorted by (subject, generation): entries for distinct generations
-     coexist, so an epoch-pinned reader keeps hitting the runs built
-     from its DOL snapshot while the live store fills in fresh ones;
-     stale generations age out through the LRU. *)
-  table : ((int * int) * entry) array Atomic.t;
-  (* Boundary buffer of {!build}; guarded by [lock]. *)
-  mutable scratch : int array;
+  dol : Dol.t;  (* the state the table answers for *)
+  generation : int;
+  allow : int array;  (* flips of the nodes no deny range covers *)
+  lock : Mutex.t;  (* serializes builds; shared along {!next} *)
+  cells : runs option Atomic.t array;  (* one per subject *)
 }
 
-let default_capacity = 64
-
-let normalize_deny deny =
+(* The flips of the complement of the [deny] ranges: accessible from 0
+   unless a range starts there. *)
+let allow_flips deny =
   let ranges =
     List.filter (fun (lo, hi) -> lo <= hi) deny
     |> List.sort compare
   in
-  (* coalesce overlapping / adjacent intervals *)
+  (* coalesce overlapping / adjacent intervals, so flips never repeat *)
   let rec merge = function
     | (a, b) :: (c, d) :: rest when c <= b + 1 -> merge ((a, max b d) :: rest)
     | r :: rest -> r :: merge rest
     | [] -> []
   in
-  Array.of_list (merge ranges)
+  let flips = List.concat_map (fun (lo, hi) -> [ lo; hi + 1 ]) (merge ranges) in
+  Array.of_list (match flips with 0 :: rest -> rest | fs -> 0 :: fs)
 
-let create ?(capacity = default_capacity) ?(deny = []) dol =
-  if capacity < 1 then invalid_arg "Access_runs.create: capacity < 1";
+let empty_cells dol =
+  Array.init (Codebook.width (Dol.codebook dol)) (fun _ -> Atomic.make None)
+
+let create ?(deny = []) dol =
   {
     dol;
-    deny = normalize_deny deny;
-    cap = capacity;
+    generation = Dol.generation dol;
+    allow = allow_flips deny;
     lock = Mutex.create ();
-    tick = Atomic.make 0;
-    table = Atomic.make [||];
-    scratch = [||];
+    cells = empty_cells dol;
   }
 
-let capacity t = t.cap
+let next ?only t dol =
+  let cells =
+    match only with
+    | Some s
+      when s >= 0 && s < Array.length t.cells
+           && Codebook.width (Dol.codebook dol) = Array.length t.cells ->
+        Array.mapi (fun i c -> if i = s then Atomic.make None else c) t.cells
+    | _ -> empty_cells dol
+  in
+  { t with dol; generation = Dol.generation dol; cells }
 
-let materialized t = Array.length (Atomic.get t.table)
+let generation t = t.generation
 
-(** {1 Building} *)
+(** {1 Flip lists} *)
 
-(* Subtract the deny intervals from one candidate run [lo, hi], pushing
-   the surviving pieces.  [di] is a monotone index into [deny]. *)
-let push_minus_deny deny di starts stops lo hi =
-  let nd = Array.length deny in
-  let lo = ref lo in
-  (* skip deny intervals entirely before the run *)
-  while !di < nd && snd deny.(!di) < !lo do incr di done;
-  let j = ref !di in
-  while !lo <= hi do
-    if !j >= nd || fst deny.(!j) > hi then begin
-      Int_vec.push starts !lo;
-      Int_vec.push stops hi;
-      lo := hi + 1
-    end
-    else begin
-      let dlo, dhi = deny.(!j) in
-      if dlo > !lo then begin
-        Int_vec.push starts !lo;
-        Int_vec.push stops (dlo - 1)
-      end;
-      lo := dhi + 1;
-      incr j
-    end
-  done
+let count r = r.dir.(Array.length r.dir - 1)
 
-(* Subtract the sorted disjoint [deny] intervals from sorted disjoint
-   runs. *)
-let subtract_deny deny starts stops =
-  let s = Int_vec.create () and e = Int_vec.create () in
-  let di = ref 0 in
-  Array.iteri (fun j lo -> push_minus_deny deny di s e lo stops.(j)) starts;
-  (Int_vec.to_array s, Int_vec.to_array e)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 
-(* Transitions per block of the boundary pass: before each block the
-   scratch is grown to hold one more boundary per transition, so the
-   inner loop stores without a capacity check while the scratch itself
-   tracks the boundary count, not the transition count. *)
-let block = 4096
+(* The low 16 bits of flip [j]; callers keep [0 <= j < count r]. *)
+let u16 r j = get16u r.flips (2 * j)
 
-let reserve t need =
-  let len = Array.length t.scratch in
-  if len < need then begin
-    let s = Array.make (max need (2 * len)) 0 in
-    Array.blit t.scratch 0 s 0 len;
-    t.scratch <- s
-  end
+(* The preorder of flip [j] ([0 <= j < count r]), searching its block
+   from block [b]; the directory's first entry is 0 and its last the
+   count, so both loops stop inside it. *)
+let value r b j =
+  let dir = r.dir in
+  let b = ref (min b (Array.length dir - 2)) in
+  while Array.unsafe_get dir !b > j do decr b done;
+  while Array.unsafe_get dir (!b + 1) <= j do incr b done;
+  (!b lsl 16) lor u16 r j
 
-(* The boundary pass over transitions [i, stop).  Each transition's
-   preorder is stored at [scratch.(m)] unconditionally and [m] advances
-   by [verdict lxor previous verdict], so the scratch keeps exactly the
-   preorders where the subject's accessibility flips, with no branch on
-   the verdict.  [m] counts the flips so far, hence [m land 1] is the
-   previous verdict.  Stops early at a code past [column]; returns where
-   it stopped and the new [m].  No call inside, so the loop state stays
-   in registers. *)
-let scan_flips (codes : int array) (pres : int array) column
-    (scratch : int array) i stop m =
-  let len = Bytes.length column in
-  let i = ref i and m = ref m and prev = ref (m land 1) in
-  while
-    !i < stop && (let c = Array.unsafe_get codes !i in c >= 0 && c < len)
-  do
-    let b = Char.code (Bytes.unsafe_get column (Array.unsafe_get codes !i)) in
-    Array.unsafe_set scratch !m (Array.unsafe_get pres !i);
-    m := !m + (b lxor !prev);
-    prev := b;
-    incr i
+(* The first index in [\[lo, hi)] whose low bits exceed [low], or [hi];
+   every flip before [lo] must be [<= low]'s preorder. *)
+let search r lo hi low =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if u16 r mid <= low then lo := mid + 1 else hi := mid
   done;
-  (!i, !m)
+  !lo
 
-(* Materialize [subject]'s accessible runs from [dol] at generation
-   [gen], under [t.lock] (which also guards [t.scratch]): one pass over
-   the transitions reading each verdict as a byte of the subject's
-   codebook column.  The flips alternate run starts and exclusive run
-   ends; the quarantine's deny intervals are subtracted from the
-   paired runs. *)
-let build t dol subject gen =
+(* The number of flips [<= v]: [v] is accessible iff it is odd. *)
+let rank r v =
+  if v < 0 then 0
+  else
+    let b = v lsr 16 in
+    if b >= Array.length r.dir - 1 then count r
+    else search r r.dir.(b) r.dir.(b + 1) (v land 0xffff)
+
+
+(* Pack sorted flips [f] over [n] nodes. *)
+let encode n (f : Int_vec.t) =
+  let m = Int_vec.length f in
+  let blocks = max 1 ((n + 0xffff) lsr 16) in
+  let flips = Bytes.create (2 * m) in
+  let dir = Array.make (blocks + 1) m in
+  dir.(0) <- 0;
+  let b = ref 0 and covered = ref 0 in
+  for j = 0 to m - 1 do
+    let v = Int_vec.get f j in
+    while v lsr 16 > !b do
+      incr b;
+      dir.(!b) <- j
+    done;
+    Bytes.set_uint16_ne flips (2 * j) (v land 0xffff);
+    (* a run start counts negatively, the preorder past it positively *)
+    covered := if j land 1 = 0 then !covered - v else !covered + v
+  done;
+  if m land 1 = 1 then covered := !covered + n;
+  { r_n = n; flips; dir; r_covered = !covered }
+
+(* The flips, below [n], of the nodes accessible in both flip lists
+   [f] and [g]: a merge emitting each preorder where the conjunction of
+   their parities changes. *)
+let inter n f g =
+  let out = Int_vec.create () in
+  let nf = Int_vec.length f and ng = Array.length g in
+  let i = ref 0 and j = ref 0 in
+  let next () =
+    min (if !i < nf then Int_vec.get f !i else n) (if !j < ng then g.(!j) else n)
+  in
+  let p = ref (next ()) in
+  while !p < n do
+    if !i < nf && Int_vec.get f !i = !p then incr i;
+    if !j < ng && g.(!j) = !p then incr j;
+    if (!i land !j land 1 = 1) <> (Int_vec.length out land 1 = 1) then
+      Int_vec.push out !p;
+    p := next ()
+  done;
+  out
+
+(* [subject]'s flip list under [dol]: one pass over the transitions,
+   reading each verdict from the codebook entry's bits, keeping the
+   preorders where the verdict changes; the deny ranges are then taken
+   out.  Nothing is cached in the codebook. *)
+let build t dol subject =
   Trace.with_span "runs.build" @@ fun () ->
   let cb = Dol.codebook dol in
+  if subject >= Codebook.width cb then
+    invalid_arg "Access_runs.runs: unknown subject";
   let pres = dol.Dol.trans_pre and codes = dol.Dol.trans_code in
   let k = Array.length pres in
   if Array.length codes <> k then invalid_arg "Access_runs.build: ragged DOL";
   let n = Dol.n_nodes dol in
-  let col = ref (Codebook.column cb subject) in
-  let m = ref 0 and i = ref 0 in
-  while !i < k do
-    let stop = if k - !i > block then !i + block else k in
-    reserve t (!m + (stop - !i));
-    let i', m' = scan_flips codes pres !col t.scratch !i stop !m in
-    i := i';
-    m := m';
-    if i' < stop then begin
-      (* a code interned since the column was fetched: [grants] raises
-         on an unknown code, otherwise re-fetch the extended column *)
-      ignore (Codebook.grants cb codes.(i') subject);
-      col := Codebook.column cb subject
+  let f = Int_vec.create () in
+  let prev = ref false in
+  for i = 0 to k - 1 do
+    let b = Bitset.get (Codebook.get cb codes.(i)) subject in
+    if b <> !prev then begin
+      Int_vec.push f pres.(i);
+      prev := b
     end
-  done;
-  (* close a trailing run at [n - 1] *)
-  let m = !m in
-  reserve t (m + 1);
-  let scratch = t.scratch in
-  scratch.(m) <- n;
-  let r = (m + 1) / 2 in
-  let starts = Array.init r (fun j -> scratch.(2 * j)) in
-  let stops = Array.init r (fun j -> scratch.((2 * j) + 1) - 1) in
-  let starts, stops =
-    if Array.length t.deny = 0 then (starts, stops)
-    else subtract_deny t.deny starts stops
-  in
-  let covered = ref 0 in
-  for j = 0 to Array.length starts - 1 do
-    covered := !covered + stops.(j) - starts.(j) + 1
   done;
   Metrics.incr c_builds;
-  {
-    r_subject = subject;
-    r_generation = gen;
-    r_n = n;
-    starts;
-    stops;
-    r_covered = !covered;
-  }
+  encode n (inter n f t.allow)
 
-(** {1 Table} *)
+let bytes r = Bytes.length r.flips + (8 * Array.length r.dir) + 48
 
-(* Binary search of the table for ([subject], [gen]): the entry, or
-   [None]. *)
-let lookup table subject gen =
-  let lo = ref 0 and hi = ref (Array.length table - 1) in
-  let res = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let (s, g), e = table.(mid) in
-    let c = if s <> subject then compare (s : int) subject else compare (g : int) gen in
-    if c = 0 then begin
-      res := Some e;
-      lo := !hi + 1
-    end
-    else if c < 0 then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !res
+let fold_cells f acc t =
+  Array.fold_left
+    (fun acc c -> match Atomic.get c with Some r -> f acc r | None -> acc)
+    acc t.cells
 
-let touch t e = Atomic.set e.e_used (Atomic.fetch_and_add t.tick 1)
+let resident t = fold_cells (fun a _ -> a + 1) 0 t
 
-let bytes r = (2 * 8 * Array.length r.starts) + 48
-
-let total_bytes t =
-  Array.fold_left (fun acc (_, e) -> acc + bytes e.e_runs) 0 (Atomic.get t.table)
-
-let iter_materialized f t =
-  Array.iter (fun ((s, _), e) -> f s e.e_runs) (Atomic.get t.table)
-
-let publish_gauges t =
-  Metrics.gauge_set g_bytes (float_of_int (total_bytes t));
-  Metrics.gauge_set g_subjects (float_of_int (materialized t))
-
-(* Under [t.lock]: insert/replace [key]'s entry, evicting the least
-   recently used other entries when over capacity. *)
-let install t key e =
-  let old = Atomic.get t.table in
-  let others = Array.of_list (List.filter (fun (k, _) -> k <> key) (Array.to_list old)) in
-  let others =
-    if Array.length others >= t.cap then begin
-      (* evict the least recently used until one slot is free *)
-      let victims = Array.length others - t.cap + 1 in
-      let by_use = Array.copy others in
-      Array.sort
-        (fun (_, a) (_, b) -> compare (Atomic.get a.e_used) (Atomic.get b.e_used))
-        by_use;
-      let evicted = Array.sub by_use 0 victims in
-      Metrics.add c_evictions victims;
-      Array.of_list
-        (List.filter
-           (fun (k, _) -> not (Array.exists (fun (v, _) -> v = k) evicted))
-           (Array.to_list others))
-    end
-    else others
-  in
-  let table = Array.append others [| (key, e) |] in
-  Array.sort (fun (a, _) (b, _) -> compare a b) table;
-  Atomic.set t.table table;
-  publish_gauges t
+let total_bytes t = fold_cells (fun a r -> a + bytes r) 0 t
 
 (** {1 Cursors} *)
 
-(* A handle's view of the index: [held] is the last answer of
-   {!runs_for}, [cr]/[ci] the runs and run position {!accessible} scans,
-   and [hits] the answers that were not builds, folded into [runs.hits]
-   by {!fold_metrics}. *)
+(* A handle's view of the index.  [held] is the last answer of
+   {!runs_for}, for ([h_subject], [h_gen]).  {!accessible} scans [cr],
+   for ([c_subject], [c_gen]), and remembers where its last answer
+   was found: every node of [\[lo, hi)] has [rank] flips at or before
+   it, [hi] being flip [rank] itself, and [base] is the first preorder
+   of [lo]'s block, whose flips end at index [stop].  [hits] counts the
+   answers that were not builds, folded into [runs.hits] by
+   {!fold_metrics}. *)
 type cursor = {
-  mutable held : runs option;
-  mutable cr : runs option;
-  mutable ci : int;
+  mutable held : runs;
+  mutable h_subject : int;
+  mutable h_gen : int;
+  mutable cr : runs;
+  mutable c_subject : int;
+  mutable c_gen : int;
+  mutable lo : int;
+  mutable hi : int;
+  mutable rank : int;
+  mutable base : int;
+  mutable stop : int;
   mutable hits : int;
   mutable folded_hits : int;
 }
 
-let cursor () = { held = None; cr = None; ci = 0; hits = 0; folded_hits = 0 }
+let no_runs = { r_n = 0; flips = Bytes.empty; dir = [| 0; 0 |]; r_covered = 0 }
+
+let cursor () =
+  {
+    held = no_runs; h_subject = -1; h_gen = 0;
+    cr = no_runs; c_subject = -1; c_gen = 0;
+    lo = max_int; hi = max_int; rank = 0; base = 0; stop = 0;
+    hits = 0; folded_hits = 0;
+  }
 
 let fold_metrics cu =
   Metrics.add c_hits (cu.hits - cu.folded_hits);
   cu.folded_hits <- cu.hits
 
-(* The table's runs for [subject] at [gen], built under the lock when
-   absent; a hit refreshes the entry's recency. *)
+let publish_gauges t =
+  Metrics.gauge_set g_bytes (float_of_int (total_bytes t));
+  Metrics.gauge_set g_subjects (float_of_int (resident t))
+
+(* [subject]'s list at [gen]: the cell when [gen] is the table's,
+   otherwise an uncached build. *)
 let resolve t cu dol subject gen =
   if subject < 0 then invalid_arg "Access_runs.runs: negative subject";
-  match lookup (Atomic.get t.table) subject gen with
-  | Some e ->
-      cu.hits <- cu.hits + 1;
-      touch t e;
-      e.e_runs
-  | None ->
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () ->
-          (* re-check: another domain may have built while we waited *)
-          match lookup (Atomic.get t.table) subject gen with
-          | Some e ->
-              cu.hits <- cu.hits + 1;
-              touch t e;
-              e.e_runs
-          | None ->
-              let r = build t dol subject gen in
-              let e = { e_runs = r; e_used = Atomic.make 0 } in
-              touch t e;
-              install t (subject, gen) e;
-              r)
+  if gen <> t.generation || subject >= Array.length t.cells then
+    build t dol subject
+  else
+    let cell = t.cells.(subject) in
+    match Atomic.get cell with
+    | Some r ->
+        cu.hits <- cu.hits + 1;
+        r
+    | None ->
+        Mutex.protect t.lock (fun () ->
+            (* re-check: another domain may have built while we waited *)
+            match Atomic.get cell with
+            | Some r ->
+                cu.hits <- cu.hits + 1;
+                r
+            | None ->
+                let r = build t dol subject in
+                Atomic.set cell (Some r);
+                publish_gauges t;
+                r)
 
-let is_for r subject gen = r.r_subject = subject && r.r_generation = gen
-
-(** Materialized runs for [subject] as seen by [dol] — the live DOL for
-    the writer, a pinned snapshot for an epoch reader.  [dol] must share
-    the store's subject population history (its generation identifies
-    the policy state the runs were built from).  A repeat of the
-    cursor's last answer is a hit without a table probe. *)
 let runs_for t cu ~dol ~subject =
   let gen = Dol.generation dol in
-  match cu.held with
-  | Some r when is_for r subject gen ->
-      cu.hits <- cu.hits + 1;
-      r
-  | _ ->
-      let r = resolve t cu dol subject gen in
-      cu.held <- Some r;
-      r
+  if cu.h_subject = subject && cu.h_gen = gen then begin
+    cu.hits <- cu.hits + 1;
+    cu.held
+  end
+  else begin
+    let r = resolve t cu dol subject gen in
+    cu.held <- r;
+    cu.h_subject <- subject;
+    cu.h_gen <- gen;
+    r
+  end
 
 let runs t ~subject =
   let cu = cursor () in
@@ -341,72 +287,81 @@ let runs t ~subject =
 
 (** {1 Queries} *)
 
-let run_count r = Array.length r.starts
+let run_count r = (count r + 1) / 2
 
 let covered r = r.r_covered
 
 let accessible_fraction r =
   if r.r_n = 0 then 0.0 else float_of_int r.r_covered /. float_of_int r.r_n
 
-(* Least run index [i] with [stops.(i) >= v], or [length] when none.
-   [hint] makes monotone scans O(1) amortized: try a few linear steps
-   from the hint before binary-searching. *)
-let seek r hint v =
-  let stops = r.stops in
-  let len = Array.length stops in
-  let bin () = match Binsearch.successor stops v with Some j -> j | None -> len in
-  if len = 0 then 0
-  else if hint >= 0 && hint <= len
-          && (hint = len || stops.(hint) >= v)
-          && (hint = 0 || stops.(hint - 1) < v) then hint
-  else if hint >= 0 && hint < len && stops.(hint) < v then begin
-    let i = ref (hint + 1) in
-    let steps = ref 0 in
-    while !i < len && stops.(!i) < v && !steps < 8 do incr i; incr steps done;
-    if !i < len && stops.(!i) < v then bin () else !i
-  end
-  else bin ()
-
-let mem r v =
-  let i = seek r (-1) v in
-  i < Array.length r.starts && r.starts.(i) <= v
+let mem r v = rank r v land 1 = 1
 
 let next_accessible r v =
-  let i = seek r (-1) v in
-  if i >= Array.length r.starts then None else Some (max v r.starts.(i))
+  let i = rank r v in
+  if i land 1 = 1 then Some v
+  else if i = count r then None
+  else Some (value r (v lsr 16) i)
 
 let span_inside r ~lo ~hi =
   lo > hi
   ||
-  let i = seek r (-1) lo in
-  i < Array.length r.starts && r.starts.(i) <= lo && r.stops.(i) >= hi
+  let i = rank r lo in
+  i land 1 = 1 && (i = count r || value r (lo lsr 16) i > hi)
 
-let intersect r xs =
-  let len = Array.length r.starts in
-  if len = 0 then []
+(* Point [cu] at the segment [\[v, flip i)], where [i] is [v]'s rank.
+   Starting it at [v] rather than at flip [i - 1] saves a lookup; a
+   later node below [v] just searches again.  A forward move inside
+   the block (document-order scans) takes a few linear steps over the
+   low bits before falling back to a binary search. *)
+let locate cu v =
+  let r = cu.cr in
+  if v >= cu.hi && (v - cu.base) lsr 16 = 0 then begin
+    (* flip [rank] is [hi <= v], in this block *)
+    let low = v - cu.base and stop = cu.stop in
+    let i = ref (cu.rank + 1) in
+    let last = min stop (!i + 8) in
+    while !i < last && u16 r !i <= low do incr i done;
+    let i = if !i < last || !i = stop then !i else search r !i stop low in
+    cu.rank <- i;
+    cu.lo <- v;
+    cu.hi <-
+      (if i < stop then cu.base lor u16 r i
+       else if i = count r then max_int
+       else value r (v lsr 16) i)
+  end
   else begin
-    let i = ref 0 in
-    List.filter
-      (fun v ->
-        i := seek r !i v;
-        !i < len && r.starts.(!i) <= v)
-      xs
+    let b = min (v lsr 16) (Array.length r.dir - 2) in
+    let i = rank r v in
+    cu.base <- b lsl 16;
+    cu.stop <- r.dir.(b + 1);
+    cu.rank <- i;
+    cu.lo <- v;
+    cu.hi <- (if i = count r then max_int else value r b i)
   end
 
-let accessible t cu ~dol ~subject v =
-  let r =
-    match cu.cr with
-    | Some r when is_for r subject (Dol.generation dol) -> r
-    | _ ->
-        let r = runs_for t cu ~dol ~subject in
-        cu.cr <- Some r;
-        cu.ci <- 0;
-        r
-  in
-  let i = seek r cu.ci v in
-  cu.ci <- i;
-  i < Array.length r.starts && r.starts.(i) <= v
+(* Point [cu]'s scan at [r], with no segment ([lo = hi = max_int]
+   sends the first {!locate} to the binary search). *)
+let scan cu r =
+  cu.cr <- r;
+  cu.lo <- max_int;
+  cu.hi <- max_int;
+  cu.rank <- 0
 
-let pp_runs ppf r =
-  Format.fprintf ppf "subject %d: %d runs covering %d/%d nodes (%d B, gen %d)"
-    r.r_subject (run_count r) r.r_covered r.r_n (bytes r) r.r_generation
+let intersect r xs =
+  let cu = cursor () in
+  scan cu r;
+  List.filter
+    (fun v ->
+      if v < cu.lo || v >= cu.hi then locate cu v;
+      cu.rank land 1 = 1)
+    xs
+
+let accessible t cu ~dol ~subject v =
+  let gen = Dol.generation dol in
+  if not (cu.c_subject = subject && cu.c_gen = gen) then begin
+    scan cu (runs_for t cu ~dol ~subject);
+    cu.c_subject <- subject;
+    cu.c_gen <- gen
+  end;
+  if v < cu.lo || v >= cu.hi then locate cu v;
+  cu.rank land 1 = 1

@@ -3,58 +3,68 @@
     DOL accessibility is piecewise-constant over document order: between
     two transition nodes every node carries the same ACL, and for a
     fixed subject consecutive transitions frequently agree.  This module
-    materializes, per subject, the maximal disjoint preorder intervals
-    ("runs") on which the subject's accessibility is [true] — typically
-    far fewer runs than transitions — turning hot-path checks into
-    O(log r) interval lookups, document-order scans into O(1) cursor
-    advances that skip whole denied runs, and candidate-set filtering
-    into a single galloping intersection.
+    keeps, per subject, the sorted preorders where the subject's verdict
+    flips — a run start, then the first preorder past that run, and so
+    on — typically far fewer than the transitions.  Membership is the
+    parity of the flips at or before a node, so hot-path checks are
+    O(log r), document-order scans are O(1) cursor advances that skip
+    whole denied runs, and candidate-set filtering is one monotone pass.
 
-    Lifecycle (same shape as the per-subject codebook grant slices):
-    runs are built lazily on first use, published through an [Atomic.t]
-    snapshot so concurrent readers ({!Dolx_exec} pool domains) look them
-    up lock-free, stamped with {!Dol.generation} and rebuilt when an
-    {!Update} bumps the stamp, and bounded by an LRU of materialized
-    subjects so wide subject populations cannot exhaust memory.
+    A flip list is compact: each flip is its low 16 bits in a [Bytes.t],
+    plus a directory of where each 64 Ki-preorder block begins (a
+    Roaring-style array container), so it answers by binary search with
+    no decode step.
+
+    Lifecycle: a table ({!t}) answers for one policy state, identified
+    by its {!Dol.generation} stamp, and holds one cell per subject.  A
+    subject's list is built on first use and then stays resident for as
+    long as the table lives — there is no capacity and no eviction.  A
+    [Secure_store] publishes one table per epoch beside the epoch's DOL
+    snapshot; an update that changes one subject's verdicts passes the
+    other subjects' cells on to the next table ({!next}).
 
     Deny ranges (quarantined subtrees from a damaged database image) are
     subtracted at build time, so a run verdict is exactly the secured
     store's verdict, fail-secure included. *)
 
-(** The index: one per store, shared by all reader handles. *)
+(** One policy state's table.  Safe to share across domains. *)
 type t
 
-(** One subject's materialized runs at a fixed generation.  Immutable;
-    safe to share across domains. *)
+(** One subject's flip list.  Immutable; safe to share across domains
+    and across tables. *)
 type runs
 
-(** [create ?capacity ?deny dol] — [capacity] bounds the number of
-    subjects materialized at once (default {!default_capacity});
-    [deny] lists preorder intervals (inclusive) that must answer
+(** [create ?deny dol] — an empty table for [dol]'s current policy
+    state.  [deny] lists preorder intervals (inclusive) that must answer
     inaccessible regardless of the DOL, e.g. quarantined pages. *)
-val create : ?capacity:int -> ?deny:(int * int) list -> Dol.t -> t
+val create : ?deny:(int * int) list -> Dol.t -> t
 
-val default_capacity : int
+(** [next ?only t dol] — an empty table for [dol]'s current policy
+    state, which follows [t]'s, with [t]'s deny ranges and build mutex.
+    With [only = s] the two states differ in subject [s]'s verdicts
+    alone, so the new table shares every other subject's cell with [t]
+    (a list built through either table serves both) and gives [s] a
+    fresh cell; without it nothing is shared. *)
+val next : ?only:int -> t -> Dol.t -> t
 
-val capacity : t -> int
+(** The {!Dol.generation} this table answers for. *)
+val generation : t -> int
 
-(** Number of subjects currently materialized. *)
-val materialized : t -> int
+(** Number of subjects whose list is resident in the table. *)
+val resident : t -> int
 
-(** Total bytes held by materialized runs. *)
+(** Total bytes of the resident lists. *)
 val total_bytes : t -> int
-
-(** Iterate over materialized subjects (snapshot; no locking). *)
-val iter_materialized : (int -> runs -> unit) -> t -> unit
 
 (** {1 Cursors}
 
-    A cursor caches the runs value and the last run position for one
-    (subject, generation) pair, so a document-order traversal advances
+    A cursor caches one handle's last answer — the list and the flip
+    segment around the last node checked — for one (subject,
+    generation) pair, so a document-order traversal advances
     monotonically instead of binary-searching per node, and counts the
     table hits its handle made.  Cursors are cheap, unsynchronized, and
     private to one reader; create one per handle.  Any access pattern
-    is correct — backward seeks restart. *)
+    is correct — backward seeks search again. *)
 
 type cursor
 
@@ -64,22 +74,24 @@ val cursor : unit -> cursor
     it from the cursor's domain, or after synchronizing with it. *)
 val fold_metrics : cursor -> unit
 
-(** Materialized runs for [subject] at the current generation of the
-    live DOL: served from the snapshot when fresh (lock-free), built
-    under a mutex when absent or stale.  Counted by metrics [runs.hits]
-    / [runs.builds]; LRU evictions by [runs.evictions]. *)
+(** {!runs_for} with a fresh cursor and the DOL the table was made for
+    (when that DOL has been updated in place since, the fail-safe
+    build answers).  Counted by metrics [runs.hits] / [runs.builds].
+    @raise Invalid_argument on an unknown subject. *)
 val runs : t -> subject:int -> runs
 
 (** {!runs} as seen by [dol] — the live DOL for the writer, a pinned
-    snapshot for an epoch reader — through the caller's cursor: a
-    repeat of [cu]'s last answer needs no table probe, and every answer
-    that is not a build counts as a hit on [cu] (see {!fold_metrics}).  Entries
-    are keyed by (subject, generation), so runs from distinct policy
-    states coexist and a snapshot reader never mixes runs from two
-    generations. *)
+    snapshot for an epoch reader — through the caller's cursor.  A
+    repeat of [cu]'s last answer needs no table probe; otherwise the
+    subject's cell answers (one array index and one [Atomic.get]), and
+    a miss builds under the table mutex, re-checking the cell first.
+    Every answer that is not a build counts as a hit on [cu] (see
+    {!fold_metrics}).  Fail-safe: when [dol]'s generation is not the
+    table's, no cached list is served — the list is built, uncached,
+    and counted as a build. *)
 val runs_for : t -> cursor -> dol:Dol.t -> subject:int -> runs
 
-(** {1 Queries on materialized runs} *)
+(** {1 Queries on a list} *)
 
 val run_count : runs -> int
 
@@ -102,8 +114,8 @@ val next_accessible : runs -> int -> int option
     is accessible.  Empty intervals ([lo > hi]) are contained. *)
 val span_inside : runs -> lo:int -> hi:int -> bool
 
-(** Galloping intersection of a sorted candidate list with the
-    accessible runs; preserves order and multiplicity. *)
+(** The accessible members of a candidate list, in order and with
+    multiplicity; a sorted list is one monotone pass. *)
 val intersect : runs -> int list -> int list
 
 (** {1 Membership} *)
@@ -113,7 +125,3 @@ val intersect : runs -> int list -> int list
     live or pinned snapshot) as needed.  Only a change of subject or
     generation reaches {!runs_for} (and its hit count). *)
 val accessible : t -> cursor -> dol:Dol.t -> subject:int -> int -> bool
-
-(** {1 Introspection} *)
-
-val pp_runs : Format.formatter -> runs -> unit

@@ -123,8 +123,7 @@ let extend_slice t subject =
   for c = have to count - 1 do
     if Bitset.get t.entries.(c) subject then Bytes.unsafe_set b c '\001'
   done;
-  Atomic.set cell b;
-  b
+  Atomic.set cell b
 
 (** "The s-th bit in that code book entry indicates the accessibility of
     the node for subject s" (§3.3).  Served from the subject's decoded
@@ -138,19 +137,11 @@ let grants t c subject =
       (* slow path: validate [c] exactly as before, then extend the
          column so later lookups for this subject hit *)
       let r = Bitset.get (get t c) subject in
-      ignore (extend_slice t subject);
+      extend_slice t subject;
       r
     end
   end
   else Bitset.get (get t c) subject
-
-(** [subject]'s decoded column, extended first when codes were interned
-    since it was last decoded. *)
-let column t subject =
-  if subject < 0 || subject >= Array.length t.slices then
-    invalid_arg "Codebook.column: unknown subject";
-  let b = Atomic.get t.slices.(subject) in
-  if Bytes.length b >= t.count then b else extend_slice t subject
 
 (** Code for the ACL equal to entry [c] with [subject]'s bit set to [b]. *)
 let with_bit t c subject b =

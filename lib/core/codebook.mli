@@ -48,15 +48,6 @@ val get : t -> code -> Bitset.t
     quiescent. *)
 val grants : t -> code -> int -> bool
 
-(** [subject]'s decoded column: byte [c] is ['\001'] iff entry [c] grants
-    the subject, ['\000'] otherwise.  This is the slice {!grants} reads,
-    extended first (decoding only the codes interned since) when it is
-    shorter than {!count}.  The result is shared and must not be
-    mutated; it may be shorter than a later {!count}, so callers check
-    a code against its length and fall back to {!grants}.
-    @raise Invalid_argument on an unknown subject. *)
-val column : t -> int -> Bytes.t
-
 (** Code of the ACL equal to entry [c] with [subject]'s bit set to [b]. *)
 val with_bit : t -> code -> int -> bool -> code
 

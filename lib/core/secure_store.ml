@@ -49,13 +49,14 @@ let planted_stale =
 
 (* What a writer publishes at the end of each update window: the epoch
    the state became current at, plus immutable snapshots of the DOL and
-   the page-table view.  Readers pair this with an epoch-pinned buffer
-   pool (page images from the disk's version chains) for a fully
-   consistent image. *)
+   the page-table view, and the run table answering for that DOL.
+   Readers pair this with an epoch-pinned buffer pool (page images from
+   the disk's version chains) for a fully consistent image. *)
 type pub = {
   p_epoch : int;
   p_dol : Dol.t; (* shallow snapshot: arrays never mutated in place *)
   p_layout : Nok_layout.t; (* frozen *)
+  p_runs : Access_runs.t; (* stamped with [p_dol]'s generation *)
 }
 
 (* One handle's check counts: plain ints bumped on the hot path, added
@@ -87,9 +88,11 @@ type t = {
      scan state. *)
   cursor : Nok_layout.cursor;
   span : Nok_layout.span;
-  (* Per-subject access-run index (shared across reader handles; builds
-     are internally synchronized) and this handle's private run cursor. *)
-  runs : Access_runs.t;
+  (* Per-subject access-run table of this handle's epoch (a reader's is
+     its pinned one, shared with the other readers of that epoch; the
+     live handle's is the last published) and this handle's private run
+     cursor. *)
+  mutable runs : Access_runs.t;
   mutable use_runs : bool;
   run_cursor : Access_runs.cursor;
   mutable counts : counts;
@@ -132,13 +135,15 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
   in
   let pool = Buffer_pool.create ~capacity:pool_capacity disk in
   let summary = structural_tier tree in
+  let snapshot = Dol.snapshot dol in
+  (* quarantined ranges are subtracted at run-build time, so a run
+     verdict is already fail-secure *)
+  let runs = Access_runs.create ~deny:quarantine snapshot in
   { tree; summary; use_summary = path_summary;
     dol; layout; pool; disk; pool_capacity;
     cursor = Nok_layout.cursor layout;
     span = Nok_layout.span ();
-    (* quarantined ranges are subtracted at run-build time, so a run
-       verdict is already fail-secure *)
-    runs = Access_runs.create ~deny:quarantine dol;
+    runs;
     use_runs = run_index;
     run_cursor = Access_runs.cursor ();
     counts = zero_counts (); folded = zero_counts ();
@@ -147,8 +152,9 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
       Atomic.make
         {
           p_epoch = Epoch.current (Disk.epoch disk);
-          p_dol = Dol.snapshot dol;
+          p_dol = snapshot;
           p_layout = Nok_layout.freeze layout;
+          p_runs = runs;
         };
     write_m = Mutex.create ();
     epoch_pin = None }
@@ -173,12 +179,12 @@ let reader ?pool_capacity t =
   let pool_capacity =
     match pool_capacity with Some c -> c | None -> t.pool_capacity
   in
-  let epoch_pin, dol, layout =
+  let epoch_pin, dol, layout, runs =
     if !planted_stale then
       (* Planted MVCC bug: hand out the LIVE dol / layout and an
          un-pinned pool, so this "reader" observes in-flight updates —
          the linearizability fuzz must catch it. *)
-      (None, t.dol, t.layout)
+      (None, t.dol, t.layout, t.runs)
     else begin
       (* Pin-then-validate: pin the current epoch, then check that the
          published snapshot is the one current at that epoch.  The
@@ -188,7 +194,7 @@ let reader ?pool_capacity t =
       let rec pin () =
         let e = Epoch.pin ep in
         let s = Atomic.get t.published in
-        if s.p_epoch = e then (Some e, s.p_dol, s.p_layout)
+        if s.p_epoch = e then (Some e, s.p_dol, s.p_layout, s.p_runs)
         else begin
           Epoch.unpin ep e;
           Domain.cpu_relax ();
@@ -205,6 +211,7 @@ let reader ?pool_capacity t =
     pool = Buffer_pool.create ~capacity:pool_capacity ?epoch:epoch_pin t.disk;
     cursor = Nok_layout.cursor layout;
     span = Nok_layout.span ();
+    runs;
     run_cursor = Access_runs.cursor ();
     pool_capacity;
     counts = zero_counts ();
@@ -248,17 +255,33 @@ let with_reader ?pool_capacity t f =
   let r = reader ?pool_capacity t in
   Fun.protect ~finally:(fun () -> release r) (fun () -> f r)
 
+(* The run table for the live state after a window that began at DOL
+   generation [start].  An unchanged state keeps its table.  A window
+   that made exactly one DOL change, from the state the current table
+   answers for, on behalf of [only_subject] alone, carries every other
+   subject's runs forward; anything else starts an empty table. *)
+let next_runs ?only_subject t ~start dol =
+  let old = t.runs and gen = Dol.generation dol in
+  if Access_runs.generation old = gen then old
+  else if Access_runs.generation old = start && gen = start + 1 then
+    Access_runs.next ?only:only_subject old dol
+  else Access_runs.next old dol
+
 (* Publish the live state as the next epoch's snapshot.  Order matters:
    set the new [pub] (stamped current+1) first, THEN advance the clock —
    readers pin-then-validate, so they only ever pair epoch [e] with the
    snapshot published for [e]. *)
-let publish t =
+let publish ?only_subject t ~start =
   let ep = Disk.epoch t.disk in
+  let dol = Dol.snapshot t.dol in
+  let runs = next_runs ?only_subject t ~start dol in
+  t.runs <- runs;
   Atomic.set t.published
     {
       p_epoch = Epoch.current ep + 1;
-      p_dol = Dol.snapshot t.dol;
+      p_dol = dol;
       p_layout = Nok_layout.freeze t.layout;
+      p_runs = runs;
     };
   ignore (Epoch.advance ep);
   ignore (Disk.retire t.disk)
@@ -271,7 +294,7 @@ let publish t =
     chains, so pinned readers are still consistent, and the next
     successful window supersedes the partial state.
     @raise Invalid_argument when called on a reader handle. *)
-let with_write t f =
+let with_write ?only_subject t f =
   (match t.epoch_pin with
   | Some _ -> invalid_arg "Secure_store.with_write: reader handle"
   | None -> ());
@@ -281,8 +304,9 @@ let with_write t f =
       fold_metrics t;
       Mutex.unlock t.write_m)
     (fun () ->
+      let start = Dol.generation t.dol in
       let r = f t in
-      publish t;
+      publish ?only_subject t ~start;
       r)
 
 let quarantined t = Array.to_list t.quarantine
@@ -466,8 +490,8 @@ let next_accessible t ~subject v =
     | Some u -> u
     | None -> Dol.n_nodes t.dol
 
-(** Drop inaccessible nodes from a sorted candidate list (galloping
-    intersection with the accessible runs); identity when off. *)
+(** Drop inaccessible nodes from a sorted candidate list (one monotone
+    pass over the accessible runs); identity when off. *)
 let intersect_accessible t ~subject vs =
   if not t.use_runs then vs
   else Access_runs.intersect (runs_of t ~subject) vs

@@ -66,8 +66,14 @@ val snapshot_epoch : t -> int
     successful window supersedes the partial state; pinned readers stay
     consistent via the disk's page-version chains).  Either way the
     window ends with a {!fold_metrics}.
+
+    The new epoch gets its own run table ({!run_index}).  Pass
+    [only_subject] when [f] makes one DOL change that alters no
+    subject's verdicts but [only_subject]'s: the new table then keeps
+    every other subject's runs ({!Access_runs.next}).  Otherwise it
+    starts empty.
     @raise Invalid_argument on a reader handle. *)
-val with_write : t -> (t -> 'a) -> 'a
+val with_write : ?only_subject:int -> t -> (t -> 'a) -> 'a
 
 (** The quarantined preorder ranges (sorted, inclusive); empty for stores
     built or rebuilt from source. *)
@@ -87,10 +93,13 @@ val codebook : t -> Codebook.t
 
 (** {1 Run index}
 
-    The per-subject access-run index is shared by all reader handles
-    (builds are internally synchronized); each handle owns a private
-    run cursor, so concurrent readers never share scan state. *)
+    Each published epoch has its own access-run table, shared by all
+    the reader handles pinned to it (builds are internally
+    synchronized); each handle owns a private run cursor, so concurrent
+    readers never share scan state. *)
 
+(** This handle's run table: a reader's pinned epoch's, or the last
+    published one for the live store. *)
 val run_index : t -> Access_runs.t
 
 val run_index_enabled : t -> bool
@@ -217,8 +226,8 @@ val accessible_with_skip : t -> subject:int -> Tree.node -> bool
     [Dol.n_nodes] when no accessible node remains. *)
 val next_accessible : t -> subject:int -> Tree.node -> Tree.node
 
-(** Drop inaccessible nodes from a sorted candidate list (galloping
-    intersection with the accessible runs); identity when off. *)
+(** Drop inaccessible nodes from a sorted candidate list (one monotone
+    pass over the accessible runs); identity when off. *)
 val intersect_accessible : t -> subject:int -> Tree.node list -> Tree.node list
 
 (** Is every node of [\[lo, hi\]] provably accessible (contained in one

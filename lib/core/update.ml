@@ -302,7 +302,7 @@ let refresh_pages (store : Secure_store.t) ~lo ~hi =
     {!Secure_store.with_write} window: readers pinned before it keep the
     pre-image, readers created after it see the whole update. *)
 let set_node_accessibility store ~subject ~grant v =
-  Secure_store.with_write store (fun store ->
+  Secure_store.with_write ~only_subject:subject store (fun store ->
       Metrics.incr c_node_updates;
       let changed = dol_set_node (Secure_store.dol store) ~subject ~grant v in
       if changed then refresh_pages store ~lo:v ~hi:(v + 1);
@@ -311,7 +311,7 @@ let set_node_accessibility store ~subject ~grant v =
 (** Subtree accessibility update on a secured store (~N/B page I/Os);
     one update window like {!set_node_accessibility}. *)
 let set_subtree_accessibility store ~subject ~grant v =
-  Secure_store.with_write store (fun store ->
+  Secure_store.with_write ~only_subject:subject store (fun store ->
       Metrics.incr c_subtree_updates;
       let tree = Secure_store.tree store in
       let dol = Secure_store.dol store in

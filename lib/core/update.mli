@@ -68,12 +68,14 @@ val refresh_pages : Secure_store.t -> lo:int -> hi:int -> unit
 (** Single-node accessibility update on a secured store: logical change
     plus page write-back ("a page read followed by a page write").  Runs
     as one {!Secure_store.with_write} window — readers pinned before it
-    keep the pre-image, readers created after see the whole update. *)
+    keep the pre-image, readers created after see the whole update —
+    and the new epoch keeps every other subject's access runs. *)
 val set_node_accessibility :
   Secure_store.t -> subject:int -> grant:bool -> Tree.node -> bool
 
 (** Subtree accessibility update on a secured store (~N/B page I/Os);
-    one update window like {!set_node_accessibility}. *)
+    one update window like {!set_node_accessibility}, keeping the other
+    subjects' access runs too. *)
 val set_subtree_accessibility :
   Secure_store.t -> subject:int -> grant:bool -> Tree.node -> unit
 

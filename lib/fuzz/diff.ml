@@ -295,7 +295,14 @@ let apply_access st i upd =
    and hi are the counter before and after the probe window (the +1
    because the writer publishes before bumping the counter).  A torn
    snapshot — runs from two policy states, or a page at the wrong
-   version — matches no single S_j and fails here. *)
+   version — matches no single S_j and fails here.
+
+   The writer also observes every state itself, on a reader it pins
+   right after each publish (and once before the first update), and
+   that observation must match S_j exactly.  Those checks do not depend
+   on how the readers were scheduled, so a bug visible in a single
+   state fails the case every time — which keeps shrinking
+   deterministic — and their failures are reported first. *)
 let check_linearizable st ~seed tag =
   let n = Tree.size st.tree and w = Oracle.width st.oracle in
   let prng = Prng.create seed in
@@ -328,6 +335,36 @@ let check_linearizable st ~seed tag =
   let query =
     match st.case.Gen.queries with q :: _ -> Some q.Gen.pat | [] -> None
   in
+  let observe r =
+    let obs =
+      List.map
+        (fun v -> List.init w (fun s -> Store.accessible r ~subject:s v))
+        probes
+    in
+    let qans =
+      Option.map
+        (fun pat -> (Engine.run r st.index pat (Engine.Secure 0)).Engine.answers)
+        query
+    in
+    (obs, qans)
+  in
+  let matches j (obs, qans) =
+    let m = states.(j) in
+    List.for_all2
+      (fun v row -> List.for_all2 (fun s b -> m.(s).(v) = b) (List.init w Fun.id) row)
+      probes obs
+    &&
+    match (query, qans) with
+    | Some pat, Some ans ->
+        ans = Oracle.eval st.tree (Oracle.Bound (fun v -> m.(0).(v))) pat
+    | _ -> true
+  in
+  let own = ref [] in
+  let check_own j =
+    if not (matches j (Store.with_reader st.store observe)) then
+      own := Printf.sprintf "writer's reader after %d update(s) does not read S%d" j j
+             :: !own
+  in
   let counter = Atomic.make 0 in
   let failures = Atomic.make [] in
   let record f =
@@ -343,34 +380,9 @@ let check_linearizable st ~seed tag =
     while !continue do
       incr iter;
       let lo = Atomic.get counter in
-      let obs, qans =
-        Store.with_reader st.store (fun r ->
-            let obs =
-              List.map
-                (fun v -> List.init w (fun s -> Store.accessible r ~subject:s v))
-                probes
-            in
-            let qans =
-              Option.map
-                (fun pat ->
-                  (Engine.run r st.index pat (Engine.Secure 0)).Engine.answers)
-                query
-            in
-            (obs, qans))
-      in
+      let seen = Store.with_reader st.store observe in
       let hi = min (Atomic.get counter + 1) k in
-      let matches j =
-        let m = states.(j) in
-        List.for_all2
-          (fun v row -> List.for_all2 (fun s b -> m.(s).(v) = b) (List.init w Fun.id) row)
-          probes obs
-        &&
-        match (query, qans) with
-        | Some pat, Some ans ->
-            ans = Oracle.eval st.tree (Oracle.Bound (fun v -> m.(0).(v))) pat
-        | _ -> true
-      in
-      let rec any j = j <= hi && (matches j || any (j + 1)) in
+      let rec any j = j <= hi && (matches j seen || any (j + 1)) in
       if not (any lo) then
         record
           (Printf.sprintf
@@ -396,6 +408,7 @@ let check_linearizable st ~seed tag =
         done)
       probes
   in
+  check_own 0;
   let readers =
     List.init (max 1 (st.cfg.jobs - 1)) (fun _ -> Domain.spawn reader)
   in
@@ -407,6 +420,7 @@ let check_linearizable st ~seed tag =
       | s, v, grant, false ->
           ignore (Update.set_node_accessibility st.store ~subject:s ~grant v));
       Atomic.set counter (j + 1);
+      check_own (j + 1);
       if j = 0 then check_held "after first update")
     upds;
   List.iter Domain.join readers;
@@ -414,7 +428,7 @@ let check_linearizable st ~seed tag =
   Store.release held;
   (* fold the schedule into the trace oracle so the case continues *)
   List.iter (apply_to st.oracle) upds;
-  match Atomic.get failures with
+  match List.rev !own @ Atomic.get failures with
   | [] -> ()
   | f :: _ -> failf tag "%s" f
 

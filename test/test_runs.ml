@@ -1,7 +1,7 @@
 (** Access-run index: equivalence with the DOL oracle, lifecycle under
-    updates (generation staleness), LRU bounds, range-query helpers, and
-    end-to-end answer preservation — sequential, quarantined, and on the
-    multicore executor. *)
+    updates (generation staleness, per-epoch tables, carry-forward),
+    residency, range-query helpers, and end-to-end answer preservation —
+    sequential, quarantined, and on the multicore executor. *)
 
 module Tree = Dolx_xml.Tree
 module Prng = Dolx_util.Prng
@@ -53,7 +53,7 @@ let prop_runs_match_dol =
       true)
 
 (* Per-node verdict read from the codebook entry's bit-vector, bypassing
-   the decoded per-subject columns the run builder reads. *)
+   the decoded per-subject slices [Codebook.grants] reads. *)
 let entry_grants dol ~subject v =
   Bitset.get (Codebook.get (Dol.codebook dol) (Dol.code_at dol v)) subject
 
@@ -246,12 +246,12 @@ let test_stale_columns () =
   let n = Dol.n_nodes dol in
   let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
   let dol = Store.dol store in
-  let ri = Store.run_index store in
-  (* building every subject's runs decodes every column *)
-  for s = 0 to subjects - 1 do
-    ignore (Access_runs.runs ri ~subject:s)
-  done;
   let cb = Dol.codebook dol in
+  (* decode every subject's grant slice and build every subject's runs *)
+  for s = 0 to subjects - 1 do
+    ignore (Codebook.grants cb 0 s);
+    ignore (Access_runs.runs (Store.run_index store) ~subject:s)
+  done;
   let count0 = Codebook.count cb in
   let rng = Prng.create 62 in
   let rounds = ref 0 in
@@ -271,48 +271,17 @@ let test_stale_columns () =
     done
   in
   let check_runs s =
-    let r = Access_runs.runs ri ~subject:s in
+    let r = Access_runs.runs (Store.run_index store) ~subject:s in
     for v = 0 to n - 1 do
       if Access_runs.mem r v <> entry_grants dol ~subject:s v then
         Alcotest.failf "rebuilt runs: subject %d node %d" s v
     done
   in
-  (* either consumer may be the one that finds the column stale *)
+  (* either consumer may come first after the new codes *)
   for s = 0 to subjects - 1 do
     if s mod 2 = 0 then (check_grants s; check_runs s)
-    else (check_runs s; check_grants s);
-    let col = Codebook.column cb s in
-    check Alcotest.int "column extended to count" (Codebook.count cb)
-      (Bytes.length col);
-    for c = 0 to Codebook.count cb - 1 do
-      if Bytes.get col c <> '\000' <> Bitset.get (Codebook.get cb c) s then
-        Alcotest.failf "column subject %d code %d" s c
-    done
+    else (check_runs s; check_grants s)
   done
-
-(* --- LRU bound --- *)
-
-let test_lru_bound () =
-  let _, dol = make_dol ~nodes:400 ~subjects:12 21 in
-  let ri = Access_runs.create ~capacity:4 dol in
-  let ev0 = Metrics.counter_value "runs.evictions" in
-  for s = 0 to 11 do
-    ignore (Access_runs.runs ri ~subject:s)
-  done;
-  check Alcotest.bool "capacity respected" true (Access_runs.materialized ri <= 4);
-  check Alcotest.bool "evictions counted" true
-    (Metrics.counter_value "runs.evictions" > ev0);
-  (* the LRU never breaks correctness: evicted subjects rebuild *)
-  let r = Access_runs.runs ri ~subject:0 in
-  let ok = ref true in
-  for v = 0 to Dol.n_nodes dol - 1 do
-    if Access_runs.mem r v <> Dol.accessible dol ~subject:0 v then ok := false
-  done;
-  check Alcotest.bool "rebuilt subject correct" true !ok;
-  let bytes = ref 0 in
-  Access_runs.iter_materialized (fun _ r -> bytes := !bytes + Access_runs.bytes r) ri;
-  check Alcotest.int "total_bytes = sum of materialized" !bytes
-    (Access_runs.total_bytes ri)
 
 (* --- end-to-end: answers identical with the index on and off --- *)
 
@@ -400,6 +369,124 @@ let test_parallel_determinism () =
         (List.nth baseline i) r.Engine.answers)
     results
 
+(* --- per-epoch tables: update traces, carry-forward, residency --- *)
+
+(* [h]'s verdict matrix from its own run table, through a fresh cursor. *)
+let runs_matrix h =
+  let dol = Store.dol h and ri = Store.run_index h in
+  let cu = Access_runs.cursor () in
+  Array.init (Codebook.width (Dol.codebook dol)) (fun s ->
+      let r = Access_runs.runs_for ri cu ~dol ~subject:s in
+      Array.init (Dol.n_nodes dol) (Access_runs.mem r))
+
+let dol_matrix dol =
+  Array.init (Codebook.width (Dol.codebook dol)) (fun s ->
+      Array.init (Dol.n_nodes dol) (fun v -> Dol.accessible dol ~subject:s v))
+
+let prop_update_traces =
+  Fixtures.qtest ~count:25 "runs = Dol.accessible across update traces (live + pinned)"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let tree, dol = make_dol ~nodes:400 ~subjects:3 seed in
+      let n = Dol.n_nodes dol in
+      let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+      let rng = Prng.create (seed + 23) in
+      for step = 1 to 10 do
+        let width = Codebook.width (Dol.codebook (Store.dol store)) in
+        let before = dol_matrix (Store.dol store) in
+        (* a reader pinned before the step, with every list built *)
+        let pinned = Store.reader store in
+        if runs_matrix pinned <> before then
+          QCheck2.Test.fail_reportf "step %d: pinned reader before the step" step;
+        let s = Prng.int rng width and v = Prng.int rng n in
+        let grant = Prng.bool rng ~p:0.5 in
+        let op =
+          match Prng.int rng 6 with
+          | 0 | 1 ->
+              Update.set_subtree_accessibility store ~subject:s ~grant v;
+              "subtree"
+          | 2 | 3 ->
+              ignore (Update.set_node_accessibility store ~subject:s ~grant v);
+              "node"
+          | 4 when width > 2 ->
+              Update.store_remove_subject store s;
+              "remove-subject"
+          | 4 ->
+              ignore (Update.store_add_subject store ~like:s ());
+              "add-subject"
+          | _ ->
+              Update.store_compact store;
+              "compact"
+        in
+        if runs_matrix store <> dol_matrix (Store.dol store) then
+          QCheck2.Test.fail_reportf "step %d (%s): live handle" step op;
+        if runs_matrix pinned <> before then
+          QCheck2.Test.fail_reportf "step %d (%s): pinned reader left its state"
+            step op;
+        Store.release pinned
+      done;
+      true)
+
+(* A subject's verdict at [v] flipped, so the update is a real change. *)
+let flip store ~subject v =
+  not (Dol.accessible (Store.dol store) ~subject v)
+
+let test_carry_forward () =
+  let subjects = 6 in
+  let tree, dol = make_dol ~nodes:1500 ~subjects 71 in
+  let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+  let all () =
+    let cu = Access_runs.cursor () in
+    Array.init subjects (fun s ->
+        Access_runs.runs_for (Store.run_index store) cu ~dol:(Store.dol store)
+          ~subject:s)
+  in
+  let check_carried what updated update =
+    let before = all () in
+    update ();
+    let b0 = Metrics.counter_value "runs.builds" in
+    let after = all () in
+    check Alcotest.int (what ^ ": one build") 1
+      (Metrics.counter_value "runs.builds" - b0);
+    Array.iteri
+      (fun s r ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: subject %d %s" what s
+             (if s = updated then "rebuilt" else "shared"))
+          (s <> updated) (r == before.(s)))
+      after
+  in
+  let v = 40 in
+  check_carried "subtree" 2 (fun () ->
+      Update.set_subtree_accessibility store ~subject:2
+        ~grant:(flip store ~subject:2 v) v);
+  check_carried "node" 4 (fun () ->
+      ignore
+        (Update.set_node_accessibility store ~subject:4
+           ~grant:(flip store ~subject:4 v) v));
+  (* any other update starts an empty table *)
+  ignore (all ());
+  Update.store_compact store;
+  check Alcotest.int "compact: nothing resident" 0
+    (Access_runs.resident (Store.run_index store))
+
+let test_residency () =
+  let subjects = 12 in
+  let _, dol = make_dol ~nodes:800 ~subjects 21 in
+  let ri = Access_runs.create dol in
+  let built = Array.init subjects (fun s -> Access_runs.runs ri ~subject:s) in
+  check Alcotest.int "every subject resident" subjects (Access_runs.resident ri);
+  check Alcotest.int "total_bytes = sum of per-subject bytes"
+    (Array.fold_left (fun a r -> a + Access_runs.bytes r) 0 built)
+    (Access_runs.total_bytes ri);
+  let b0 = Metrics.counter_value "runs.builds" in
+  Array.iteri
+    (fun s r ->
+      check Alcotest.bool "resident list served" true
+        (Access_runs.runs ri ~subject:s == r))
+    built;
+  check Alcotest.int "no rebuild" b0 (Metrics.counter_value "runs.builds")
+
 let suite =
   [
     prop_runs_match_dol;
@@ -410,11 +497,15 @@ let suite =
     prop_rebuild_after_updates;
     Alcotest.test_case "stale columns extend after interning" `Quick
       test_stale_columns;
-    Alcotest.test_case "LRU bound and rebuild" `Quick test_lru_bound;
     Alcotest.test_case "engine: answers on = off (all semantics)" `Quick
       test_engine_equivalence;
     Alcotest.test_case "quarantined store: answers on = off" `Quick
       test_quarantined_equivalence;
     Alcotest.test_case "executor jobs=4 = sequential baseline" `Quick
       test_parallel_determinism;
+    prop_update_traces;
+    Alcotest.test_case "carry-forward shares unchanged subjects" `Quick
+      test_carry_forward;
+    Alcotest.test_case "every built subject stays resident" `Quick
+      test_residency;
   ]
