@@ -5,6 +5,27 @@ let scale =
   | Some s -> (try max 1 (int_of_string s) with _ -> 1)
   | None -> 1
 
+(** Positive integer override from the environment ([default] when
+    unset or unparsable). *)
+let env_int name default =
+  match Sys.getenv_opt name with
+  | Some s -> (try max 1 (int_of_string s) with _ -> default)
+  | None -> default
+
+(** Float override from the environment, at least 0.5. *)
+let env_float name default =
+  match Sys.getenv_opt name with
+  | Some s -> (try Float.max 0.5 (float_of_string s) with _ -> default)
+  | None -> default
+
+(** Median; the mean of the two middles for an even count, as
+    [statistics.median] computes it in ci/check_bench.py. *)
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
 (** Wall-clock the thunk; returns (result, best seconds over [reps]). *)
 let time ?(reps = 3) f =
   let best = ref infinity in

@@ -4,7 +4,7 @@
     Usage:
       dune exec bench/main.exe            # all experiments
       dune exec bench/main.exe -- fig4a   # one experiment
-    Experiments: fig4a fig4b fig5 fig6 storage queries fig7 joins updates micro robustness obs parallel mvcc runs succinct serve wire fuzz
+    Experiments: fig4a fig4b fig5 fig6 storage queries fig7 joins updates micro robustness obs parallel mvcc runs summary serve wire fuzz
     Set DOLX_BENCH_SCALE=k to scale dataset sizes by k. *)
 
 let queries_table () =
@@ -31,7 +31,7 @@ let experiments =
     ("parallel", Parallel_bench.run);
     ("mvcc", Mvcc_bench.run);
     ("runs", Runs_bench.run);
-    ("succinct", Succinct_bench.run);
+    ("summary", Summary_bench.run);
     ("serve", Serve_bench.run);
     ("wire", Wire_bench.run);
     ("fuzz", Fuzz_bench.run);
@@ -52,7 +52,7 @@ let run_all () =
   Parallel_bench.run ();
   Mvcc_bench.run ();
   Runs_bench.run ();
-  Succinct_bench.run ();
+  Summary_bench.run ();
   Serve_bench.run ();
   Wire_bench.run ();
   Fuzz_bench.run ()

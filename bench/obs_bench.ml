@@ -63,12 +63,6 @@ let time_suite_once ?(reps = 5) store index =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int reps
 
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
 (* Interleaved A/B: each repetition times the suite with tracing off
    then on, so slow drift (GC heap shape, CPU frequency, competing load)
    lands on both configurations instead of biasing whichever was

@@ -37,16 +37,6 @@ module Query_mix = Dolx_workload.Query_mix
 module Json = Dolx_obs.Json
 open Bench_common
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try max 1 (int_of_string s) with _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try Float.max 0.5 (float_of_string s) with _ -> default)
-  | None -> default
-
 let tenants = env_int "DOLX_BENCH_SERVE_TENANTS" 4
 
 let nodes = env_int "DOLX_BENCH_SERVE_NODES" (12_000 * scale)

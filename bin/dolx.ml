@@ -87,20 +87,24 @@ let make_resolver tree =
 let load_policy tree path =
   Policy_file.load ~resolve:(make_resolver tree) (read_file path)
 
+(* Bad input reported as a typed error (see the entry point below): one
+   line on stderr, exit 2.  A malformed query raises
+   [Dolx_nok.Xpath.Parse_error], a corrupt database or DOL file
+   [Db_file.Corrupt] or [Persist.Corrupt]; each is reported the same
+   way. *)
+exception Unknown_subject of string
+
+exception Unknown_mode of string
+
 let compile tree path ~mode =
   let subjects, modes, rules = load_policy tree path in
   let mode_id =
     match Mode.find_opt modes mode with
     | Some m -> m
-    | None -> failwith (Printf.sprintf "mode %S not declared in policy" mode)
+    | None -> raise (Unknown_mode mode)
   in
   let labeling = Propagate.compile tree ~subjects ~mode:mode_id rules in
   (subjects, modes, labeling)
-
-(* Bad input reported as a typed error (see the entry point below): one
-   line on stderr, exit 2.  A malformed query raises
-   [Dolx_nok.Xpath.Parse_error] and is reported the same way. *)
-exception Unknown_subject of string
 
 let subject_id subjects name =
   match Subject.find_opt subjects name with
@@ -163,7 +167,7 @@ let no_run_index_arg =
            ~doc:"Disable the per-subject access-run index; answer access \
                  checks from the physical pages.")
 
-(* --no-path-summary: the ablation side of `bench succinct` — plan
+(* --no-path-summary: the ablation side of `bench summary` — plan
    without DataGuide candidate pruning. *)
 let no_summary_arg =
   Arg.(value & flag
@@ -922,13 +926,7 @@ let stats_db db =
     (Dol.transition_count dol)
     (Dol.transition_density dol)
     (Dol.embedded_bytes dol);
-  let module Succinct = Dolx_index.Succinct in
-  (* the BP image is off the query path: built here only to report its
-     size *)
-  let succ = Succinct.build tree in
   let module Path_summary = Dolx_index.Path_summary in
-  Printf.printf "succinct image: %d bits (%.2f bits/node)\n"
-    (Succinct.size_bits succ) (Succinct.bits_per_node succ);
   let ps = Store.path_summary store in
   let st = Tree_stats.compute tree in
   Printf.printf
@@ -1030,6 +1028,15 @@ let () =
     | exception Dolx_nok.Xpath.Parse_error { position; message } ->
         Printf.eprintf "dolx: malformed query at position %d: %s\n" position
           message;
+        2
+    | exception Unknown_mode name ->
+        Printf.eprintf "dolx: mode %S not declared in policy\n" name;
+        2
+    | exception Dolx_core.Db_file.Corrupt m ->
+        Printf.eprintf "dolx: corrupt database file: %s\n" m;
+        2
+    | exception Dolx_core.Persist.Corrupt m ->
+        Printf.eprintf "dolx: corrupt DOL file: %s\n" m;
         2
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in

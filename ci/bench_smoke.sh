@@ -20,7 +20,7 @@ run_one() {
   case "$name" in
     parallel) envs=(DOLX_BENCH_PARALLEL_JOBS=1,2) ;;
     runs)     envs=(DOLX_BENCH_RUNS_NODES=6000 DOLX_BENCH_RUNS_REPS=5) ;;
-    succinct) envs=(DOLX_BENCH_SUCCINCT_NODES=6000 DOLX_BENCH_SUCCINCT_REPS=5) ;;
+    summary)  envs=(DOLX_BENCH_SUMMARY_NODES=6000 DOLX_BENCH_SUMMARY_REPS=5) ;;
     fuzz)     envs=(DOLX_BENCH_FUZZ_CASES=300) ;;
     mvcc)     envs=() ;;
     serve)    envs=(DOLX_BENCH_SERVE_NODES=9000 DOLX_BENCH_SERVE_SUBJECTS=400

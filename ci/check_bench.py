@@ -28,6 +28,12 @@ def require(cond, msg):
         raise AssertionError(msg)
 
 
+def require_recorded(doc, key, med):
+    """The median a bench records must be the one its gate recomputes."""
+    require(is_num(doc[key]) and abs(doc[key] - med) <= 1e-9,
+            f"recorded {key} {doc[key]} differs from the points' median {med}")
+
+
 def check_parallel(doc):
     require(doc["deterministic"] is True, "parallel run diverged from sequential")
     points = {p["jobs"]: p for p in doc["points"]}
@@ -67,6 +73,7 @@ def check_runs(doc):
     dense = [p["speedup"] for p in points if p["density"] == "dense"]
     require(dense, "no dense-policy points")
     med = statistics.median(dense)
+    require_recorded(doc, "dense_median_speedup", med)
     require(med >= 1.0, f"dense-policy median regressed vs runs-off: {med:.2f}x")
     # Build timings are recorded, not gated: CI hosts vary.
     require(doc["build_identical"] is True, "built runs diverged from the per-node oracle")
@@ -85,12 +92,10 @@ def check_runs(doc):
     }
 
 
-def check_succinct(doc):
+def check_summary(doc):
     require(doc["identical"] is True,
             "answers diverged with the path summary on")
     require(doc["batch_identical"] is True, "4-domain batch diverged from baseline")
-    require(is_num(doc["bits_per_node"]) and doc["bits_per_node"] <= 4.0,
-            f"succinct structure over budget: {doc['bits_per_node']} bits/node")
     require(doc["dense_summary_pruned"] > 0,
             "summary pruning elided no classes on the dense policy")
     points = doc["points"]
@@ -100,13 +105,13 @@ def check_succinct(doc):
             require(is_num(p[key]), f"bad {key} in {p}")
         require(p["identical"] is True, f"point diverged: {p}")
     med = statistics.median(p["speedup"] for p in points)
+    require_recorded(doc, "median_speedup", med)
     require(med >= 1.0, f"Table-1 median regressed vs summary-off: {med:.2f}x")
     # The wall-clock median is reported beside the modeled one, not
     # gated: CI hosts vary.
     require(is_num(doc["wall_median_speedup"]), "bad wall_median_speedup")
     return {
         "points": len(points),
-        "bits_per_node": round(doc["bits_per_node"], 2),
         "classes_pruned": doc["dense_summary_pruned"],
         "median": round(med, 2),
         "wall_median": round(doc["wall_median_speedup"], 2),
@@ -228,7 +233,7 @@ def check_wire(doc):
 CHECKS = {
     "parallel": check_parallel,
     "runs": check_runs,
-    "succinct": check_succinct,
+    "summary": check_summary,
     "obs": check_obs,
     "fuzz": check_fuzz,
     "mvcc": check_mvcc,

@@ -10,7 +10,7 @@
     makes class-level query matching a sound (conservative) filter: a
     data node can only participate in a match if its class does.
 
-    Immutable per published tree, like {!Succinct}. *)
+    Immutable per published tree, like the arena it summarizes. *)
 
 type t
 

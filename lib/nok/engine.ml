@@ -611,8 +611,6 @@ let stream_emitted st = st.st_emitted
 
 let stream_peak_buffered st = st.st_peak
 
-let stream_chunk_size st = st.st_chunk
-
 let stream_scanned st = !(st.st_scanned)
 
 let stream_joins st = !(st.st_joins)

@@ -159,7 +159,6 @@ val stream_emitted : stream -> int
     reorder margin) — the bound asserted by [bench serve]. *)
 val stream_peak_buffered : stream -> int
 
-val stream_chunk_size : stream -> int
 val stream_scanned : stream -> int
 val stream_joins : stream -> int
 val stream_segments : stream -> int

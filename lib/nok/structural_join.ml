@@ -201,5 +201,3 @@ let secure_stack_tree_desc store ~subject ~alist ~dlist =
 (** Semi-join views used by the evaluation pipeline. *)
 
 let descendants_of_pairs pairs = List.sort_uniq compare (List.map snd pairs)
-
-let ancestors_of_pairs pairs = List.sort_uniq compare (List.map fst pairs)

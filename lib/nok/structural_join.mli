@@ -34,6 +34,3 @@ val secure_stack_tree_desc :
 
 (** Distinct descendants of a pair list, ascending. *)
 val descendants_of_pairs : (int * int) list -> int list
-
-(** Distinct ancestors of a pair list, ascending. *)
-val ancestors_of_pairs : (int * int) list -> int list

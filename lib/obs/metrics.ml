@@ -115,8 +115,6 @@ let rec gauge_add g v =
 
 let gauge_value g = Atomic.get g.value
 
-let gauge_name g = g.g_name
-
 (** {1 Histograms} *)
 
 let histogram ?(reg = default) name =
@@ -139,8 +137,6 @@ let histogram ?(reg = default) name =
       in
       Hashtbl.add reg.histograms name h;
       h
-
-let histogram_name h = h.h_name
 
 (* Bucket index for a strictly positive finite value: floor(log2 v)
    clamped to the covered exponent range. *)

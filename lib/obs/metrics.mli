@@ -62,8 +62,6 @@ val gauge_add : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
-val gauge_name : gauge -> string
-
 (** {1 Histograms}
 
     Log-scale: one bucket per power of two (exponents −32…31), plus a
@@ -71,8 +69,6 @@ val gauge_name : gauge -> string
     [dropped] and never mixed into the distribution. *)
 
 val histogram : ?reg:t -> string -> histogram
-
-val histogram_name : histogram -> string
 
 val observe : histogram -> float -> unit
 

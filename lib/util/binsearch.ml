@@ -36,16 +36,3 @@ let find keys x =
   match predecessor keys x with
   | Some i when keys.(i) = x -> Some i
   | _ -> None
-
-(** Predecessor over a sorted array of pairs keyed by [fst]. *)
-let predecessor_by f arr x =
-  let n = Array.length arr in
-  if n = 0 || f arr.(0) > x then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if f arr.(mid) <= x then lo := mid else hi := mid - 1
-    done;
-    Some !lo
-  end

@@ -12,6 +12,3 @@ val successor : int array -> int -> int option
 
 (** Index of [x] in sorted [keys], if present. *)
 val find : int array -> int -> int option
-
-(** Predecessor over a sorted array keyed by [f]. *)
-val predecessor_by : ('a -> int) -> 'a array -> int -> int option

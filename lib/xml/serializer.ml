@@ -42,5 +42,3 @@ let to_string ?(indent = false) ?(v = Tree.root) tree =
   in
   go v 0;
   Buffer.contents buf
-
-let to_channel ?indent oc tree = output_string oc (to_string ?indent tree)

@@ -7,5 +7,3 @@ val escape_text : string -> string
     [indent]ed output is for humans; compact output round-trips through
     {!Parser.parse} up to insignificant whitespace. *)
 val to_string : ?indent:bool -> ?v:Tree.node -> Tree.t -> string
-
-val to_channel : ?indent:bool -> out_channel -> Tree.t -> unit

@@ -9,7 +9,6 @@ let () =
       ("cam", Test_cam.suite);
       ("storage", Test_storage.suite);
       ("index", Test_index.suite);
-      ("succinct", Test_succinct.suite);
       ("nok", Test_nok.suite);
       ("secure", Test_secure.suite);
       ("runs", Test_runs.suite);

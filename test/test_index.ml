@@ -1,8 +1,10 @@
-(** Tests for the B+-tree and the tag index. *)
+(** Tests for the B+-tree, the tag index and the path summary. *)
 
 module Btree = Dolx_index.Btree
 module Tag_index = Dolx_index.Tag_index
 module Tree = Dolx_xml.Tree
+module Path_summary = Dolx_index.Path_summary
+module Gen = Dolx_fuzz.Gen
 module Prng = Dolx_util.Prng
 
 let check = Alcotest.check
@@ -234,6 +236,123 @@ let test_engine_with_value_index () =
       Alcotest.check Fixtures.int_list q plain seeded)
     [ "//author=\"codd\""; "//title=\"joins\""; "//book[author=\"codd\"]/title" ]
 
+(* Path-summary fixtures: randomized documents plus the degenerate
+   shapes (deep chain, wide fan-out). *)
+
+(* A deep chain: a > b > c > ... nested [depth] levels. *)
+let chain_tree depth =
+  let b = Tree.Builder.create () in
+  for i = 0 to depth - 1 do
+    ignore (Tree.Builder.open_element b (Printf.sprintf "t%d" (i mod 7)))
+  done;
+  for _ = 0 to depth - 1 do
+    Tree.Builder.close_element b
+  done;
+  Tree.Builder.finish b
+
+(* A wide star: one root with [fanout] leaf children. *)
+let star_tree fanout =
+  let b = Tree.Builder.create () in
+  ignore (Tree.Builder.open_element b "root");
+  for i = 0 to fanout - 1 do
+    ignore (Tree.Builder.leaf b (Printf.sprintf "c%d" (i mod 5)) "")
+  done;
+  Tree.Builder.close_element b;
+  Tree.Builder.finish b
+
+let shapes () =
+  let random =
+    List.map
+      (fun (seed, nodes) -> (Printf.sprintf "random-%d" seed, Gen.tree ~seed ~nodes))
+      [ (1, 3); (2, 64); (3, 257); (4, 600); (5, 1025) ]
+  in
+  random
+  @ [
+      ("chain-400", chain_tree 400);
+      ("chain-1100", chain_tree 1100);
+      ("star-1500", star_tree 1500);
+      ("spec", Tree.of_spec
+         (Tree.El ("a", [ Tree.El ("b", [ Tree.El ("d", []) ]);
+                          Tree.El ("c", []) ])));
+    ]
+
+(* Path-summary oracle: group nodes by their root tag path computed by
+   walking the arena, then compare every per-class statistic. *)
+let test_summary_extents () =
+  List.iter
+    (fun (name, tree) ->
+      let ps = Path_summary.build tree in
+      let n = Tree.size tree in
+      let path v =
+        let rec up v acc =
+          if v = Tree.nil then acc
+          else up (Tree.parent tree v) (Tree.tag tree v :: acc)
+        in
+        up v []
+      in
+      let groups = Hashtbl.create 64 in
+      for v = 0 to n - 1 do
+        let k = path v in
+        Hashtbl.replace groups k (v :: Option.value ~default:[] (Hashtbl.find_opt groups k))
+      done;
+      check Alcotest.int (name ^ " classes") (Hashtbl.length groups)
+        (Path_summary.node_count ps);
+      let total = ref 0 in
+      for v = 0 to n - 1 do
+        let c = Path_summary.class_of ps v in
+        (* same class iff same path *)
+        check Alcotest.int
+          (Printf.sprintf "%s tag of class of %d" name v)
+          (Tree.tag tree v) (Path_summary.tag ps c);
+        if v > 0 then
+          check Alcotest.int
+            (Printf.sprintf "%s parent class of %d" name v)
+            (Path_summary.class_of ps (Tree.parent tree v))
+            (Path_summary.parent ps c)
+      done;
+      Hashtbl.iter
+        (fun _ vs ->
+          let c = Path_summary.class_of ps (List.hd vs) in
+          List.iter
+            (fun v ->
+              check Alcotest.int (name ^ " class agrees") c
+                (Path_summary.class_of ps v))
+            vs;
+          check Alcotest.int (name ^ " extent") (List.length vs)
+            (Path_summary.extent ps c);
+          let lo = List.fold_left min max_int vs
+          and hi = List.fold_left max (-1) vs in
+          check
+            Alcotest.(pair int int)
+            (name ^ " span") (lo, hi) (Path_summary.span ps c);
+          check Alcotest.bool (name ^ " has_leaf")
+            (List.exists (Tree.is_leaf tree) vs)
+            (Path_summary.has_leaf ps c);
+          total := !total + List.length vs)
+        groups;
+      check Alcotest.int (name ^ " extents partition") n !total;
+      (* leaf-path count against brute force *)
+      let leaf_paths = Hashtbl.create 64 in
+      for v = 0 to n - 1 do
+        if Tree.is_leaf tree v then Hashtbl.replace leaf_paths (path v) ()
+      done;
+      check Alcotest.int (name ^ " leaf paths") (Hashtbl.length leaf_paths)
+        (Path_summary.leaf_path_count ps);
+      (* classes_with_tag covers every class exactly once *)
+      let seen = Hashtbl.create 64 in
+      Dolx_xml.Tag.iter
+        (fun id _ ->
+          List.iter
+            (fun c ->
+              check Alcotest.int (name ^ " by_tag tag") id (Path_summary.tag ps c);
+              if Hashtbl.mem seen c then Alcotest.failf "%s: class listed twice" name;
+              Hashtbl.replace seen c ())
+            (Path_summary.classes_with_tag ps id))
+        (Tree.tag_table tree);
+      check Alcotest.int (name ^ " by_tag total") (Path_summary.node_count ps)
+        (Hashtbl.length seen))
+    (shapes ())
+
 let suite =
   [
     Alcotest.test_case "btree basic" `Quick test_btree_basic;
@@ -253,4 +372,5 @@ let suite =
     Alcotest.test_case "value index range + maintenance" `Quick
       test_value_index_range_and_maintenance;
     Alcotest.test_case "engine with value index" `Quick test_engine_with_value_index;
+    Alcotest.test_case "path-summary extents vs traversal" `Quick test_summary_extents;
   ]
