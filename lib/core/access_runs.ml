@@ -296,11 +296,10 @@ let accessible_fraction r =
 
 let mem r v = rank r v land 1 = 1
 
-let next_accessible r v =
+let run_from r v =
   let i = rank r v in
-  if i land 1 = 1 then Some v
-  else if i = count r then None
-  else Some (value r (v lsr 16) i)
+  let flip j = if j >= count r then max_int else value r (v lsr 16) j in
+  if i land 1 = 1 then (v, flip i) else (flip i, flip (i + 1))
 
 let span_inside r ~lo ~hi =
   lo > hi
@@ -346,15 +345,6 @@ let scan cu r =
   cu.lo <- max_int;
   cu.hi <- max_int;
   cu.rank <- 0
-
-let intersect r xs =
-  let cu = cursor () in
-  scan cu r;
-  List.filter
-    (fun v ->
-      if v < cu.lo || v >= cu.hi then locate cu v;
-      cu.rank land 1 = 1)
-    xs
 
 let accessible t cu ~dol ~subject v =
   let gen = Dol.generation dol in

@@ -7,8 +7,8 @@
     flips — a run start, then the first preorder past that run, and so
     on — typically far fewer than the transitions.  Membership is the
     parity of the flips at or before a node, so hot-path checks are
-    O(log r), document-order scans are O(1) cursor advances that skip
-    whole denied runs, and candidate-set filtering is one monotone pass.
+    O(log r), document-order scans are O(1) cursor advances, and a sorted
+    candidate scan skips a whole denied run per {!run_from} call.
 
     A flip list is compact: each flip is its low 16 bits in a [Bytes.t],
     plus a directory of where each 64 Ki-preorder block begins (a
@@ -106,17 +106,16 @@ val bytes : runs -> int
 (** O(log r) membership: is node [v] inside an accessible run? *)
 val mem : runs -> int -> bool
 
-(** Least accessible preorder [>= v], if any. *)
-val next_accessible : runs -> int -> int option
+(** [run_from r v] — the accessible run holding or following [v], as
+    [(lo, hi)]: [lo] is the least accessible preorder [>= v] and [hi]
+    the first preorder past its run ([max_int] when the run has no end
+    flip).  [(max_int, max_int)] when no accessible node remains. *)
+val run_from : runs -> int -> int * int
 
 (** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
     are maximal and disjoint, this holds iff every node in the interval
     is accessible.  Empty intervals ([lo > hi]) are contained. *)
 val span_inside : runs -> lo:int -> hi:int -> bool
-
-(** The accessible members of a candidate list, in order and with
-    multiplicity; a sorted list is one monotone pass. *)
-val intersect : runs -> int list -> int list
 
 (** {1 Membership} *)
 

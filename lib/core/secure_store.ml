@@ -481,20 +481,13 @@ let accessible_with_skip (t : t) ~subject v =
 (* [subject]'s runs as this handle's DOL sees them, through its cursor. *)
 let runs_of t ~subject = Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~subject
 
-(** Least accessible preorder [>= v]; [v] itself when the index is off
-    (no skipping), [n_nodes] when no accessible node remains. *)
-let next_accessible t ~subject v =
-  if not t.use_runs then v
-  else
-    match Access_runs.next_accessible (runs_of t ~subject) v with
-    | Some u -> u
-    | None -> Dol.n_nodes t.dol
-
-(** Drop inaccessible nodes from a sorted candidate list (one monotone
-    pass over the accessible runs); identity when off. *)
-let intersect_accessible t ~subject vs =
-  if not t.use_runs then vs
-  else Access_runs.intersect (runs_of t ~subject) vs
+(** The accessible run holding or following [v] (see
+    {!Access_runs.run_from}); [(v, max_int)] when the index is off, so
+    nothing is skipped.  Applied to [~subject] alone, one run lookup
+    serves every later call. *)
+let accessible_run t ~subject =
+  if not t.use_runs then fun v -> (v, max_int)
+  else Access_runs.run_from (runs_of t ~subject)
 
 (** Is every node in [\[lo, hi\]] provably accessible (single-run
     containment)?  [false] means "unknown" when the index is off. *)

@@ -11,8 +11,8 @@ type t
     page occupancy at build time (slack absorbs update growth, §3.4).
     [run_index] (default [true]) enables the per-subject access-run
     index ({!Access_runs}): checks are answered from materialized
-    accessible intervals instead of page decodes, and the engine can
-    prune candidate sets by range intersection.  Disable it to measure
+    accessible intervals instead of page decodes, and the engine's
+    candidate scans skip whole denied runs.  Disable it to measure
     the paper's unaided §3.3 path.
     [path_summary] (default [true]) enables DataGuide candidate-class
     pruning in the engine.  The summary is always built; the flag only
@@ -222,13 +222,14 @@ val accessible_with_skip : t -> subject:int -> Tree.node -> bool
     conservative identity when the run index is off, so callers need no
     mode split. *)
 
-(** Least accessible preorder [>= v]; [v] itself when the index is off,
-    [Dol.n_nodes] when no accessible node remains. *)
-val next_accessible : t -> subject:int -> Tree.node -> Tree.node
-
-(** Drop inaccessible nodes from a sorted candidate list (one monotone
-    pass over the accessible runs); identity when off. *)
-val intersect_accessible : t -> subject:int -> Tree.node list -> Tree.node list
+(** [accessible_run t ~subject v] — the accessible run holding or
+    following [v], as [(lo, hi)]: [lo] is the least accessible preorder
+    [>= v] and [hi] the first preorder past its run ([max_int] for an
+    open end; [(max_int, max_int)] when none remains).  A sorted scan
+    skips a whole denied run per call.  [(v, max_int)] when the index is
+    off, so nothing is skipped.  Applied to [~subject] alone, one run
+    lookup serves every later call. *)
+val accessible_run : t -> subject:int -> Tree.node -> int * int
 
 (** Is every node of [\[lo, hi\]] provably accessible (contained in one
     accessible run)?  [false] means "unknown" when the index is off. *)

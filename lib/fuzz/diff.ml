@@ -9,6 +9,7 @@ module Db_file = Dolx_core.Db_file
 module Group_commit = Dolx_core.Group_commit
 module Disk = Dolx_storage.Disk
 module Tag_index = Dolx_index.Tag_index
+module Value_index = Dolx_index.Value_index
 module Engine = Dolx_nok.Engine
 module Exec = Dolx_exec.Exec
 module Prng = Dolx_util.Prng
@@ -146,18 +147,22 @@ let all_sems st =
   Engine.Insecure
   :: List.concat (List.init w (fun s -> [ Engine.Secure s; Engine.Secure_path s ]))
 
+(* Each query on both run-index settings, and once more seeded from a
+   value index (the only path that takes value postings). *)
 let check_query st tag (q : Gen.query) =
+  let value_index = Value_index.build st.tree in
   List.iter
     (fun sem ->
       let want = Oracle.eval st.tree (oracle_sem st sem) q.Gen.pat in
-      let engine label =
-        let got = (Engine.run st.store st.index q.Gen.pat sem).Engine.answers in
+      let engine ?value_index label =
+        let got = (Engine.run ?value_index st.store st.index q.Gen.pat sem).Engine.answers in
         if got <> want then
           failf tag "%s under %s%s: engine %s, oracle %s" (Gen.query_to_string q)
             (sem_name sem) label (ints got) (ints want)
       in
       engine "";
-      with_runs_toggled st (fun () -> engine " (runs toggled)"))
+      with_runs_toggled st (fun () -> engine " (runs toggled)");
+      engine ~value_index " (value index)")
     (all_sems st)
 
 (* Executor batch (inter-query) plus one intra-query parallel run. *)

@@ -1,55 +1,38 @@
-(** Tag index: for each element name, the document-order list of nodes
-    carrying it.  Backed by the {!Btree} with composite keys
-    [tag * 2^40 + preorder], so a posting scan is a B+-tree range scan —
-    this is the "B+ trees on … tag names to start the matching" of §4.1.
-
-    Documents here are < 2^40 nodes, and tag ids < 2^22, so the composite
-    key fits comfortably in OCaml's 63-bit int. *)
+(** Tag index as CSR arrays: [nodes] holds every preorder grouped by
+    tag, and tag [t]'s postings are
+    [nodes.(offsets.(t) .. offsets.(t + 1) - 1)]. *)
 
 module Tree = Dolx_xml.Tree
 
-let shift = 40
+type t = { offsets : int array; nodes : int array }
 
-let max_pre = 1 lsl shift
-
-type t = { btree : Btree.t; n_tags : int }
-
-let composite tag pre = (tag lsl shift) lor pre
-
-(** Index every node of [tree] (bulk-loaded: one sort + one packing
-    pass). *)
 let build tree =
-  let n_tags = ref 0 in
-  let pairs = ref [] in
-  Tree.iter
-    (fun v ->
-      let tag = Tree.tag tree v in
-      if tag >= !n_tags then n_tags := tag + 1;
-      if v >= max_pre then invalid_arg "Tag_index.build: document too large";
-      pairs := (composite tag v, v) :: !pairs)
-    tree;
-  let pairs = List.sort (fun (a, _) (b, _) -> compare a b) !pairs in
-  { btree = Btree.of_sorted ~order:64 pairs; n_tags = !n_tags }
+  let n = Tree.size tree in
+  let n_tags = Tree.fold (fun m v -> max m (Tree.tag tree v + 1)) 0 tree in
+  let offsets = Array.make (n_tags + 1) 0 in
+  for v = 0 to n - 1 do
+    let tag = Tree.tag tree v in
+    offsets.(tag + 1) <- offsets.(tag + 1) + 1
+  done;
+  for tag = 1 to n_tags do
+    offsets.(tag) <- offsets.(tag) + offsets.(tag - 1)
+  done;
+  (* preorders ascend, so each tag's segment fills in document order *)
+  let fill = Array.sub offsets 0 n_tags in
+  let nodes = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let tag = Tree.tag tree v in
+    nodes.(fill.(tag)) <- v;
+    fill.(tag) <- fill.(tag) + 1
+  done;
+  { offsets; nodes }
 
-(** All nodes with tag [tag], in document order. *)
+(* A tag the tree's shared table interned after this index was built
+   (e.g. by [Tree.insert_subtree]) has no postings here. *)
 let postings t tag =
-  if tag < 0 then invalid_arg "Tag_index.postings";
-  List.map snd (Btree.range t.btree ~lo:(composite tag 0) ~hi:(composite tag (max_pre - 1)))
+  if tag < 0 || tag >= Array.length t.offsets - 1 then Postings.empty
+  else Postings.slice t.nodes t.offsets.(tag) t.offsets.(tag + 1)
 
-(** Nodes with tag [tag] whose preorder lies in [lo, hi] — used to
-    evaluate descendant steps inside a known subtree range. *)
-let postings_in t tag ~lo ~hi =
-  List.map snd (Btree.range t.btree ~lo:(composite tag lo) ~hi:(composite tag hi))
+let postings_in t tag ~lo ~hi = Postings.narrow (postings t tag) ~lo ~hi
 
-let count t tag =
-  let c = ref 0 in
-  Btree.iter_range t.btree ~lo:(composite tag 0) ~hi:(composite tag (max_pre - 1))
-    (fun _ _ -> incr c);
-  !c
-
-(** Maintenance on structural updates. *)
-let insert t tag pre = Btree.insert t.btree (composite tag pre) pre
-
-let remove t tag pre = ignore (Btree.remove t.btree (composite tag pre))
-
-let entry_count t = Btree.count t.btree
+let count t tag = Postings.length (postings t tag)

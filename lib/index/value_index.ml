@@ -1,57 +1,27 @@
-(** Value index: nodes by (tag, text value) — the other half of §4.1's
-    "B+ trees on the subtree root's value or tag names to start the
-    matching".
-
-    Built on the same {!Btree} as the tag index, keyed by
-    [hash(tag, value) * 2^40 + preorder].  Hash collisions are resolved
-    by re-checking the candidate's actual tag and text, so lookups are
-    exact; the index only narrows the candidate set. *)
+(** Value index: every non-empty-text node in one array sorted by
+    (tag, text, preorder), so a (tag, value) key's postings are one
+    contiguous slice — exact, with no hash bucket to re-verify. *)
 
 module Tree = Dolx_xml.Tree
 
-let shift = 40
+type t = { tree : Tree.t; nodes : int array }
 
-let max_pre = 1 lsl shift
+(* Order of node [v]'s key against (tag, value). *)
+let compare_key tree v tag value =
+  let c = Int.compare (Tree.tag tree v) tag in
+  if c <> 0 then c else String.compare (Tree.text tree v) value
 
-(* 22-bit hash of (tag id, value) — the key budget above the preorder
-   bits.  FNV-1a over the value, mixed with the tag. *)
-let bucket tag value =
-  let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) value;
-  (!h lxor (tag * 0x9e3779b1)) land 0x3FFFFF
-
-type t = { btree : Btree.t; tree : Tree.t }
-
-let composite tag value pre = (bucket tag value lsl shift) lor pre
-
-(** Index every non-empty-text node of [tree] (bulk-loaded). *)
 let build tree =
-  let pairs = ref [] in
-  Tree.iter
-    (fun v ->
-      if v >= max_pre then invalid_arg "Value_index.build: document too large";
-      let txt = Tree.text tree v in
-      if txt <> "" then pairs := (composite (Tree.tag tree v) txt v, v) :: !pairs)
-    tree;
-  let pairs = List.sort (fun (a, _) (b, _) -> compare a b) !pairs in
-  { btree = Btree.of_sorted ~order:64 pairs; tree }
+  let texts = Tree.fold (fun acc v -> if Tree.text tree v = "" then acc else v :: acc) [] tree in
+  let nodes = Array.of_list (List.rev texts) in
+  (* stable: equal keys keep document order *)
+  Array.stable_sort (fun u v -> compare_key tree u (Tree.tag tree v) (Tree.text tree v)) nodes;
+  { tree; nodes }
 
-(** Nodes with tag [tag] and text equal to [value], in document order.
-    Exact: candidates from the hash bucket are re-verified. *)
 let postings t tag ~value =
-  let lo = composite tag value 0 and hi = composite tag value (max_pre - 1) in
-  List.filter
-    (fun v -> Tree.tag t.tree v = tag && Tree.text t.tree v = value)
-    (List.map snd (Btree.range t.btree ~lo ~hi))
+  let n = Array.length t.nodes in
+  let cmp i = compare_key t.tree t.nodes.(i) tag value in
+  let first = Postings.bisect 0 n (fun i -> cmp i >= 0) in
+  Postings.slice t.nodes first (Postings.bisect first n (fun i -> cmp i > 0))
 
-(** Like {!postings}, restricted to the preorder range [lo, hi]. *)
-let postings_in t tag ~value ~lo ~hi =
-  List.filter (fun v -> v >= lo && v <= hi) (postings t tag ~value)
-
-(** Maintenance on text or structural updates. *)
-let insert t tag ~value pre =
-  if value <> "" then Btree.insert t.btree (composite tag value pre) pre
-
-let remove t tag ~value pre = ignore (Btree.remove t.btree (composite tag value pre))
-
-let entry_count t = Btree.count t.btree
+let postings_in t tag ~value ~lo ~hi = Postings.narrow (postings t tag ~value) ~lo ~hi

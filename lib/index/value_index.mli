@@ -1,22 +1,16 @@
 (** Value index: nodes by (tag, text value) — §4.1's "B+ trees on the
-    subtree root's value".  Hash-bucketed composite keys over the shared
-    {!Btree}; lookups re-verify candidates, so results are exact. *)
+    subtree root's value" — as one resident array sorted by (tag, text,
+    preorder).  Lookups are exact. *)
 
 type t
 
-(** Index every non-empty-text node.
-    @raise Invalid_argument on documents with >= 2^40 nodes. *)
+(** Index every non-empty-text node. *)
 val build : Dolx_xml.Tree.t -> t
 
-(** Nodes with the tag and exactly this text, in document order. *)
-val postings : t -> Dolx_xml.Tag.id -> value:string -> Dolx_xml.Tree.node list
+(** Nodes with the tag and exactly this text, in document order; empty
+    for a tag id the index never saw.  Two binary searches. *)
+val postings : t -> Dolx_xml.Tag.id -> value:string -> Postings.t
 
 (** {!postings} restricted to the preorder range [lo, hi]. *)
 val postings_in :
-  t -> Dolx_xml.Tag.id -> value:string -> lo:int -> hi:int -> Dolx_xml.Tree.node list
-
-val insert : t -> Dolx_xml.Tag.id -> value:string -> int -> unit
-
-val remove : t -> Dolx_xml.Tag.id -> value:string -> int -> unit
-
-val entry_count : t -> int
+  t -> Dolx_xml.Tag.id -> value:string -> lo:int -> hi:int -> Postings.t

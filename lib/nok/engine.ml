@@ -4,10 +4,12 @@
     The evaluator follows the paper's architecture: the pattern tree is
     decomposed ({!Decompose}) into NoK subtrees connected by ancestor–
     descendant edges; the first subtree's candidate roots come from the
-    tag index ("by using B+ trees on the subtree root's value or tag
-    names to start the matching", §4.1); each subtree is matched by
-    navigational NPM with per-node ACCESS checks in the secure modes; and
-    consecutive subtrees are combined with (ε-)Stack-Tree-Desc.
+    tag or value index — resident sorted arrays where §4.1 has "B+ trees
+    on the subtree root's value or tag names to start the matching" —
+    through one candidate pipeline ({!candidates}); each subtree is
+    matched by navigational NPM with per-node ACCESS checks in the
+    secure modes; and consecutive subtrees are combined with
+    (ε-)Stack-Tree-Desc.
 
     Semantics: under [Secure] (Cho et al., the paper's default, §4) a
     binding survives iff every *bound* node is accessible; intermediate
@@ -19,6 +21,7 @@ module Store = Dolx_core.Secure_store
 module Tree = Dolx_xml.Tree
 module Tag = Dolx_xml.Tag
 module Tag_index = Dolx_index.Tag_index
+module Postings = Dolx_index.Postings
 module Path_summary = Dolx_index.Path_summary
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
@@ -68,23 +71,6 @@ type result = {
   candidates_scanned : int;
 }
 
-(* Candidate roots for a segment whose entry axis is Descendant: all
-   nodes with the right tag — and, when the step also constrains the
-   node's text and a value index is available, only the nodes with that
-   exact value ("B+ trees on the subtree root's value or tag names to
-   start the matching", §4.1). *)
-let index_candidates ?value_index store index (p : Pattern.pnode) =
-  match p.Pattern.test with
-  | Pattern.Tag name -> (
-      let table = Tree.tag_table (Store.tree store) in
-      match Tag.find_opt table name with
-      | Some id -> (
-          match (p.Pattern.value, value_index) with
-          | Some value, Some vi -> Dolx_index.Value_index.postings vi id ~value
-          | _ -> Tag_index.postings index id)
-      | None -> [])
-  | Pattern.Wildcard -> List.init (Tree.size (Store.tree store)) Fun.id
-
 let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
 
 (* Deliberate fault site for the differential fuzzer's self-test: when
@@ -93,20 +79,53 @@ let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
    Armed only via DOLX_FUZZ_PLANT_BUG=prune; tests may toggle the ref. *)
 let planted_bug = ref (Sys.getenv_opt "DOLX_FUZZ_PLANT_BUG" = Some "prune")
 
-(* Drop candidates the subject provably cannot access (run-index
-   intersection).  Safe under both secure semantics: a pruned candidate
-   would fail its own [visit] when qualified or when re-seeding the next
-   segment, so the surviving answers are unchanged. *)
-let prune_candidates store semantics cands =
-  match subject_of semantics with
-  | None -> cands
-  | Some s ->
-      if not (Store.run_index_enabled store) then cands
-      else begin
-        let kept = Store.intersect_accessible store ~subject:s cands in
-        Metrics.add c_pruned (List.length cands - List.length kept);
-        if !planted_bug then List.filter (fun v -> v <> 2) kept else kept
-      end
+(* The one candidate pipeline, for the first segment's seed, the next
+   segment at a join and the summary-path plan: the members of the
+   slices [slices ()] returns (disjoint, in document order) whose
+   summary class is admissible for [p] and that the subject's runs
+   admit.  No admissible class skips the postings entirely.  The class
+   is checked first, so the runs are consulted for admissible
+   candidates only; a denied run is skipped with one seek in the slice,
+   and [engine.candidates_pruned] counts the admissible candidates
+   skipped that way.  Pruning is safe
+   under both secure semantics: a pruned candidate would fail its own
+   [visit] when qualified or when re-seeding the next segment. *)
+let candidates ?summary store semantics (p : Pattern.pnode) slices =
+  if Option.is_some summary then Metrics.incr c_plan_summary;
+  match summary with
+  | Some sp when Summary_prune.empty_for sp p -> []
+  | _ ->
+      let admissible =
+        match summary with
+        | None -> fun _ -> true
+        | Some sp ->
+            let a = Summary_prune.classes sp p and ps = Store.path_summary store in
+            fun v -> a.(Path_summary.class_of ps v)
+      in
+      let gate =
+        match subject_of semantics with
+        | Some s when Store.run_index_enabled store ->
+            Some (Store.accessible_run store ~subject:s)
+        | _ -> None
+      in
+      let drop_2 = !planted_bug && Option.is_some gate in
+      let pruned = ref 0 and kept = ref [] in
+      List.iter
+        (fun cands ->
+          let skipped i j =
+            if Option.is_none summary then pruned := !pruned + (j - i)
+            else
+              for k = i to j - 1 do
+                if admissible (Postings.get cands k) then incr pruned
+              done
+          in
+          ignore
+            (Postings.scan ?gate ~only:admissible ~skipped cands (fun v ->
+                 if not (drop_2 && v = 2) then kept := v :: !kept;
+                 false)))
+        (slices ());
+      if Option.is_some gate then Metrics.add c_pruned !pruned;
+      List.rev !kept
 
 let ceil_log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
@@ -126,7 +145,8 @@ let summary_analysis store pattern semantics =
     let sp = Summary_prune.analyze ~table ps pattern in
     (match subject_of semantics with
     | Some s when Store.run_index_enabled store ->
-        let dead ~lo ~hi = Store.next_accessible store ~subject:s lo > hi in
+        let run = Store.accessible_run store ~subject:s in
+        let dead ~lo ~hi = fst (run lo) > hi in
         ignore (Summary_prune.drop_dead_spans sp ~dead)
     | _ -> ());
     Metrics.add c_summary_pruned (Summary_prune.pruned_classes sp);
@@ -135,42 +155,27 @@ let summary_analysis store pattern semantics =
 
 (* Candidates for the next segment's entry step at a structural join.
    Two access paths produce the same final answers — the join keeps only
-   descendants of the current bindings, so probing each binding's
-   subtree range ([postings_in]) instead of materializing the global
-   postings list is purely a cost decision.  The model compares
+   descendants of the current bindings, so narrowing the postings to
+   each binding's subtree range ([Postings.narrow]) instead of walking the
+   whole slice is purely a cost decision.  The model compares
 
-     global:   card x (materialize + feed the join)
-     subtree:  one B+ descent per binding
-               + card x coverage x (materialize + feed the join)
+     global:   card x (walk + feed the join)
+     subtree:  one binary search per binding
+               + card x coverage x (walk + feed the join)
 
    where coverage is the fraction of the document inside binding
    subtrees, and the join-feed terms are discounted by the subject's
    accessible fraction (denied candidates are run-pruned before the
    join sees them).  The run count enters both sides symmetrically as
-   the intersection cost, so it never flips a decision between secure
-   and insecure evaluation of the same query. *)
+   the pruning cost, so it never flips a decision between secure and
+   insecure evaluation of the same query. *)
 let join_candidates ?value_index ?summary store index ~semantics ~bindings
     (p : Pattern.pnode) =
-  let class_filter cands =
-    match summary with
-    | None -> cands
-    | Some sp ->
-        Metrics.incr c_plan_summary;
-        Summary_prune.restrict sp p cands
-  in
-  let prune cands = prune_candidates store semantics (class_filter cands) in
-  match summary with
-  | Some sp when Summary_prune.empty_for sp p ->
-      (* every admissible class is gone — skip the postings entirely *)
-      Metrics.incr c_plan_summary;
-      []
-  | _ -> (
+  candidates ?summary store semantics p @@ fun () ->
+  let all = Nok_match.postings ?value_index store index p in
   match p.Pattern.test with
-  | Pattern.Wildcard -> prune (index_candidates ?value_index store index p)
-  | Pattern.Tag _ when p.Pattern.value <> None && value_index <> None ->
-      (* value postings are already maximally selective *)
-      prune (index_candidates ?value_index store index p)
-  | Pattern.Tag name -> (
+  | Pattern.Tag name
+    when Option.is_none p.Pattern.value || Option.is_none value_index -> (
       let tree = Store.tree store in
       match Tag.find_opt (Tree.tag_table tree) name with
       | None -> []
@@ -202,38 +207,27 @@ let join_candidates ?value_index ?summary store index ~semantics ~bindings
           let cost_subtree = probes +. (card *. coverage *. (1.0 +. af)) in
           if cost_subtree < cost_global then begin
             Metrics.incr c_plan_subtree;
-            prune
-              (List.sort_uniq compare
-                 (List.concat_map
-                    (fun b ->
-                      Tag_index.postings_in index id ~lo:b
-                        ~hi:(Tree.subtree_end tree b))
-                    bindings))
+            (* bindings ascend and subtrees nest or are disjoint, so the
+               outermost subtrees cover the rest, in document order *)
+            let _, slices =
+              List.fold_left
+                (fun (reach, acc) b ->
+                  if b <= reach then (reach, acc)
+                  else
+                    let hi = Tree.subtree_end tree b in
+                    (hi, Postings.narrow all ~lo:b ~hi :: acc))
+                (-1, []) bindings
+            in
+            List.rev slices
           end
           else begin
             Metrics.incr c_plan_index;
-            prune (Tag_index.postings index id)
-          end))
-
-(* Candidate roots for a first segment entered on the descendant axis:
-   index postings, class-filtered, run-pruned. *)
-let seed_candidates ?value_index ?summary store index semantics
-    (s : Decompose.step) =
-  let p = s.Decompose.pnode in
-  match summary with
-  | Some sp when Summary_prune.empty_for sp p ->
-      Metrics.incr c_plan_summary;
-      []
-  | _ ->
-      let cands = index_candidates ?value_index store index p in
-      let cands =
-        match summary with
-        | None -> cands
-        | Some sp ->
-            Metrics.incr c_plan_summary;
-            Summary_prune.restrict sp p cands
-      in
-      prune_candidates store semantics cands
+            [ all ]
+          end)
+  | Pattern.Tag _ | Pattern.Wildcard ->
+      (* value postings are already maximally selective; a wildcard
+         walks the whole document *)
+      [ all ]
 
 (* Evaluate one NoK segment from the given candidate roots (sorted).
    Returns the bindings of the segment's last trunk step, sorted and
@@ -328,61 +322,58 @@ let summary_path_filter ?value_index ~summary store index mode semantics steps
   let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   Metrics.incr c_plan_path;
   let last = steps.(k).Decompose.pnode in
-  if Summary_prune.empty_for summary last then ([], fun _ -> false)
-  else begin
-    let cands = index_candidates ?value_index store index last in
-    let cands = Summary_prune.restrict summary last cands in
-    let cands = prune_candidates store semantics cands in
-    let ps = Store.path_summary store in
-    let adm =
-      Array.map
-        (fun (st : Decompose.step) ->
-          Summary_prune.classes summary st.Decompose.pnode)
-        steps
-    in
-    let admissible i v = adm.(i).(Path_summary.class_of ps v) in
-    let qualify i v =
-      incr scanned;
-      Nok_match.qualifies store index mode steps.(i).Decompose.pnode
-        ~preds:steps.(i).Decompose.preds v
-    in
-    let n = Tree.size (Store.tree store) in
-    let memo = Hashtbl.create 512 in
-    let rec match_up i v =
-      match Hashtbl.find_opt memo ((i * n) + v) with
-      | Some b -> b
-      | None ->
-          let above =
-            if i = 0 then
-              match axis 0 with
-              | Pattern.Child -> v = Tree.root
-              | Pattern.Descendant | Pattern.Following_sibling -> true
-            else
-              match axis i with
-              | Pattern.Child ->
-                  let u = Store.parent store v in
-                  u <> Tree.nil && match_up (i - 1) u
-              | Pattern.Descendant ->
-                  let rec search u =
-                    u <> Tree.nil
-                    && ((admissible (i - 1) u
-                        && match_up (i - 1) u
-                        && Nok_match.path_clear store mode ~ctx:u v)
-                       || search (Store.parent store u))
-                  in
-                  search (Store.parent store v)
-              | Pattern.Following_sibling -> false
-          in
-          let b = above && qualify i v in
-          Hashtbl.add memo ((i * n) + v) b;
-          b
-    in
-    (cands, fun v -> match_up k v)
-  end
+  let cands =
+    candidates ~summary store semantics last (fun () ->
+        [ Nok_match.postings ?value_index store index last ])
+  in
+  let ps = Store.path_summary store in
+  let adm =
+    Array.map
+      (fun (st : Decompose.step) ->
+        Summary_prune.classes summary st.Decompose.pnode)
+      steps
+  in
+  let admissible i v = adm.(i).(Path_summary.class_of ps v) in
+  let qualify i v =
+    incr scanned;
+    Nok_match.qualifies store index mode steps.(i).Decompose.pnode
+      ~preds:steps.(i).Decompose.preds v
+  in
+  let n = Tree.size (Store.tree store) in
+  let memo = Hashtbl.create 512 in
+  let rec match_up i v =
+    match Hashtbl.find_opt memo ((i * n) + v) with
+    | Some b -> b
+    | None ->
+        let above =
+          if i = 0 then
+            match axis 0 with
+            | Pattern.Child -> v = Tree.root
+            | Pattern.Descendant | Pattern.Following_sibling -> true
+          else
+            match axis i with
+            | Pattern.Child ->
+                let u = Store.parent store v in
+                u <> Tree.nil && match_up (i - 1) u
+            | Pattern.Descendant ->
+                let rec search u =
+                  u <> Tree.nil
+                  && ((admissible (i - 1) u
+                      && match_up (i - 1) u
+                      && Nok_match.path_clear store mode ~ctx:u v)
+                     || search (Store.parent store u))
+                in
+                search (Store.parent store v)
+            | Pattern.Following_sibling -> false
+        in
+        let b = above && qualify i v in
+        Hashtbl.add memo ((i * n) + v) b;
+        b
+  in
+  (cands, fun v -> match_up k v)
 
 (* Candidate roots of the plan's first segment: the document root for a
-   child entry, class-filtered + run-pruned index postings for a
-   descendant entry. *)
+   child entry, the candidate pipeline for a descendant entry. *)
 let first_roots ?value_index ?summary store index semantics
     (plan : Decompose.plan) =
   Trace.with_span "engine.index_seed" @@ fun () ->
@@ -395,7 +386,10 @@ let first_roots ?value_index ?summary store index semantics
           invalid_arg "Engine: query cannot start with following-sibling::"
       | Pattern.Descendant -> (
           match seg.Decompose.steps with
-          | s :: _ -> seed_candidates ?value_index ?summary store index semantics s
+          | s :: _ ->
+              let p = s.Decompose.pnode in
+              candidates ?summary store semantics p (fun () ->
+                  [ Nok_match.postings ?value_index store index p ])
           | [] -> []))
 
 (** {1 Streaming evaluation}
@@ -708,7 +702,7 @@ let bindings ?(options = default_options) ?(limit = max_int) store index pattern
       | Pattern.Following_sibling ->
           invalid_arg "Engine.bindings: query cannot start with following-sibling::"
       | Pattern.Descendant ->
-          let roots = index_candidates store index first in
+          let roots = Postings.to_list (Nok_match.postings store index first) in
           List.iter
             (fun r -> if !count < limit && qualify first r then go rest r [ r ])
             roots));
@@ -737,7 +731,7 @@ let explain store index pattern =
             | Pattern.Child -> 1
             | Pattern.Following_sibling -> 0
             | Pattern.Descendant ->
-                List.length (index_candidates store index first.Decompose.pnode)
+                Postings.length (Nok_match.postings store index first.Decompose.pnode)
           in
           Buffer.add_string buf (Printf.sprintf "  [%d index candidates]" n_candidates);
           let preds = List.concat_map (fun st -> st.Decompose.preds) seg.Decompose.steps in

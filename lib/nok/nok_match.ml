@@ -17,6 +17,8 @@ module Store = Dolx_core.Secure_store
 module Tree = Dolx_xml.Tree
 module Tag = Dolx_xml.Tag
 module Tag_index = Dolx_index.Tag_index
+module Value_index = Dolx_index.Value_index
+module Postings = Dolx_index.Postings
 
 (** Evaluation mode.  [subject = None] disables access control;
     [header_skip] enables the §3.3 page-header optimization;
@@ -75,6 +77,21 @@ let test_ok store (test : Pattern.test) v =
 let value_ok store (value : string option) v =
   match value with None -> true | Some s -> Store.text store v = s
 
+(** The postings of [p]'s test: the value slice when [p] also constrains
+    the node's text and a value index is given, else the tag slice;
+    every preorder for a wildcard. *)
+let postings ?value_index store index (p : Pattern.pnode) =
+  let tree = Store.tree store in
+  match p.Pattern.test with
+  | Pattern.Wildcard -> Postings.span 0 (Tree.size tree - 1)
+  | Pattern.Tag name -> (
+      match Tag.find_opt (Tree.tag_table tree) name with
+      | None -> Postings.empty
+      | Some id -> (
+          match (p.Pattern.value, value_index) with
+          | Some value, Some vi -> Value_index.postings vi id ~value
+          | _ -> Tag_index.postings index id))
+
 (** Existential match of pattern node [p] (with its axis) in the context
     of data node [ctx]: does some data node under [ctx] satisfy [p] and,
     recursively, all of [p]'s children?  Used for predicates. *)
@@ -97,48 +114,21 @@ let rec exists_match store index mode (p : Pattern.pnode) ctx =
             Store.following_sibling store ctx
       in
       scan start
-  | Pattern.Descendant -> (
-      let last = Store.subtree_end store ctx in
-      match p.Pattern.test with
-      | Pattern.Tag name -> (
-          let table = Tree.tag_table (Store.tree store) in
-          match Tag.find_opt table name with
-          | None -> false
-          | Some id ->
-              let cands = Tag_index.postings_in index id ~lo:(ctx + 1) ~hi:last in
-              (* inaccessible candidates would fail [visit] one by one;
-                 drop them wholesale by run intersection *)
-              let cands =
-                match mode.subject with
-                | Some s -> Store.intersect_accessible store ~subject:s cands
-                | None -> cands
-              in
-              List.exists
-                (fun u ->
-                  visit store mode u
-                  && value_ok store p.Pattern.value u
-                  && path_clear store mode ~ctx u
-                  && children_match store index mode p u)
-                cands)
-      | Pattern.Wildcard ->
-          (* skip whole denied runs: the next candidate worth visiting
-             is the next accessible preorder (identity when insecure or
-             the run index is off) *)
-          let forward u =
-            match mode.subject with
-            | Some s -> Store.next_accessible store ~subject:s u
-            | None -> u
-          in
-          let rec scan u =
-            let u = if u <= last then forward u else u in
-            u <= last
-            && ((visit store mode u
-                && value_ok store p.Pattern.value u
-                && path_clear store mode ~ctx u
-                && children_match store index mode p u)
-               || scan (u + 1))
-          in
-          scan (ctx + 1))
+  | Pattern.Descendant ->
+      let cands =
+        Postings.narrow (postings store index p) ~lo:(ctx + 1)
+          ~hi:(Store.subtree_end store ctx)
+      in
+      (* inaccessible candidates would fail [visit] one by one; skip
+         whole denied runs instead *)
+      let gate =
+        Option.map (fun s -> Store.accessible_run store ~subject:s) mode.subject
+      in
+      Postings.scan ?gate cands (fun u ->
+          visit store mode u
+          && value_ok store p.Pattern.value u
+          && path_clear store mode ~ctx u
+          && children_match store index mode p u)
 
 and children_match store index mode (p : Pattern.pnode) v =
   List.for_all (fun c -> exists_match store index mode c v) p.Pattern.children

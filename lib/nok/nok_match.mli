@@ -36,6 +36,13 @@ val test_ok : Store.t -> Pattern.test -> Dolx_xml.Tree.node -> bool
 (** Does [v] pass the text-equality constraint? *)
 val value_ok : Store.t -> string option -> Dolx_xml.Tree.node -> bool
 
+(** The postings of the node's test: the value slice when it also
+    constrains the text and a value index is given, else the tag slice;
+    every preorder for a wildcard. *)
+val postings :
+  ?value_index:Dolx_index.Value_index.t -> Store.t -> Dolx_index.Tag_index.t ->
+  Pattern.pnode -> Dolx_index.Postings.t
+
 (** Existential match of pattern node [p] (with its axis) in the context
     of data node [ctx] — the predicate-evaluation primitive. *)
 val exists_match : Store.t -> Dolx_index.Tag_index.t -> mode -> Pattern.pnode ->

@@ -141,10 +141,6 @@ let classes t (p : Pattern.pnode) =
 
 let empty_for t p = not (Array.exists Fun.id (classes t p))
 
-let restrict t p cands =
-  let s = classes t p in
-  List.filter (fun v -> s.(Ps.class_of t.ps v)) cands
-
 let cardinality t p =
   let s = classes t p in
   let total = ref 0 in

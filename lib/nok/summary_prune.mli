@@ -34,10 +34,6 @@ val classes : t -> Pattern.pnode -> bool array
     cannot match. *)
 val empty_for : t -> Pattern.pnode -> bool
 
-(** Keep only candidates whose class is admissible for the pattern
-    node.  Preserves order. *)
-val restrict : t -> Pattern.pnode -> int list -> int list
-
 (** Sum of admissible extent cardinalities — the exact number of data
     nodes carrying an admissible tag path (classes of one tag partition
     its extent), used by the join cost model. *)

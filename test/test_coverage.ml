@@ -22,7 +22,6 @@ module Store = Dolx_core.Secure_store
 module Secure_view = Dolx_core.Secure_view
 module Nok_layout = Dolx_storage.Nok_layout
 module Disk = Dolx_storage.Disk
-module Btree = Dolx_index.Btree
 module Pattern = Dolx_nok.Pattern
 module Xpath = Dolx_nok.Xpath
 module Decompose = Dolx_nok.Decompose
@@ -172,13 +171,6 @@ let test_disk_errors () =
     (Invalid_argument "Disk.read: page 0 out of range (page count 0)")
     (fun () -> ignore (Disk.read d 0))
 
-let test_btree_accessors () =
-  let t = Btree.create ~order:4 () in
-  Alcotest.(check bool) "empty mem" false (Btree.mem t 1);
-  check Alcotest.int "empty height" 1 (Btree.height t);
-  Alcotest.check_raises "tiny order" (Invalid_argument "Btree.create: order must be >= 4")
-    (fun () -> ignore (Btree.create ~order:2 ()))
-
 let test_labeling_ratio () =
   let lab = Labeling.of_bool_array [| true; true; false; false |] in
   check (Alcotest.float 1e-9) "ratio" 0.5 (Labeling.accessibility_ratio lab ~subject:0)
@@ -268,7 +260,6 @@ let suite =
     Alcotest.test_case "engine count + parse_opt" `Quick test_engine_count_and_parse_opt;
     Alcotest.test_case "layout accessors" `Quick test_layout_accessors;
     Alcotest.test_case "disk errors" `Quick test_disk_errors;
-    Alcotest.test_case "btree accessors" `Quick test_btree_accessors;
     Alcotest.test_case "labeling ratio" `Quick test_labeling_ratio;
     Alcotest.test_case "view count (lift)" `Quick test_view_count_lift;
     Alcotest.test_case "codebook bytes" `Quick test_codebook_bytes;

@@ -1,110 +1,14 @@
-(** Tests for the B+-tree, the tag index and the path summary. *)
+(** Tests for the tag and value indexes and the path summary. *)
 
-module Btree = Dolx_index.Btree
 module Tag_index = Dolx_index.Tag_index
+module Postings = Dolx_index.Postings
+module Value_index = Dolx_index.Value_index
 module Tree = Dolx_xml.Tree
 module Path_summary = Dolx_index.Path_summary
 module Gen = Dolx_fuzz.Gen
 module Prng = Dolx_util.Prng
 
 let check = Alcotest.check
-
-let test_btree_basic () =
-  let t = Btree.create ~order:4 () in
-  List.iter (fun k -> Btree.insert t k (k * 10)) [ 5; 3; 8; 1; 9; 7; 2; 6; 4 ];
-  check Alcotest.int "count" 9 (Btree.count t);
-  check Alcotest.(option int) "find 7" (Some 70) (Btree.find t 7);
-  check Alcotest.(option int) "find missing" None (Btree.find t 10);
-  Btree.validate t;
-  Alcotest.(check bool) "height grew" true (Btree.height t > 1)
-
-let test_btree_overwrite () =
-  let t = Btree.create () in
-  Btree.insert t 1 10;
-  Btree.insert t 1 20;
-  check Alcotest.int "count stays 1" 1 (Btree.count t);
-  check Alcotest.(option int) "latest value" (Some 20) (Btree.find t 1)
-
-let test_btree_range () =
-  let t = Btree.create ~order:4 () in
-  for k = 0 to 99 do
-    Btree.insert t (k * 2) k
-  done;
-  let r = Btree.range t ~lo:10 ~hi:20 in
-  check
-    Alcotest.(list (pair int int))
-    "range" [ (10, 5); (12, 6); (14, 7); (16, 8); (18, 9); (20, 10) ]
-    r;
-  check Alcotest.(list (pair int int)) "empty range" [] (Btree.range t ~lo:301 ~hi:400)
-
-let test_btree_remove () =
-  let t = Btree.create ~order:4 () in
-  for k = 0 to 50 do
-    Btree.insert t k k
-  done;
-  Alcotest.(check bool) "removed" true (Btree.remove t 25);
-  Alcotest.(check bool) "second remove fails" false (Btree.remove t 25);
-  check Alcotest.(option int) "gone" None (Btree.find t 25);
-  check Alcotest.int "count" 50 (Btree.count t);
-  Btree.validate t
-
-let prop_btree_vs_map =
-  Fixtures.qtest ~count:60 "btree agrees with Map under random ops"
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 500))
-    (fun (seed, n_ops) ->
-      let module M = Map.Make (Int) in
-      let rng = Prng.create seed in
-      let t = Btree.create ~order:4 () in
-      let m = ref M.empty in
-      for _ = 1 to n_ops do
-        let k = Prng.int rng 200 in
-        match Prng.int rng 3 with
-        | 0 | 1 ->
-            let v = Prng.int rng 1000 in
-            Btree.insert t k v;
-            m := M.add k v !m
-        | _ ->
-            let removed = Btree.remove t k in
-            let expected = M.mem k !m in
-            m := M.remove k !m;
-            if removed <> expected then failwith "remove disagreement"
-      done;
-      Btree.validate t;
-      Btree.count t = M.cardinal !m
-      && M.for_all (fun k v -> Btree.find t k = Some v) !m
-      && List.for_all
-           (fun (k, v) -> M.find_opt k !m = Some v)
-           (Btree.range t ~lo:min_int ~hi:max_int))
-
-let prop_btree_range_vs_map =
-  Fixtures.qtest ~count:60 "btree range = map filter"
-    QCheck2.Gen.(
-      triple (int_bound 100_000) (int_range 1 300) (pair (int_bound 250) (int_bound 250)))
-    (fun (seed, n, (a, b)) ->
-      let module M = Map.Make (Int) in
-      let rng = Prng.create seed in
-      let t = Btree.create ~order:4 () in
-      let m = ref M.empty in
-      for _ = 1 to n do
-        let k = Prng.int rng 200 and v = Prng.int rng 100 in
-        Btree.insert t k v;
-        m := M.add k v !m
-      done;
-      let lo = min a b and hi = max a b in
-      let expected =
-        M.bindings (M.filter (fun k _ -> k >= lo && k <= hi) !m)
-      in
-      Btree.range t ~lo ~hi = expected)
-
-let test_btree_large_sequential () =
-  let t = Btree.create ~order:8 () in
-  for k = 0 to 9999 do
-    Btree.insert t k k
-  done;
-  Btree.validate t;
-  check Alcotest.int "count" 10_000 (Btree.count t);
-  Alcotest.(check bool) "reasonable height" true (Btree.height t <= 7);
-  check Alcotest.(option int) "spot check" (Some 8888) (Btree.find t 8888)
 
 let test_tag_index_postings () =
   let tree = Fixtures.library_tree () in
@@ -118,66 +22,55 @@ let test_tag_index_postings () =
   in
   List.iter
     (fun name ->
-      check Fixtures.int_list name (expected name) (Tag_index.postings idx (id name)))
-    [ "book"; "title"; "shelf"; "library" ];
-  check Alcotest.int "entry count = nodes" (Tree.size tree) (Tag_index.entry_count idx)
+      check Fixtures.int_list name (expected name)
+        (Postings.to_list (Tag_index.postings idx (id name)));
+      check Alcotest.int (name ^ " count") (List.length (expected name))
+        (Tag_index.count idx (id name)))
+    [ "book"; "title"; "shelf"; "library" ]
 
 let test_tag_index_range () =
   let tree = Fixtures.library_tree () in
   let idx = Tag_index.build tree in
   let table = Tree.tag_table tree in
   let book = Option.get (Dolx_xml.Tag.find_opt table "book") in
-  let all = Tag_index.postings idx book in
+  let all = Postings.to_list (Tag_index.postings idx book) in
   (* restrict to first shelf's subtree *)
   let shelf1 = 1 in
   let last = Tree.subtree_end tree shelf1 in
   let expected = List.filter (fun v -> v > shelf1 && v <= last) all in
   check Fixtures.int_list "in-subtree postings" expected
-    (Tag_index.postings_in idx book ~lo:(shelf1 + 1) ~hi:last)
+    (Postings.to_list (Tag_index.postings_in idx book ~lo:(shelf1 + 1) ~hi:last))
+
+(* Indexes are maintained by rebuilding.  [Tree.insert_subtree] interns
+   the fragment's names into the tree's shared tag table, so a stale
+   index is asked for an id it never saw ("zz", id 2 on an index built
+   with 2 tags): it must answer empty, and the rebuilt index must see
+   the fragment.  Returns the old tree, the new tree, the new id and
+   the fragment's preorder. *)
+let grafted () =
+  let tree = Tree.of_spec (Tree.El ("a", [ Tree.El ("b", []) ])) in
+  let fragment = Tree.of_spec (Tree.Elt ("zz", "v", [])) in
+  let tree', at = Tree.insert_subtree tree ~parent:Tree.root ~after:Tree.nil fragment in
+  let zz = Option.get (Dolx_xml.Tag.find_opt (Tree.tag_table tree) "zz") in
+  check Alcotest.int "interned past the index" 2 zz;
+  (tree, tree', zz, at)
 
 let test_tag_index_maintenance () =
-  let tree = Fixtures.library_tree () in
+  let tree, tree', zz, at = grafted () in
   let idx = Tag_index.build tree in
-  let table = Tree.tag_table tree in
-  let book = Option.get (Dolx_xml.Tag.find_opt table "book") in
-  let before = Tag_index.postings idx book in
-  Tag_index.remove idx book (List.hd before);
-  check Alcotest.int "one fewer" (List.length before - 1)
-    (List.length (Tag_index.postings idx book));
-  Tag_index.insert idx book (List.hd before);
-  check Fixtures.int_list "restored" before (Tag_index.postings idx book)
-
-let prop_of_sorted_equals_inserts =
-  Fixtures.qtest ~count:60 "bulk load = repeated inserts"
-    QCheck2.Gen.(pair (int_bound 100_000) (int_range 0 600))
-    (fun (seed, n) ->
-      let rng = Prng.create seed in
-      let keys = List.sort_uniq compare (List.init n (fun _ -> Prng.int rng 5000)) in
-      let pairs = List.map (fun k -> (k, k * 3)) keys in
-      let bulk = Btree.of_sorted ~order:8 pairs in
-      Btree.validate bulk;
-      let incr = Btree.create ~order:8 () in
-      List.iter (fun (k, v) -> Btree.insert incr k v) pairs;
-      Btree.count bulk = Btree.count incr
-      && Btree.range bulk ~lo:min_int ~hi:max_int
-         = Btree.range incr ~lo:min_int ~hi:max_int
-      && List.for_all (fun (k, v) -> Btree.find bulk k = Some v) pairs)
-
-let test_of_sorted_rejects_unsorted () =
-  Alcotest.check_raises "unsorted input"
-    (Invalid_argument "Btree.of_sorted: keys must be strictly increasing")
-    (fun () -> ignore (Btree.of_sorted [ (2, 0); (1, 0) ]))
-
-let test_of_sorted_then_insert () =
-  let t = Btree.of_sorted ~order:4 (List.init 100 (fun i -> (i * 2, i))) in
-  Btree.insert t 51 999;
-  Btree.validate t;
-  Alcotest.check Alcotest.(option int) "old key" (Some 25) (Btree.find t 50);
-  Alcotest.check Alcotest.(option int) "new key" (Some 999) (Btree.find t 51)
+  List.iter
+    (fun id ->
+      let what = Printf.sprintf "stale id %d" id in
+      check Fixtures.int_list (what ^ " postings") []
+        (Postings.to_list (Tag_index.postings idx id));
+      check Fixtures.int_list (what ^ " postings_in") []
+        (Postings.to_list (Tag_index.postings_in idx id ~lo:0 ~hi:10));
+      check Alcotest.int (what ^ " count") 0 (Tag_index.count idx id))
+    [ zz; zz + 7; -1 ];
+  check Fixtures.int_list "rebuilt" [ at ]
+    (Postings.to_list (Tag_index.postings (Tag_index.build tree') zz))
 
 (* --- value index --- *)
-
-module Value_index = Dolx_index.Value_index
 
 let test_value_index_postings () =
   let tree = Fixtures.library_tree () in
@@ -195,29 +88,35 @@ let test_value_index_postings () =
   List.iter
     (fun value ->
       Alcotest.check Fixtures.int_list value (expected value)
-        (Value_index.postings vi author ~value))
+        (Postings.to_list (Value_index.postings vi author ~value)))
     [ "codd"; "milner"; "anon"; "nobody" ];
   (* wrong tag, right text *)
   let title = Option.get (Dolx_xml.Tag.find_opt table "title") in
   Alcotest.check Fixtures.int_list "no cross-tag hits" []
-    (Value_index.postings vi title ~value:"codd")
+    (Postings.to_list (Value_index.postings vi title ~value:"codd"))
 
 let test_value_index_range_and_maintenance () =
   let tree = Fixtures.library_tree () in
   let vi = Value_index.build tree in
   let table = Tree.tag_table tree in
   let author = Option.get (Dolx_xml.Tag.find_opt table "author") in
-  let all = Value_index.postings vi author ~value:"codd" in
+  let all = Postings.to_list (Value_index.postings vi author ~value:"codd") in
   Alcotest.check Alcotest.int "two codd books" 2 (List.length all);
   let first = List.hd all in
   Alcotest.check Fixtures.int_list "restricted" [ first ]
-    (Value_index.postings_in vi author ~value:"codd" ~lo:0 ~hi:first);
-  Value_index.remove vi author ~value:"codd" first;
-  Alcotest.check Alcotest.int "one left" 1
-    (List.length (Value_index.postings vi author ~value:"codd"));
-  Value_index.insert vi author ~value:"codd" first;
-  Alcotest.check Fixtures.int_list "restored" all
-    (Value_index.postings vi author ~value:"codd")
+    (Postings.to_list (Value_index.postings_in vi author ~value:"codd" ~lo:0 ~hi:first));
+  let tree, tree', zz, at = grafted () in
+  let vi = Value_index.build tree in
+  List.iter
+    (fun id ->
+      let what = Printf.sprintf "stale id %d" id in
+      Alcotest.check Fixtures.int_list (what ^ " postings") []
+        (Postings.to_list (Value_index.postings vi id ~value:"v"));
+      Alcotest.check Fixtures.int_list (what ^ " postings_in") []
+        (Postings.to_list (Value_index.postings_in vi id ~value:"v" ~lo:0 ~hi:10)))
+    [ zz; zz + 7; -1 ];
+  Alcotest.check Fixtures.int_list "rebuilt" [ at ]
+    (Postings.to_list (Value_index.postings (Value_index.build tree') zz ~value:"v"))
 
 let test_engine_with_value_index () =
   let tree = Fixtures.library_tree () in
@@ -353,24 +252,61 @@ let test_summary_extents () =
         (Hashtbl.length seen))
     (shapes ())
 
+(* Both indexes against a naive scan of random trees: every tag id the
+   tree knows plus ids it never saw, every text value plus an unknown
+   one, and ranges that are empty (lo > hi), past the end, a single
+   node, or random. *)
+let prop_indexes_vs_scan =
+  Fixtures.qtest ~count:60 "tag + value index = naive scan"
+    QCheck2.Gen.(
+      triple (int_bound 100_000) (int_range 1 400) (pair (int_bound 450) (int_bound 450)))
+    (fun (seed, nodes, (a, b)) ->
+      let tree = Gen.tree ~seed ~nodes in
+      let n = Tree.size tree in
+      let idx = Tag_index.build tree and vi = Value_index.build tree in
+      let scan p ~lo ~hi =
+        Tree.fold (fun acc v -> if v >= lo && v <= hi && p v then v :: acc else acc) [] tree
+        |> List.rev
+      in
+      let ranges =
+        [ (0, n - 1); (n - 1, 0); (max a b, min a b); (n, n + 5); (a mod n, a mod n);
+          (min a b, max a b) ]
+      in
+      let values =
+        List.sort_uniq compare
+          ("unknown" :: Tree.fold (fun acc v -> Tree.text tree v :: acc) [] tree)
+        |> List.filter (( <> ) "")
+      in
+      let agrees p postings postings_in =
+        Postings.to_list postings = scan p ~lo:0 ~hi:n
+        && List.for_all
+             (fun (lo, hi) -> Postings.to_list (postings_in ~lo ~hi) = scan p ~lo ~hi)
+             ranges
+      in
+      let n_tags = Dolx_xml.Tag.count (Tree.tag_table tree) in
+      List.for_all
+        (fun tag ->
+          let has_tag v = Tree.tag tree v = tag in
+          agrees has_tag (Tag_index.postings idx tag) (Tag_index.postings_in idx tag)
+          && Tag_index.count idx tag = List.length (scan has_tag ~lo:0 ~hi:n)
+          && List.for_all
+               (fun value ->
+                 agrees
+                   (fun v -> has_tag v && Tree.text tree v = value)
+                   (Value_index.postings vi tag ~value)
+                   (Value_index.postings_in vi tag ~value))
+               values)
+        (-1 :: List.init (n_tags + 2) Fun.id))
+
 let suite =
   [
-    Alcotest.test_case "btree basic" `Quick test_btree_basic;
-    Alcotest.test_case "btree overwrite" `Quick test_btree_overwrite;
-    Alcotest.test_case "btree range" `Quick test_btree_range;
-    Alcotest.test_case "btree remove" `Quick test_btree_remove;
-    prop_btree_vs_map;
-    prop_btree_range_vs_map;
-    Alcotest.test_case "btree large sequential" `Quick test_btree_large_sequential;
     Alcotest.test_case "tag index postings" `Quick test_tag_index_postings;
     Alcotest.test_case "tag index range" `Quick test_tag_index_range;
     Alcotest.test_case "tag index maintenance" `Quick test_tag_index_maintenance;
-    prop_of_sorted_equals_inserts;
-    Alcotest.test_case "of_sorted rejects unsorted" `Quick test_of_sorted_rejects_unsorted;
-    Alcotest.test_case "of_sorted then insert" `Quick test_of_sorted_then_insert;
     Alcotest.test_case "value index postings" `Quick test_value_index_postings;
     Alcotest.test_case "value index range + maintenance" `Quick
       test_value_index_range_and_maintenance;
     Alcotest.test_case "engine with value index" `Quick test_engine_with_value_index;
     Alcotest.test_case "path-summary extents vs traversal" `Quick test_summary_extents;
+    prop_indexes_vs_scan;
   ]

@@ -12,6 +12,7 @@ module Engine = Dolx_nok.Engine
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
 module Tag_index = Dolx_index.Tag_index
+module Postings = Dolx_index.Postings
 module Labeling = Dolx_policy.Labeling
 module Prng = Dolx_util.Prng
 module Xmark = Dolx_workload.Xmark
@@ -293,7 +294,7 @@ let test_npm_agrees_with_engine_on_match_existence () =
         Tree.tag_name tree africa = "africa"
         && bools.(africa) && bools.(regions)
         && bools.(Tree.parent tree regions))
-      (Tag_index.postings index item_tag)
+      (Postings.to_list (Tag_index.postings index item_tag))
   in
   let npm_matches =
     List.filter
@@ -369,7 +370,7 @@ let test_bindings_join_pairs () =
   let tuples = Engine.bindings store index p Engine.Insecure in
   let table = Tree.tag_table tree in
   let parlist = Option.get (Dolx_xml.Tag.find_opt table "parlist") in
-  let nodes = Tag_index.postings index parlist in
+  let nodes = Postings.to_list (Tag_index.postings index parlist) in
   let pairs = Structural_join.stack_tree_desc store ~alist:nodes ~dlist:nodes in
   check Alcotest.int "tuple count = STD pair count" (List.length pairs)
     (List.length tuples);
@@ -378,7 +379,7 @@ let test_bindings_join_pairs () =
   bools2.(0) <- true;
   let store2, index2 = build_secured tree bools2 in
   let acc_nodes =
-    List.filter (fun v -> bools2.(v)) (Tag_index.postings index2 parlist)
+    List.filter (fun v -> bools2.(v)) (Postings.to_list (Tag_index.postings index2 parlist))
   in
   let sec_pairs =
     Structural_join.stack_tree_desc store2 ~alist:acc_nodes ~dlist:acc_nodes

@@ -116,8 +116,8 @@ let check_runs_against r ~n ~want ~what =
     (fun (lo, hi) ->
       if not (Access_runs.span_inside r ~lo ~hi) then
         QCheck2.Test.fail_reportf "%s: run [%d,%d] split" what lo hi;
-      if Access_runs.next_accessible r lo <> Some lo then
-        QCheck2.Test.fail_reportf "%s: run [%d,%d] start" what lo hi)
+      if Access_runs.run_from r lo <> (lo, if hi = n - 1 then max_int else hi + 1)
+      then QCheck2.Test.fail_reportf "%s: run [%d,%d] bounds" what lo hi)
     runs
 
 let prop_runs_minus_deny =
@@ -162,15 +162,14 @@ let test_range_helpers () =
   for s = 0 to 2 do
     let r = Access_runs.runs ri ~subject:s in
     let acc v = Dol.accessible dol ~subject:s v in
-    (* next_accessible *)
+    (* run_from: the next accessible node and the end of its run *)
     for _ = 1 to 200 do
       let v = Prng.int rng n in
-      let brute =
-        let rec go u = if u >= n then None else if acc u then Some u else go (u + 1) in
-        go v
-      in
-      if Access_runs.next_accessible r v <> brute then
-        Alcotest.failf "next_accessible s=%d v=%d" s v
+      let rec first p u = if u >= n then max_int else if p u then u else first p (u + 1) in
+      let lo = first acc v in
+      let brute = (lo, if lo = max_int then max_int else first (fun u -> not (acc u)) lo) in
+      if Access_runs.run_from r v <> brute then
+        Alcotest.failf "run_from s=%d v=%d" s v
     done;
     (* span_inside = all nodes accessible *)
     for _ = 1 to 200 do
@@ -183,14 +182,7 @@ let test_range_helpers () =
       if Access_runs.span_inside r ~lo ~hi <> !brute then
         Alcotest.failf "span_inside s=%d [%d,%d]" s lo hi
     done;
-    check Alcotest.bool "empty span" true (Access_runs.span_inside r ~lo:5 ~hi:4);
-    (* intersect = filter *)
-    let cands =
-      List.sort_uniq compare (List.init 300 (fun _ -> Prng.int rng n))
-    in
-    check Fixtures.int_list "intersect"
-      (List.filter acc cands)
-      (Access_runs.intersect r cands)
+    check Alcotest.bool "empty span" true (Access_runs.span_inside r ~lo:5 ~hi:4)
   done
 
 (* --- coverage statistics --- *)

@@ -14,6 +14,7 @@ module Engine = Dolx_nok.Engine
 module Tag_index = Dolx_index.Tag_index
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
+module Metrics = Dolx_obs.Metrics
 
 let check = Alcotest.check
 
@@ -243,6 +244,45 @@ let golden_counts =
     ("Q6 eps secure", (729, 673, 56, 56, 48));
   ]
 
+(* The engine's plan choices on the same runs of the live store:
+   (engine.plan_index_join, engine.plan_subtree_scan,
+   engine.plan_summary_path, engine.candidates_scanned,
+   engine.candidates_pruned).  Both join plans feed the join the same
+   candidates, so the page counts above cannot see a plan flip; this
+   table can. *)
+let golden_plans =
+  [
+    ("Q1 serve insecure", (0, 0, 1, 29, 0));
+    ("Q1 serve secure", (0, 0, 1, 29, 0));
+    ("Q2 serve insecure", (0, 0, 1, 23, 0));
+    ("Q2 serve secure", (0, 0, 1, 10, 4));
+    ("Q3 serve insecure", (0, 0, 1, 23, 0));
+    ("Q3 serve secure", (0, 0, 1, 10, 4));
+    ("Q4 serve insecure", (0, 0, 1, 506, 0));
+    ("Q4 serve secure", (0, 0, 1, 355, 78));
+    ("Q5 serve insecure", (0, 0, 1, 741, 0));
+    ("Q5 serve secure", (0, 0, 1, 518, 121));
+    ("Q6 serve insecure", (0, 0, 1, 703, 0));
+    ("Q6 serve secure", (0, 0, 1, 439, 120));
+    ("Q1 eps insecure", (0, 0, 0, 39, 0));
+    ("Q1 eps secure", (0, 0, 0, 39, 0));
+    ("Q2 eps insecure", (0, 0, 0, 117, 0));
+    ("Q2 eps secure", (0, 0, 0, 76, 0));
+    ("Q3 eps insecure", (0, 0, 0, 117, 0));
+    ("Q3 eps secure", (0, 0, 0, 76, 0));
+    ("Q4 eps insecure", (1, 0, 0, 845, 0));
+    ("Q4 eps secure", (1, 0, 0, 757, 0));
+    ("Q5 eps insecure", (1, 0, 0, 1528, 0));
+    ("Q5 eps secure", (1, 0, 0, 1409, 0));
+    ("Q6 eps insecure", (1, 0, 0, 897, 0));
+    ("Q6 eps secure", (1, 0, 0, 729, 0));
+  ]
+
+let plan_counters =
+  [ "engine.plan_index_join"; "engine.plan_subtree_scan";
+    "engine.plan_summary_path"; "engine.candidates_scanned";
+    "engine.candidates_pruned" ]
+
 let page_model_counts () =
   let tree = Xmark.generate_nodes ~seed:71 20000 in
   let params =
@@ -279,15 +319,23 @@ let page_model_counts () =
             (fun (sem_name, sem) ->
               Buffer_pool.clear (Store.pool store);
               Store.reset_stats store;
+              let before = List.map Metrics.counter_value plan_counters in
               ignore (Engine.query store index q sem);
               let live = counts store in
+              let plans =
+                match
+                  List.map2 (fun c b -> Metrics.counter_value c - b) plan_counters before
+                with
+                | [ a; b; c; d; e ] -> (a, b, c, d, e)
+                | _ -> assert false
+              in
               let pinned =
                 Store.with_reader store (fun r ->
                     Store.reset_stats r;
                     ignore (Engine.query r index q sem);
                     counts r)
               in
-              (Printf.sprintf "%s %s %s" name config sem_name, live, pinned))
+              (Printf.sprintf "%s %s %s" name config sem_name, live, pinned, plans))
             [ ("insecure", Engine.Insecure); ("secure", Engine.Secure 0) ])
         Xmark.queries)
     [ ("serve", true); ("eps", false) ]
@@ -298,16 +346,20 @@ let test_golden_page_model_counts () =
     Printf.sprintf "    (%S, (%d, %d, %d, %d, %d));" k t h m r e
   in
   List.iter
-    (fun (k, _, pinned) ->
+    (fun (k, _, pinned, _) ->
       let want = List.assoc_opt k golden_counts in
       if want <> Some pinned then
         Alcotest.failf "%s: pinned reader counts moved; now:\n%s" k
-          (String.concat "\n" (List.map (fun (k, _, p) -> show (k, p)) got)))
+          (String.concat "\n" (List.map (fun (k, _, p, _) -> show (k, p)) got)))
     got;
-  let live = List.map (fun (k, l, _) -> (k, l)) got in
+  let live = List.map (fun (k, l, _, _) -> (k, l)) got in
   if live <> golden_counts then
     Alcotest.failf "live store counts moved; now:\n%s"
-      (String.concat "\n" (List.map show live))
+      (String.concat "\n" (List.map show live));
+  let plans = List.map (fun (k, _, _, p) -> (k, p)) got in
+  if plans <> golden_plans then
+    Alcotest.failf "plan counts moved; now:\n%s"
+      (String.concat "\n" (List.map show plans))
 
 let suite =
   [
