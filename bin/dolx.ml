@@ -91,10 +91,18 @@ let load_policy tree path =
    line on stderr, exit 2.  A malformed query raises
    [Dolx_nok.Xpath.Parse_error], a corrupt database or DOL file
    [Db_file.Corrupt] or [Persist.Corrupt]; each is reported the same
-   way. *)
+   way.  [Bad_input] carries the whole message: an out-of-range option
+   value, a missing input, a malformed query-file line. *)
 exception Unknown_subject of string
 
 exception Unknown_mode of string
+
+exception Bad_input of string
+
+let bad_input fmt = Printf.ksprintf (fun m -> raise (Bad_input m)) fmt
+
+let require_at_least lo name n =
+  if n < lo then bad_input "%s must be at least %d, got %d" name lo n
 
 let compile tree path ~mode =
   let subjects, modes, rules = load_policy tree path in
@@ -306,15 +314,14 @@ let query_cmd =
 let parse_query_file subjects path_semantics text =
   text
   |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (lineno, line) ->
          if line = "" || line.[0] = '#' then None
          else
            match String.index_opt line ' ' with
            | None ->
-               failwith
-                 (Printf.sprintf
-                    "query file: expected \"SUBJECT QUERY\", got %S" line)
+               bad_input "query file line %d: expected \"SUBJECT QUERY\", got %S"
+                 lineno line
            | Some i ->
                let subj = String.sub line 0 i in
                let q =
@@ -340,6 +347,7 @@ let semantics_name = function
 
 let query_batch doc policy mode jobs path_semantics no_run_index no_summary
     metrics queries_file mix mix_seed =
+  require_at_least 1 "--jobs" jobs;
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let dol = Dol.of_labeling labeling in
@@ -352,10 +360,11 @@ let query_batch doc policy mode jobs path_semantics no_run_index no_summary
     match (queries_file, mix) with
     | Some path, _ -> parse_query_file subjects path_semantics (read_file path)
     | None, Some n ->
+        require_at_least 0 "--mix" n;
         Query_mix.generate ~n ~subjects:(Subject.count subjects) ~seed:mix_seed ()
         |> List.map (fun e ->
                (e.Query_mix.xpath, engine_semantics e.Query_mix.semantics))
-    | None, None -> failwith "query-batch: provide --queries FILE or --mix N"
+    | None, None -> bad_input "query-batch needs --queries FILE or --mix N"
   in
   (* with_executor joins the worker domains and releases the readers'
      epoch pins even when a query raises mid-batch *)
@@ -461,7 +470,10 @@ let serve_socket srv ~tenants ~jobs ~duration path =
   end
 
 let serve doc policy mode tenants jobs seed duration chunk max_queued socket =
-  if tenants < 1 then failwith "serve: need at least one tenant";
+  require_at_least 1 "--tenants" tenants;
+  require_at_least 1 "--jobs" jobs;
+  require_at_least 1 "--chunk" chunk;
+  require_at_least 1 "--max-queued" max_queued;
   let tree = load_doc doc in
   let subjects, _, labeling = compile tree policy ~mode in
   let dol = Dol.of_labeling labeling in
@@ -987,10 +999,8 @@ let stats_db db =
     (Metrics.counter_value "commit.flushes");
   (* per-plan-strategy breakdown: which candidate access paths the
      engine chose this process (nonzero after --metrics query runs) *)
-  Printf.printf
-    "plans: index_join=%d subtree_scan=%d summary_prune=%d summary_path=%d\n"
-    (Metrics.counter_value "engine.plan_index_join")
-    (Metrics.counter_value "engine.plan_subtree_scan")
+  Printf.printf "plans: joins=%d summary_prune=%d summary_path=%d\n"
+    (Metrics.counter_value "engine.joins")
     (Metrics.counter_value "engine.plan_summary_prune")
     (Metrics.counter_value "engine.plan_summary_path");
   Printf.printf "  pruned: run_index=%d summary=%d\n"
@@ -1037,6 +1047,9 @@ let () =
         2
     | exception Dolx_core.Persist.Corrupt m ->
         Printf.eprintf "dolx: corrupt DOL file: %s\n" m;
+        2
+    | exception Bad_input m ->
+        Printf.eprintf "dolx: %s\n" m;
         2
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in

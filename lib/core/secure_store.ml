@@ -494,12 +494,6 @@ let accessible_run t ~subject =
 let span_provably_accessible t ~subject ~lo ~hi =
   lo > hi || (t.use_runs && Access_runs.span_inside (runs_of t ~subject) ~lo ~hi)
 
-(** Accessible fraction for [subject] (cost-model input); 1.0 when the
-    index is off, i.e. assume nothing can be pruned. *)
-let accessible_fraction t ~subject =
-  if not t.use_runs then 1.0
-  else Access_runs.accessible_fraction (runs_of t ~subject)
-
 (** {1 Structural reorganization}
 
     Accessibility updates are applied in place (see {!Update}); structural

@@ -161,8 +161,9 @@ val io_stats : t -> io_stats
 (** Add to the registry what this handle's pool and check counts, and
     its disk, gained since their last fold, and move the marks forward
     (the disk keeps its own, since readers share it).  Called at stream
-    end, {!release}, the end of {!with_write} and after each [Exec]
-    barrier; folding twice adds nothing. *)
+    end (so each query of an [Exec] batch folds its worker's reader),
+    {!release} and the end of {!with_write}; folding twice adds
+    nothing. *)
 val fold_metrics : t -> unit
 
 (** Fold, then zero this handle's pool and check counts and the disk's
@@ -234,10 +235,6 @@ val accessible_run : t -> subject:int -> Tree.node -> int * int
 (** Is every node of [\[lo, hi\]] provably accessible (contained in one
     accessible run)?  [false] means "unknown" when the index is off. *)
 val span_provably_accessible : t -> subject:int -> lo:int -> hi:int -> bool
-
-(** Fraction of nodes accessible to [subject] (cost-model input); 1.0
-    when the index is off. *)
-val accessible_fraction : t -> subject:int -> float
 
 (** {1 Structural reorganization}
 

@@ -8,24 +8,16 @@
     buffer pool, scan cursor and statistics, so evaluation never takes a
     lock on the hot path.
 
-    Two parallel shapes are offered:
-
-    - {!run_batch}: inter-query parallelism — independent (pattern,
-      semantics) jobs spread over the pool, results in submission order;
-    - {!stream} / {!run}: intra-query parallelism — the engine's one
-      staged driver with a pooled segment evaluator: per-segment
-      candidate roots are partitioned into contiguous document-order
-      chunks evaluated concurrently and merged back into one sorted run.
-
-    Both are byte-identical to sequential {!Engine.run} on the same
-    inputs: chunks are merged with the same sort-and-dedup the engine
-    applies, and results are collected by index, never by completion
-    order.  Reader handles are epoch-pinned snapshots taken when the
-    executor is created, so concurrent {!Secure_store.with_write}
-    windows (updates) may overlap evaluation — the executor keeps
-    answering from the state it was created at.  {!shutdown} (or
-    {!with_executor}) releases the pins so superseded page versions can
-    be retired. *)
+    The parallel shape is inter-query: {!run_batch} spreads independent
+    (pattern, semantics) jobs over the pool, each evaluated by the
+    sequential {!Engine.run} on its slot's reader.  Results are collected
+    by index, never by completion order, so a batch is byte-identical to
+    running its queries one by one.  Reader handles are epoch-pinned
+    snapshots taken when the executor is created, so concurrent
+    {!Secure_store.with_write} windows (updates) may overlap evaluation —
+    the executor keeps answering from the state it was created at.
+    {!shutdown} (or {!with_executor}) releases the pins so superseded
+    page versions can be retired. *)
 
 module Store = Dolx_core.Secure_store
 module Tag_index = Dolx_index.Tag_index
@@ -129,19 +121,16 @@ type t = {
   store : Store.t; (* parent handle; shared immutable state lives here *)
   index : Tag_index.t;
   value_index : Value_index.t option;
-  options : Engine.options;
   readers : Store.t array; (* one per worker slot *)
   pool : pool;
 }
 
-let create ?(options = Engine.default_options) ?value_index ?pool_capacity
-    ?(jobs = 1) store index =
+let create ?value_index ?pool_capacity ?(jobs = 1) store index =
   if jobs < 1 then invalid_arg "Exec.create: jobs must be >= 1";
   {
     store;
     index;
     value_index;
-    options;
     readers = Array.init jobs (fun _ -> Store.reader ?pool_capacity store);
     pool = make_pool jobs;
   }
@@ -171,11 +160,9 @@ let is_shutdown t =
     regression tests assert on this). *)
 let live_domains t = Array.length t.pool.domains
 
-let with_executor ?options ?value_index ?pool_capacity ?jobs store index f =
-  let t = create ?options ?value_index ?pool_capacity ?jobs store index in
+let with_executor ?value_index ?pool_capacity ?jobs store index f =
+  let t = create ?value_index ?pool_capacity ?jobs store index in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(** {1 Inter-query parallelism} *)
 
 let run_batch t queries =
   let items = Array.of_list queries in
@@ -186,8 +173,8 @@ let run_batch t queries =
         let pattern, semantics = items.(i) in
         results.(i) <-
           Some
-            (Engine.run ~options:t.options ?value_index:t.value_index
-               t.readers.(slot) t.index pattern semantics))
+            (Engine.run ?value_index:t.value_index t.readers.(slot) t.index
+               pattern semantics))
   in
   run_tasks t.pool tasks;
   Array.to_list
@@ -200,64 +187,6 @@ let run_batch t queries =
 let query_batch t queries =
   run_batch t
     (List.map (fun (xpath, semantics) -> (Xpath.parse xpath, semantics)) queries)
-
-(** {1 Intra-query parallelism} *)
-
-(* Chunks smaller than this are not worth a task handoff. *)
-let min_chunk = 32
-
-(* Evaluate one segment with its candidate roots split into contiguous
-   document-order chunks.  Per-chunk outputs are sorted-deduplicated
-   lists; their concatenation re-sorted and deduplicated is exactly what
-   the sequential engine computes over the whole root list (expansion is
-   per-root, so partitioning the roots partitions the raw expansion).
-   Per-chunk scan counts are summed into [scanned] after the barrier, on
-   the calling domain. *)
-let par_eval_segment t mode seg roots scanned =
-  let n_roots = List.length roots in
-  if t.pool.jobs = 1 || n_roots < 2 * min_chunk then
-    Engine.eval_segment t.readers.(0) t.index mode seg roots scanned
-  else begin
-    let arr = Array.of_list roots in
-    let chunk =
-      max min_chunk ((n_roots + (4 * t.pool.jobs) - 1) / (4 * t.pool.jobs))
-    in
-    let n_chunks = (n_roots + chunk - 1) / chunk in
-    let outs = Array.make n_chunks [] in
-    let counts = Array.make n_chunks 0 in
-    let tasks =
-      List.init n_chunks (fun ci slot ->
-          let lo = ci * chunk in
-          let hi = min n_roots (lo + chunk) in
-          let sub = Array.to_list (Array.sub arr lo (hi - lo)) in
-          let scanned = ref 0 in
-          outs.(ci) <-
-            Engine.eval_segment t.readers.(slot) t.index mode seg sub scanned;
-          counts.(ci) <- !scanned)
-    in
-    run_tasks t.pool tasks;
-    (* the workers are idle now: fold the counts their readers gained *)
-    Array.iter Store.fold_metrics t.readers;
-    scanned := Array.fold_left ( + ) !scanned counts;
-    List.sort_uniq compare (List.concat (Array.to_list outs))
-  end
-
-(* [Engine.stream_with] with the segment evaluation fanned out: staging,
-   seeding and joins run on reader 0 (the workers are idle between
-   barriers, so the handle is unshared), and the last segment's roots
-   are pulled in groups big enough to keep the pool busy. *)
-let stream ?chunk t pattern semantics =
-  Engine.stream_with ~options:t.options ?value_index:t.value_index ?chunk
-    ~eval:(par_eval_segment t)
-    ~group:(4 * min_chunk * t.pool.jobs)
-    t.readers.(0) t.index pattern semantics
-
-let stream_query ?chunk t xpath semantics =
-  stream ?chunk t (Xpath.parse xpath) semantics
-
-let run t pattern semantics = Engine.drain (stream t pattern semantics)
-
-let query t xpath semantics = run t (Xpath.parse xpath) semantics
 
 (** {1 Statistics} *)
 

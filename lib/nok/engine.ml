@@ -19,7 +19,6 @@
 
 module Store = Dolx_core.Secure_store
 module Tree = Dolx_xml.Tree
-module Tag = Dolx_xml.Tag
 module Tag_index = Dolx_index.Tag_index
 module Postings = Dolx_index.Postings
 module Path_summary = Dolx_index.Path_summary
@@ -36,10 +35,6 @@ let c_candidates = Metrics.counter "engine.candidates_scanned"
 
 let c_answers = Metrics.counter "engine.answers"
 
-let c_plan_index = Metrics.counter "engine.plan_index_join"
-
-let c_plan_subtree = Metrics.counter "engine.plan_subtree_scan"
-
 let c_plan_summary = Metrics.counter "engine.plan_summary_prune"
 
 let c_plan_path = Metrics.counter "engine.plan_summary_path"
@@ -53,16 +48,10 @@ type semantics =
   | Secure of int         (** ε-NoK for the given subject (Cho et al.) *)
   | Secure_path of int    (** ε-NoK + ε-STD (Gabillon–Bruno, §4.2) *)
 
-(** Use the in-memory page-header skip optimization of §3.3? *)
-type options = { header_skip : bool }
-
-let default_options = { header_skip = true }
-
-let match_mode options = function
+let match_mode = function
   | Insecure -> Nok_match.insecure
-  | Secure s -> Nok_match.secure ~header_skip:options.header_skip s
-  | Secure_path s ->
-      Nok_match.secure ~header_skip:options.header_skip ~path_semantics:true s
+  | Secure s -> Nok_match.secure s
+  | Secure_path s -> Nok_match.secure ~path_semantics:true s
 
 type result = {
   answers : int list;     (* returning-node bindings, document order *)
@@ -80,21 +69,21 @@ let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
 let planted_bug = ref (Sys.getenv_opt "DOLX_FUZZ_PLANT_BUG" = Some "prune")
 
 (* The one candidate pipeline, for the first segment's seed, the next
-   segment at a join and the summary-path plan: the members of the
-   slices [slices ()] returns (disjoint, in document order) whose
-   summary class is admissible for [p] and that the subject's runs
-   admit.  No admissible class skips the postings entirely.  The class
-   is checked first, so the runs are consulted for admissible
-   candidates only; a denied run is skipped with one seek in the slice,
-   and [engine.candidates_pruned] counts the admissible candidates
-   skipped that way.  Pruning is safe
-   under both secure semantics: a pruned candidate would fail its own
-   [visit] when qualified or when re-seeding the next segment. *)
-let candidates ?summary store semantics (p : Pattern.pnode) slices =
+   segment at a join and the summary-path plan: the members of [p]'s
+   postings whose summary class is admissible for [p] and that the
+   subject's runs admit.  No admissible class skips the postings
+   entirely.  The class is checked first, so the runs are consulted for
+   admissible candidates only; a denied run is skipped with one seek in
+   the slice, and [engine.candidates_pruned] counts the admissible
+   candidates skipped that way.  Pruning is safe under both secure
+   semantics: a pruned candidate would fail its own [visit] when
+   qualified or when re-seeding the next segment. *)
+let candidates ?value_index ?summary store index semantics (p : Pattern.pnode) =
   if Option.is_some summary then Metrics.incr c_plan_summary;
   match summary with
   | Some sp when Summary_prune.empty_for sp p -> []
   | _ ->
+      let cands = Nok_match.postings ?value_index store index p in
       let admissible =
         match summary with
         | None -> fun _ -> true
@@ -110,26 +99,19 @@ let candidates ?summary store semantics (p : Pattern.pnode) slices =
       in
       let drop_2 = !planted_bug && Option.is_some gate in
       let pruned = ref 0 and kept = ref [] in
-      List.iter
-        (fun cands ->
-          let skipped i j =
-            if Option.is_none summary then pruned := !pruned + (j - i)
-            else
-              for k = i to j - 1 do
-                if admissible (Postings.get cands k) then incr pruned
-              done
-          in
-          ignore
-            (Postings.scan ?gate ~only:admissible ~skipped cands (fun v ->
-                 if not (drop_2 && v = 2) then kept := v :: !kept;
-                 false)))
-        (slices ());
+      let skipped i j =
+        if Option.is_none summary then pruned := !pruned + (j - i)
+        else
+          for k = i to j - 1 do
+            if admissible (Postings.get cands k) then incr pruned
+          done
+      in
+      ignore
+        (Postings.scan ?gate ~only:admissible ~skipped cands (fun v ->
+             if not (drop_2 && v = 2) then kept := v :: !kept;
+             false));
       if Option.is_some gate then Metrics.add c_pruned !pruned;
       List.rev !kept
-
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  go 0 n
 
 (* Class analysis of this query against the path summary, when the
    handle has the summary tier enabled.  Under secure semantics the
@@ -152,82 +134,6 @@ let summary_analysis store pattern semantics =
     Metrics.add c_summary_pruned (Summary_prune.pruned_classes sp);
     Some sp
   end
-
-(* Candidates for the next segment's entry step at a structural join.
-   Two access paths produce the same final answers — the join keeps only
-   descendants of the current bindings, so narrowing the postings to
-   each binding's subtree range ([Postings.narrow]) instead of walking the
-   whole slice is purely a cost decision.  The model compares
-
-     global:   card x (walk + feed the join)
-     subtree:  one binary search per binding
-               + card x coverage x (walk + feed the join)
-
-   where coverage is the fraction of the document inside binding
-   subtrees, and the join-feed terms are discounted by the subject's
-   accessible fraction (denied candidates are run-pruned before the
-   join sees them).  The run count enters both sides symmetrically as
-   the pruning cost, so it never flips a decision between secure and
-   insecure evaluation of the same query. *)
-let join_candidates ?value_index ?summary store index ~semantics ~bindings
-    (p : Pattern.pnode) =
-  candidates ?summary store semantics p @@ fun () ->
-  let all = Nok_match.postings ?value_index store index p in
-  match p.Pattern.test with
-  | Pattern.Tag name
-    when Option.is_none p.Pattern.value || Option.is_none value_index -> (
-      let tree = Store.tree store in
-      match Tag.find_opt (Tree.tag_table tree) name with
-      | None -> []
-      | Some id ->
-          let card =
-            (* with the summary, the exact number of nodes on an
-               admissible tag path (classes of one tag partition its
-               extent) — tighter than the whole-tag count *)
-            match summary with
-            | Some sp -> float_of_int (Summary_prune.cardinality sp p)
-            | None -> float_of_int (Tag_index.count index id)
-          in
-          let n = max 1 (Tree.size tree) in
-          let spans =
-            List.fold_left
-              (fun acc b -> acc + (Tree.subtree_end tree b - b + 1))
-              0 bindings
-          in
-          let coverage = Float.min 1.0 (float_of_int spans /. float_of_int n) in
-          let af =
-            match subject_of semantics with
-            | Some s -> Store.accessible_fraction store ~subject:s
-            | None -> 1.0
-          in
-          let probes =
-            float_of_int (List.length bindings * ceil_log2 n)
-          in
-          let cost_global = card *. (1.0 +. af) in
-          let cost_subtree = probes +. (card *. coverage *. (1.0 +. af)) in
-          if cost_subtree < cost_global then begin
-            Metrics.incr c_plan_subtree;
-            (* bindings ascend and subtrees nest or are disjoint, so the
-               outermost subtrees cover the rest, in document order *)
-            let _, slices =
-              List.fold_left
-                (fun (reach, acc) b ->
-                  if b <= reach then (reach, acc)
-                  else
-                    let hi = Tree.subtree_end tree b in
-                    (hi, Postings.narrow all ~lo:b ~hi :: acc))
-                (-1, []) bindings
-            in
-            List.rev slices
-          end
-          else begin
-            Metrics.incr c_plan_index;
-            [ all ]
-          end)
-  | Pattern.Tag _ | Pattern.Wildcard ->
-      (* value postings are already maximally selective; a wildcard
-         walks the whole document *)
-      [ all ]
 
 (* Evaluate one NoK segment from the given candidate roots (sorted).
    Returns the bindings of the segment's last trunk step, sorted and
@@ -322,10 +228,7 @@ let summary_path_filter ?value_index ~summary store index mode semantics steps
   let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   Metrics.incr c_plan_path;
   let last = steps.(k).Decompose.pnode in
-  let cands =
-    candidates ~summary store semantics last (fun () ->
-        [ Nok_match.postings ?value_index store index last ])
-  in
+  let cands = candidates ?value_index ~summary store index semantics last in
   let ps = Store.path_summary store in
   let adm =
     Array.map
@@ -387,9 +290,8 @@ let first_roots ?value_index ?summary store index semantics
       | Pattern.Descendant -> (
           match seg.Decompose.steps with
           | s :: _ ->
-              let p = s.Decompose.pnode in
-              candidates ?summary store semantics p (fun () ->
-                  [ Nok_match.postings ?value_index store index p ])
+              candidates ?value_index ?summary store index semantics
+                s.Decompose.pnode
           | [] -> []))
 
 (** {1 Streaming evaluation}
@@ -409,8 +311,7 @@ let first_roots ?value_index ?summary store index semantics
     preorder).  Roots are consumed in ascending order, so once every
     root below a barrier has been evaluated, buffered answers below that
     barrier are final and can be emitted — the emitted sequence is
-    exactly [sort_uniq] of the per-root outputs, whatever the group
-    size. *)
+    exactly [sort_uniq] of the per-root outputs. *)
 
 (* Union of two sorted duplicate-free lists. *)
 let merge_uniq xs ys =
@@ -424,14 +325,10 @@ let merge_uniq xs ys =
   in
   go [] xs ys
 
-let rec take_n n l =
-  if n = 0 then ([], l)
-  else match l with [] -> ([], []) | x :: rest ->
-    let taken, rem = take_n (n - 1) rest in
-    (x :: taken, rem)
-
 type stream = {
   st_store : Store.t;
+  st_index : Tag_index.t;
+  st_mode : Nok_match.mode;
   st_chunk : int;
   st_segments : int;
   st_scanned : int ref;
@@ -448,33 +345,26 @@ and src =
   | S_end
 
 and tail = {
-  tl_eval : int list -> int list;
-  tl_group : int;
+  tl_seg : Decompose.segment;
   mutable tl_roots : int list;   (* remaining candidate roots, ascending *)
   mutable tl_pending : int list; (* sorted answers >= the next barrier *)
 }
 
-type segment_eval =
-  Nok_match.mode -> Decompose.segment -> int list -> int ref -> int list
-
-let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
-    ~group store index pattern semantics =
+let stream ?value_index ?(chunk = 256) store index pattern semantics =
   if chunk < 1 then invalid_arg "Engine.stream: chunk must be >= 1";
-  if group < 1 then invalid_arg "Engine.stream: group must be >= 1";
   let plan = Decompose.plan pattern in
-  let mode = match_mode options semantics in
+  let mode = match_mode semantics in
   let summary = summary_analysis store pattern semantics in
   let scanned = ref 0 in
   let joins = ref 0 in
-  let eval seg roots = eval mode seg roots scanned in
   let rec stage segments roots =
     match segments with
     | [] -> S_end
-    | [ seg ] ->
-        S_tail { tl_eval = eval seg; tl_group = group; tl_roots = roots; tl_pending = [] }
+    | [ seg ] -> S_tail { tl_seg = seg; tl_roots = roots; tl_pending = [] }
     | (seg : Decompose.segment) :: (next :: _ as rest) ->
         let bindings =
-          Trace.with_span "engine.segment" @@ fun () -> eval seg roots
+          Trace.with_span "engine.segment" @@ fun () ->
+          eval_segment store index mode seg roots scanned
         in
         if bindings = [] then S_end
         else begin
@@ -487,8 +377,8 @@ let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
               | [] -> invalid_arg "Engine: empty segment"
             in
             let dlist =
-              join_candidates ?value_index ?summary store index ~semantics
-                ~bindings next_step.Decompose.pnode
+              candidates ?value_index ?summary store index semantics
+                next_step.Decompose.pnode
             in
             let pairs =
               match semantics with
@@ -518,6 +408,8 @@ let stream_with ?(options = default_options) ?value_index ?(chunk = 256) ~eval
   in
   {
     st_store = store;
+    st_index = index;
+    st_mode = mode;
     st_chunk = chunk;
     st_segments = Decompose.segment_count plan;
     st_scanned = scanned;
@@ -581,10 +473,14 @@ let stream_next st =
                     (* pending is empty: everything below max_int was
                        emittable and the branch above drained it *)
                     st.st_src <- S_end
-                | _ ->
-                    let group, rest = take_n t.tl_group t.tl_roots in
+                | r :: rest ->
+                    (* one root per refill, so pending never holds more
+                       than one root's overlap *)
                     t.tl_roots <- rest;
-                    t.tl_pending <- merge_uniq t.tl_pending (t.tl_eval group);
+                    t.tl_pending <-
+                      merge_uniq t.tl_pending
+                        (eval_segment st.st_store st.st_index st.st_mode
+                           t.tl_seg [ r ] st.st_scanned);
                     st.st_peak <-
                       max st.st_peak (!n + List.length t.tl_pending);
                     fill ()))
@@ -611,12 +507,6 @@ let stream_joins st = !(st.st_joins)
 
 let stream_segments st = st.st_segments
 
-(* The sequential evaluator: one root per refill, so pending never holds
-   more than one root's overlap. *)
-let stream ?options ?value_index ?chunk store index pattern semantics =
-  stream_with ?options ?value_index ?chunk ~eval:(eval_segment store index)
-    ~group:1 store index pattern semantics
-
 let stream_collect st =
   let rec go acc =
     match stream_next st with [] -> List.concat (List.rev acc) | c -> go (c :: acc)
@@ -632,9 +522,9 @@ let drain st =
     candidates_scanned = stream_scanned st;
   }
 
-let run ?options ?value_index store index pattern semantics =
+let run ?value_index store index pattern semantics =
   Trace.with_span "engine.query" @@ fun () ->
-  drain (stream ?options ?value_index store index pattern semantics)
+  drain (stream ?value_index store index pattern semantics)
 
 (** {1 Full binding tuples}
 
@@ -648,9 +538,8 @@ let run ?options ?value_index store index pattern semantics =
     result construction and auditing; it does not use the structural-join
     plan, so it is not the I/O-optimal path.  [limit] caps the number of
     tuples materialized. *)
-let bindings ?(options = default_options) ?(limit = max_int) store index pattern
-    semantics =
-  let mode = match_mode options semantics in
+let bindings ?(limit = max_int) store index pattern semantics =
+  let mode = match_mode semantics in
   let trunk = Pattern.trunk pattern in
   let trunk_ids = List.map (fun (p : Pattern.pnode) -> p.Pattern.id) trunk in
   let preds (p : Pattern.pnode) =
@@ -743,9 +632,9 @@ let explain store index pattern =
   Buffer.contents buf
 
 (** Convenience: parse and run an XPath string. *)
-let query ?options ?value_index store index xpath semantics =
-  run ?options ?value_index store index (Xpath.parse xpath) semantics
+let query ?value_index store index xpath semantics =
+  run ?value_index store index (Xpath.parse xpath) semantics
 
 (** Count of answers only. *)
-let count ?options ?value_index store index xpath semantics =
-  List.length (query ?options ?value_index store index xpath semantics).answers
+let count ?value_index store index xpath semantics =
+  List.length (query ?value_index store index xpath semantics).answers

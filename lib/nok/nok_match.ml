@@ -5,13 +5,12 @@
     - [Insecure]: the plain NoK evaluator — no access checks.
     - [Secure subject]: ε-NoK — every node is checked as it is visited
       ("a node's accessibility is checked immediately after it is loaded
-      (by FIRST-CHILD or FOLLOWING-SIBLING)", §4.1); inaccessible nodes
-      are skipped together with their subtrees, which implements the
+      (by FIRST-CHILD or FOLLOWING-SIBLING)", §4.1), with the in-memory
+      page-header check of §3.3 first, so a page provably fully
+      inaccessible is never loaded; inaccessible nodes are skipped
+      together with their subtrees, which implements the
       binding-elimination semantics of Cho et al. for NoK (child-edge)
-      patterns.
-    - [Secure_skip subject]: ε-NoK plus the in-memory page-header
-      optimization of §3.3 (avoid loading pages that are provably fully
-      inaccessible). *)
+      patterns. *)
 
 module Store = Dolx_core.Secure_store
 module Tree = Dolx_xml.Tree
@@ -21,32 +20,27 @@ module Value_index = Dolx_index.Value_index
 module Postings = Dolx_index.Postings
 
 (** Evaluation mode.  [subject = None] disables access control;
-    [header_skip] enables the §3.3 page-header optimization;
     [path_semantics] switches predicate evaluation to the Gabillon–Bruno
     semantics, where descendant steps additionally require every node on
     the connecting path to be accessible. *)
-type mode = { subject : int option; header_skip : bool; path_semantics : bool }
+type mode = { subject : int option; path_semantics : bool }
 
-let insecure = { subject = None; header_skip = false; path_semantics = false }
+let insecure = { subject = None; path_semantics = false }
 
-let secure ?(header_skip = true) ?(path_semantics = false) subject =
-  { subject = Some subject; header_skip; path_semantics }
+let secure ?(path_semantics = false) subject =
+  { subject = Some subject; path_semantics }
 
 let subject_of mode = mode.subject
 
-(** Visit node [v]: fetch its page (accounted I/O) and check access.
-    Returns whether evaluation may bind or traverse [v]. *)
+(** Visit node [v]: fetch its page (accounted I/O, or skipped when the
+    page header proves it fully inaccessible) and check access.  Returns
+    whether evaluation may bind or traverse [v]. *)
 let visit store mode v =
   match mode.subject with
   | None ->
       Store.touch store v;
       true
-  | Some s ->
-      if mode.header_skip then Store.accessible_with_skip store ~subject:s v
-      else begin
-        Store.touch store v;
-        Store.accessible store ~subject:s v
-      end
+  | Some s -> Store.accessible_with_skip store ~subject:s v
 
 (** Under path semantics: are all nodes strictly between [ctx] and its
     descendant [u] accessible?  (Both endpoints are checked by [visit]

@@ -3,22 +3,23 @@
 
     Every node visited costs a page touch; in secure modes the node's
     accessibility is checked "immediately after it is loaded (by
-    FIRST-CHILD or FOLLOWING-SIBLING)" (§4.1), and inaccessible nodes are
-    skipped with their subtrees — the binding-elimination semantics of
-    Cho et al. for next-of-kin patterns. *)
+    FIRST-CHILD or FOLLOWING-SIBLING)" (§4.1), after the §3.3 page-header
+    check that skips loading a provably fully inaccessible page, and
+    inaccessible nodes are skipped with their subtrees — the
+    binding-elimination semantics of Cho et al. for next-of-kin
+    patterns. *)
 
 module Store = Dolx_core.Secure_store
 
 (** Evaluation mode.  [subject = None] disables access control;
-    [header_skip] enables the §3.3 page-header optimization;
     [path_semantics] switches descendant steps (including those inside
     predicates) to the Gabillon–Bruno semantics, where every node on the
     connecting path must be accessible. *)
-type mode = { subject : int option; header_skip : bool; path_semantics : bool }
+type mode = { subject : int option; path_semantics : bool }
 
 val insecure : mode
 
-val secure : ?header_skip:bool -> ?path_semantics:bool -> int -> mode
+val secure : ?path_semantics:bool -> int -> mode
 
 val subject_of : mode -> int option
 

@@ -141,12 +141,6 @@ let classes t (p : Pattern.pnode) =
 
 let empty_for t p = not (Array.exists Fun.id (classes t p))
 
-let cardinality t p =
-  let s = classes t p in
-  let total = ref 0 in
-  Array.iteri (fun c b -> if b then total := !total + Ps.extent t.ps c) s;
-  !total
-
 let drop_dead_spans t ~dead =
   let dropped = ref 0 in
   Hashtbl.iter

@@ -34,11 +34,6 @@ val classes : t -> Pattern.pnode -> bool array
     cannot match. *)
 val empty_for : t -> Pattern.pnode -> bool
 
-(** Sum of admissible extent cardinalities — the exact number of data
-    nodes carrying an admissible tag path (classes of one tag partition
-    its extent), used by the join cost model. *)
-val cardinality : t -> Pattern.pnode -> int
-
 (** Drop admissible classes whose extent span is dead according to
     [dead] (e.g. no accessible preorder inside [lo, hi]); applied to
     every pattern node's set.  Returns the number of classes dropped.

@@ -266,7 +266,7 @@ let test_teardown_on_exception () =
   (match
      Exec.with_executor ~jobs:3 store index (fun ex ->
          seen := Some ex;
-         ignore (Exec.query ex "//item" Engine.Insecure);
+         ignore (Exec.query_batch ex [ ("//item", Engine.Insecure) ]);
          failwith "mid-query crash")
    with
   | () -> Alcotest.fail "exception swallowed"

@@ -213,27 +213,6 @@ let prop_engine_vs_reference_random =
       && ok (Engine.Secure 0) (Reference.Bound acc)
       && ok (Engine.Secure_path 0) (Reference.Path acc))
 
-let test_header_skip_equivalence () =
-  (* the §3.3 header optimization must not change answers *)
-  let tree = Xmark.generate_nodes ~seed:5 3000 in
-  let rng = Prng.create 21 in
-  let bools =
-    Synth_acl.generate_bool tree
-      ~params:{ Synth_acl.default with accessibility_ratio = 0.3 }
-      rng
-  in
-  let store, index = build_secured tree bools in
-  List.iter
-    (fun (_, q) ->
-      let with_skip =
-        Engine.query ~options:{ Engine.header_skip = true } store index q (Engine.Secure 0)
-      in
-      let without =
-        Engine.query ~options:{ Engine.header_skip = false } store index q (Engine.Secure 0)
-      in
-      check Fixtures.int_list q without.Engine.answers with_skip.Engine.answers)
-    Xmark.queries
-
 let test_all_paper_queries_vs_oracle () =
   (* the strongest fidelity check: every Table-1 query on a real XMark
      instance with propagated ACLs, all three semantics, vs the oracle *)
@@ -486,7 +465,7 @@ let suite =
     Alcotest.test_case "engine: path vs bound semantics" `Quick
       test_engine_path_vs_bound_semantics;
     prop_engine_vs_reference_random;
-    Alcotest.test_case "header skip equivalence" `Slow test_header_skip_equivalence;
+    Alcotest.test_case "secure STD path check" `Quick test_secure_std_path_check;
     Alcotest.test_case "all paper queries vs oracle" `Slow test_all_paper_queries_vs_oracle;
     Alcotest.test_case "Algorithm 1 agrees with engine" `Quick
       test_npm_agrees_with_engine_on_match_existence;
@@ -497,5 +476,4 @@ let suite =
     Alcotest.test_case "bindings: limit" `Quick test_bindings_limit;
     Alcotest.test_case "STD pairs" `Quick test_std_pairs;
     Alcotest.test_case "STD nested candidates" `Quick test_std_nested_candidates;
-    Alcotest.test_case "secure STD path check" `Quick test_secure_std_path_check;
   ]

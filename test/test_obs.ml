@@ -359,9 +359,10 @@ let test_fold_on_early_close () =
     ((Store.io_stats r).Store.page_touches > 0);
   Store.release r
 
-(* Intra-query [Exec.run] at two domains: worker readers have no stream
-   of their own, so the fold after each barrier is what brings their
-   counts in.  Read before shutdown (whose release would fold too). *)
+(* A batch at two domains: each query's stream folds its worker
+   reader's counts when it is drained, so after the barrier the registry
+   holds every reader's work.  Read before shutdown (whose release would
+   fold too). *)
 let test_fold_after_exec_barrier () =
   let store, index = table1_store () in
   (* the segment path: the summary filter would evaluate no segment *)
@@ -369,17 +370,21 @@ let test_fold_after_exec_barrier () =
   Exec.with_executor ~jobs:2 store index (fun exec ->
       Exec.reset_stats exec;
       Metrics.reset Metrics.default;
-      (* a few rounds, so both workers take chunks *)
+      let queries =
+        [ "//site//text"; "//site//keyword"; "//site//name";
+          "//description//keyword" ]
+      in
+      (* a few rounds, so both workers take queries *)
       for _ = 1 to 4 do
-        List.iter
-          (fun q ->
-            let r = Exec.query exec q (Engine.Secure 0) in
+        List.iter2
+          (fun q (r : Engine.result) ->
             (* each answer is a last-segment root, so >= 64 roots went
-               through the chunked evaluator *)
+               through segment evaluation *)
             Alcotest.(check bool) (q ^ ": >= 64 answers") true
               (List.length r.Engine.answers >= 64))
-          [ "//site//text"; "//site//keyword"; "//site//name";
-            "//description//keyword" ]
+          queries
+          (Exec.query_batch exec
+             (List.map (fun q -> (q, Engine.Secure 0)) queries))
       done;
       check_folded "exec jobs=2" (Exec.readers exec) (Store.disk store))
 

@@ -1,6 +1,6 @@
-(** Determinism and accounting of the multicore executor: batch and
-    intra-query evaluation on a domain pool must be byte-identical to
-    the sequential engine on the same inputs — across PRNG-seeded query
+(** Determinism and accounting of the multicore executor: batch
+    evaluation on a domain pool must be byte-identical to the
+    sequential engine on the same inputs — across PRNG-seeded query
     mixes, all three semantics, and quarantined stores — and the summed
     per-reader statistics must agree with the metrics registry they are
     folded into. *)
@@ -114,23 +114,6 @@ let test_batch_all_semantics () =
     (fun i (e, g) -> result_eq (Printf.sprintf "semantics case %d" i) e g)
     (List.combine expected got)
 
-(* --- intra-query determinism: chunked segments vs sequential --- *)
-
-let test_intra_query_determinism () =
-  let store, index = make_store ~nodes:4000 66 in
-  let exec = Exec.create ~jobs:3 store index in
-  List.iter
-    (fun (qid, xpath) ->
-      let p = Xpath.parse xpath in
-      List.iter
-        (fun sem ->
-          let e = Engine.run store index p sem in
-          let g = Exec.run exec p sem in
-          result_eq (Printf.sprintf "intra %s" qid) e g)
-        [ Engine.Insecure; Engine.Secure 1; Engine.Secure_path 4 ])
-    Xmark.queries;
-  Exec.shutdown exec
-
 (* --- statistics parity: per-reader sums vs the folded registry --- *)
 
 let test_stats_parity () =
@@ -212,12 +195,10 @@ let suite =
       test_batch_determinism_quarantined;
     Alcotest.test_case "batch: all semantics on all queries" `Quick
       test_batch_all_semantics;
-    Alcotest.test_case "intra-query chunked = sequential" `Quick
-      test_intra_query_determinism;
+    Alcotest.test_case "reader handle isolates statistics" `Quick
+      test_reader_isolation;
     Alcotest.test_case "per-reader stats sum to registry" `Quick
       test_stats_parity;
     Alcotest.test_case "atomic counters exact under 4 domains" `Quick
       test_atomic_counters_exact;
-    Alcotest.test_case "reader handle isolates statistics" `Quick
-      test_reader_isolation;
   ]

@@ -2,8 +2,8 @@
 
     The streaming cursor must be byte-identical to materialized
     evaluation — across all three semantics, quarantined stores, the
-    run-index/summary toggle lattice, chunk sizes, and the
-    4-domain pooled path — while keeping buffered-result memory bounded
+    run-index/summary toggle lattice and chunk sizes — while keeping
+    buffered-result memory bounded
     and releasing its epoch pin on early close.  The service must be
     answer-correct per tenant, weighted-fair under flooding, and shed
     (never drop) work past the admission bound. *)
@@ -190,27 +190,6 @@ let test_stream_early_close () =
   check Alcotest.int "one query counted, once"
     (q_before + 1)
     (Dolx_obs.Metrics.counter_value "engine.queries")
-
-(* --- pooled streaming: jobs=4 must equal the sequential engine --- *)
-
-let test_exec_stream_matches_sequential () =
-  let store, index = make_store 42 in
-  Exec.with_executor ~jobs:4 store index (fun exec ->
-      List.iteri
-        (fun i (xpath, sem) ->
-          let expected = Engine.query store index xpath sem in
-          let st = Exec.stream_query ~chunk:16 exec xpath sem in
-          let got = Engine.stream_collect st in
-          check Alcotest.(list int)
-            (Printf.sprintf "exec stream q%d %s" i xpath)
-            expected.Engine.answers got;
-          check Alcotest.(list int)
-            (Printf.sprintf "exec stream q%d oracle" i)
-            (oracle store xpath sem) got;
-          check Alcotest.int
-            (Printf.sprintf "exec stream q%d scanned" i)
-            expected.Engine.candidates_scanned (Engine.stream_scanned st))
-        (queries ~subjects:6 ~seed:4242))
 
 (* --- the service: per-tenant answer correctness --- *)
 
@@ -464,8 +443,6 @@ let suite =
       test_stream_chunk_sizes;
     Alcotest.test_case "early close flushes counters once" `Quick
       test_stream_early_close;
-    Alcotest.test_case "exec stream jobs=4 = sequential" `Quick
-      test_exec_stream_matches_sequential;
     Alcotest.test_case "service: per-tenant answers correct" `Quick
       test_serve_answers;
     Alcotest.test_case "service: worker error surfaces via ticket" `Quick
