@@ -33,7 +33,7 @@ let () =
      pages: the publisher never materializes the document --- *)
   let builder = Dol.Streaming.create ~width:n_subscribers in
   let disk = Dolx_storage.Disk.create ~page_size:1024 () in
-  let pages = Dolx_storage.Stream_layout.create disk in
+  let pages = Dolx_storage.Nok_layout.stream disk in
   let control_chars = ref 0 in
   let rec stream v =
     (* each start-element consults the policy output for the node and may
@@ -41,13 +41,13 @@ let () =
        and onto the current page *)
     let code = Dol.Streaming.push builder (Dolx_policy.Labeling.acl labeling v) in
     if code <> None then incr control_chars;
-    Dolx_storage.Stream_layout.start_element pages ~tag:(Tree.tag tree v) ?code ();
+    Dolx_storage.Nok_layout.start_element pages ~tag:(Tree.tag tree v) ?code ();
     Tree.iter_children stream tree v;
-    Dolx_storage.Stream_layout.end_element pages
+    Dolx_storage.Nok_layout.end_element pages
   in
   stream Tree.root;
   let dol = Dol.Streaming.finish builder in
-  let layout = Dolx_storage.Stream_layout.finish pages in
+  let layout = Dolx_storage.Nok_layout.end_stream pages in
   Printf.printf
     "streamed %d elements; embedded %d access-control codes (%.2f%% of events) onto %d pages\n"
     (Tree.size tree) !control_chars

@@ -64,7 +64,6 @@ module Tree = Dolx_xml.Tree
 module Tag = Dolx_xml.Tag
 module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
-module Page = Dolx_storage.Page
 module Varint = Dolx_util.Varint
 module Crc = Dolx_util.Crc
 module Bitset = Dolx_util.Bitset
@@ -439,53 +438,35 @@ let synthesize_quarantine ~images ~bad ~page_size ~dol ~n_tags =
   (* Pack a run of k filler nodes starting at [pre0]/[d0], total closes
      on the last node, into fresh page images. *)
   let emit_run ~pre0 ~d0 ~k ~total_closes =
-    let budget = page_size in
-    let i = ref 0 in
-    while !i < k do
-      let first = !i in
-      let bytes_used = ref Nok_layout.header_bytes in
-      let recs = ref [] in
-      let continue = ref true in
-      while !continue && !i < k do
-        let r =
-          {
-            Nok_layout.pre = pre0 + !i;
-            tag = 0;
-            closes = (if !i = k - 1 then total_closes else 0);
-            code = None;
-          }
-        in
-        let rb = Nok_layout.record_bytes r in
-        if !bytes_used + rb > budget && !recs <> [] then continue := false
-        else begin
-          recs := r :: !recs;
-          bytes_used := !bytes_used + rb;
-          incr i
-        end
+    try
+      let p =
+        Nok_layout.packer ~page_size ~fill:1.0 ~pre:pre0 ~depth:d0 (fun _ page ->
+            out := page :: !out)
+      in
+      for i = 0 to k - 1 do
+        Nok_layout.pack p ~tag:0
+          ~closes:(if i = k - 1 then total_closes else 0)
+          (if i = 0 then Some deny else None)
       done;
-      let recs = List.rev !recs in
-      let page = Page.create page_size in
-      Nok_layout.encode_records page ~n:(List.length recs)
-        ~first_pre:(pre0 + first) ~first_code:deny ~first_depth:(d0 + first)
-        ~change:false recs;
-      out := page :: !out
-    done
+      Nok_layout.flush p
+    with Invalid_argument m -> corrupt "pages: %s" m
   in
   let lp = ref 0 in
   while !lp < n do
     if not bad.(!lp) then begin
       let img = images.(!lp) in
-      let hdr_ok =
-        Bytes.length img = page_size
-        && Page.get_u16 img 0 > 0
-        && Page.get_u32 img 2 = !n_so_far
+      let inconsistent () =
+        corrupt "pages: inconsistent page %d after recovery" !lp
       in
-      if not hdr_ok then corrupt "pages: inconsistent page %d after recovery" !lp;
+      if Bytes.length img <> page_size then inconsistent ();
+      let h = Nok_layout.image_header img in
+      if h.first_pre <> !n_so_far then inconsistent ();
       let records =
         try Nok_layout.decode_image img
         with _ -> corrupt "pages: undecodable page %d after recovery" !lp
       in
-      let d = ref (Page.get_u16 img 10) in
+      if records = [] then inconsistent ();
+      let d = ref h.first_depth in
       List.iter (fun r -> d := !d + 1 - r.Nok_layout.closes) records;
       depth_next := !d;
       n_so_far := !n_so_far + List.length records;
@@ -503,7 +484,9 @@ let synthesize_quarantine ~images ~bad ~page_size ~dol ~n_tags =
           let img = images.(!lp) in
           if Bytes.length img <> page_size then
             corrupt "pages: inconsistent page %d after recovery" !lp
-          else (Page.get_u32 img 2 - pre0, Page.get_u16 img 10)
+          else
+            let h = Nok_layout.image_header img in
+            (h.first_pre - pre0, h.first_depth)
         else (n_nodes - pre0, 0)
       in
       let total_closes = d_start + k - d_next in

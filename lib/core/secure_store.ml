@@ -83,6 +83,7 @@ type t = {
   pool : Buffer_pool.t;
   disk : Disk.t;
   pool_capacity : int;
+  fill : float; (* page fill at build time, kept for [rebuild] *)
   (* Scan-resume cursor for [Nok_layout.code_in_force_at] and the span
      of the page last touched: per handle, so reader handles never share
      scan state. *)
@@ -140,7 +141,7 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
      verdict is already fail-secure *)
   let runs = Access_runs.create ~deny:quarantine snapshot in
   { tree; summary; use_summary = path_summary;
-    dol; layout; pool; disk; pool_capacity;
+    dol; layout; pool; disk; pool_capacity; fill = 0.9;
     cursor = Nok_layout.cursor layout;
     span = Nok_layout.span ();
     runs;
@@ -166,7 +167,11 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
   let disk = Disk.create ~page_size () in
   let transitions = Array.of_list (Dol.transitions dol) in
   let layout = Nok_layout.build ~fill disk tree ~transitions in
-  assemble ~pool_capacity ~run_index ~path_summary ~tree ~dol ~disk ~layout ()
+  {
+    (assemble ~pool_capacity ~run_index ~path_summary ~tree ~dol ~disk ~layout ())
+    with
+    fill;
+  }
 
 (** A read-only evaluation handle over the same store: shares the
     immutable parts (tree, DOL, layout, disk, quarantine) but owns a
@@ -504,5 +509,5 @@ let span_provably_accessible t ~subject ~lo ~hi =
     page-size/fill configuration of [t]. *)
 let rebuild t tree dol =
   let page_size = Dolx_storage.Disk.page_size t.disk in
-  create ~page_size ~pool_capacity:t.pool_capacity ~run_index:t.use_runs
-    ~path_summary:t.use_summary tree dol
+  create ~page_size ~pool_capacity:t.pool_capacity ~fill:t.fill
+    ~run_index:t.use_runs ~path_summary:t.use_summary tree dol

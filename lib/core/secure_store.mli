@@ -241,5 +241,6 @@ val span_provably_accessible : t -> subject:int -> lo:int -> hi:int -> bool
     Accessibility updates are applied in place (see {!Update}); a
     structural update renumbers every following preorder, so the store is
     rebuilt: [rebuild t tree' dol'] lays the new document out on a fresh
-    disk with [t]'s page-size and pool configuration. *)
+    disk with [t]'s page size, fill and pool configuration (a store from
+    {!assemble} rebuilds at the default fill). *)
 val rebuild : t -> Tree.t -> Dol.t -> t

@@ -46,7 +46,6 @@
 module Tree = Dolx_xml.Tree
 module Varint = Dolx_util.Varint
 module Binsearch = Dolx_util.Binsearch
-module Int_vec = Dolx_util.Int_vec
 
 let header_bytes = 15
 
@@ -161,7 +160,7 @@ let page_of t pre = page_in t t.view pre
 
 let physical_page t lp = t.view.phys.(lp)
 
-(** {1 Record encoding} *)
+(** {1 Page encoding} *)
 
 let record_bytes r =
   1
@@ -169,12 +168,14 @@ let record_bytes r =
   + Varint.encoded_length r.closes
   + match r.code with Some c -> Varint.encoded_length c | None -> 0
 
-let encode_records page ~n ~first_pre ~first_code ~first_depth ~change records =
-  Page.set_u16 page 0 n;
-  Page.set_u32 page 2 first_pre;
-  Page.set_u32 page 6 first_code;
-  Page.set_u16 page 10 first_depth;
-  Page.set_u8 page 12 (if change then 1 else 0);
+(* The one page encoder: header [h] and [records] into a fresh image. *)
+let encode page_size h records =
+  let page = Page.create page_size in
+  Page.set_u16 page 0 (List.length records);
+  Page.set_u32 page 2 h.first_pre;
+  Page.set_u32 page 6 h.first_code;
+  Page.set_u16 page 10 h.first_depth;
+  Page.set_u8 page 12 (if h.change then 1 else 0);
   let pos = ref header_bytes in
   List.iter
     (fun r ->
@@ -185,7 +186,17 @@ let encode_records page ~n ~first_pre ~first_code ~first_depth ~change records =
       pos := Varint.write page !pos r.closes;
       match r.code with Some c -> pos := Varint.write page !pos c | None -> ())
     records;
-  Page.set_u16 page 13 (!pos - header_bytes)
+  Page.set_u16 page 13 (!pos - header_bytes);
+  page
+
+(** Header of a raw page image. *)
+let image_header page =
+  {
+    first_pre = Page.get_u32 page 2;
+    first_code = Page.get_u32 page 6;
+    change = Page.get_u8 page 12 land 1 <> 0;
+    first_depth = Page.get_u16 page 10;
+  }
 
 (** Decode all records of a raw page image (no pool, no layout). *)
 let decode_image page =
@@ -209,146 +220,204 @@ let decode_image page =
       in
       { pre = first_pre + i; tag; closes; code })
 
-(** {1 Building} *)
+(** {1 Packing}
 
-(** Lay the document out on [disk] in document order.
+    The one page-break policy: records go in document order until the
+    next one would pass the fill budget; a page's first record keeps its
+    code in the header; the change bit is set when a later record
+    carries a code.  The packer tracks the code in force and the depth
+    itself, so a driver feeds it only tag, close count and transition
+    code. *)
 
-    [transitions] is the DOL transition list as sorted [(preorder, code)]
-    pairs with the root at index 0 (see [Dolx_core.Dol]).  [fill] bounds
-    the fraction of each page used at build time, leaving slack so that
-    accessibility updates that add a transition code usually fit in
-    place. *)
-let build ?(fill = 0.9) disk tree ~transitions =
-  if fill <= 0.0 || fill > 1.0 then invalid_arg "Nok_layout.build: fill";
-  let n = Tree.size tree in
-  let page_size = Disk.page_size disk in
-  if page_size < 64 then invalid_arg "Nok_layout.build: page size must be >= 64";
+type packer = {
+  page_size : int;
+  budget : int;
+  emit : header -> Page.t -> unit;
+  mutable recs : record list; (* the open page, newest first *)
+  mutable used : int; (* header + record bytes of the open page *)
+  mutable head : header; (* the open page's header, change bit aside *)
+  mutable changed : bool; (* a later record of the open page has a code *)
+  mutable next_pre : int;
+  mutable depth : int; (* open elements before the next record *)
+  mutable code_now : int option; (* code in force after the last record *)
+}
+
+let packer ~page_size ~fill ~pre ~depth emit =
+  if fill <= 0.0 || fill > 1.0 then invalid_arg "Nok_layout.packer: fill";
+  if page_size < 64 then invalid_arg "Nok_layout.packer: page size must be >= 64";
   let budget =
     min page_size
       (max (header_bytes + 16) (int_of_float (float_of_int page_size *. fill)))
   in
-  let trans_pres = Array.map fst transitions in
-  let trans_codes = Array.map snd transitions in
-  if Array.length trans_pres = 0 || trans_pres.(0) <> 0 then
-    invalid_arg "Nok_layout.build: transitions must start at the root";
-  let code_at pre =
-    match Binsearch.predecessor trans_pres pre with
-    | Some i -> trans_codes.(i)
-    | None -> assert false
-  in
-  let is_transition pre =
-    match Binsearch.find trans_pres pre with Some _ -> true | None -> false
-  in
-  let phys = Int_vec.create () in
-  let first_pres = Int_vec.create () in
-  let first_codes = Int_vec.create () in
-  let first_depths = Int_vec.create () in
-  let changes = ref [] in
-  (* Accumulate records for the current page, flush when the budget would
-     be exceeded. *)
-  let current = ref [] in
-  let current_bytes = ref header_bytes in
-  let current_first = ref 0 in
-  let current_change = ref false in
-  let flush () =
-    if !current <> [] then begin
-      let records = List.rev !current in
-      let first_pre = !current_first in
-      let pid = Disk.allocate disk in
-      let page = Page.create page_size in
-      encode_records page ~n:(List.length records) ~first_pre
-        ~first_code:(code_at first_pre) ~first_depth:(Tree.depth tree first_pre)
-        ~change:!current_change records;
-      Disk.write disk pid page;
-      Int_vec.push phys pid;
-      Int_vec.push first_pres first_pre;
-      Int_vec.push first_codes (code_at first_pre);
-      Int_vec.push first_depths (Tree.depth tree first_pre);
-      changes := !current_change :: !changes;
-      current := [];
-      current_bytes := header_bytes;
-      current_change := false
-    end
-  in
-  for v = 0 to n - 1 do
-    if !current = [] then current_first := v;
-    let is_page_first = !current = [] in
-    let code = if (not is_page_first) && is_transition v then Some (code_at v) else None in
-    let r = { pre = v; tag = Tree.tag tree v; closes = Tree.closes_after tree v; code } in
-    let rb = record_bytes r in
-    if !current_bytes + rb > budget && !current <> [] then begin
-      flush ();
-      current_first := v;
-      (* re-evaluate as a page-first record: no inline code *)
-      let r = { r with code = None } in
-      current := [ r ];
-      current_bytes := header_bytes + record_bytes r
-    end
-    else begin
-      current := r :: !current;
-      current_bytes := !current_bytes + rb;
-      if r.code <> None then current_change := true
-    end
-  done;
-  flush ();
+  {
+    page_size;
+    budget;
+    emit;
+    recs = [];
+    used = header_bytes;
+    head = { first_pre = pre; first_code = 0; change = false; first_depth = depth };
+    changed = false;
+    next_pre = pre;
+    depth;
+    code_now = None;
+  }
+
+let flush p =
+  if p.recs <> [] then begin
+    let h = { p.head with change = p.changed } in
+    p.emit h (encode p.page_size h (List.rev p.recs));
+    p.recs <- [];
+    p.used <- header_bytes;
+    p.changed <- false
+  end
+
+let pack p ~tag ~closes code =
+  let pre = p.next_pre in
+  if pre > 0 && p.depth < 1 then
+    invalid_arg "Nok_layout: more than one top-level element";
+  if code <> None then p.code_now <- code;
+  let r = { pre; tag; closes; code } in
+  let rb = record_bytes r in
+  if p.recs <> [] && p.used + rb <= p.budget then begin
+    p.recs <- r :: p.recs;
+    p.used <- p.used + rb;
+    if code <> None then p.changed <- true
+  end
+  else begin
+    let first_code =
+      match p.code_now with
+      | Some c -> c
+      | None -> invalid_arg "Nok_layout: the first node carries no access-control code"
+    in
+    flush p;
+    let r = { r with code = None } in
+    p.recs <- [ r ];
+    p.used <- header_bytes + record_bytes r;
+    p.head <- { first_pre = pre; first_code; change = false; first_depth = p.depth }
+  end;
+  p.next_pre <- pre + 1;
+  p.depth <- p.depth + 1 - closes
+
+(** {1 Building} *)
+
+(* A layout over [pages], (physical id, header) in logical order. *)
+let of_table disk ~n_nodes pages =
+  let field f = Array.map (fun (_, h) -> f h) pages in
   {
     disk;
     view =
       {
-        phys = Int_vec.to_array phys;
-        first_pres = Int_vec.to_array first_pres;
-        first_codes = Int_vec.to_array first_codes;
-        changes = Array.of_list (List.rev !changes);
-        first_depths = Int_vec.to_array first_depths;
-        n_pages = Int_vec.length phys;
+        phys = Array.map fst pages;
+        first_pres = field (fun h -> h.first_pre);
+        first_codes = field (fun h -> h.first_code);
+        changes = field (fun h -> h.change);
+        first_depths = field (fun h -> h.first_depth);
+        n_pages = Array.length pages;
         vgen = 0;
       };
     frozen = false;
-    n_nodes = n;
+    n_nodes;
     own_cursor = fresh_cursor ();
     dirty = Hashtbl.create 8;
     renumbered = false;
   }
+
+(* A packer that writes each page to [disk] and collects the page
+   table; [finish] flushes it and returns the layout. *)
+let writer ?(fill = 0.9) disk =
+  let pages = ref [] (* (physical id, header), newest first *) in
+  let p =
+    packer ~page_size:(Disk.page_size disk) ~fill ~pre:0 ~depth:0 (fun h page ->
+        let pid = Disk.allocate disk in
+        Disk.write disk pid page;
+        pages := (pid, h) :: !pages)
+  in
+  let finish () =
+    flush p;
+    if p.next_pre = 0 || p.depth <> 0 then
+      invalid_arg "Nok_layout: the document is empty or not closed";
+    of_table disk ~n_nodes:p.next_pre (Array.of_list (List.rev !pages))
+  in
+  (p, finish)
+
+(** Lay the document out on [disk] in document order.
+
+    [transitions] is the DOL transition list as sorted [(preorder, code)]
+    pairs with the root at index 0 (see [Dolx_core.Dol]); one index
+    steps through it alongside the preorder walk.  [fill] bounds the
+    fraction of each page used at build time, leaving slack so that
+    accessibility updates that add a transition code usually fit in
+    place. *)
+let build ?fill disk tree ~transitions =
+  let p, finish = writer ?fill disk in
+  let n_trans = Array.length transitions in
+  let k = ref 0 in
+  for v = 0 to Tree.size tree - 1 do
+    let code =
+      if !k < n_trans && fst transitions.(!k) = v then begin
+        let c = snd transitions.(!k) in
+        incr k;
+        Some c
+      end
+      else None
+    in
+    pack p ~tag:(Tree.tag tree v) ~closes:(Tree.closes_after tree v) code
+  done;
+  if !k <> n_trans then
+    invalid_arg "Nok_layout.build: transitions not sorted within the document";
+  finish ()
+
+(** {1 Streaming construction}
+
+    One pass over SAX-style events (§2; §7 embeds the codes in the
+    stream "as control characters").  A node's close count is final
+    only when the next element starts or the stream ends, so one node is
+    held back. *)
+
+type stream = {
+  packer : packer;
+  finish : unit -> t;
+  mutable held_tag : int; (* the held-back node, -1 before the first start *)
+  mutable held_code : int option;
+  mutable held_closes : int; (* end events after the held-back node *)
+}
+
+let stream ?fill disk =
+  let packer, finish = writer ?fill disk in
+  { packer; finish; held_tag = -1; held_code = None; held_closes = 0 }
+
+let emit_held s =
+  if s.held_tag >= 0 then
+    pack s.packer ~tag:s.held_tag ~closes:s.held_closes s.held_code
+
+let start_element s ~tag ?code () =
+  emit_held s;
+  s.held_tag <- tag;
+  s.held_code <- code;
+  s.held_closes <- 0
+
+let end_element s = s.held_closes <- s.held_closes + 1
+
+let end_stream s =
+  emit_held s;
+  s.finish ()
 
 (** Attach to an existing disk whose pages [0, n_pages) hold a layout in
     logical order (as written by a database file loader): the in-memory
     page table is reconstructed from the page headers in one scan. *)
 let attach disk ~n_pages =
   if n_pages <= 0 then invalid_arg "Nok_layout.attach: no pages";
-  let first_pres = Array.make n_pages 0 in
-  let first_codes = Array.make n_pages 0 in
-  let first_depths = Array.make n_pages 0 in
-  let changes = Array.make n_pages false in
   let n_nodes = ref 0 in
-  for lp = 0 to n_pages - 1 do
-    let buf = Disk.read disk lp in
-    let n = Page.get_u16 buf 0 in
-    first_pres.(lp) <- Page.get_u32 buf 2;
-    first_codes.(lp) <- Page.get_u32 buf 6;
-    first_depths.(lp) <- Page.get_u16 buf 10;
-    changes.(lp) <- Page.get_u8 buf 12 land 1 <> 0;
-    if first_pres.(lp) <> !n_nodes then
-      invalid_arg "Nok_layout.attach: pages not in dense logical order";
-    n_nodes := !n_nodes + n
-  done;
-  {
-    disk;
-    view =
-      {
-        phys = Array.init n_pages Fun.id;
-        first_pres;
-        first_codes;
-        changes;
-        first_depths;
-        n_pages;
-        vgen = 0;
-      };
-    frozen = false;
-    n_nodes = !n_nodes;
-    own_cursor = fresh_cursor ();
-    dirty = Hashtbl.create 8;
-    renumbered = false;
-  }
+  let pages =
+    Array.init n_pages (fun lp ->
+        let buf = Disk.read disk lp in
+        let h = image_header buf in
+        if h.first_pre <> !n_nodes then
+          invalid_arg "Nok_layout.attach: pages not in dense logical order";
+        n_nodes := !n_nodes + Page.get_u16 buf 0;
+        (lp, h))
+  in
+  of_table disk ~n_nodes:!n_nodes pages
 
 (** A private copy of the image of logical page [lp] (for database-file
     export), bypassing the pool. *)
@@ -474,11 +543,12 @@ let rewrite_page t pool lp records ~code_before =
         let first_code =
           match first.code with Some c -> c | None -> code_before first.pre
         in
-        let records = { first with code = None } :: rest in
         let change = List.exists (fun r -> r.code <> None) rest in
-        let page = Page.create page_size in
-        encode_records page ~n:(List.length records) ~first_pre:first.pre
-          ~first_code ~first_depth ~change records;
+        let page =
+          encode page_size
+            { first_pre = first.pre; first_code; change; first_depth }
+            ({ first with code = None } :: rest)
+        in
         (page, first_code, change)
   in
   let total =

@@ -11,9 +11,6 @@
 
 module Tree = Dolx_xml.Tree
 
-(** Fixed per-page header size in bytes. *)
-val header_bytes : int
-
 type header = {
   first_pre : int;
   first_code : int;
@@ -57,14 +54,35 @@ val page_of : t -> int -> int
 
 val physical_page : t -> int -> int
 
-(** Encoded size of a record in bytes. *)
-val record_bytes : record -> int
+(** {1 Packing}
 
-(** Low-level page encoder (shared with {!Stream_layout}): write a
-    header + records into a page buffer. *)
-val encode_records :
-  Page.t -> n:int -> first_pre:int -> first_code:int -> first_depth:int ->
-  change:bool -> record list -> unit
+    The one page-break policy shared by every builder: records go in
+    document order until the next would pass the fill budget, a page's
+    first record keeps its code in the page header, and the change bit
+    is set when any later record carries a code.  The packer tracks the
+    preorder, depth and code in force itself. *)
+
+type packer
+
+(** A packer whose first record has preorder [pre] at depth [depth];
+    each finished page is handed to the callback with its header.
+    [fill] bounds page occupancy (see {!build}).
+    @raise Invalid_argument on pages < 64 bytes or [fill] outside (0, 1]. *)
+val packer :
+  page_size:int -> fill:float -> pre:int -> depth:int ->
+  (header -> Page.t -> unit) -> packer
+
+(** Add the next record in document order: its tag, the number of
+    elements closed after it, and its transition code if it is one.
+    @raise Invalid_argument when no code is in force yet (the first
+    node must carry one), or when the record would be a second
+    top-level element. *)
+val pack : packer -> tag:int -> closes:int -> int option -> unit
+
+(** Finish the open page, if any. *)
+val flush : packer -> unit
+
+(** {1 Building} *)
 
 (** Lay the document out on [disk] in document order.  [transitions] is
     the DOL transition list as sorted [(preorder, code)] pairs starting
@@ -72,6 +90,28 @@ val encode_records :
     0.9 — the slack absorbs accessibility updates in place, §3.4).
     @raise Invalid_argument on pages < 64 bytes or bad transitions. *)
 val build : ?fill:float -> Disk.t -> Tree.t -> transitions:(int * int) array -> t
+
+(** One-pass construction from SAX-style events — the physical half of
+    the paper's one-pass claims (§2, §7): the DOL transition code rides
+    on the start event of each transition node, and pages are written as
+    they fill, with one node of lookahead. *)
+type stream
+
+(** Pages are written to [disk]; [fill] as in {!build}. *)
+val stream : ?fill:float -> Disk.t -> stream
+
+(** A new element starts; [code] is its DOL transition code when the
+    node is a transition. *)
+val start_element : stream -> tag:int -> ?code:int -> unit -> unit
+
+(** The innermost open element ends. *)
+val end_element : stream -> unit
+
+(** Flush and return the layout over the written pages; the page table
+    is collected while writing, no page is read back.
+    @raise Invalid_argument as {!pack} does, and on an empty or
+    unclosed stream. *)
+val end_stream : stream -> t
 
 (** Attach to a disk whose pages [0, n_pages) hold a layout in dense
     logical order (a database-file load): the page table is rebuilt from
@@ -99,6 +139,9 @@ val records : t -> Buffer_pool.t -> int -> record list
 (** Decode all records of a raw page image (no pool, no layout) —
     database-file recovery use. *)
 val decode_image : Page.t -> record list
+
+(** The header stored in a raw page image. *)
+val image_header : Page.t -> header
 
 (** A private scan-resume position for {!code_in_force_at}.  Each reader
     handle owns one; positions self-invalidate after any

@@ -160,8 +160,6 @@ let test_layout_accessors () =
   Alcotest.(check bool) "physical page exists" true
     (Nok_layout.physical_page layout 0 >= 0);
   Alcotest.(check bool) "storage bytes" true (Nok_layout.storage_bytes layout > 0);
-  check Alcotest.int "record bytes" 3
-    (Nok_layout.record_bytes { Nok_layout.pre = 0; tag = 1; closes = 1; code = None });
   Alcotest.check_raises "bad header index" (Invalid_argument "Nok_layout.header")
     (fun () -> ignore (Nok_layout.header layout 999))
 

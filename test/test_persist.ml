@@ -320,7 +320,6 @@ let prop_stream_filter_multi_subject =
 
 (* --- fully streaming construction: events -> DOL + pages in one pass --- *)
 
-module Stream_layout = Dolx_storage.Stream_layout
 module Nok_layout = Dolx_storage.Nok_layout
 module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
@@ -342,7 +341,7 @@ let test_stream_layout_equals_batch () =
      node ACL into the streaming DOL and the (tag, code) into the
      streaming layout *)
   let disk_s = Disk.create ~page_size:512 () in
-  let slb = Stream_layout.create disk_s in
+  let slb = Nok_layout.stream disk_s in
   let dolb = Dol.Streaming.create ~width:1 in
   let table = Tree.tag_table tree in
   let pre = ref 0 in
@@ -350,13 +349,13 @@ let test_stream_layout_equals_batch () =
     | Parser.Start (name, _) ->
         let code = Dol.Streaming.push dolb (Labeling.acl lab !pre) in
         incr pre;
-        Stream_layout.start_element slb
+        Nok_layout.start_element slb
           ~tag:(Option.get (Dolx_xml.Tag.find_opt table name))
           ?code ()
-    | Parser.End _ -> Stream_layout.end_element slb
+    | Parser.End _ -> Nok_layout.end_element slb
     | Parser.Text _ -> ());
   let dol_stream = Dol.Streaming.finish dolb in
-  let layout_s = Stream_layout.finish slb in
+  let layout_s = Nok_layout.end_stream slb in
   (* the two paths agree on everything observable *)
   check Alcotest.int "page count" (Nok_layout.page_count layout_b)
     (Nok_layout.page_count layout_s);
@@ -396,17 +395,17 @@ let prop_stream_layout_random =
         Nok_layout.build disk_b tree ~transitions:(Array.of_list (Dol.transitions dol))
       in
       let disk_s = Disk.create ~page_size () in
-      let slb = Stream_layout.create disk_s in
+      let slb = Nok_layout.stream disk_s in
       let dolb = Dol.Streaming.create ~width:1 in
       let lab = Labeling.of_bool_array bools in
       let rec walk v =
         let code = Dol.Streaming.push dolb (Labeling.acl lab v) in
-        Stream_layout.start_element slb ~tag:(Tree.tag tree v) ?code ();
+        Nok_layout.start_element slb ~tag:(Tree.tag tree v) ?code ();
         Tree.iter_children walk tree v;
-        Stream_layout.end_element slb
+        Nok_layout.end_element slb
       in
       walk Tree.root;
-      let layout_s = Stream_layout.finish slb in
+      let layout_s = Nok_layout.end_stream slb in
       let pool_b = Buffer_pool.create ~capacity:16 disk_b in
       let pool_s = Buffer_pool.create ~capacity:16 disk_s in
       Nok_layout.page_count layout_b = Nok_layout.page_count layout_s
@@ -415,6 +414,29 @@ let prop_stream_layout_random =
       && Tree.structure_string (Nok_layout.decode_tree layout_s pool_s
                                   ~tag_table:(Tree.tag_table tree))
          = Tree.structure_string tree)
+
+(* The streaming driver shares the packer's checks with the batch
+   build: a document whose first element carries no transition code
+   (there is no code to put in the first page header), and a second
+   top-level element (no tree could be decoded from the pages). *)
+let test_stream_layout_rejects () =
+  let stream events =
+    let s = Nok_layout.stream (Disk.create ~page_size:256 ()) in
+    List.iter
+      (function
+        | `Start code -> Nok_layout.start_element s ~tag:0 ?code ()
+        | `End -> Nok_layout.end_element s)
+      events;
+    ignore (Nok_layout.end_stream s)
+  in
+  Alcotest.check_raises "root without a transition code"
+    (Invalid_argument "Nok_layout: the first node carries no access-control code")
+    (fun () -> stream [ `Start None; `Start None; `End; `End ]);
+  Alcotest.check_raises "second top-level element"
+    (Invalid_argument "Nok_layout: more than one top-level element")
+    (fun () -> stream [ `Start (Some 0); `End; `Start None; `End ]);
+  (* the well-formed counterpart is accepted *)
+  stream [ `Start (Some 0); `Start None; `End; `End ]
 
 (* --- incremental maintenance --- *)
 
@@ -543,4 +565,6 @@ let suite =
     Alcotest.test_case "incremental remove not found" `Quick
       test_incremental_remove_not_found;
     Alcotest.test_case "incremental no-op" `Quick test_incremental_noop_runs_empty;
+    Alcotest.test_case "streaming layout rejects bad documents" `Quick
+      test_stream_layout_rejects;
   ]

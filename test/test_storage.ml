@@ -315,6 +315,98 @@ let test_header_table_bytes () =
     (11 * Nok_layout.page_count layout)
     (Nok_layout.header_table_bytes layout)
 
+(* --- golden page images --- *)
+
+module Crc = Dolx_util.Crc
+module Store = Dolx_core.Secure_store
+module Db_file = Dolx_core.Db_file
+
+(* One fixed XMark document with a multi-subject labeling. *)
+let golden_tree_dol () =
+  let tree = Dolx_workload.Xmark.generate_nodes ~seed:2305 3000 in
+  let lab =
+    Dolx_workload.Synth_acl.generate_multi tree ~seed:2306 ~n_subjects:8
+      ~n_archetypes:3 ()
+  in
+  (tree, Dol.of_labeling lab)
+
+(* Page count, CRC32C of the page images concatenated in logical order,
+   and CRC32C of the page table (physical id and header per page). *)
+let layout_digest layout =
+  let images = Buffer.create 4096 and table = Buffer.create 1024 in
+  for lp = 0 to Nok_layout.page_count layout - 1 do
+    Buffer.add_bytes images (Nok_layout.page_image layout lp);
+    let h = Nok_layout.header layout lp in
+    Printf.bprintf table "%d %d %d %d %b;"
+      (Nok_layout.physical_page layout lp)
+      h.Nok_layout.first_pre h.Nok_layout.first_code h.Nok_layout.first_depth
+      h.Nok_layout.change
+  done;
+  ( Nok_layout.page_count layout,
+    Crc.digest_string (Buffer.contents images),
+    Crc.digest_string (Buffer.contents table) )
+
+let digest = Alcotest.(triple int int int)
+
+(* The expected values were taken from the commit before the tree
+   build, the event stream and the quarantine filler shared one page
+   packer (each had its own packing loop then).  Page images must not
+   change with the code that packs them: the page-model counts and the
+   Table-1 golden rows depend on them. *)
+let test_golden_page_images () =
+  let tree, dol = golden_tree_dol () in
+  List.iter
+    (fun (page_size, fill, expected) ->
+      let store = Store.create ~page_size ~fill tree dol in
+      check digest
+        (Printf.sprintf "page size %d, fill %.1f" page_size fill)
+        expected
+        (layout_digest (Store.layout store)))
+    [
+      (256, 0.5, (93, 2554812688, 1520199153));
+      (256, 0.9, (49, 3179759907, 2280346002));
+      (1024, 0.5, (21, 3586906308, 2453984117));
+      (1024, 0.9, (12, 408695923, 3166316583));
+      (4096, 0.5, (6, 176856229, 2014387656));
+      (4096, 0.9, (3, 3662432475, 3744250236));
+    ];
+  (* the event driver writes the same pages as the tree build *)
+  let s = Nok_layout.stream (Disk.create ~page_size:1024 ()) in
+  let rec walk v =
+    let code = if Dol.is_transition dol v then Some (Dol.code_at dol v) else None in
+    Nok_layout.start_element s ~tag:(Tree.tag tree v) ?code ();
+    Tree.iter_children walk tree v;
+    Nok_layout.end_element s
+  in
+  walk Tree.root;
+  check digest "event stream, page size 1024, fill 0.9"
+    (12, 408695923, 3166316583)
+    (layout_digest (Nok_layout.end_stream s));
+  (* database images with corrupted pages, loaded with quarantine filler
+     in place of the lost ones: one page (one filler page), then three
+     adjacent pages (the filler spans more than one page) *)
+  let store = Store.create ~page_size:256 tree dol in
+  let clean = Db_file.to_bytes store in
+  let mid = Nok_layout.page_count (Store.layout store) / 2 in
+  List.iter
+    (fun (lost, expected_range, expected) ->
+      let img = Bytes.copy clean in
+      List.iter
+        (fun lp ->
+          let off, _ = Db_file.page_extent img lp in
+          Bytes.set_uint8 img (off + 17) (Bytes.get_uint8 img (off + 17) lxor 0xFF))
+        lost;
+      let st, _ = Db_file.of_bytes ~on_bad_page:`Deny_subtree img in
+      let what = Printf.sprintf "%d lost pages" (List.length lost) in
+      check Alcotest.(list (pair int int)) (what ^ ": quarantined range")
+        [ expected_range ] (Store.quarantined st);
+      check digest (what ^ ": deny-subtree load") expected
+        (layout_digest (Store.layout st)))
+    [
+      ([ mid ], (1536, 1599), (49, 4068741711, 1416777441));
+      ([ mid; mid + 1; mid + 2 ], (1536, 1730), (49, 1250098159, 2654148131));
+    ]
+
 let suite =
   [
     Alcotest.test_case "page fields" `Quick test_page_fields;
@@ -334,4 +426,5 @@ let suite =
     Alcotest.test_case "rewrite page in place" `Quick test_rewrite_page_in_place;
     Alcotest.test_case "rewrite page with split" `Quick test_rewrite_page_split;
     Alcotest.test_case "header table bytes" `Quick test_header_table_bytes;
+    Alcotest.test_case "golden page images" `Quick test_golden_page_images;
   ]

@@ -140,6 +140,19 @@ let test_queries_after_structural_change () =
   let asia = Engine.query store' index' "/site/regions/asia/item" Engine.Insecure in
   Alcotest.(check bool) "asia unaffected" true (List.length asia.Engine.answers > 0)
 
+let test_rebuild_keeps_fill () =
+  let rng = Prng.create 17 in
+  let tree = Fixtures.random_tree rng 300 in
+  let dol = Dol.of_bool_array (Fixtures.random_bools rng 300 0.5) in
+  let store = Store.create ~page_size:128 ~fill:0.5 tree dol in
+  let tree' = Tree.remove_subtree tree 1 in
+  let lo, hi = (1, Tree.subtree_end tree 1) in
+  let dol' = Update.dol_delete dol ~lo ~hi in
+  let pages s = Dolx_storage.Nok_layout.page_count (Store.layout s) in
+  check Alcotest.int "rebuild lays out at the store's fill"
+    (pages (Store.create ~page_size:128 ~fill:0.5 tree' dol'))
+    (pages (Store.rebuild store tree' dol'))
+
 let suite =
   [
     Alcotest.test_case "tree: remove subtree" `Quick test_remove_subtree_tree;
@@ -149,4 +162,6 @@ let suite =
     prop_structural_random;
     Alcotest.test_case "queries after structural change" `Quick
       test_queries_after_structural_change;
+    Alcotest.test_case "rebuild keeps the store's fill" `Quick
+      test_rebuild_keeps_fill;
   ]
