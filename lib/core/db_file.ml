@@ -18,6 +18,7 @@
       file := "DOLXDB" u8(version=2)
               section(meta):     varint page_size
                                  varint n_tags (len-prefixed names, id order)
+                                 [varint fill_permille] (absent: 900)
               section(dol):      Persist body (no trailing CRC of its own)
               varint n_pages
               n_pages * { page_size bytes image, u32 CRC32C }
@@ -77,6 +78,10 @@ let c_journal_bytes = Metrics.counter "db.journal_bytes"
 let magic = "DOLXDB"
 
 let version = 2
+
+(* The page fill in thousandths, stored at the end of the meta section
+   only when it differs from this default *)
+let default_permille = 900
 
 let commit_mark = 0xC3
 
@@ -152,6 +157,10 @@ let to_bytes ?subjects ?modes store =
   let table = Tree.tag_table tree in
   add_varint meta (Tag.count table);
   Tag.iter (fun _ name -> add_string meta name) table;
+  let permille =
+    max 1 (Float.to_int (Float.round (Secure_store.fill store *. 1000.)))
+  in
+  if permille <> default_permille then add_varint meta permille;
   add_section buf (Buffer.to_bytes meta);
   (* dol *)
   let dol_body = Buffer.create 1024 in
@@ -262,8 +271,10 @@ let parse_meta r =
   for _ = 1 to n_tags do
     ignore (Tag.intern table (R.string r))
   done;
+  let permille = if R.at_end r then default_permille else R.varint r in
+  if permille < 1 || permille > 1000 then corrupt "meta: bad fill";
   if not (R.at_end r) then corrupt "meta: trailing garbage";
-  (page_size, table)
+  (page_size, table, float_of_int permille /. 1000.)
 
 let parse_dol (r : R.t) =
   try Persist.of_body r.R.buf ~limit:r.R.limit
@@ -519,7 +530,7 @@ let of_bytes ?pool_capacity ?(on_bad_page = `Fail) buf =
     corrupt "bad magic";
   if Bytes.get_uint8 hdr (String.length magic) <> version then
     corrupt "unsupported version";
-  let page_size, table = parse_meta (R.section r ~what:"meta") in
+  let page_size, table, fill = parse_meta (R.section r ~what:"meta") in
   let dol = parse_dol (R.section r ~what:"dol") in
   let n_pages = R.varint r in
   if n_pages <= 0 then corrupt "no pages";
@@ -599,8 +610,8 @@ let of_bytes ?pool_capacity ?(on_bad_page = `Fail) buf =
   in
   let store =
     try
-      Secure_store.assemble ?pool_capacity ~quarantine ~tree ~dol ~disk ~layout
-        ()
+      Secure_store.assemble ?pool_capacity ~fill ~quarantine ~tree ~dol ~disk
+        ~layout ()
     with Invalid_argument m -> corrupt "%s" m
   in
   (store, registry)
@@ -739,7 +750,7 @@ let page_extent buf lp =
     corrupt "bad magic";
   if Bytes.get_uint8 hdr (String.length magic) <> version then
     corrupt "unsupported version";
-  let page_size, _ = parse_meta (R.section r ~what:"meta") in
+  let page_size, _, _ = parse_meta (R.section r ~what:"meta") in
   let (_ : Dol.t) = parse_dol (R.section r ~what:"dol") in
   let n_pages = R.varint r in
   if lp < 0 || lp >= n_pages then

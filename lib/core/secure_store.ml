@@ -122,8 +122,8 @@ let structural_tier tree =
 (** Assemble a store from pre-built parts (database-file loading): the
     layout must already live on [disk].  [quarantine] lists preorder
     ranges whose labels were lost to corruption and must be denied. *)
-let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
-    ?(path_summary = true) ~tree ~dol ~disk ~layout () =
+let assemble ?(pool_capacity = 64) ?(fill = 0.9) ?(quarantine = [])
+    ?(run_index = true) ?(path_summary = true) ~tree ~dol ~disk ~layout () =
   if Dol.n_nodes dol <> Tree.size tree then
     invalid_arg "Secure_store.assemble: tree / DOL size mismatch";
   List.iter
@@ -141,7 +141,7 @@ let assemble ?(pool_capacity = 64) ?(quarantine = []) ?(run_index = true)
      verdict is already fail-secure *)
   let runs = Access_runs.create ~deny:quarantine snapshot in
   { tree; summary; use_summary = path_summary;
-    dol; layout; pool; disk; pool_capacity; fill = 0.9;
+    dol; layout; pool; disk; pool_capacity; fill;
     cursor = Nok_layout.cursor layout;
     span = Nok_layout.span ();
     runs;
@@ -167,11 +167,8 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
   let disk = Disk.create ~page_size () in
   let transitions = Array.of_list (Dol.transitions dol) in
   let layout = Nok_layout.build ~fill disk tree ~transitions in
-  {
-    (assemble ~pool_capacity ~run_index ~path_summary ~tree ~dol ~disk ~layout ())
-    with
-    fill;
-  }
+  assemble ~pool_capacity ~fill ~run_index ~path_summary ~tree ~dol ~disk ~layout
+    ()
 
 (** A read-only evaluation handle over the same store: shares the
     immutable parts (tree, DOL, layout, disk, quarantine) but owns a
@@ -332,6 +329,7 @@ let dol t = t.dol
 let layout t = t.layout
 let pool t = t.pool
 let disk t = t.disk
+let fill t = t.fill
 let codebook t = Dol.codebook t.dol
 let run_index t = t.runs
 let run_index_enabled t = t.use_runs

@@ -24,14 +24,15 @@ val create :
   ?path_summary:bool -> Tree.t -> Dol.t -> t
 
 (** Assemble from pre-built parts (used by {!Db_file}); the layout must
-    already live on [disk].  [quarantine] lists inclusive preorder ranges
+    already live on [disk], laid out at [fill] (default 0.9), the fill
+    {!rebuild} uses.  [quarantine] lists inclusive preorder ranges
     whose access-control labels were lost to storage corruption: every
     access check inside a quarantined range answers [false] for every
     subject (fail-secure — recovery must never fail open).
     @raise Invalid_argument on a malformed range. *)
 val assemble :
-  ?pool_capacity:int -> ?quarantine:(int * int) list -> ?run_index:bool ->
-  ?path_summary:bool ->
+  ?pool_capacity:int -> ?fill:float -> ?quarantine:(int * int) list ->
+  ?run_index:bool -> ?path_summary:bool ->
   tree:Tree.t -> dol:Dol.t -> disk:Dolx_storage.Disk.t ->
   layout:Dolx_storage.Nok_layout.t -> unit -> t
 
@@ -88,6 +89,10 @@ val layout : t -> Dolx_storage.Nok_layout.t
 val pool : t -> Dolx_storage.Buffer_pool.t
 
 val disk : t -> Dolx_storage.Disk.t
+
+(** The page fill the store was laid out at ({!create}'s [fill], or
+    {!assemble}'s); {!rebuild} lays out at it again. *)
+val fill : t -> float
 
 val codebook : t -> Codebook.t
 
@@ -241,6 +246,5 @@ val span_provably_accessible : t -> subject:int -> lo:int -> hi:int -> bool
     Accessibility updates are applied in place (see {!Update}); a
     structural update renumbers every following preorder, so the store is
     rebuilt: [rebuild t tree' dol'] lays the new document out on a fresh
-    disk with [t]'s page size, fill and pool configuration (a store from
-    {!assemble} rebuilds at the default fill). *)
+    disk with [t]'s page size, {!fill} and pool configuration. *)
 val rebuild : t -> Tree.t -> Dol.t -> t

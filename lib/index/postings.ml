@@ -48,21 +48,53 @@ let seek t i v =
 
 let admit_all _ = (min_int, max_int)
 
-let scan ?(gate = admit_all) ?(only = fun _ -> true) ?(skipped = fun _ _ -> ()) t f =
-  let n = length t in
-  let rec go i lo hi =
-    i < n
-    &&
-    let v = get t i in
-    if not (only v) then go (i + 1) lo hi
-    else if v >= hi then
-      let lo, hi = gate v in
-      go i lo hi
-    else if v < lo then begin
-      let j = seek t i lo in
-      skipped i j;
-      go j lo hi
+type cursor = {
+  c_t : t;
+  c_n : int;
+  c_gate : int -> int * int;
+  c_only : int -> bool;
+  c_skipped : int -> int -> unit;
+  mutable c_i : int;   (* position of the next member to consider *)
+  mutable c_lo : int;  (* the current admitted interval [c_lo, c_hi) *)
+  mutable c_hi : int;
+}
+
+let cursor ?(gate = admit_all) ?(only = fun _ -> true) ?(skipped = fun _ _ -> ())
+    t =
+  { c_t = t; c_n = length t; c_gate = gate; c_only = only; c_skipped = skipped;
+    c_i = 0; c_lo = min_int; c_hi = min_int }
+
+let rec next c =
+  let i = c.c_i in
+  if i >= c.c_n then -1
+  else
+    let v = get c.c_t i in
+    if not (c.c_only v) then begin
+      c.c_i <- i + 1;
+      next c
     end
-    else f v || go (i + 1) lo hi
-  in
-  go 0 min_int min_int
+    else if v >= c.c_hi then begin
+      let lo, hi = c.c_gate v in
+      c.c_lo <- lo;
+      c.c_hi <- hi;
+      next c
+    end
+    else if v < c.c_lo then begin
+      let j = seek c.c_t i c.c_lo in
+      c.c_skipped i j;
+      c.c_i <- j;
+      next c
+    end
+    else begin
+      c.c_i <- i + 1;
+      v
+    end
+
+let drain c =
+  let rec go acc = match next c with -1 -> List.rev acc | v -> go (v :: acc) in
+  go []
+
+let scan ?gate ?only ?skipped t f =
+  let c = cursor ?gate ?only ?skipped t in
+  let rec go () = match next c with -1 -> false | v -> f v || go () in
+  go ()

@@ -29,17 +29,41 @@ val to_list : t -> int list
     [p] must be monotone (false, then true). *)
 val bisect : int -> int -> (int -> bool) -> int
 
-(** [scan ?gate ?only ?skipped t f] applies [f] to the members in
-    ascending order and returns [true] at the first member [f] accepts,
-    [false] when none does.  Members failing [only] are passed over
-    before [gate] is consulted.  The others reach [f] only when they
-    lie inside [gate]'s intervals: [gate v] is the first admitted
-    interval [\[lo, hi)] that ends after [v] ([hi > v]; [lo = hi =
-    max_int] when none remains), and one call covers every member
-    inside it.  The members below its [lo] are skipped by a galloping
-    search, and [skipped i j] is told their positions [\[i, j)] (which
-    may include members failing [only]).  By default every member is
-    admitted. *)
+(** {1 Gated cursors} *)
+
+(** A resumable walk over the members of a {!t} that an optional class
+    filter and an optional run gate admit: the one candidate pipeline,
+    paused after each admitted member. *)
+type cursor
+
+(** [cursor ?gate ?only ?skipped t] walks [t]'s members in ascending
+    order.  Members failing [only] are passed over before [gate] is
+    consulted.  The others are admitted only when they lie inside
+    [gate]'s intervals: [gate v] is the first admitted interval
+    [\[lo, hi)] that ends after [v] ([hi > v]; [lo = hi = max_int] when
+    none remains), and one call covers every member inside it.  The
+    members below its [lo] are skipped by a galloping search, and
+    [skipped i j] is told their positions [\[i, j)] (which may include
+    members failing [only]).  By default every member is admitted.
+    Nothing is walked until {!next} is called. *)
+val cursor :
+  ?gate:(int -> int * int) ->
+  ?only:(int -> bool) ->
+  ?skipped:(int -> int -> unit) ->
+  t ->
+  cursor
+
+(** The next admitted member, or [-1] once the walk is exhausted (and on
+    every later call).  Allocates only when [gate] does. *)
+val next : cursor -> int
+
+(** The admitted members not yet returned, ascending; exhausts the
+    cursor. *)
+val drain : cursor -> int list
+
+(** [scan ?gate ?only ?skipped t f] — the {!cursor} walk, applying [f]
+    to each admitted member until [f] accepts one: [true] at the first
+    member [f] accepts, [false] when none does. *)
 val scan :
   ?gate:(int -> int * int) ->
   ?only:(int -> bool) ->

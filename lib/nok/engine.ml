@@ -69,19 +69,22 @@ let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
 let planted_bug = ref (Sys.getenv_opt "DOLX_FUZZ_PLANT_BUG" = Some "prune")
 
 (* The one candidate pipeline, for the first segment's seed, the next
-   segment at a join and the summary-path plan: the members of [p]'s
-   postings whose summary class is admissible for [p] and that the
-   subject's runs admit.  No admissible class skips the postings
-   entirely.  The class is checked first, so the runs are consulted for
-   admissible candidates only; a denied run is skipped with one seek in
-   the slice, and [engine.candidates_pruned] counts the admissible
-   candidates skipped that way.  Pruning is safe under both secure
-   semantics: a pruned candidate would fail its own [visit] when
-   qualified or when re-seeding the next segment. *)
-let candidates ?value_index ?summary store index semantics (p : Pattern.pnode) =
+   segment at a join and the summary-path plan: a cursor over the
+   members of [p]'s postings whose summary class is admissible for [p]
+   and that the subject's runs admit.  No admissible class gives an
+   empty cursor.  The class is checked first, so the runs are consulted
+   for admissible candidates only; a denied run is skipped with one seek
+   in the slice, and [pruned] counts the admissible candidates skipped
+   that way (the stream folds it into [engine.candidates_pruned]).
+   Nothing is walked until the caller pulls, so a stream that closes
+   early walks, and counts, only what it pulled.  Pruning is safe under
+   both secure semantics: a pruned candidate would fail its own [visit]
+   when qualified or when re-seeding the next segment. *)
+let candidates ?value_index ?summary ~pruned store index semantics
+    (p : Pattern.pnode) =
   if Option.is_some summary then Metrics.incr c_plan_summary;
   match summary with
-  | Some sp when Summary_prune.empty_for sp p -> []
+  | Some sp when Summary_prune.empty_for sp p -> Postings.cursor Postings.empty
   | _ ->
       let cands = Nok_match.postings ?value_index store index p in
       let admissible =
@@ -97,8 +100,10 @@ let candidates ?value_index ?summary store index semantics (p : Pattern.pnode) =
             Some (Store.accessible_run store ~subject:s)
         | _ -> None
       in
-      let drop_2 = !planted_bug && Option.is_some gate in
-      let pruned = ref 0 and kept = ref [] in
+      let only =
+        if !planted_bug && Option.is_some gate then fun v -> v <> 2 && admissible v
+        else admissible
+      in
       let skipped i j =
         if Option.is_none summary then pruned := !pruned + (j - i)
         else
@@ -106,12 +111,7 @@ let candidates ?value_index ?summary store index semantics (p : Pattern.pnode) =
             if admissible (Postings.get cands k) then incr pruned
           done
       in
-      ignore
-        (Postings.scan ?gate ~only:admissible ~skipped cands (fun v ->
-             if not (drop_2 && v = 2) then kept := v :: !kept;
-             false));
-      if Option.is_some gate then Metrics.add c_pruned !pruned;
-      List.rev !kept
+      Postings.cursor ?gate ~only ~skipped cands
 
 (* Class analysis of this query against the path summary, when the
    handle has the summary tier enabled.  Under secure semantics the
@@ -181,13 +181,17 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
 (* Summary-path plan: when the trunk uses only child and descendant
    axes and ends in a tag test, the query is resolved bottom-up from
    the LAST step's class-filtered postings instead of top-down through
-   segment evaluation and structural joins.  [match_up i v] decides
+   segment evaluation and structural joins.  [decide i v] decides
    whether [v] can carry step [i] with all earlier steps bound above it:
    child edges have a unique parent; descendant edges search proper
    ancestors, skipping any whose summary class is inadmissible for the
-   earlier step (a pure array lookup, no I/O).  Verdicts are memoized
-   per (step, node), so every distinct chain node is qualified — and its
-   page visited — at most once, however many candidates share it.
+   earlier step (a pure array lookup, no I/O).  Each candidate is asked
+   about the last step once; an earlier step is only ever asked about a
+   proper ancestor of the current candidate, and candidates ascend, so
+   its verdicts are kept in a {!chain} that forgets an ancestor once the
+   candidates leave its subtree.  Every distinct chain node is thus
+   qualified — and its page visited — at most once, however many
+   candidates share it.
 
    Answer-equivalent to the segment/join plan under all three
    semantics: the same [Nok_match.qualifies] checks (tag, value,
@@ -198,10 +202,10 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    (and is a no-op outside path semantics).
 
    [summary_path_steps] is the plan-shape test, shared with {!explain};
-   [summary_path_filter] returns the plan as data — the sorted
-   candidate list and the qualification predicate — so the stream
-   applies the filter lazily, one candidate at a time, instead of
-   materializing the whole answer list. *)
+   [summary_path_filter] returns the plan as data — the candidate
+   cursor and the qualification predicate — so the stream pulls and
+   filters one candidate at a time, and holds neither the candidate nor
+   the answer list. *)
 let summary_path_steps (plan : Decompose.plan) =
   let steps =
     Array.of_list
@@ -222,13 +226,49 @@ let summary_path_steps (plan : Decompose.plan) =
   in
   if usable then Some steps else None
 
-let summary_path_filter ?value_index ~summary store index mode semantics steps
-    scanned =
+(* One step's verdicts for proper ancestors of the current candidate,
+   ascending preorder: node [pre.(j)] and its verdict [ok.(j)].  The
+   entries nest, so the ones a later candidate leaves behind are a
+   suffix.  Bounded by the document depth; a lookup allocates nothing. *)
+type chain = { mutable pre : int array; mutable ok : bool array; mutable len : int }
+
+let chain () = { pre = Array.make 16 0; ok = Array.make 16 false; len = 0 }
+
+(* Forget the entries that are not ancestors of the candidate [v]. *)
+let chain_enter store c v =
+  while c.len > 0 && Store.subtree_end store c.pre.(c.len - 1) < v do
+    c.len <- c.len - 1
+  done
+
+(* The number of entries below [u]: [u]'s position, or where it goes.
+   Searched from the deep end, where the lookups land. *)
+let chain_pos c u =
+  let j = ref c.len in
+  while !j > 0 && c.pre.(!j - 1) >= u do
+    decr j
+  done;
+  !j
+
+let chain_insert c j u ok =
+  if c.len = Array.length c.pre then begin
+    c.pre <- Array.append c.pre c.pre;
+    c.ok <- Array.append c.ok c.ok
+  end;
+  Array.blit c.pre j c.pre (j + 1) (c.len - j);
+  Array.blit c.ok j c.ok (j + 1) (c.len - j);
+  c.pre.(j) <- u;
+  c.ok.(j) <- ok;
+  c.len <- c.len + 1
+
+let summary_path_filter ?value_index ~summary ~pruned store index mode
+    semantics steps scanned =
   let k = Array.length steps - 1 in
   let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   Metrics.incr c_plan_path;
   let last = steps.(k).Decompose.pnode in
-  let cands = candidates ?value_index ~summary store index semantics last in
+  let cands =
+    candidates ?value_index ~summary ~pruned store index semantics last
+  in
   let ps = Store.path_summary store in
   let adm =
     Array.map
@@ -242,42 +282,51 @@ let summary_path_filter ?value_index ~summary store index mode semantics steps
     Nok_match.qualifies store index mode steps.(i).Decompose.pnode
       ~preds:steps.(i).Decompose.preds v
   in
-  let n = Tree.size (Store.tree store) in
-  let memo = Hashtbl.create 512 in
-  let rec match_up i v =
-    match Hashtbl.find_opt memo ((i * n) + v) with
-    | Some b -> b
-    | None ->
-        let above =
-          if i = 0 then
-            match axis 0 with
-            | Pattern.Child -> v = Tree.root
-            | Pattern.Descendant | Pattern.Following_sibling -> true
-          else
-            match axis i with
-            | Pattern.Child ->
-                let u = Store.parent store v in
-                u <> Tree.nil && match_up (i - 1) u
-            | Pattern.Descendant ->
-                let rec search u =
-                  u <> Tree.nil
-                  && ((admissible (i - 1) u
-                      && match_up (i - 1) u
-                      && Nok_match.path_clear store mode ~ctx:u v)
-                     || search (Store.parent store u))
-                in
-                search (Store.parent store v)
-            | Pattern.Following_sibling -> false
-        in
-        let b = above && qualify i v in
-        Hashtbl.add memo ((i * n) + v) b;
-        b
+  let chains = Array.init k (fun _ -> chain ()) in
+  (* [match_up] is [decide] through the step's chain, for [i < k] *)
+  let rec decide i v =
+    let above =
+      if i = 0 then
+        match axis 0 with
+        | Pattern.Child -> v = Tree.root
+        | Pattern.Descendant | Pattern.Following_sibling -> true
+      else
+        match axis i with
+        | Pattern.Child ->
+            let u = Store.parent store v in
+            u <> Tree.nil && match_up (i - 1) u
+        | Pattern.Descendant -> search i v (Store.parent store v)
+        | Pattern.Following_sibling -> false
+    in
+    above && qualify i v
+  and search i v u =
+    u <> Tree.nil
+    && ((admissible (i - 1) u
+        && match_up (i - 1) u
+        && Nok_match.path_clear store mode ~ctx:u v)
+       || search i v (Store.parent store u))
+  and match_up i u =
+    let c = chains.(i) in
+    let j = chain_pos c u in
+    if j < c.len && c.pre.(j) = u then c.ok.(j)
+    else begin
+      (* deciding [u] touches only the chains of steps below [i], so
+         [j] is still [u]'s place *)
+      let b = decide i u in
+      chain_insert c j u b;
+      b
+    end
   in
-  (cands, fun v -> match_up k v)
+  ( cands,
+    fun v ->
+      for i = 0 to k - 1 do
+        chain_enter store chains.(i) v
+      done;
+      decide k v )
 
 (* Candidate roots of the plan's first segment: the document root for a
    child entry, the candidate pipeline for a descendant entry. *)
-let first_roots ?value_index ?summary store index semantics
+let first_roots ?value_index ?summary ~pruned store index semantics
     (plan : Decompose.plan) =
   Trace.with_span "engine.index_seed" @@ fun () ->
   match plan.Decompose.segments with
@@ -290,8 +339,9 @@ let first_roots ?value_index ?summary store index semantics
       | Pattern.Descendant -> (
           match seg.Decompose.steps with
           | s :: _ ->
-              candidates ?value_index ?summary store index semantics
-                s.Decompose.pnode
+              Postings.drain
+                (candidates ?value_index ?summary ~pruned store index
+                   semantics s.Decompose.pnode)
           | [] -> []))
 
 (** {1 Streaming evaluation}
@@ -300,9 +350,13 @@ let first_roots ?value_index ?summary store index semantics
     source and stages it: the summary-path filter when the plan shape
     allows it, otherwise every segment but the last (with its joins)
     runs eagerly.  Answers are then produced chunk by chunk — from the
-    filter's candidates, or from the last segment's candidate roots —
-    so per-query result memory is bounded by the chunk size plus the
-    document-order reorder margin, never by the answer count.  {!run}
+    filter's candidate cursor, or from the last segment's candidate
+    roots.  The summary-path plan stages nothing: it holds the chunk,
+    the cursor and one ancestor {!chain} per earlier step, so its
+    memory is O(chunk + steps × depth) words whatever the candidate or
+    answer count.  The segment plan also holds the lists it staged (the
+    joined bindings and the last segment's candidate roots, each at
+    most its postings' length) and one root's reorder margin.  {!run}
     is a drain of this stream.
 
     Ordering invariant: every answer produced from a candidate root [r]
@@ -332,6 +386,7 @@ type stream = {
   st_chunk : int;
   st_segments : int;
   st_scanned : int ref;
+  st_pruned : int ref;  (* admissible candidates skipped in denied runs *)
   st_joins : int ref;
   mutable st_src : src;
   mutable st_emitted : int;
@@ -340,7 +395,7 @@ type stream = {
 }
 
 and src =
-  | S_filter of int list * (int -> bool)
+  | S_filter of Postings.cursor * (int -> bool)
   | S_tail of tail
   | S_end
 
@@ -356,6 +411,7 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
   let mode = match_mode semantics in
   let summary = summary_analysis store pattern semantics in
   let scanned = ref 0 in
+  let pruned = ref 0 in
   let joins = ref 0 in
   let rec stage segments roots =
     match segments with
@@ -377,8 +433,9 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
               | [] -> invalid_arg "Engine: empty segment"
             in
             let dlist =
-              candidates ?value_index ?summary store index semantics
-                next_step.Decompose.pnode
+              Postings.drain
+                (candidates ?value_index ?summary ~pruned store index
+                   semantics next_step.Decompose.pnode)
             in
             let pairs =
               match semantics with
@@ -398,13 +455,14 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     match (summary, summary_path_steps plan) with
     | Some sp, Some steps ->
         let cands, keep =
-          summary_path_filter ?value_index ~summary:sp store index mode
-            semantics steps scanned
+          summary_path_filter ?value_index ~summary:sp ~pruned store index
+            mode semantics steps scanned
         in
         S_filter (cands, keep)
     | _ ->
         stage plan.Decompose.segments
-          (first_roots ?value_index ?summary store index semantics plan)
+          (first_roots ?value_index ?summary ~pruned store index semantics
+             plan)
   in
   {
     st_store = store;
@@ -413,6 +471,7 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     st_chunk = chunk;
     st_segments = Decompose.segment_count plan;
     st_scanned = scanned;
+    st_pruned = pruned;
     st_joins = joins;
     st_src = src;
     st_emitted = 0;
@@ -432,6 +491,7 @@ let stream_finalize st =
     Metrics.add c_segments st.st_segments;
     Metrics.add c_joins !(st.st_joins);
     Metrics.add c_candidates !(st.st_scanned);
+    Metrics.add c_pruned !(st.st_pruned);
     Metrics.add c_answers st.st_emitted;
     Store.fold_metrics st.st_store
   end
@@ -450,14 +510,16 @@ let stream_next st =
       if !n < st.st_chunk then
         match st.st_src with
         | S_end -> ()
-        | S_filter ([], _) -> st.st_src <- S_end
-        | S_filter (v :: rest, keep) ->
-            st.st_src <- S_filter (rest, keep);
-            if keep v then begin
-              emit v;
-              st.st_peak <- max st.st_peak !n
-            end;
-            fill ()
+        | S_filter (cands, keep) ->
+            let v = Postings.next cands in
+            if v < 0 then st.st_src <- S_end
+            else begin
+              if keep v then begin
+                emit v;
+                st.st_peak <- max st.st_peak !n
+              end;
+              fill ()
+            end
         | S_tail t -> (
             let barrier =
               match t.tl_roots with r :: _ -> r | [] -> max_int

@@ -80,13 +80,24 @@ val summary_analysis :
     test; otherwise every segment but the last is evaluated eagerly and
     joined with (ε-)Stack-Tree-Desc, the next segment's candidates
     drawn from the same index pipeline as the first's.  Answers are then
-    produced chunk by chunk from the filter's candidates, or from the
-    last segment's candidate roots one root at a time, so per-query
-    buffered-result memory is bounded by the chunk size plus one root's
-    reorder margin — never by the answer count.  {!run} drains this
-    stream; the [engine.*] counters are flushed, and the store handle's
-    counts folded ({!Dolx_core.Secure_store.fold_metrics}), once, at
-    exhaustion (or at {!stream_close} for a stream abandoned early). *)
+    produced chunk by chunk.
+
+    Memory.  The summary-path plan stages nothing: each {!stream_next}
+    pulls candidates one at a time from a gated cursor over the index's
+    resident postings and keeps one verdict per ancestor and earlier
+    step, so a stream holds O([chunk] + steps × document depth) words,
+    bounded by neither the candidate nor the answer count.  The segment
+    plan emits the last segment's candidate roots one root at a time,
+    holding the chunk plus one root's reorder margin, and also the lists
+    it staged: the joined bindings and those candidate roots, each at
+    most as long as its postings.
+
+    {!run} drains this stream; the [engine.*] counters (candidates
+    scanned and pruned included, tallied on the stream as they happen)
+    are flushed, and the store handle's counts folded
+    ({!Dolx_core.Secure_store.fold_metrics}), once, at exhaustion — or
+    at {!stream_close} for a stream abandoned early, with the partial
+    tallies of what it pulled. *)
 
 type stream
 

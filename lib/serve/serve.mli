@@ -9,9 +9,13 @@
 
     Each in-flight query evaluates on its own epoch-pinned
     {!Dolx_core.Secure_store.reader} via {!Dolx_nok.Engine.stream}, so
-    answers come from a consistent snapshot and per-query buffered
-    memory is bounded by [chunk * (buffer_chunks + 1)] answers plus the
-    stream's document-order reorder margin — never by the result size.
+    answers come from a consistent snapshot.  Per-query memory is
+    [chunk * (buffer_chunks + 1)] buffered answers plus the stream's
+    own state: on the summary-path plan O(chunk + steps × document
+    depth), bounded by neither the candidate nor the result count; on
+    the segment plan also the lists it stages (joined bindings and the
+    last segment's candidate roots, each at most its postings' length)
+    and one root's reorder margin.
 
     {b Drain ordering.} Backpressure is real: a worker producing a
     result larger than the ticket buffer blocks until the client

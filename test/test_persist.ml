@@ -536,6 +536,28 @@ let test_incremental_noop_runs_empty () =
   let runs = Incremental.add_rule inc (Rule.grant ~subject:s0 ~mode:m 0) in
   check Alcotest.int "no changed runs" 0 (List.length runs)
 
+(* A database file keeps the fill its store was compiled at: a store
+   loaded from the file rebuilds to the same page count as the
+   in-memory store it came from.  (The default fill adds nothing to
+   the file: the CRC reference fixture pins that byte for byte.) *)
+let test_db_file_rebuild_keeps_fill () =
+  let tree = Xmark.generate_nodes ~seed:63 1200 in
+  let n = Tree.size tree in
+  let dol = Dol.of_bool_array (Fixtures.random_bools (Prng.create 64) n 0.5) in
+  let store = Store.create ~page_size:256 ~fill:0.5 tree dol in
+  let loaded, _ = Db_file.of_bytes (Db_file.to_bytes store) in
+  check (Alcotest.float 0.0) "fill survives the file" 0.5 (Store.fill loaded);
+  let tree' = Tree.remove_subtree tree 1 in
+  let dol' = Update.dol_delete dol ~lo:1 ~hi:(Tree.subtree_end tree 1) in
+  let pages s = Dolx_storage.Nok_layout.page_count (Store.layout s) in
+  check Alcotest.int "loaded store rebuilds at the compiled fill"
+    (pages (Store.rebuild store tree' dol'))
+    (pages (Store.rebuild loaded tree' dol'));
+  let default, _ =
+    Db_file.of_bytes (Db_file.to_bytes (Store.create ~page_size:256 tree dol))
+  in
+  check (Alcotest.float 0.0) "default fill" 0.9 (Store.fill default)
+
 let suite =
   [
     Alcotest.test_case "persist: roundtrip (multi-subject)" `Quick test_persist_roundtrip_small;
@@ -567,4 +589,6 @@ let suite =
     Alcotest.test_case "incremental no-op" `Quick test_incremental_noop_runs_empty;
     Alcotest.test_case "streaming layout rejects bad documents" `Quick
       test_stream_layout_rejects;
+    Alcotest.test_case "db file: loaded store rebuilds at its fill" `Quick
+      test_db_file_rebuild_keeps_fill;
   ]

@@ -431,6 +431,105 @@ let test_serve_shard_lru () =
             true
             (stats.Serve.open_shards <= 2)))
 
+(* --- the summary-path stream is lazy --- *)
+
+(* The summary-path plan walks its candidates only as answers are
+   pulled: after one chunk, the stream has qualified O(chunk) nodes and
+   walked (and pruned) a small share of the postings, and closing it
+   early reports only that share of [engine.candidates_pruned]. *)
+let test_summary_stream_lazy () =
+  let store, index = make_store ~nodes:50000 ~subjects:4 88 in
+  check Alcotest.bool "document size" true (Tree.size (Store.tree store) >= 20000);
+  let pattern = Dolx_nok.Xpath.parse "//item//text" in
+  let sem = Engine.Secure 2 in
+  let pruned () = Dolx_obs.Metrics.counter_value "engine.candidates_pruned" in
+  let chunk = 64 in
+  let before = pruned () in
+  let full = Engine.stream ~chunk store index pattern sem in
+  let answers = Engine.stream_collect full in
+  let full_pruned = pruned () - before in
+  let full_scanned = Engine.stream_scanned full in
+  check Alcotest.int "summary-path plan (no joins)" 0 (Engine.stream_joins full);
+  check Alcotest.bool
+    (Printf.sprintf "answers span many chunks (%d)" (List.length answers))
+    true
+    (List.length answers > 10 * chunk);
+  check Alcotest.bool
+    (Printf.sprintf "the drain prunes (%d)" full_pruned)
+    true (full_pruned > 10 * chunk);
+  let before = pruned () in
+  let st = Engine.stream ~chunk store index pattern sem in
+  let first = Engine.stream_next st in
+  check Alcotest.(list int) "first chunk" (List.filteri (fun i _ -> i < chunk) answers)
+    first;
+  let scanned = Engine.stream_scanned st in
+  Engine.stream_close st;
+  let part_pruned = pruned () - before in
+  check Alcotest.bool
+    (Printf.sprintf "scanned %d after one chunk, O(chunk), of %d" scanned full_scanned)
+    true
+    (scanned <= 4 * chunk && 10 * scanned < full_scanned);
+  check Alcotest.bool
+    (Printf.sprintf "pruned %d at early close, of %d" part_pruned full_pruned)
+    true
+    (part_pruned <= 4 * chunk && 10 * part_pruned < full_pruned)
+
+(* Nested same-tag steps on random trees: the summary-path stream, at
+   any chunk size and closed early at any chunk, yields a prefix of the
+   summary-off, runs-off answers, and all of them when drained. *)
+let prop_summary_stream_prefix =
+  let queries = [| "//a//a"; "//a/b//a"; "//a//b//a" |] in
+  Fixtures.qtest ~count:150 "summary-path stream = prefix of the segment plan"
+    QCheck2.Gen.(
+      pair
+        (triple (int_bound 100_000) (int_range 1 300) (int_range 1 70))
+        (triple (int_bound 8) (int_bound 2) (int_bound 10)))
+    (fun ((seed, nodes, chunk), (q, sem_ix, close_at)) ->
+      let tree = Dolx_fuzz.Gen.tree ~seed ~nodes in
+      let n = Tree.size tree in
+      let rng = Dolx_util.Prng.create (seed + 1) in
+      let p = float_of_int (1 + Dolx_util.Prng.int rng 9) /. 10.0 in
+      let dol =
+        Dol.of_bool_array (Array.init n (fun _ -> Dolx_util.Prng.bool rng ~p))
+      in
+      let store = Store.create ~page_size:128 ~pool_capacity:4 tree dol in
+      let index = Tag_index.build tree in
+      let xpath = queries.(q mod Array.length queries) in
+      let sem =
+        match sem_ix with
+        | 0 -> Engine.Insecure
+        | 1 -> Engine.Secure 0
+        | _ -> Engine.Secure_path 0
+      in
+      Store.set_summary store false;
+      Store.set_run_index store false;
+      let expected = (Engine.query store index xpath sem).Engine.answers in
+      Store.set_summary store true;
+      Store.set_run_index store true;
+      let stream () = Engine.stream ~chunk store index (Dolx_nok.Xpath.parse xpath) sem in
+      let rec pull st k acc =
+        if k = 0 then List.concat (List.rev acc)
+        else
+          match Engine.stream_next st with
+          | [] -> List.concat (List.rev acc)
+          | c ->
+              if List.length c > chunk then QCheck2.Test.fail_report "chunk too long";
+              pull st (k - 1) (c :: acc)
+      in
+      let drained = pull (stream ()) max_int [] in
+      let st = stream () in
+      let part = pull st close_at [] in
+      Engine.stream_close st;
+      let rec is_prefix xs ys =
+        match (xs, ys) with
+        | [], _ -> true
+        | x :: xs, y :: ys -> x = y && is_prefix xs ys
+        | _ :: _, [] -> false
+      in
+      drained = expected && is_prefix part expected
+      && List.length part = min (List.length expected) (close_at * chunk)
+      && Engine.stream_next st = [])
+
 let suite =
   [
     Alcotest.test_case "stream = run (3 docs x mixed queries)" `Quick
@@ -459,4 +558,7 @@ let suite =
       test_serve_shutdown_fails_queued;
     Alcotest.test_case "service: Db shards open on demand + LRU evict" `Quick
       test_serve_shard_lru;
+    Alcotest.test_case "summary-path stream walks candidates lazily" `Quick
+      test_summary_stream_lazy;
+    prop_summary_stream_prefix;
   ]
