@@ -107,9 +107,13 @@ def check_summary(doc):
     med = statistics.median(p["speedup"] for p in points)
     require_recorded(doc, "median_speedup", med)
     require(med >= 1.0, f"Table-1 median regressed vs summary-off: {med:.2f}x")
-    # The wall-clock median is reported beside the modeled one, not
-    # gated: CI hosts vary.
-    require(is_num(doc["wall_median_speedup"]), "bad wall_median_speedup")
+    # The wall-clock median is gated beside the modeled one: with the
+    # span-hull walk and the sparse class analysis the summary tier no
+    # longer loses in wall time at CI scale (1.02-1.21x over 20 runs).
+    wall = doc["wall_median_speedup"]
+    require(is_num(wall), "bad wall_median_speedup")
+    require(wall >= 1.0,
+            f"Table-1 wall-clock median regressed vs summary-off: {wall:.2f}x")
     return {
         "points": len(points),
         "classes_pruned": doc["dense_summary_pruned"],

@@ -68,11 +68,25 @@ let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
    Armed only via DOLX_FUZZ_PLANT_BUG=prune; tests may toggle the ref. *)
 let planted_bug = ref (Sys.getenv_opt "DOLX_FUZZ_PLANT_BUG" = Some "prune")
 
+(* [p]'s postings, narrowed under a class analysis to the hull of [p]'s
+   admissible classes' extent spans ({!Summary_prune.hull}): two binary
+   searches.  Every admissible member lies inside the hull, so a
+   class-filtered walk of the narrowed slice meets the same members as
+   one of the whole slice, and passes over fewer that it must reject. *)
+let narrowed_postings ?value_index ?summary store index (p : Pattern.pnode) =
+  let cands = Nok_match.postings ?value_index store index p in
+  match summary with
+  | None -> cands
+  | Some sp ->
+      let lo, hi = Summary_prune.hull sp p in
+      Postings.narrow cands ~lo ~hi
+
 (* The one candidate pipeline, for the first segment's seed, the next
    segment at a join and the summary-path plan: a cursor over the
    members of [p]'s postings whose summary class is admissible for [p]
    and that the subject's runs admit.  No admissible class gives an
-   empty cursor.  The class is checked first, so the runs are consulted
+   empty cursor; otherwise the walk covers only the admissible classes'
+   span hull.  The class is checked first, so the runs are consulted
    for admissible candidates only; a denied run is skipped with one seek
    in the slice, and [pruned] counts the admissible candidates skipped
    that way (the stream folds it into [engine.candidates_pruned]).
@@ -86,13 +100,15 @@ let candidates ?value_index ?summary ~pruned store index semantics
   match summary with
   | Some sp when Summary_prune.empty_for sp p -> Postings.cursor Postings.empty
   | _ ->
-      let cands = Nok_match.postings ?value_index store index p in
+      let cands = narrowed_postings ?value_index ?summary store index p in
       let admissible =
         match summary with
         | None -> fun _ -> true
         | Some sp ->
             let a = Summary_prune.classes sp p and ps = Store.path_summary store in
-            fun v -> a.(Path_summary.class_of ps v)
+            (* [Summary_prune.mem], spelled out: this runs per posting,
+               and a call across modules is not inlined *)
+            fun v -> Bytes.get a (Path_summary.class_of ps v) <> '\000'
       in
       let gate =
         match subject_of semantics with
@@ -276,7 +292,9 @@ let summary_path_filter ?value_index ~summary ~pruned store index mode
         Summary_prune.classes summary st.Decompose.pnode)
       steps
   in
-  let admissible i v = adm.(i).(Path_summary.class_of ps v) in
+  (* [Summary_prune.mem] spelled out, as in {!candidates}: this runs per
+     ancestor hop *)
+  let admissible i v = Bytes.get adm.(i) (Path_summary.class_of ps v) <> '\000' in
   let qualify i v =
     incr scanned;
     Nok_match.qualifies store index mode steps.(i).Decompose.pnode
@@ -660,16 +678,36 @@ let bindings ?(limit = max_int) store index pattern semantics =
   List.rev !out
 
 (** Human-readable evaluation plan: the strategy {!stream} picks on this
-    handle, then the NoK segments, the joins between them, and the index
-    candidate count seeding each segment.  The database-explain view of
-    §3.1's decomposition. *)
+    handle, then the NoK segments and the joins between them.  The
+    summary-path plan's estimated cost is its last step's admissible
+    class count and the candidates its walk covers, the postings inside
+    those classes' span hull (before any subject's dead spans are
+    dropped); the segment plan's is the index candidate count seeding
+    each segment.  The database-explain view of §3.1's decomposition. *)
 let explain store index pattern =
   let plan = Decompose.plan pattern in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (if Store.summary_enabled store && summary_path_steps plan <> None then
-       "strategy: summary path (bottom-up from the last step, no structural joins)"
-     else "strategy: segments + joins");
+  let summary_path =
+    if Store.summary_enabled store then summary_path_steps plan else None
+  in
+  (match summary_path with
+  | Some steps ->
+      let last = steps.(Array.length steps - 1).Decompose.pnode in
+      let summary =
+        Summary_prune.analyze
+          ~table:(Tree.tag_table (Store.tree store))
+          (Store.path_summary store) pattern
+      in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "strategy: summary path (bottom-up from the last step, no \
+            structural joins)\n\
+           \  estimated cost: %d admissible classes, %d index candidates in \
+            their span hull (of %d postings)"
+           (Summary_prune.cardinal summary last)
+           (Postings.length (narrowed_postings ~summary store index last))
+           (Postings.length (Nok_match.postings store index last)))
+  | None -> Buffer.add_string buf "strategy: segments + joins");
   List.iteri
     (fun i (seg : Decompose.segment) ->
       if i > 0 then Buffer.add_string buf "\n  |X| structural join (ancestor-descendant)\n"
@@ -677,14 +715,16 @@ let explain store index pattern =
       Buffer.add_string buf (Fmt.str "  segment %d: %a" (i + 1) Decompose.pp_segment seg);
       (match seg.Decompose.steps with
       | first :: _ ->
-          let n_candidates =
-            match seg.Decompose.entry_axis with
-            | Pattern.Child -> 1
-            | Pattern.Following_sibling -> 0
-            | Pattern.Descendant ->
-                Postings.length (Nok_match.postings store index first.Decompose.pnode)
-          in
-          Buffer.add_string buf (Printf.sprintf "  [%d index candidates]" n_candidates);
+          if summary_path = None then begin
+            let n_candidates =
+              match seg.Decompose.entry_axis with
+              | Pattern.Child -> 1
+              | Pattern.Following_sibling -> 0
+              | Pattern.Descendant ->
+                  Postings.length (Nok_match.postings store index first.Decompose.pnode)
+            in
+            Buffer.add_string buf (Printf.sprintf "  [%d index candidates]" n_candidates)
+          end;
           let preds = List.concat_map (fun st -> st.Decompose.preds) seg.Decompose.steps in
           if preds <> [] then
             Buffer.add_string buf

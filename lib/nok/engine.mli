@@ -50,8 +50,11 @@ val bindings :
   Dolx_xml.Tree.node list list
 
 (** Human-readable evaluation plan: a leading line naming the strategy
-    {!stream} runs on this handle (summary path, or segments + joins),
-    then the segments, joins and per-segment index candidate counts. *)
+    {!stream} runs on this handle (summary path, or segments + joins)
+    and its estimated cost, then the segments and joins.  The summary
+    path's cost is its last step's admissible class count and the
+    postings inside those classes' span hull; the segment plan's is the
+    index candidate count seeding each segment. *)
 val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** {1 Evaluator internals} *)

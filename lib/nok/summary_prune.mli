@@ -12,6 +12,20 @@
     classes with empty or inaccessible extents — preserves answers
     exactly.
 
+    The sets are sparse: a pattern node's set is built from its tag's
+    classes and walks up their summary parent chains, so the analysis
+    costs what the tags' classes number, not the summary's size (a
+    wildcard test starts from every class).  Each set keeps one byte per
+    class beside its members, so membership is O(1) for the engine's
+    ancestor filter, and {!drop_dead_spans} visits admitted classes
+    only.
+
+    Every data node of an admitted class lies inside the set's {!hull},
+    the smallest preorder interval holding the admitted classes'
+    extent spans, so the engine narrows a candidate walk to the hull
+    before filtering by class: what it skips holds no admissible
+    candidate.
+
     Key invariant used by the engine's summary-path plan: for a chain of
     child-axis pattern steps, a data node's class being admissible for
     the last step implies each ancestor's class is admissible for the
@@ -25,14 +39,27 @@ type t
     summary.  [table] resolves tag names to ids. *)
 val analyze : table:Dolx_xml.Tag.table -> Ps.t -> Pattern.t -> t
 
-(** Admissible classes of a pattern node, as a per-class membership
-    array (length {!Ps.node_count}).  The array is live analysis state —
-    callers must not mutate it. *)
-val classes : t -> Pattern.pnode -> bool array
+(** Admissible classes of a pattern node, one byte per class: class [c]
+    is admitted iff byte [c] is non-zero ({!mem}).  Live analysis state —
+    {!drop_dead_spans} clears bytes in it, and callers must not mutate
+    it. *)
+val classes : t -> Pattern.pnode -> Bytes.t
+
+(** [mem flags c] — is class [c] admitted by a {!classes} map?  O(1). *)
+val mem : Bytes.t -> Ps.cls -> bool
+
+(** Number of admissible classes of a pattern node. *)
+val cardinal : t -> Pattern.pnode -> int
 
 (** No admissible class — the pattern node (and so the whole query)
     cannot match. *)
 val empty_for : t -> Pattern.pnode -> bool
+
+(** [hull t p] — [(lo, hi)]: the least span start and the greatest span
+    end over [p]'s admissible classes, an inclusive preorder interval
+    holding every data node of those classes; [lo > hi] when none is
+    admitted.  O(admitted classes). *)
+val hull : t -> Pattern.pnode -> int * int
 
 (** Drop admissible classes whose extent span is dead according to
     [dead] (e.g. no accessible preorder inside [lo, hi]); applied to

@@ -450,6 +450,255 @@ let test_secure_std_path_check () =
   let sorted = List.sort compare pairs in
   check Alcotest.(list (pair int int)) "pruned pairs" [ (0, 5); (4, 5) ] sorted
 
+(* --- sparse class analysis and the span-hull candidate walk --- *)
+
+module Summary_prune = Dolx_nok.Summary_prune
+module Path_summary = Dolx_index.Path_summary
+
+(* A pattern's shape without ids: a generator draws it, and [pattern_of]
+   builds it with any one node returning. *)
+type shape = Shape of Pattern.axis * Pattern.test * shape list
+
+let pattern_of shape ~ret =
+  let k = ref (-1) in
+  let rec build (Shape (axis, test, kids)) =
+    incr k;
+    let returning = !k = ret in
+    let kids = List.map build kids in
+    Pattern.make ~axis ~returning test kids
+  in
+  Pattern.of_root (build shape)
+
+let rec shape_size (Shape (_, _, kids)) =
+  List.fold_left (fun n k -> n + shape_size k) 1 kids
+
+(* Child, descendant and following-sibling edges, wildcard and tag tests
+   (the last pool tag is absent from every [Dolx_fuzz.Gen.tree]),
+   predicate branches of up to two children. *)
+let gen_shape =
+  let open QCheck2.Gen in
+  let test =
+    frequency
+      [ (1, return Pattern.Wildcard);
+        (6, map (fun t -> Pattern.Tag t) (oneofl [ "a"; "b"; "c"; "d"; "e"; "item"; "zz" ])) ]
+  in
+  let axis =
+    frequency
+      [ (4, return Pattern.Child); (4, return Pattern.Descendant);
+        (1, return Pattern.Following_sibling) ]
+  in
+  let rec node depth ax =
+    let* ax = ax and* t = test in
+    let* n = if depth >= 3 then return 0 else int_bound 2 in
+    let+ kids = list_repeat n (node (depth + 1) axis) in
+    Shape (ax, t, kids)
+  in
+  node 0 (oneofl [ Pattern.Child; Pattern.Descendant ])
+
+(* The dense analysis the sparse one replaced, kept as the reference:
+   one [bool array] over every class per pattern node, built by sweeps
+   over the whole summary.  Returns the per-node sets by pattern-node
+   id and the pruned-class count. *)
+let dense_analysis tree ps (pattern : Pattern.t) =
+  let m = Path_summary.node_count ps in
+  let table = Tree.tag_table tree in
+  let sets = Hashtbl.create 16 and pruned = ref 0 in
+  let count s = Array.fold_left (fun n b -> if b then n + 1 else n) 0 s in
+  let tag_set (test : Pattern.test) =
+    let s = Array.make m false in
+    (match test with
+    | Pattern.Wildcard -> Array.fill s 0 m true
+    | Pattern.Tag name -> (
+        match Dolx_xml.Tag.find_opt table name with
+        | Some id ->
+            List.iter (fun c -> s.(c) <- true) (Path_summary.classes_with_tag ps id)
+        | None -> ()));
+    s
+  in
+  let parent c = Path_summary.parent ps c in
+  let children_of src =
+    let s = Array.make m false in
+    Array.iteri
+      (fun c b -> if b then List.iter (fun d -> s.(d) <- true) (Path_summary.children ps c))
+      src;
+    s
+  in
+  let descendants_of src =
+    let s = Array.make m false in
+    for c = 1 to m - 1 do
+      if src.(parent c) || s.(parent c) then s.(c) <- true
+    done;
+    s
+  in
+  let siblings_of src =
+    let s = Array.make m false in
+    Array.iteri
+      (fun c b ->
+        if b && parent c >= 0 then
+          List.iter (fun d -> s.(d) <- true) (Path_summary.children ps (parent c)))
+      src;
+    s
+  in
+  let rec down (p : Pattern.pnode) parent_set =
+    let base = tag_set p.Pattern.test in
+    let s =
+      match (parent_set, p.Pattern.axis) with
+      | None, Pattern.Child ->
+          let s = Array.make m false in
+          if m > 0 then s.(0) <- base.(0);
+          s
+      | None, _ -> base (* aliased: the root's count stays 0 *)
+      | Some src, axis ->
+          let reach =
+            match axis with
+            | Pattern.Child -> children_of src
+            | Pattern.Descendant -> descendants_of src
+            | Pattern.Following_sibling -> siblings_of src
+          in
+          Array.mapi (fun c r -> r && base.(c)) reach
+    in
+    Hashtbl.replace sets p.Pattern.id s;
+    List.iter (fun q -> down q (Some s)) p.Pattern.children;
+    List.iter
+      (fun (q : Pattern.pnode) ->
+        let qs = Hashtbl.find sets q.Pattern.id in
+        let ok = Array.make m false in
+        (match q.Pattern.axis with
+        | Pattern.Child ->
+            for d = 1 to m - 1 do
+              if qs.(d) then ok.(parent d) <- true
+            done
+        | Pattern.Descendant ->
+            for d = m - 1 downto 1 do
+              if qs.(d) || ok.(d) then ok.(parent d) <- true
+            done
+        | Pattern.Following_sibling ->
+            Array.iteri
+              (fun d b ->
+                if b && parent d >= 0 then
+                  List.iter (fun e -> ok.(e) <- true) (Path_summary.children ps (parent d)))
+              qs);
+        Array.iteri (fun c b -> if b && not ok.(c) then s.(c) <- false) s)
+      p.Pattern.children;
+    pruned := !pruned + (count base - count s)
+  in
+  down pattern.Pattern.root None;
+  (sets, !pruned)
+
+let set_list s =
+  List.filter (fun c -> s.(c)) (List.init (Array.length s) Fun.id)
+
+let gen_tree_shape =
+  QCheck2.Gen.(triple (int_bound 100_000) (int_range 1 80) gen_shape)
+
+let prop_sparse_analysis_equals_dense =
+  Fixtures.qtest ~count:300 "summary analysis: sparse sets = dense reference"
+    gen_tree_shape
+    (fun (seed, nodes, shape) ->
+      let tree = Dolx_fuzz.Gen.tree ~seed ~nodes in
+      let ps = Path_summary.build tree in
+      let pattern = pattern_of shape ~ret:0 in
+      let sp = Summary_prune.analyze ~table:(Tree.tag_table tree) ps pattern in
+      let dense, dense_pruned = dense_analysis tree ps pattern in
+      Summary_prune.pruned_classes sp = dense_pruned
+      && Pattern.fold
+           (fun ok (p : Pattern.pnode) ->
+             let got = Summary_prune.classes sp p in
+             let want = Hashtbl.find dense p.Pattern.id in
+             ok
+             && Summary_prune.cardinal sp p = List.length (set_list want)
+             && Summary_prune.empty_for sp p = (set_list want = [])
+             && Array.for_all Fun.id
+                  (Array.mapi (fun c b -> Summary_prune.mem got c = b) want))
+           true pattern.Pattern.root)
+
+(* Soundness: a node the reference evaluator binds to a pattern node has
+   an admitted class — with no access control, and under bound
+   semantics after dropping classes whose span holds no accessible
+   node. *)
+let prop_analysis_admits_every_binding =
+  Fixtures.qtest ~count:200 "summary analysis admits every reference binding"
+    QCheck2.Gen.(pair gen_tree_shape (int_range 1 9))
+    (fun ((seed, nodes, shape), p10) ->
+      let tree = Dolx_fuzz.Gen.tree ~seed ~nodes in
+      let ps = Path_summary.build tree in
+      let table = Tree.tag_table tree in
+      let rng = Prng.create seed in
+      let acc = Fixtures.random_bools rng (Tree.size tree) (float_of_int p10 /. 10.0) in
+      let dead ~lo ~hi =
+        let rec none v = v > hi || ((not acc.(v)) && none (v + 1)) in
+        none lo
+      in
+      List.for_all
+        (fun ret ->
+          let pattern = pattern_of shape ~ret in
+          let target = Pattern.returning_node pattern in
+          let admitted sp sem =
+            let cls = Summary_prune.classes sp target in
+            List.for_all
+              (fun v -> Summary_prune.mem cls (Path_summary.class_of ps v))
+              (Reference.eval tree sem pattern)
+          in
+          let any = Summary_prune.analyze ~table ps pattern in
+          let bound = Summary_prune.analyze ~table ps pattern in
+          ignore (Summary_prune.drop_dead_spans bound ~dead);
+          admitted any Reference.Any
+          && admitted bound (Reference.Bound (fun v -> acc.(v))))
+        (List.init (shape_size shape) Fun.id))
+
+(* The span-hull narrowing skips no admissible candidate: over a tag's
+   postings, the class-filtered cursor on the hull-narrowed slice yields
+   the members and the admissible-skipped tally of the cursor on the
+   whole slice, with or without a random run gate. *)
+let prop_hull_cursor_equals_full_walk =
+  Fixtures.qtest ~count:300 "span-hull cursor = full filtered walk"
+    QCheck2.Gen.(triple gen_tree_shape (int_range 0 10) bool)
+    (fun ((seed, nodes, shape), p10, gated) ->
+      let tree = Dolx_fuzz.Gen.tree ~seed ~nodes in
+      let n = Tree.size tree in
+      let ps = Path_summary.build tree in
+      let index = Tag_index.build tree in
+      let table = Tree.tag_table tree in
+      let pattern = pattern_of shape ~ret:0 in
+      let sp = Summary_prune.analyze ~table ps pattern in
+      let acc = Fixtures.random_bools (Prng.create seed) n (float_of_int p10 /. 10.0) in
+      (* the accessible run holding or following [v] *)
+      let gate v =
+        let rec first u = if u >= n then max_int else if acc.(u) then u else first (u + 1) in
+        let lo = first (max v 0) in
+        if lo = max_int then (max_int, max_int)
+        else
+          let rec stop u = if u < n && acc.(u) then stop (u + 1) else u in
+          (lo, if stop lo >= n then max_int else stop lo)
+      in
+      Pattern.fold
+        (fun ok (p : Pattern.pnode) ->
+          ok
+          &&
+          match p.Pattern.test with
+          | Pattern.Wildcard -> true
+          | Pattern.Tag name -> (
+              match Dolx_xml.Tag.find_opt table name with
+              | None -> true
+              | Some tag ->
+                  let cls = Summary_prune.classes sp p in
+                  let only v = Summary_prune.mem cls (Path_summary.class_of ps v) in
+                  let walk t =
+                    let tally = ref 0 in
+                    let skipped i j =
+                      for k = i to j - 1 do
+                        if only (Postings.get t k) then incr tally
+                      done
+                    in
+                    let gate = if gated then Some gate else None in
+                    let members = Postings.drain (Postings.cursor ?gate ~only ~skipped t) in
+                    (members, !tally)
+                  in
+                  let full = Tag_index.postings index tag in
+                  let lo, hi = Summary_prune.hull sp p in
+                  walk full = walk (Postings.narrow full ~lo ~hi)))
+        true pattern.Pattern.root)
+
 let suite =
   [
     Alcotest.test_case "parse simple path" `Quick test_parse_simple_path;
@@ -476,4 +725,7 @@ let suite =
     Alcotest.test_case "bindings: limit" `Quick test_bindings_limit;
     Alcotest.test_case "STD pairs" `Quick test_std_pairs;
     Alcotest.test_case "STD nested candidates" `Quick test_std_nested_candidates;
+    prop_sparse_analysis_equals_dense;
+    prop_analysis_admits_every_binding;
+    prop_hull_cursor_equals_full_walk;
   ]
