@@ -74,6 +74,9 @@ let setup () =
    seconds, simulated-I/O seconds and the number of updates applied. *)
 let run_point store index batch ~with_writer =
   let exec = Exec.create ~pool_capacity:reader_pool_capacity ~jobs store index in
+  (* warm-up as in the parallel bench: [reset_stats] zeroes counters
+     but leaves the private pools' frames; domain start-up is inside
+     each batch, so the measured run pays it *)
   ignore (Exec.run_batch exec [ List.hd batch ]);
   Exec.reset_stats exec;
   Disk.reset_stats (Store.disk store);

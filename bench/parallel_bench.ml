@@ -1,5 +1,5 @@
-(** Parallel execution bench: batch throughput on the Dolx_exec domain
-    pool, swept over pool sizes.
+(** Parallel execution bench: batch throughput of a Dolx_exec fork-join,
+    swept over worker counts.
 
     The store is configured I/O-bound on purpose — small pages (1 KiB)
     and small per-reader buffer pools (16 frames) over a large XMark
@@ -7,17 +7,18 @@
     (the {!Disk} cost model charges 100 µs per physical page read
     without sleeping the wall clock).
 
-    Two numbers are reported per pool size:
+    Two numbers are reported per worker count:
 
     - wall: measured wall-clock throughput.  On a single-core host the
-      domains time-share one CPU, so wall throughput shows pool overhead
-      rather than speedup; on a multicore host it shows real scaling.
+      domains time-share one CPU, so wall throughput shows fork-join
+      overhead rather than speedup; on a multicore host it shows real
+      scaling.
     - modeled: throughput under the repo's own synthetic I/O cost
       model, [modeled_time = wall + sim_io_seconds / jobs].  Simulated
       disk stalls are charged to the clock the disk model keeps, and
       independent readers with private buffer pools overlap their
-      stalls, so dividing the accumulated stall time across the pool is
-      the model-consistent account — it is how the paper-style I/O
+      stalls, so dividing the accumulated stall time across the workers
+      is the model-consistent account — it is how the paper-style I/O
       accounting composes with parallelism, not a wall-clock claim.
 
     Every sweep point is checked byte-identical to the jobs=1 run;
@@ -82,14 +83,16 @@ let semantics = function
 let answers_signature results =
   List.map (fun r -> r.Engine.answers) results
 
-(* One sweep point: run [batch] on a [jobs]-wide pool, returning wall
+(* One sweep point: run [batch] on a [jobs]-wide executor, returning wall
    seconds, simulated-I/O seconds and the results. *)
 let run_point store index batch jobs =
   let exec =
     Exec.create ~pool_capacity:reader_pool_capacity ~jobs store index
   in
-  (* warm-up: pay domain start-up and first-touch costs off the clock,
-     then reset so the measured run starts from cold private pools *)
+  (* warm-up: one query's first-touch costs off the clock; [reset_stats]
+     then zeroes the counters but does not empty the private pools (the
+     warm-up reader keeps its frames).  Domain start-up is inside every
+     batch, so the measured run pays it. *)
   ignore (Exec.run_batch exec [ List.hd batch ]);
   Exec.reset_stats exec;
   Disk.reset_stats (Store.disk store);

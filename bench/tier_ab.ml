@@ -16,7 +16,7 @@
     Only the tier's handle toggle differs between the sides; every other
     tier stays at its default.  Answers are checked byte-identical on vs
     off for every configuration, and for one batch per density on a
-    4-domain pool against the sequential off-side baseline.  Each tier
+    4-domain executor against the sequential off-side baseline.  Each tier
     adds its own integer columns per side (page touches, candidates
     scanned, …) and its own summary fields to the
     BENCH_<name>.json artifact. *)
@@ -149,7 +149,7 @@ let bench_config tier store index ~density ~subject (qid, xpath) =
   }
 
 (* Batch determinism: the full query set for every subject, sequential
-   tier-off baseline vs a 4-domain pool with the tier on. *)
+   tier-off baseline vs a 4-domain executor with the tier on. *)
 let batch_identical tier store index =
   let batch =
     List.concat_map

@@ -5,7 +5,7 @@
      stats        shape statistics of an XML document
      label        compile a policy file against a document; print DOL stats
      query        evaluate a twig query as a subject (streamed output)
-     query-batch  evaluate a batch of queries on a domain pool (--jobs)
+     query-batch  evaluate a batch of queries on --jobs worker domains
      serve        drive the multi-tenant streaming query service
                   (--socket PATH exposes it over a Unix-socket wire server)
      connect      wire-protocol client for a serve --socket server
@@ -306,7 +306,7 @@ let query_cmd =
 
 (* --- query-batch --- *)
 
-(* Batch evaluation on the Dolx_exec domain pool: queries come either
+(* Batch evaluation as a Dolx_exec fork-join: queries come either
    from a file of "SUBJECT QUERY" lines (SUBJECT = policy subject name,
    or "*" for an unsecured evaluation) or from a deterministic
    Query_mix stream over the policy's subject population. *)
@@ -366,8 +366,9 @@ let query_batch doc policy mode jobs path_semantics no_run_index no_summary
                (e.Query_mix.xpath, engine_semantics e.Query_mix.semantics))
     | None, None -> bad_input "query-batch needs --queries FILE or --mix N"
   in
-  (* with_executor joins the worker domains and releases the readers'
-     epoch pins even when a query raises mid-batch *)
+  (* the batch joins its worker domains before it returns or raises;
+     with_executor releases the readers' epoch pins even when a query
+     raises mid-batch *)
   Exec.with_executor ~jobs store index (fun exec ->
       metrics_begin metrics store;
       let t0 = Unix.gettimeofday () in
@@ -386,7 +387,7 @@ let query_batch doc policy mode jobs path_semantics no_run_index no_summary
 let query_batch_cmd =
   let jobs =
     Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains in the pool.")
+         & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains per batch.")
   in
   let path_sem =
     Arg.(value & flag & info [ "path-semantics" ]
@@ -409,7 +410,7 @@ let query_batch_cmd =
   in
   Cmd.v
     (Cmd.info "query-batch"
-       ~doc:"Evaluate a batch of twig queries on a worker-domain pool")
+       ~doc:"Evaluate a batch of twig queries on worker domains")
     Term.(const query_batch $ doc_arg $ policy_arg $ mode_arg $ jobs $ path_sem
           $ no_run_index_arg $ no_summary_arg $ metrics_arg $ queries_file
           $ mix $ mix_seed)

@@ -165,7 +165,7 @@ let check_query st tag (q : Gen.query) =
       engine ~value_index " (value index)")
     (all_sems st)
 
-(* Executor batch: every query under every semantics across the pool. *)
+(* Executor batch: every query under every semantics across the workers. *)
 let check_exec st tag =
   if st.cfg.jobs > 1 then
     let tasks =

@@ -119,11 +119,8 @@ let analyze ~table ps (pattern : Pattern.t) =
         in
         ignore (restrict s ok))
       p.Pattern.children;
-    (* a node's count is its tag's classes less its set; a root under a
-       leading [//] has always been counted as 0, its bottom-up drops
-       included, and the counter keeps that meaning *)
-    if Option.is_some parent_set || p.Pattern.axis = Pattern.Child then
-      t.pruned <- t.pruned + (List.length base - Array.length s.members)
+    (* a node's count is its tag's classes less its set *)
+    t.pruned <- t.pruned + (List.length base - Array.length s.members)
   in
   down pattern.Pattern.root None;
   t

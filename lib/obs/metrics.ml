@@ -16,10 +16,10 @@
     serve/wire/commit events, span histograms.
 
     Concurrency: counters and gauges are [Atomic.t]-backed, so the same
-    named cell can be bumped from several domains (the [Dolx_exec] pool,
-    the [Serve] workers) without losing increments.  Histograms remain
-    single-writer: they back span tracing, which only records on the
-    main domain.
+    named cell can be bumped from several domains (the workers of a
+    [Dolx_exec] batch, the [Serve] workers) without losing increments.
+    Histograms remain single-writer: they back span tracing, which only
+    records on the main domain.
 
     Histograms are log-scale (one bucket per power of two, exponents
     −32…31) with an exact reservoir for the first {!reservoir_cap}

@@ -547,7 +547,7 @@ let dense_analysis tree ps (pattern : Pattern.t) =
           let s = Array.make m false in
           if m > 0 then s.(0) <- base.(0);
           s
-      | None, _ -> base (* aliased: the root's count stays 0 *)
+      | None, _ -> Array.copy base
       | Some src, axis ->
           let reach =
             match axis with
@@ -699,6 +699,24 @@ let prop_hull_cursor_equals_full_walk =
                   walk full = walk (Postings.narrow full ~lo ~hi)))
         true pattern.Pattern.root)
 
+(* A pattern root under a leading [//] counts its pruned classes like
+   every other node: in r(x(a(b)), y(a)) only the x/a class has a [b]
+   child, so [//a[b]] prunes the y/a class. *)
+let test_summary_pruned_counts_root () =
+  let tree =
+    Tree.of_spec
+      (Tree.El
+         ( "r",
+           [ Tree.El ("x", [ Tree.El ("a", [ Tree.El ("b", []) ]) ]);
+             Tree.El ("y", [ Tree.El ("a", []) ]) ] ))
+  in
+  let store, index = build_secured tree (Array.make (Tree.size tree) true) in
+  let pruned0 = Dolx_obs.Metrics.counter_value "engine.summary_pruned" in
+  let r = Engine.query store index "//a[b]" Engine.Insecure in
+  check Fixtures.int_list "answers" [ 2 ] r.Engine.answers;
+  check Alcotest.int "summary_pruned" 1
+    (Dolx_obs.Metrics.counter_value "engine.summary_pruned" - pruned0)
+
 let suite =
   [
     Alcotest.test_case "parse simple path" `Quick test_parse_simple_path;
@@ -728,4 +746,6 @@ let suite =
     prop_sparse_analysis_equals_dense;
     prop_analysis_admits_every_binding;
     prop_hull_cursor_equals_full_walk;
+    Alcotest.test_case "summary_pruned counts a // root's drops" `Quick
+      test_summary_pruned_counts_root;
   ]

@@ -1,5 +1,5 @@
 (** Determinism and accounting of the multicore executor: batch
-    evaluation on a domain pool must be byte-identical to the
+    evaluation on several domains must be byte-identical to the
     sequential engine on the same inputs — across PRNG-seeded query
     mixes, all three semantics, and quarantined stores — and the summed
     per-reader statistics must agree with the metrics registry they are
@@ -10,10 +10,12 @@ module Prng = Dolx_util.Prng
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
 module Disk = Dolx_storage.Disk
+module Epoch = Dolx_storage.Epoch
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Xpath = Dolx_nok.Xpath
+module Pattern = Dolx_nok.Pattern
 module Exec = Dolx_exec.Exec
 module Metrics = Dolx_obs.Metrics
 module Xmark = Dolx_workload.Xmark
@@ -148,6 +150,39 @@ let test_stats_parity () =
     (Disk.stats (Store.disk store)).Disk.reads;
   Exec.shutdown exec
 
+(* --- a raising query mid-batch --- *)
+
+(* The middle query cannot be evaluated (its first step has the
+   following-sibling axis), so the batch re-raises its error after the
+   join; the executor then answers the next batch like the sequential
+   engine, and shutdown releases every pin. *)
+let test_raising_task_mid_batch () =
+  let store, index = make_store 63 in
+  let ep = Disk.epoch (Store.disk store) in
+  let pins0 = Epoch.pin_count ep in
+  let q xpath = (Xpath.parse xpath, Engine.Secure 1) in
+  let before = List.map q [ "//item/name"; "//listitem//keyword" ]
+  and after = List.map q [ "//person"; "//description" ] in
+  let good = before @ after in
+  let bad =
+    Pattern.of_root
+      (Pattern.make ~axis:Pattern.Following_sibling ~returning:true
+         (Pattern.Tag "item") [])
+  in
+  let batch = before @ ((bad, Engine.Insecure) :: after) in
+  let exec = Exec.create ~jobs:2 store index in
+  (match Exec.run_batch exec batch with
+  | _ -> Alcotest.fail "the raising query's exception was swallowed"
+  | exception Invalid_argument msg ->
+      check Alcotest.string "the raising query's error"
+        "Engine: query cannot start with following-sibling::" msg);
+  let expected = List.map (fun (p, sem) -> Engine.run store index p sem) good in
+  List.iteri
+    (fun i (e, g) -> result_eq (Printf.sprintf "after failure, query %d" i) e g)
+    (List.combine expected (Exec.run_batch exec good));
+  Exec.shutdown exec;
+  check Alcotest.int "pins back at baseline" pins0 (Epoch.pin_count ep)
+
 (* --- atomic counters are exact under concurrent increments --- *)
 
 let test_atomic_counters_exact () =
@@ -201,4 +236,6 @@ let suite =
       test_stats_parity;
     Alcotest.test_case "atomic counters exact under 4 domains" `Quick
       test_atomic_counters_exact;
+    Alcotest.test_case "raising query mid-batch (jobs=2)" `Quick
+      test_raising_task_mid_batch;
   ]
