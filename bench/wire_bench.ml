@@ -15,7 +15,14 @@
     - disconnect: one extra client slams its connection mid-stream, and
       the pinned-reader count must return to zero — the wire layer's
       acceptance property, gated here and by ci/check_bench.py on
-      BENCH_wire.json. *)
+      BENCH_wire.json.
+
+    Over all phases it also reports the server's socket writes and the
+    answer chunks it sent, each per served query.  A pipelined
+    Submit+Next is answered in one write and a stream's last chunk is
+    end-marked, so a k-chunk query costs k writes (k + 1 when it ends
+    on a bare End) where strict request→response cost k + 2;
+    ci/check_bench.py gates writes per query at chunks per query + 1. *)
 
 module Dol = Dolx_core.Dol
 module Store = Dolx_core.Secure_store
@@ -173,7 +180,10 @@ let run () =
   and shed = ref 0
   and unclean = ref 0
   and leaked = ref 0
-  and wall = ref 0.0 in
+  and wall = ref 0.0
+  and total_served = ref 0 in
+  let writes0 = Metrics.counter_value "wire.writes"
+  and chunks0 = Metrics.counter_value "wire.chunks" in
   let lat = Metrics.histogram "wire.latency_ms" in
   Serve.with_service ~jobs ~chunk ~buffer_chunks:4 ~max_queued:4096 (fun srv ->
       Array.iteri
@@ -237,7 +247,14 @@ let run () =
               await (tries - 1)
             end
           in
-          leaked := await 100));
+          leaked := await 100;
+          total_served := (Serve.stats srv).Serve.served));
+  let per_query name base =
+    float_of_int (Metrics.counter_value name - base)
+    /. float_of_int (max 1 !total_served)
+  in
+  let writes_per_query = per_query "wire.writes" writes0
+  and chunks_per_query = per_query "wire.chunks" chunks0 in
   let qps = float_of_int !served /. Float.max !wall 1e-9 in
   let sum = Metrics.summary lat in
   Printf.printf "served %d queries over the socket in %.1fs: %.1f qps\n"
@@ -247,6 +264,9 @@ let run () =
     sum.Metrics.count;
   Printf.printf "identical %b, shed %d, leaked pins %d, unclean exits %d\n"
     !identical !shed !leaked !unclean;
+  Printf.printf
+    "server socket writes %.3f and chunks %.3f per served query (%d served)\n"
+    writes_per_query chunks_per_query !total_served;
   let doc =
     Json.Obj
       [
@@ -271,6 +291,9 @@ let run () =
               ("p99", Json.Num sum.Metrics.p99);
               ("max", Json.Num sum.Metrics.max);
             ] );
+        ("queries_served", Json.num_of_int !total_served);
+        ("writes_per_query", Json.Num writes_per_query);
+        ("chunks_per_query", Json.Num chunks_per_query);
         ("identical", Json.Bool !identical);
         ("leaked_pins", Json.num_of_int !leaked);
         ("unclean_exits", Json.num_of_int !unclean);

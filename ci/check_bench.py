@@ -225,8 +225,20 @@ def check_wire(doc):
             "disconnects")
     require(doc["unclean_exits"] == 0,
             f"{doc['unclean_exits']} client process(es) exited unclean")
+    # One exchange per short query: a pipelined Submit+Next is answered
+    # in one server write and the last chunk is end-marked, so a k-chunk
+    # query costs k writes (k + 1 ending on a bare End); strict
+    # request->response costs k + 2.
+    writes, chunks = doc["writes_per_query"], doc["chunks_per_query"]
+    require(is_num(writes) and is_num(chunks) and doc["queries_served"] > 0,
+            "writes/chunks per query missing")
+    require(writes <= chunks + 1,
+            f"{writes:.3f} server writes per query exceed chunks per query "
+            f"({chunks:.3f}) + 1: replies are not coalesced")
     return {
         "qps": round(doc["qps"], 1),
+        "writes_per_query": round(writes, 3),
+        "chunks_per_query": round(chunks, 3),
         "p99_ms": round(lat["p99"], 3),
         "served": doc["served"],
         "clients": f"{doc['clients']} ({doc['client_mode']})",

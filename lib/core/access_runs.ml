@@ -296,10 +296,51 @@ let accessible_fraction r =
 
 let mem r v = rank r v land 1 = 1
 
-let run_from r v =
-  let i = rank r v in
-  let flip j = if j >= count r then max_int else value r (v lsr 16) j in
-  if i land 1 = 1 then (v, flip i) else (flip i, flip (i + 1))
+(* Flip [j] searched from block [b], or [max_int] past the last. *)
+let flip r b j = if j >= count r then max_int else value r b j
+
+(* The run answer for [v] of rank [i]. *)
+let run_at r v i =
+  let b = v lsr 16 in
+  if i land 1 = 1 then (v, flip r b i) else (flip r b i, flip r b (i + 1))
+
+let run_from r v = run_at r v (rank r v)
+
+(* The first index in [\[lo, hi)] whose low bits exceed [low], or [hi],
+   galloping up from [lo] in steps from [step]: cheap when the answer
+   is near [lo].  Every flip before [lo] must be [<= low]'s
+   preorder. *)
+let rec gallop r lo hi low step =
+  let probe = lo + step - 1 in
+  if probe >= hi then search r lo hi low
+  else if u16 r probe <= low then gallop r (probe + 1) hi low (2 * step)
+  else search r lo probe low
+
+let gate r =
+  let blocks = Array.length r.dir - 1 in
+  (* the last probe, its block and its rank; [block = -1]: none *)
+  let last = ref 0 and block = ref (-1) and last_rank = ref 0 in
+  fun v ->
+    let b = v lsr 16 in
+    let i =
+      if b = !block && v >= !last then
+        gallop r !last_rank r.dir.(b + 1) (v land 0xffff) 1
+      else begin
+        block := if v >= 0 && b < blocks then b else -1;
+        rank r v
+      end
+    in
+    last := v;
+    last_rank := i;
+    run_at r v i
+
+let of_flips ~n flips =
+  Array.iteri
+    (fun j v ->
+      if v < 0 || v >= n || (j > 0 && v <= flips.(j - 1)) then
+        invalid_arg "Access_runs.of_flips: flips must ascend inside [0, n)")
+    flips;
+  encode n (Int_vec.of_array flips)
 
 let span_inside r ~lo ~hi =
   lo > hi

@@ -112,6 +112,21 @@ val mem : runs -> int -> bool
     flip).  [(max_int, max_int)] when no accessible node remains. *)
 val run_from : runs -> int -> int * int
 
+(** [gate r] — a function equal to [run_from r] for a walk in
+    ascending order.  It remembers the rank of its last probe, so a
+    later probe in the same 64 Ki-preorder block gallops forward from
+    there instead of searching the block again; a backward probe, or
+    one in another block, searches from scratch.  Stateful: one gate
+    per walk, private to one domain. *)
+val gate : runs -> int -> int * int
+
+(** [of_flips ~n flips] — the list over [n] nodes whose flips are
+    [flips]: accessible from [flips.(0)] up to [flips.(1)], and so on.
+    For tests and tools.
+    @raise Invalid_argument unless [flips] ascends strictly inside
+    [\[0, n)]. *)
+val of_flips : n:int -> int array -> runs
+
 (** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
     are maximal and disjoint, this holds iff every node in the interval
     is accessible.  Empty intervals ([lo > hi]) are contained. *)

@@ -487,10 +487,11 @@ let runs_of t ~subject = Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~su
 (** The accessible run holding or following [v] (see
     {!Access_runs.run_from}); [(v, max_int)] when the index is off, so
     nothing is skipped.  Applied to [~subject] alone, one run lookup
-    serves every later call. *)
+    serves every later call, through a gate that moves forward with an
+    ascending walk ({!Access_runs.gate}). *)
 let accessible_run t ~subject =
   if not t.use_runs then fun v -> (v, max_int)
-  else Access_runs.run_from (runs_of t ~subject)
+  else Access_runs.gate (runs_of t ~subject)
 
 (** Is every node in [\[lo, hi\]] provably accessible (single-run
     containment)?  [false] means "unknown" when the index is off. *)

@@ -234,7 +234,9 @@ val accessible_with_skip : t -> subject:int -> Tree.node -> bool
     open end; [(max_int, max_int)] when none remains).  A sorted scan
     skips a whole denied run per call.  [(v, max_int)] when the index is
     off, so nothing is skipped.  Applied to [~subject] alone, one run
-    lookup serves every later call. *)
+    lookup serves every later call, and the function it returns keeps
+    its place: probes in ascending order gallop forward from the last
+    one ({!Access_runs.gate}).  Use one per walk, on one domain. *)
 val accessible_run : t -> subject:int -> Tree.node -> int * int
 
 (** Is every node of [\[lo, hi\]] provably accessible (contained in one

@@ -34,17 +34,27 @@ let narrow t ~lo ~hi =
 
 let to_list t = List.init (length t) (get t)
 
-(* The least [j >= i] with [get t j >= v]: gallop out from [i], then
-   bisect the last step, so a short skip costs a few probes. *)
+(* The least [j] in [\[lo, hi)] with [get t j >= v], or [hi]: {!bisect}
+   with the predicate spelled out, so a seek builds no closure. *)
+let rec first_at_least t lo hi v =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if get t mid >= v then first_at_least t lo mid v
+    else first_at_least t (mid + 1) hi v
+
+(* [get t lo < v]: gallop out from [lo] by [step], then bisect the last
+   step. *)
+let rec widen t n v lo step =
+  let probe = lo + step in
+  if probe >= n || get t probe >= v then first_at_least t (lo + 1) (min probe n) v
+  else widen t n v probe (2 * step)
+
+(* The least [j >= i] with [get t j >= v]: a short skip costs a few
+   probes. *)
 let seek t i v =
   let n = length t in
-  let rec widen lo step =
-    let probe = lo + step in
-    if probe >= n || get t probe >= v then
-      bisect (lo + 1) (min probe n) (fun j -> get t j >= v)
-    else widen probe (2 * step)
-  in
-  if i >= n || get t i >= v then i else widen i 1
+  if i >= n || get t i >= v then i else widen t n v i 1
 
 let admit_all _ = (min_int, max_int)
 

@@ -158,15 +158,16 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
   match seg.Decompose.steps with
   | [] -> invalid_arg "Engine: empty segment"
   | first :: rest ->
-      let qualify step v =
+      let qualify step =
         Nok_match.qualifies store index mode step.Decompose.pnode
-          ~preds:step.Decompose.preds v
+          ~preds:step.Decompose.preds
       in
       let start =
+        let q = qualify first in
         List.filter
           (fun r ->
             incr scanned;
-            qualify first r)
+            q r)
           roots
       in
       let expand step bindings =
@@ -178,13 +179,14 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
           | Pattern.Following_sibling -> Store.following_sibling store b
           | Pattern.Descendant -> invalid_arg "Engine: descendant step inside a segment"
         in
+        let q = qualify step in
         List.concat_map
           (fun b ->
             let rec scan u acc =
               if u = Tree.nil then List.rev acc
               else begin
                 incr scanned;
-                let acc = if qualify step u then u :: acc else acc in
+                let acc = if q u then u :: acc else acc in
                 scan (Store.following_sibling store u) acc
               end
             in
@@ -295,10 +297,16 @@ let summary_path_filter ?value_index ~summary ~pruned store index mode
   (* [Summary_prune.mem] spelled out, as in {!candidates}: this runs per
      ancestor hop *)
   let admissible i v = Bytes.get adm.(i) (Path_summary.class_of ps v) <> '\000' in
+  let quals =
+    Array.map
+      (fun (st : Decompose.step) ->
+        Nok_match.qualifies store index mode st.Decompose.pnode
+          ~preds:st.Decompose.preds)
+      steps
+  in
   let qualify i v =
     incr scanned;
-    Nok_match.qualifies store index mode steps.(i).Decompose.pnode
-      ~preds:steps.(i).Decompose.preds v
+    quals.(i) v
   in
   let chains = Array.init k (fun _ -> chain ()) in
   (* [match_up] is [decide] through the step's chain, for [i < k] *)
@@ -566,11 +574,10 @@ let stream_next st =
                     fill ()))
     in
     fill ();
-    if !n = 0 then begin
-      stream_finalize st;
-      []
-    end
-    else List.rev !buf
+    (* the call whose refill exhausts the source finalizes, so the
+       chunk it returns is known to be the last *)
+    (match st.st_src with S_end -> stream_finalize st | _ -> ());
+    List.rev !buf
   end
 
 let stream_close st = stream_finalize st

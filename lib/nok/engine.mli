@@ -112,8 +112,10 @@ val stream :
   Dolx_index.Tag_index.t -> Pattern.t -> semantics -> stream
 
 (** Next chunk of answers, document order, distinct, at most [chunk]
-    long.  [[]] means exhausted; the stream is finalized and every later
-    call returns [[]]. *)
+    long.  [[]] means exhausted.  The call that exhausts the source
+    finalizes the stream: {!stream_finished} holds once it returns, so
+    a non-empty chunk it returned is the last, and every later call
+    returns [[]]. *)
 val stream_next : stream -> int list
 
 (** Finalize early: flush the partial statistics and drop the source.

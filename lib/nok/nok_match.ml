@@ -124,16 +124,35 @@ let rec exists_match store index mode (p : Pattern.pnode) ctx =
           && path_clear store mode ~ctx u
           && children_match store index mode p u)
 
+(* Every branch in [ps] matches under [v]; no closure is built for a
+   node with no branches, the common case. *)
+and all_match store index mode ps v =
+  match ps with
+  | [] -> true
+  | _ -> List.for_all (fun c -> exists_match store index mode c v) ps
+
 and children_match store index mode (p : Pattern.pnode) v =
-  List.for_all (fun c -> exists_match store index mode c v) p.Pattern.children
+  all_match store index mode p.Pattern.children v
 
 (** Full qualification of a candidate binding [v] for pattern node [p]:
     test, value, access, and all predicate children.  [v]'s axis
-    relationship to its context must already hold. *)
-let qualifies store index mode (p : Pattern.pnode) ~preds v =
-  visit store mode v && test_ok store p.Pattern.test v
-  && value_ok store p.Pattern.value v
-  && List.for_all (fun c -> exists_match store index mode c v) preds
+    relationship to its context must already hold.  Applied without
+    [v], it resolves [p]'s tag once and returns the test to apply per
+    candidate. *)
+let qualifies store index mode (p : Pattern.pnode) ~preds =
+  let tag =
+    match p.Pattern.test with
+    | Pattern.Wildcard -> -1
+    | Pattern.Tag name -> (
+        match Tag.find_opt (Tree.tag_table (Store.tree store)) name with
+        | Some id -> id
+        | None -> -2 (* a tag no node carries *))
+  in
+  fun v ->
+    visit store mode v
+    && (tag = -1 || Store.tag store v = tag)
+    && value_ok store p.Pattern.value v
+    && all_match store index mode preds v
 
 (** {1 Algorithm 1, verbatim}
 

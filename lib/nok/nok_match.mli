@@ -50,7 +50,9 @@ val exists_match : Store.t -> Dolx_index.Tag_index.t -> mode -> Pattern.pnode ->
   Dolx_xml.Tree.node -> bool
 
 (** Full qualification of a candidate binding: visit/test/value plus all
-    [preds] existentially. *)
+    [preds] existentially.  Apply it to the pattern node once per step
+    and reuse the result per candidate: the tag is resolved at that
+    partial application. *)
 val qualifies :
   Store.t -> Dolx_index.Tag_index.t -> mode -> Pattern.pnode ->
   preds:Pattern.pnode list -> Dolx_xml.Tree.node -> bool

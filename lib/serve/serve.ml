@@ -54,6 +54,7 @@ type ticket = {
   tk_buffer_chunks : int;       (* producer blocks past this many *)
   mutable tk_closed : bool;     (* consumer cancelled *)
   mutable tk_finished : bool;   (* producer pushed its last chunk *)
+  mutable tk_last : bool;       (* the newest queued chunk ends the stream *)
   mutable tk_released : bool;   (* worker fully done: reader released *)
   mutable tk_error : exn option;
   mutable tk_emitted : int;
@@ -69,6 +70,7 @@ let make_ticket buffer_chunks =
     tk_buffer_chunks = buffer_chunks;
     tk_closed = false;
     tk_finished = false;
+    tk_last = false;
     tk_released = false;
     tk_error = None;
     tk_emitted = 0;
@@ -76,11 +78,10 @@ let make_ticket buffer_chunks =
     tk_seq = -1;
   }
 
-(* Producer side: push one chunk, honoring backpressure.  Returns
-   [false] when the consumer closed the ticket — the worker should stop
-   evaluating. *)
-let ticket_push tk chunk =
-  Mutex.lock tk.tk_m;
+(* Producer side, under [tk_m]: wait for room in the buffer
+   (backpressure), then queue [chunk].  Returns [false] when the
+   consumer closed the ticket — the worker should stop evaluating. *)
+let enqueue tk chunk =
   while
     (not tk.tk_closed) && Queue.length tk.tk_chunks >= tk.tk_buffer_chunks
   do
@@ -92,29 +93,48 @@ let ticket_push tk chunk =
     tk.tk_emitted <- tk.tk_emitted + List.length chunk;
     Condition.broadcast tk.tk_c
   end;
+  alive
+
+let ticket_push tk chunk =
+  Mutex.lock tk.tk_m;
+  let alive = enqueue tk chunk in
   Mutex.unlock tk.tk_m;
   alive
 
-(* Producer side: terminal transition.  Buffered chunks stay readable
-   (unless the consumer closed first); [next_chunk] drains them and then
-   reports end-of-stream or the error. *)
-let ticket_finish tk ?error ~peak () =
+(* Producer side: terminal transition.  The stream's [last] chunk, when
+   the chunk that ended it carries answers, is queued in the same
+   critical section (still honoring backpressure), so the consumer that
+   takes it already knows nothing follows.  Buffered chunks stay
+   readable (unless the consumer closed first); [next_chunk] drains them
+   and then reports end-of-stream or the error. *)
+let ticket_finish tk ?last ?error ?(seq = -1) ~peak () =
   Mutex.lock tk.tk_m;
+  (match last with
+  | Some chunk -> if enqueue tk chunk then tk.tk_last <- true
+  | None -> ());
   tk.tk_finished <- true;
-  tk.tk_released <- true;
   (match error with Some _ when tk.tk_error = None -> tk.tk_error <- error | _ -> ());
   tk.tk_peak <- max tk.tk_peak peak;
+  if seq >= 0 then tk.tk_seq <- seq;
   Condition.broadcast tk.tk_c;
   Mutex.unlock tk.tk_m
 
-let next_chunk tk =
+(* The worker has let go of everything the query held. *)
+let ticket_release tk =
+  Mutex.lock tk.tk_m;
+  tk.tk_released <- true;
+  Condition.broadcast tk.tk_c;
+  Mutex.unlock tk.tk_m
+
+let next_chunk_last tk =
   Mutex.lock tk.tk_m;
   let rec wait () =
     match Queue.take_opt tk.tk_chunks with
     | Some chunk ->
+        let last = tk.tk_last && Queue.is_empty tk.tk_chunks in
         Condition.broadcast tk.tk_c;
         Mutex.unlock tk.tk_m;
-        chunk
+        (chunk, last)
     | None ->
         if tk.tk_closed then begin
           Mutex.unlock tk.tk_m;
@@ -123,7 +143,7 @@ let next_chunk tk =
         else if tk.tk_finished then begin
           let err = tk.tk_error in
           Mutex.unlock tk.tk_m;
-          match err with Some e -> raise e | None -> []
+          match err with Some e -> raise e | None -> ([], true)
         end
         else begin
           Condition.wait tk.tk_c tk.tk_m;
@@ -131,6 +151,8 @@ let next_chunk tk =
         end
   in
   wait ()
+
+let next_chunk tk = fst (next_chunk_last tk)
 
 let close tk =
   Mutex.lock tk.tk_m;
@@ -314,11 +336,15 @@ let pick_job t =
    evaluation error, and parse error. *)
 let run_job t tenant job =
   let tk = job.jb_ticket in
-  if tk.tk_closed then begin
+  let unregister () =
     Mutex.lock t.m;
     t.running <- List.filter (fun r -> r != tk) t.running;
-    Mutex.unlock t.m;
-    ticket_finish tk ~peak:0 ()
+    Mutex.unlock t.m
+  in
+  if tk.tk_closed then begin
+    unregister ();
+    ticket_finish tk ~peak:0 ();
+    ticket_release tk
   end
   else begin
     Mutex.lock t.m;
@@ -326,14 +352,18 @@ let run_job t tenant job =
     Mutex.unlock t.m;
     let reader = Store.reader store in
     let finished = ref false in
-    let finish ?error ~peak () =
+    (* The reader and the shard are released before the ticket learns
+       the stream is over, so a consumer that has seen the end sees no
+       pin of this query.  [tk] leaves [t.running] only after the
+       (possibly blocking) final push, so {!shutdown} can still cancel
+       it. *)
+    let finish ?last ?error ~peak () =
       if !finished then ()
       else begin
       finished := true;
       Store.release reader;
       release_shard t tenant;
       Mutex.lock t.m;
-      t.running <- List.filter (fun r -> r != tk) t.running;
       t.seq <- t.seq + 1;
       let seq = t.seq in
       (match error with
@@ -343,10 +373,9 @@ let run_job t tenant job =
           t.peak_buffered <- max t.peak_buffered peak
       | Some _ -> ());
       Mutex.unlock t.m;
-      Mutex.lock tk.tk_m;
-      tk.tk_seq <- seq;
-      Mutex.unlock tk.tk_m;
-      ticket_finish tk ?error ~peak ();
+      ticket_finish tk ?last ?error ~seq ~peak ();
+      unregister ();
+      ticket_release tk;
       if error = None then Metrics.incr c_served
       end
     in
@@ -359,6 +388,9 @@ let run_job t tenant job =
         let rec pump () =
           match Engine.stream_next stream with
           | [] -> finish ~peak:(Engine.stream_peak_buffered stream) ()
+          | chunk when Engine.stream_finished stream ->
+              (* the chunk that exhausted the source ends the stream *)
+              finish ~last:chunk ~peak:(Engine.stream_peak_buffered stream) ()
           | chunk ->
               if ticket_push tk chunk then pump ()
               else begin
@@ -499,7 +531,8 @@ let shutdown t =
           (fun job ->
             ticket_finish job.jb_ticket
               ~error:(Failure "Serve: shut down before the query ran")
-              ~peak:0 ())
+              ~peak:0 ();
+            ticket_release job.jb_ticket)
           tn.tn_jobs;
         Queue.clear tn.tn_jobs)
       t.tenants;

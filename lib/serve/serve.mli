@@ -95,6 +95,15 @@ val with_service :
     @raise Invalid_argument on a ticket already {!close}d. *)
 val next_chunk : ticket -> int list
 
+(** {!next_chunk}, and whether the stream ends with it.  [(chunk, true)]
+    when no chunk follows — the chunk that exhausted the query's source,
+    or [[]] at the end — so a consumer needs no further call to learn
+    that the stream is over.  The mark is deterministic: it is set when
+    the worker queues the chunk, after the query's reader pin and shard
+    reference are released, so once a consumer holds it
+    {!pinned_readers} no longer counts the query. *)
+val next_chunk_last : ticket -> int list * bool
+
 (** Cancel the stream: discard buffered chunks and tell the producing
     worker to stop.  The worker closes its engine stream and releases
     the reader's epoch pin at the next chunk boundary.  Idempotent. *)

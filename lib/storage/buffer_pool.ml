@@ -61,11 +61,15 @@ let zero_stats () =
   { touches = 0; hits = 0; misses = 0; retries = 0; evictions = 0;
     eviction_flush_failures = 0 }
 
-(* Frames live in [capacity] slots.  The page table, the recency list
-   and the free list are int arrays indexed by page id or slot, so a
-   touch costs array loads, no hashing.  Recency is one doubly-linked
-   list over the slots ([prev]/[next], -1 terminated), most recently
-   used at [head]: exact LRU. *)
+(* Frames live in [capacity] slots.  The page table maps page id to
+   slot by open addressing: [table] has a power-of-two size of at least
+   twice [capacity], each cell a slot (-1 empty) whose key is
+   [page_at.(slot)], found by linear probing from a multiplicative hash
+   of the page id.  Its size follows the pool, not the store, so a
+   reader's pool costs the same to create however many pages the disk
+   holds.  Recency is one doubly-linked list over the slots
+   ([prev]/[next], -1 terminated), most recently used at [head]: exact
+   LRU. *)
 type t = {
   disk : Disk.t;
   capacity : int;
@@ -77,7 +81,8 @@ type t = {
      copies each image into a private frame that {!mark_dirty} may
      modify. *)
   epoch : int option;
-  mutable slot_of : int array; (* page id -> slot, -1 when not resident *)
+  table : int array; (* page table cells: a slot, -1 when empty *)
+  shift : int; (* hash: the top bits of a 63-bit product *)
   page_at : int array; (* slot -> page id, -1 when free *)
   frames : Page.t array; (* slot -> image *)
   dirty : bool array;
@@ -95,6 +100,12 @@ type t = {
   mutable folded : stats; (* the values of [stats] at the last fold *)
 }
 
+(* log2 of the page table's size: at least twice [capacity], so a
+   probe meets an empty cell within a few steps *)
+let table_bits capacity =
+  let rec go b = if 1 lsl b >= 2 * capacity then b else go (b + 1) in
+  go 2
+
 let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
   if capacity < 1 then invalid_arg "Buffer_pool.create";
   if max_read_retries < 0 then
@@ -104,7 +115,8 @@ let create ?(capacity = 64) ?(max_read_retries = 3) ?epoch disk =
     capacity;
     max_read_retries;
     epoch;
-    slot_of = Array.make (max 16 (Disk.page_count disk)) (-1);
+    table = Array.make (1 lsl table_bits capacity) (-1);
+    shift = 63 - table_bits capacity;
     page_at = Array.make capacity (-1);
     frames = Array.make capacity Bytes.empty;
     dirty = Array.make capacity false;
@@ -164,7 +176,53 @@ let to_front t s =
     push_front t s
   end
 
-let slot t id = if id >= 0 && id < Array.length t.slot_of then t.slot_of.(id) else -1
+(* {2 Page table} *)
+
+let home t id = (id * 0x2545F4914F6CDD1D) lsr t.shift
+
+let next_cell t h = (h + 1) land (Array.length t.table - 1)
+
+(* The slot holding page [id], or -1, probing from cell [h].  The
+   probe loops are top-level functions, so a lookup allocates no
+   closure. *)
+let rec probe t id h =
+  let s = Array.unsafe_get t.table h in
+  if s < 0 then -1
+  else if Array.unsafe_get t.page_at s = id then s
+  else probe t id (next_cell t h)
+
+let slot t id = probe t id (home t id)
+
+let rec empty_cell t h = if t.table.(h) < 0 then h else empty_cell t (next_cell t h)
+
+let register t id s =
+  t.table.(empty_cell t (home t id)) <- s;
+  t.page_at.(s) <- id
+
+let rec cell_of t s h = if t.table.(h) = s then h else cell_of t s (next_cell t h)
+
+(* Close the hole at cell [hole], scanning the probe run from cell [j]:
+   every cell that the hole would cut off from its home cell moves back
+   into it, so no tombstone is ever left. *)
+let rec shift_back t hole j =
+  let c = t.table.(j) in
+  if c < 0 then t.table.(hole) <- -1
+  else begin
+    let h = home t t.page_at.(c) in
+    (* [c] may fill the hole unless its home lies cyclically in
+       (hole, j] *)
+    let stays = if hole <= j then hole < h && h <= j else hole < h || h <= j in
+    if stays then shift_back t hole (next_cell t j)
+    else begin
+      t.table.(hole) <- c;
+      shift_back t j (next_cell t j)
+    end
+  end
+
+(* Drop slot [s]'s page from the table. *)
+let unregister t s =
+  let h = cell_of t s (home t t.page_at.(s)) in
+  shift_back t h (next_cell t h)
 
 let flush_slot t s =
   if t.dirty.(s) then begin
@@ -190,7 +248,7 @@ let evict_one t =
       to_front t s;
       raise e);
   unlink t s;
-  t.slot_of.(t.page_at.(s)) <- -1;
+  unregister t s;
   t.page_at.(s) <- -1;
   t.stats.evictions <- t.stats.evictions + 1;
   s
@@ -205,15 +263,6 @@ let read_retrying t id =
         go (attempts_left - 1)
   in
   go t.max_read_retries
-
-let register t id s =
-  if id >= Array.length t.slot_of then begin
-    let a = Array.make (max (id + 1) (2 * Array.length t.slot_of)) (-1) in
-    Array.blit t.slot_of 0 a 0 (Array.length t.slot_of);
-    t.slot_of <- a
-  end;
-  t.slot_of.(id) <- s;
-  t.page_at.(s) <- id
 
 let miss t id =
   t.stats.misses <- t.stats.misses + 1;
@@ -299,7 +348,7 @@ let flush_all t =
     counters. *)
 let clear t =
   let flush_error = try flush_all t; None with e -> Some e in
-  Array.iter (fun id -> if id >= 0 then t.slot_of.(id) <- -1) t.page_at;
+  Array.fill t.table 0 (Array.length t.table) (-1);
   List.iter (fun a -> Array.fill a 0 t.capacity (-1)) [ t.page_at; t.prev; t.next ];
   t.head <- -1;
   t.tail <- -1;

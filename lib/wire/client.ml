@@ -12,25 +12,41 @@ type t = {
   mutable next_id : int;
 }
 
-type stream = { cl : t; id : int; mutable finished : bool }
+(* [pending] is a reply the server has sent for this stream that no
+   [next_chunk] has consumed yet: the answer to the Next that [submit]
+   pipelined behind its Submit. *)
+type stream = {
+  cl : t;
+  id : int;
+  mutable pending : Frame.response option;
+  mutable finished : bool;
+}
 
-(* One request, one response: send, then block for the reply.  The
-   protocol is strictly alternating per connection, so the next frame
-   is always the answer to [req].  [mk_req] runs under the mutex so any
+let recv_response t =
+  match Conn.recv t.conn with
+  | Frame.Response resp -> resp
+  | Frame.Request _ ->
+      raise (Server_error "protocol violation: server sent a request")
+
+(* Send the requests [mk_reqs] builds in one write, then read their
+   replies, one each, in order: the server answers every request, in
+   the order sent.  [mk_reqs] runs under the mutex so any
    per-connection state it reads (e.g. next_id) is race-free. *)
-let exchange_with t mk_req =
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.m)
-    (fun () ->
-      let req = mk_req () in
-      Conn.send t.conn (Frame.Request req);
-      match Conn.recv t.conn with
-      | Frame.Response resp -> resp
-      | Frame.Request _ ->
-          raise (Server_error "protocol violation: server sent a request"))
+let exchange_with t mk_reqs =
+  Mutex.protect t.m (fun () ->
+      let reqs = mk_reqs () in
+      List.iter (fun req -> Conn.queue t.conn (Frame.Request req)) reqs;
+      Conn.flush t.conn;
+      List.fold_left (fun acc _ -> recv_response t :: acc) [] reqs |> List.rev)
 
-let exchange t req = exchange_with t (fun () -> req)
+let exchange t req =
+  match exchange_with t (fun () -> [ req ]) with
+  | [ resp ] -> resp
+  | _ -> assert false
+
+let unexpected what resp =
+  Server_error
+    (Format.asprintf "unexpected %s reply: %a" what Frame.pp (Frame.Response resp))
 
 let connect ?(retry_for = 0.0) ?max_frame ?(client = "dolx-client") path =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -61,8 +77,7 @@ let connect ?(retry_for = 0.0) ?max_frame ?(client = "dolx-client") path =
   | Frame.Welcome { server } -> t.name <- server
   | resp ->
       Conn.close t.conn;
-      raise (Server_error (Format.asprintf "bad hello reply: %a" Frame.pp
-                             (Frame.Response resp))));
+      raise (unexpected "hello" resp));
   t
 
 let server_name t = t.name
@@ -71,41 +86,49 @@ let close t = Conn.close t.conn
 
 let abort t = Conn.close t.conn
 
+(* Submit and the stream's first Next travel in one write; both
+   replies are read before anything is raised, so none is left unread
+   on the connection. *)
 let submit t ~tenant xpath semantics =
   let id = ref (-1) in
-  let resp =
+  let replies =
     exchange_with t (fun () ->
         id := t.next_id;
         t.next_id <- !id + 1;
-        Frame.Submit { id = !id; tenant; xpath; semantics })
+        [ Frame.Submit { id = !id; tenant; xpath; semantics }; Frame.Next { id = !id } ])
   in
   let id = !id in
-  match resp with
-  | Frame.Accepted { id = id' } when id' = id -> { cl = t; id; finished = false }
-  | Frame.Overloaded { id = id' } when id' = id -> raise Serve.Overloaded
-  | Frame.Error { id = id'; message } when id' = id -> raise (Server_error message)
-  | resp ->
-      raise
-        (Server_error
-           (Format.asprintf "unexpected submit reply: %a" Frame.pp
-              (Frame.Response resp)))
+  match replies with
+  | [ Frame.Accepted { id = id' }; first ] when id' = id ->
+      { cl = t; id; pending = Some first; finished = false }
+  | [ Frame.Overloaded { id = id' }; _ ] when id' = id -> raise Serve.Overloaded
+  | [ Frame.Error { id = id'; message }; _ ] when id' = id ->
+      raise (Server_error message)
+  | resp :: _ -> raise (unexpected "submit" resp)
+  | [] -> assert false
 
 let next_chunk st =
   if st.finished then []
   else
-    match exchange st.cl (Frame.Next { id = st.id }) with
+    let resp =
+      match st.pending with
+      | Some resp ->
+          st.pending <- None;
+          resp
+      | None -> exchange st.cl (Frame.Next { id = st.id })
+    in
+    match resp with
     | Frame.Chunk { id; answers } when id = st.id -> answers
+    | Frame.Last { id; answers } when id = st.id ->
+        st.finished <- true;
+        answers
     | Frame.End { id } when id = st.id ->
         st.finished <- true;
         []
     | Frame.Error { id; message } when id = st.id ->
         st.finished <- true;
         raise (Server_error message)
-    | resp ->
-        raise
-          (Server_error
-             (Format.asprintf "unexpected next reply: %a" Frame.pp
-                (Frame.Response resp)))
+    | resp -> raise (unexpected "next" resp)
 
 let collect st =
   let rec go acc =
@@ -118,20 +141,13 @@ let collect st =
 let close_stream st =
   if not st.finished then begin
     st.finished <- true;
+    st.pending <- None;
     match exchange st.cl (Frame.Close { id = st.id }) with
     | Frame.End _ -> ()
-    | resp ->
-        raise
-          (Server_error
-             (Format.asprintf "unexpected close reply: %a" Frame.pp
-                (Frame.Response resp)))
+    | resp -> raise (unexpected "close" resp)
   end
 
 let stats t =
   match exchange t Frame.Stats with
   | Frame.Stats_reply kvs -> kvs
-  | resp ->
-      raise
-        (Server_error
-           (Format.asprintf "unexpected stats reply: %a" Frame.pp
-              (Frame.Response resp)))
+  | resp -> raise (unexpected "stats" resp)

@@ -3,8 +3,14 @@
     {!Dolx_serve.Serve} ticket surface ([submit] / [next_chunk] /
     [collect] / [close_stream]).
 
-    One request is in flight at a time per connection; interleave
-    several streams by alternating their [next_chunk] calls. *)
+    Requests on one connection are answered in order.  {!submit}
+    pipelines the stream's first [Next] behind its [Submit] in one
+    write and returns with both replies read, so a query whose answers
+    fit one chunk costs one exchange: the server ends such a stream
+    with an end-marked [Last] chunk.  Later chunks are pulled one
+    [Next] at a time; interleave several streams by alternating their
+    [next_chunk] calls.  Calls on one connection are serialized, so
+    threads may share it. *)
 
 module Engine = Dolx_nok.Engine
 
@@ -36,7 +42,12 @@ val abort : t -> unit
 
 type stream
 
-(** Submit a query; returns once the server acknowledges it.
+(** Submit a query and request its first chunk; returns once the
+    server has acknowledged the query and answered that request (the
+    first chunk, the end of the stream, or a worker-side error, which
+    {!next_chunk} then hands out).  Because it waits for the first
+    chunk, a query a worker cannot start — every worker blocked on a
+    full buffer of another undrained stream — blocks [submit] itself.
     @raise Dolx_serve.Serve.Overloaded when the server shed it.
     @raise Server_error on an immediate server-side failure. *)
 val submit : t -> tenant:string -> string -> Engine.semantics -> stream

@@ -27,7 +27,9 @@ type t = {
   dec : Frame.decoder;
   max_frame : int;
   rbuf : Bytes.t;
-  m : Mutex.t;  (* serializes sends; recv is owned by one thread *)
+  out : Buffer.t;  (* frames queued since the last flush *)
+  mutable queued : int;  (* how many *)
+  m : Mutex.t;  (* serializes queue and flush; recv is owned by one thread *)
   mutable plan : fault_plan option;
   mutable closed : bool;
   mutable short_writes : int;
@@ -41,6 +43,8 @@ let of_fd ?(max_frame = Frame.default_max_frame) fd =
     dec = Frame.decoder ~max_frame ();
     max_frame;
     rbuf = Bytes.create 4096;
+    out = Buffer.create 256;
+    queued = 0;
     m = Mutex.create ();
     plan = None;
     closed = false;
@@ -95,37 +99,51 @@ let write_dribbled t prng buf len =
     off := !off + n
   done
 
+let queue t frame =
+  Mutex.protect t.m (fun () ->
+      Frame.add ~max_frame:t.max_frame t.out frame;
+      t.queued <- t.queued + 1)
+
+let flush t =
+  Mutex.protect t.m (fun () ->
+      let len = Buffer.length t.out and frames = t.queued in
+      let buf = Buffer.to_bytes t.out in
+      Buffer.clear t.out;
+      t.queued <- 0;
+      if t.closed then raise (Closed { mid_frame = false });
+      if len > 0 then begin
+        match t.plan with
+        | Some p when Prng.bool p.fault_prng ~p:p.reset_p ->
+            (* abrupt reset: the peer sees the cut with no partial frame *)
+            t.resets <- t.resets + 1;
+            Metrics.incr c_faults;
+            close t;
+            raise (Closed { mid_frame = false })
+        | Some p when len > 1 && Prng.bool p.fault_prng ~p:p.torn_frame_p ->
+            (* torn write: a strict prefix reaches the peer, then the cut *)
+            let cut = Prng.int_in p.fault_prng 1 (len - 1) in
+            t.torn_frames <- t.torn_frames + 1;
+            Metrics.incr c_faults;
+            write_all t buf 0 cut;
+            close t;
+            raise (Closed { mid_frame = false })
+        | Some p when Prng.bool p.fault_prng ~p:p.short_write_p ->
+            t.short_writes <- t.short_writes + 1;
+            Metrics.incr c_faults;
+            write_dribbled t p.fault_prng buf len;
+            Metrics.add c_frames_out frames
+        | _ ->
+            write_all t buf 0 len;
+            Metrics.add c_frames_out frames
+      end)
+
 let send t frame =
-  if t.closed then raise (Closed { mid_frame = false });
-  let buf = Frame.to_bytes ~max_frame:t.max_frame frame in
-  let len = Bytes.length buf in
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.m)
-    (fun () ->
-      match t.plan with
-      | Some p when Prng.bool p.fault_prng ~p:p.reset_p ->
-          (* abrupt reset: the peer sees the cut with no partial frame *)
-          t.resets <- t.resets + 1;
-          Metrics.incr c_faults;
-          close t;
-          raise (Closed { mid_frame = false })
-      | Some p when len > 1 && Prng.bool p.fault_prng ~p:p.torn_frame_p ->
-          (* torn frame: a strict prefix reaches the peer, then the cut *)
-          let cut = Prng.int_in p.fault_prng 1 (len - 1) in
-          t.torn_frames <- t.torn_frames + 1;
-          Metrics.incr c_faults;
-          write_all t buf 0 cut;
-          close t;
-          raise (Closed { mid_frame = false })
-      | Some p when Prng.bool p.fault_prng ~p:p.short_write_p ->
-          t.short_writes <- t.short_writes + 1;
-          Metrics.incr c_faults;
-          write_dribbled t p.fault_prng buf len;
-          Metrics.incr c_frames_out
-      | _ ->
-          write_all t buf 0 len;
-          Metrics.incr c_frames_out)
+  queue t frame;
+  flush t
+
+let ready t = Frame.ready t.dec
+
+let queued_bytes t = Mutex.protect t.m (fun () -> Buffer.length t.out)
 
 let rec recv t =
   match Frame.next t.dec with

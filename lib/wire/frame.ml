@@ -31,6 +31,7 @@ type response =
   | Welcome of { server : string }
   | Accepted of { id : int }
   | Chunk of { id : int; answers : int list }
+  | Last of { id : int; answers : int list }
   | End of { id : int }
   | Error of { id : int; message : string }
   | Overloaded of { id : int }
@@ -60,13 +61,18 @@ and tag_end = 0x84
 and tag_error = 0x85
 and tag_overloaded = 0x86
 and tag_stats_reply = 0x87
+and tag_last = 0x88
 
 (* --- encoding --- *)
 
-let add_varint buf x =
-  let scratch = Bytes.create Varint.max_len in
-  let n = Varint.write scratch 0 x in
-  Buffer.add_subbytes buf scratch 0 n
+(* {!Varint.write}'s encoding, straight into the buffer *)
+let rec add_varint buf x =
+  if x < 0 then invalid_arg "Frame: negative varint";
+  if x < 128 then Buffer.add_char buf (Char.unsafe_chr x)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (128 lor (x land 127)));
+    add_varint buf (x lsr 7)
+  end
 
 let add_string buf s =
   add_varint buf (String.length s);
@@ -80,6 +86,12 @@ let add_semantics buf = function
   | Engine.Secure_path s ->
       add_varint buf 2;
       add_varint buf s
+
+let add_answers buf tag id answers =
+  Buffer.add_char buf (Char.chr tag);
+  add_varint buf id;
+  add_varint buf (List.length answers);
+  List.iter (add_varint buf) answers
 
 let encode_body buf = function
   | Request (Hello { client }) ->
@@ -104,11 +116,8 @@ let encode_body buf = function
   | Response (Accepted { id }) ->
       Buffer.add_char buf (Char.chr tag_accepted);
       add_varint buf id
-  | Response (Chunk { id; answers }) ->
-      Buffer.add_char buf (Char.chr tag_chunk);
-      add_varint buf id;
-      add_varint buf (List.length answers);
-      List.iter (add_varint buf) answers
+  | Response (Chunk { id; answers }) -> add_answers buf tag_chunk id answers
+  | Response (Last { id; answers }) -> add_answers buf tag_last id answers
   | Response (End { id }) ->
       Buffer.add_char buf (Char.chr tag_end);
       add_varint buf id
@@ -128,18 +137,21 @@ let encode_body buf = function
           add_varint buf v)
         kvs
 
-let to_bytes ?(max_frame = default_max_frame) frame =
+let add ?(max_frame = default_max_frame) out frame =
   let body = Buffer.create 64 in
   encode_body body frame;
   let len = Buffer.length body in
   if len < 1 || len > max_frame then
     invalid_arg
-      (Printf.sprintf "Frame.to_bytes: body of %d bytes exceeds max_frame %d"
+      (Printf.sprintf "Frame.add: body of %d bytes exceeds max_frame %d"
          len max_frame);
-  let out = Bytes.create (4 + len) in
-  Bytes.set_int32_be out 0 (Int32.of_int len);
-  Bytes.blit (Buffer.to_bytes body) 0 out 4 len;
-  out
+  Buffer.add_int32_be out (Int32.of_int len);
+  Buffer.add_buffer out body
+
+let to_bytes ?max_frame frame =
+  let out = Buffer.create 68 in
+  add ?max_frame out frame;
+  Buffer.to_bytes out
 
 (* --- decoding --- *)
 
@@ -218,7 +230,7 @@ let decode_body d lo ~limit =
     else if tag = tag_stats then Request Stats
     else if tag = tag_welcome then Response (Welcome { server = string () })
     else if tag = tag_accepted then Response (Accepted { id = varint () })
-    else if tag = tag_chunk then begin
+    else if tag = tag_chunk || tag = tag_last then begin
       let id = varint () in
       let n = varint () in
       (* each answer is >= 1 byte, so a count beyond the remaining body
@@ -234,7 +246,8 @@ let decode_body d lo ~limit =
         if !planted_bug && n > 1 then List.filteri (fun i _ -> i < n - 1) answers
         else answers
       in
-      Response (Chunk { id; answers })
+      Response
+        (if tag = tag_chunk then Chunk { id; answers } else Last { id; answers })
     end
     else if tag = tag_end then Response (End { id = varint () })
     else if tag = tag_error then
@@ -258,6 +271,13 @@ let decode_body d lo ~limit =
   if !pos <> limit then
     corrupt "%d trailing bytes after frame payload" (limit - !pos);
   frame
+
+let ready d =
+  d.poisoned
+  || d.len >= 4
+     &&
+     let body_len = Int32.to_int (Bytes.get_int32_be d.data d.start) in
+     body_len < 1 || body_len > d.max_frame || d.len >= 4 + body_len
 
 let next d =
   if d.poisoned then corrupt "decoder poisoned by earlier corrupt input";
@@ -304,6 +324,8 @@ let pp ppf = function
   | Response (Accepted { id }) -> Format.fprintf ppf "accepted(#%d)" id
   | Response (Chunk { id; answers }) ->
       Format.fprintf ppf "chunk(#%d %d answers)" id (List.length answers)
+  | Response (Last { id; answers }) ->
+      Format.fprintf ppf "last(#%d %d answers)" id (List.length answers)
   | Response (End { id }) -> Format.fprintf ppf "end(#%d)" id
   | Response (Error { id; message }) ->
       Format.fprintf ppf "error(#%d %S)" id message

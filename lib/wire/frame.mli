@@ -35,13 +35,15 @@ type request =
   | Stats
 
 (** Responses travel server → client.  Every request gets exactly one
-    response: [Hello]→[Welcome]; [Submit]→[Accepted]/[Overloaded]/
-    [Error]; [Next]→[Chunk]/[End]/[Error]; [Close]→[End] (idempotent
-    ack); [Stats]→[Stats_reply]. *)
+    response, in request order: [Hello]→[Welcome]; [Submit]→[Accepted]/
+    [Overloaded]/[Error]; [Next]→[Chunk]/[Last]/[End]/[Error];
+    [Close]→[End] (idempotent ack); [Stats]→[Stats_reply].  [Last] is a
+    chunk that ends its stream: no [Next] for that id follows it. *)
 type response =
   | Welcome of { server : string }
   | Accepted of { id : int }
   | Chunk of { id : int; answers : int list }
+  | Last of { id : int; answers : int list }
   | End of { id : int }
   | Error of { id : int; message : string }
   | Overloaded of { id : int }
@@ -57,8 +59,12 @@ val pp : Format.formatter -> t -> unit
     encoders refuse to produce larger frames. *)
 val default_max_frame : int
 
-(** Serialize a frame (length prefix included).
+(** Append a frame (length prefix included) to a buffer — several
+    frames appended back to back go out in one write.
     @raise Invalid_argument when the body exceeds [max_frame]. *)
+val add : ?max_frame:int -> Buffer.t -> t -> unit
+
+(** Serialize one frame: {!add} to a fresh buffer. *)
 val to_bytes : ?max_frame:int -> t -> Bytes.t
 
 (** {1 Incremental decoding} *)
@@ -79,8 +85,13 @@ val next : decoder -> t option
 (** Bytes fed but not yet consumed as frames. *)
 val buffered : decoder -> int
 
+(** Would {!next} answer without more input — a complete frame is
+    buffered, or the pending bytes are already known to be corrupt? *)
+val ready : decoder -> bool
+
 (** Planted-bug switch for the codec fuzz canary: armed at startup by
     [DOLX_FUZZ_PLANT_BUG=frame], it makes the decoder silently drop the
-    last answer of any multi-answer [Chunk] — the kind of off-by-one a
-    round-trip fuzzer must catch.  Tests may toggle the ref. *)
+    last answer of any multi-answer [Chunk] or [Last] — the kind of
+    off-by-one a round-trip fuzzer must catch.  Tests may toggle the
+    ref. *)
 val planted_bug : bool ref

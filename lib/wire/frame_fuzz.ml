@@ -57,12 +57,14 @@ let gen_frame g =
   | 4 -> Frame.Request Frame.Stats
   | 5 -> Frame.Response (Frame.Welcome { server = gen_string g })
   | 6 -> Frame.Response (Frame.Accepted { id = gen_int g })
-  | 7 | 8 ->
-      (* over-weighted: multi-answer chunks are where off-by-ones live *)
+  | (7 | 8) as k ->
+      (* over-weighted: multi-answer chunks are where off-by-ones live;
+         the end-marked [Last] takes half of them *)
       let n = Prng.int g 21 in
+      let id = gen_int g in
+      let answers = List.init n (fun _ -> gen_int g) in
       Frame.Response
-        (Frame.Chunk
-           { id = gen_int g; answers = List.init n (fun _ -> gen_int g) })
+        (if k = 7 then Frame.Chunk { id; answers } else Frame.Last { id; answers })
   | 9 -> Frame.Response (Frame.End { id = gen_int g })
   | 10 ->
       Frame.Response (Frame.Error { id = gen_int g; message = gen_string g })

@@ -10,6 +10,10 @@ let c_disconnects = Metrics.counter "wire.disconnects"
 
 let c_protocol_errors = Metrics.counter "wire.protocol_errors"
 
+let c_writes = Metrics.counter "wire.writes"
+
+let c_chunks = Metrics.counter "wire.chunks"
+
 type session = { ss_conn : Conn.t; ss_thread : Thread.t }
 
 type t = {
@@ -63,51 +67,53 @@ let stats_reply t =
       ("disconnects", t.disconnects);
     ]
 
-(* One request, one response.  Submit errors (unknown tenant, admission
+(* One response per request.  Submit errors (unknown tenant, admission
    shed) are reported on the stream id; a worker-side evaluation error
-   surfaces at the Next that would have pulled past it. *)
+   surfaces at the Next that would have pulled past it.  A chunk that
+   ends its stream goes out as [Last], so no Next→End exchange follows. *)
 let handle_request t tickets = function
-  | Frame.Hello { client = _ } ->
-      Frame.Response (Frame.Welcome { server = t.server_name })
+  | Frame.Hello { client = _ } -> Frame.Welcome { server = t.server_name }
   | Frame.Submit { id; tenant; xpath; semantics } ->
       if Hashtbl.mem tickets id then
-        Frame.Response
-          (Frame.Error { id; message = "stream id already in use" })
+        Frame.Error { id; message = "stream id already in use" }
       else begin
         match Serve.submit t.srv ~tenant xpath semantics with
         | tk ->
             Hashtbl.replace tickets id tk;
-            Frame.Response (Frame.Accepted { id })
-        | exception Serve.Overloaded ->
-            Frame.Response (Frame.Overloaded { id })
-        | exception e ->
-            Frame.Response (Frame.Error { id; message = Printexc.to_string e })
+            Frame.Accepted { id }
+        | exception Serve.Overloaded -> Frame.Overloaded { id }
+        | exception e -> Frame.Error { id; message = Printexc.to_string e }
       end
   | Frame.Next { id } -> (
       match Hashtbl.find_opt tickets id with
-      | None -> Frame.Response (Frame.Error { id; message = "unknown stream id" })
+      | None -> Frame.Error { id; message = "unknown stream id" }
       | Some tk -> (
-          match Serve.next_chunk tk with
-          | [] ->
+          match Serve.next_chunk_last tk with
+          | [], _ ->
               Hashtbl.remove tickets id;
-              Frame.Response (Frame.End { id })
-          | answers -> Frame.Response (Frame.Chunk { id; answers })
+              Frame.End { id }
+          | answers, true ->
+              Hashtbl.remove tickets id;
+              Metrics.incr c_chunks;
+              Frame.Last { id; answers }
+          | answers, false ->
+              Metrics.incr c_chunks;
+              Frame.Chunk { id; answers }
           | exception e ->
               Hashtbl.remove tickets id;
-              Frame.Response (Frame.Error { id; message = Printexc.to_string e })
-          ))
+              Frame.Error { id; message = Printexc.to_string e }))
   | Frame.Close { id } ->
       (match Hashtbl.find_opt tickets id with
       | Some tk ->
           Serve.close tk;
           Hashtbl.remove tickets id
       | None -> ());
-      Frame.Response (Frame.End { id })
+      Frame.End { id }
   | Frame.Stats ->
       Mutex.lock t.m;
       let reply = stats_reply t in
       Mutex.unlock t.m;
-      Frame.Response reply
+      reply
 
 let unregister t sid ~disconnected =
   Mutex.lock t.m;
@@ -118,7 +124,8 @@ let unregister t sid ~disconnected =
   end;
   Mutex.unlock t.m
 
-(* The session loop.  Every exit path — clean EOF, mid-frame cut,
+(* The session loop: requests are answered in order, and the replies
+   to requests that arrived together leave together.  Every exit path — clean EOF, mid-frame cut,
    undecodable input, a write landing on a dead peer — closes all the
    session's tickets, so its readers' epoch pins release at the next
    chunk boundary. *)
@@ -135,7 +142,15 @@ let session_loop t sid conn =
         let rec loop () =
           match Conn.recv conn with
           | Frame.Request req ->
-              Conn.send conn (handle_request t tickets req);
+              Conn.queue conn (Frame.Response (handle_request t tickets req));
+              (* hold the reply back while the client's next request is
+                 already here: a pipelined Submit+Next is answered with
+                 one write (a long pipeline is flushed every 64 KiB) *)
+              if (not (Conn.ready conn)) || Conn.queued_bytes conn > 65536
+              then begin
+                Conn.flush conn;
+                Metrics.incr c_writes
+              end;
               loop ()
           | Frame.Response _ ->
               (* a client must never send response frames *)

@@ -1,8 +1,13 @@
 (** The blocking server loop: accepts concurrent sessions on a Unix
     domain socket and maps each session's submits to {!Serve} tickets.
 
-    One thread per session runs a strict request→response loop over the
-    {!Frame} grammar.  A client disconnect — clean EOF, a mid-frame
+    One thread per session answers the requests of the {!Frame}
+    grammar one by one, in order.  Requests may be pipelined: while the
+    next complete request is already buffered, replies are held back,
+    so a pipelined [Submit] + [Next] is answered in one write
+    ([Accepted] and the first chunk).  A chunk that ends its stream is
+    sent as [Last].  The [wire.writes] and [wire.chunks] counters count
+    the socket writes and the chunks sent.  A client disconnect — clean EOF, a mid-frame
     cut, or a write failing with [EPIPE]/[ECONNRESET] after the client
     was killed — is handled as ticket {!Dolx_serve.Serve.close} for
     every stream the session still holds, so the readers' epoch pins

@@ -479,6 +479,40 @@ let test_residency () =
     built;
   check Alcotest.int "no rebuild" b0 (Metrics.counter_value "runs.builds")
 
+(* The forward-moving gate against [run_from], which searches from
+   scratch: random flip lists over up to five 64 Ki blocks (sometimes
+   crowded into one block), probed by ascending walks with small steps
+   that cross block edges, broken by random backward and forward jumps
+   and repeats. *)
+let prop_gate_matches_run_from =
+  Fixtures.qtest ~count:300 "gate = run_from (random flips, probe orders)"
+    QCheck2.Gen.(
+      quad (int_range 1 300_000) bool
+        (list_size (int_bound 120) (int_bound 299_999))
+        (list_size (int_bound 300) (pair (int_bound 3) (int_bound 299_999))))
+    (fun (n, crowded, raw, probes) ->
+      let spread x = if crowded then (n / 2) + (x mod 2000) else x in
+      let flips =
+        List.map (fun x -> spread x mod n) raw
+        |> List.sort_uniq compare |> Array.of_list
+      in
+      let r = Access_runs.of_flips ~n flips in
+      let gate = Access_runs.gate r in
+      let v = ref 0 in
+      List.for_all
+        (fun (kind, x) ->
+          (v :=
+             match kind with
+             | 0 -> spread x mod (n + 3)  (* jump anywhere *)
+             | 1 -> !v  (* repeat *)
+             | _ -> !v + (x mod 700));
+          let got = gate !v and want = Access_runs.run_from r !v in
+          if got <> want then
+            QCheck2.Test.fail_reportf "n %d, probe %d: gate (%d, %d), run_from (%d, %d)"
+              n !v (fst got) (snd got) (fst want) (snd want);
+          true)
+        probes)
+
 let suite =
   [
     prop_runs_match_dol;
@@ -500,4 +534,5 @@ let suite =
       test_carry_forward;
     Alcotest.test_case "every built subject stays resident" `Quick
       test_residency;
+    prop_gate_matches_run_from;
   ]

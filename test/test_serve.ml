@@ -530,6 +530,51 @@ let prop_summary_stream_prefix =
       && List.length part = min (List.length expected) (close_at * chunk)
       && Engine.stream_next st = [])
 
+(* The end mark is deterministic and comes after the pin release.  A
+   chunk marked last is the one whose refill exhausted the source: with
+   [n] answers and chunk [c], the last non-empty chunk carries the mark
+   unless [c] divides [n], in which case an unmarked full chunk is
+   followed by [([], true)].  Whoever holds the mark sees no pin of the
+   query. *)
+let test_ticket_end_mark () =
+  let store, index = make_store ~nodes:1200 13 in
+  let want q = (Engine.query store index q Engine.Insecure).Engine.answers in
+  let n = List.length (want "//item") in
+  check Alcotest.bool "a multi-answer query" true (n > 2);
+  let baseline = pin_count store in
+  List.iter
+    (fun (q, chunk) ->
+      Serve.with_service ~jobs:1 ~chunk (fun srv ->
+          Serve.add_tenant srv "t" (Serve.Mem (store, index));
+          let tk = Serve.submit srv ~tenant:"t" q Engine.Insecure in
+          let rec pull acc marks =
+            match Serve.next_chunk_last tk with
+            | c, false -> pull (c :: acc) (false :: marks)
+            | c, true ->
+                check Alcotest.int
+                  (Printf.sprintf "%s chunk %d: no pin once marked" q chunk)
+                  baseline (pin_count store);
+                let marks = if c = [] then marks else true :: marks in
+                (List.concat (List.rev (c :: acc)), List.rev marks)
+          in
+          let got, marks = pull [] [] in
+          let total = List.length (want q) in
+          let chunks = (total + chunk - 1) / chunk in
+          (* one entry per non-empty chunk: did it carry the mark? *)
+          let expected_marks =
+            List.init chunks (fun i -> i = chunks - 1 && total mod chunk <> 0)
+          in
+          check (Alcotest.list Alcotest.int)
+            (Printf.sprintf "%s chunk %d: answers" q chunk)
+            (want q) got;
+          check (Alcotest.list Alcotest.bool)
+            (Printf.sprintf "%s chunk %d: which pull held the mark" q chunk)
+            expected_marks marks))
+    [
+      ("//item", 3); ("//item", n); ("//item", n - 1); ("//item", n + 1);
+      ("//nosuchtag", 4);
+    ]
+
 let suite =
   [
     Alcotest.test_case "stream = run (3 docs x mixed queries)" `Quick
@@ -561,4 +606,6 @@ let suite =
     Alcotest.test_case "summary-path stream walks candidates lazily" `Quick
       test_summary_stream_lazy;
     prop_summary_stream_prefix;
+    Alcotest.test_case "ticket: end mark on the exhausting chunk" `Quick
+      test_ticket_end_mark;
   ]

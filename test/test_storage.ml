@@ -102,11 +102,52 @@ let test_pool_mark_dirty_after_evict () =
   check Alcotest.int "marked modification survives eviction" 42
     (Bytes.get_uint8 buf 0)
 
-(* The pool against a reference LRU: a list of resident pages, most
-   recently used first.  Random get sequences over 12 pages at
-   capacities 1–8, on a live (copying) or an epoch-pinned (borrowing)
-   pool, must agree on every hit, miss and eviction, on the resident
-   set, and on the bytes served. *)
+(* Replay [gets] on [pool] and on a reference LRU — a list of resident
+   pages, most recently used first — and check after every step that
+   they agree on every hit, miss and eviction and on the resident set,
+   and that [frame_ok] holds for the bytes served.  A get of index
+   [Array.length pages] or more is a [clear]. *)
+let agrees_with_reference_lru pool ~capacity pages ?(frame_ok = fun _ _ -> true)
+    gets =
+  let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  List.for_all
+    (fun i ->
+      let served =
+        if i >= Array.length pages then begin
+          Buffer_pool.clear pool;
+          lru := [];
+          true
+        end
+        else begin
+          let pid = pages.(i) in
+          if List.mem pid !lru then begin
+            incr hits;
+            lru := pid :: List.filter (( <> ) pid) !lru
+          end
+          else begin
+            incr misses;
+            if List.length !lru = capacity then begin
+              incr evictions;
+              lru := List.filteri (fun j _ -> j < capacity - 1) !lru
+            end;
+            lru := pid :: !lru
+          end;
+          frame_ok i (Buffer_pool.get pool pid)
+        end
+      in
+      let s = Buffer_pool.stats pool in
+      served
+      && s.Buffer_pool.hits = !hits
+      && s.Buffer_pool.misses = !misses
+      && s.Buffer_pool.evictions = !evictions
+      && Array.for_all
+           (fun p -> Buffer_pool.resident pool p = List.mem p !lru)
+           pages)
+    gets
+
+(* Random get sequences over 12 pages at capacities 1–8, on a live
+   (copying) or an epoch-pinned (borrowing) pool, against the
+   reference LRU, bytes served included. *)
 let prop_pool_matches_reference_lru =
   Fixtures.qtest ~count:300 "pool LRU = reference list-LRU (random gets)"
     QCheck2.Gen.(
@@ -121,31 +162,8 @@ let prop_pool_matches_reference_lru =
       in
       let epoch = if pinned then Some (Epoch.pin (Disk.epoch d)) else None in
       let pool = Buffer_pool.create ~capacity ?epoch d in
-      let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-      List.for_all
-        (fun i ->
-          let pid = pages.(i) in
-          if List.mem pid !lru then begin
-            incr hits;
-            lru := pid :: List.filter (( <> ) pid) !lru
-          end
-          else begin
-            incr misses;
-            if List.length !lru = capacity then begin
-              incr evictions;
-              lru := List.filteri (fun j _ -> j < capacity - 1) !lru
-            end;
-            lru := pid :: !lru
-          end;
-          let frame = Buffer_pool.get pool pid in
-          let s = Buffer_pool.stats pool in
-          Bytes.get frame 0 = Char.chr (65 + i)
-          && s.Buffer_pool.hits = !hits
-          && s.Buffer_pool.misses = !misses
-          && s.Buffer_pool.evictions = !evictions
-          && Array.for_all
-               (fun p -> Buffer_pool.resident pool p = List.mem p !lru)
-               pages)
+      agrees_with_reference_lru pool ~capacity pages
+        ~frame_ok:(fun i frame -> Bytes.get frame 0 = Char.chr (65 + i))
         gets)
 
 let test_pinned_pool_mark_dirty_raises () =
@@ -407,6 +425,19 @@ let test_golden_page_images () =
       ([ mid; mid + 1; mid + 2 ], (1536, 1730), (49, 1250098159, 2654148131));
     ]
 
+(* The page table under load: many more pages than frames, so probe
+   runs collide, wrap around the table and are cut by evictions; a
+   [clear] now and then empties it. *)
+let prop_pool_table_many_pages =
+  Fixtures.qtest ~count:100 "pool page table = reference LRU (400 pages, clears)"
+    QCheck2.Gen.(
+      pair (int_range 1 40) (list_size (int_bound 600) (int_bound 420)))
+    (fun (capacity, gets) ->
+      let d = Disk.create ~page_size:16 () in
+      let pages = Array.init 400 (fun _ -> Disk.allocate d) in
+      let pool = Buffer_pool.create ~capacity d in
+      agrees_with_reference_lru pool ~capacity pages gets)
+
 let suite =
   [
     Alcotest.test_case "page fields" `Quick test_page_fields;
@@ -427,4 +458,5 @@ let suite =
     Alcotest.test_case "rewrite page with split" `Quick test_rewrite_page_split;
     Alcotest.test_case "header table bytes" `Quick test_header_table_bytes;
     Alcotest.test_case "golden page images" `Quick test_golden_page_images;
+    prop_pool_table_many_pages;
   ]

@@ -104,6 +104,9 @@ let all_frames =
     Frame.Response (Frame.Stats_reply []);
     Frame.Response
       (Frame.Stats_reply [ ("served", 12); ("pinned_readers", 0) ]);
+    Frame.Response (Frame.Last { id = 4; answers = [] });
+    Frame.Response
+      (Frame.Last { id = 300; answers = [ 5; 128; 16384; 2; 0 ] });
   ]
 
 let decode_all stream =
@@ -516,6 +519,208 @@ let test_server_stop_with_live_clients () =
       check Alcotest.bool "pins released on stop" true
         (eventually (fun () -> pin_count store = 0)))
 
+(* --- pipelined requests and end-marked chunks --- *)
+
+let test_planted_bug_last () =
+  (* the planted canary also drops an answer from an end-marked chunk,
+     and the round trip notices *)
+  let was = !Frame.planted_bug in
+  Frame.planted_bug := true;
+  Fun.protect
+    ~finally:(fun () -> Frame.planted_bug := was)
+    (fun () ->
+      let last = Frame.Response (Frame.Last { id = 1; answers = [ 3; 4; 5 ] }) in
+      check Alcotest.bool "dropped Last answer detected" false
+        (List.equal Frame.equal [ last ] (decode_all (Frame.to_bytes last)));
+      (* the seeds of corpus/last-frames.wseed carry a multi-answer Last
+         and no multi-answer Chunk: the property sweep catches the drop
+         through Last alone *)
+      List.iter
+        (fun seed ->
+          check Alcotest.bool
+            (Printf.sprintf "seed %d catches the drop" seed)
+            true
+            (Frame_fuzz.check_seed seed <> None))
+        [ 9; 11; 15; 21 ])
+
+let writes () = Dolx_obs.Metrics.counter_value "wire.writes"
+
+let test_e2e_pins_zero_after_collect () =
+  (* the end mark is sent after the reader is released: once collect
+     returns, no pin of the query is left, with no waiting — for
+     one-chunk (Last), multi-chunk, empty and failing streams *)
+  with_server ~chunk:8 (fun ~srv ~server:_ ~store ~index ~path ->
+      let cl = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          let qs = queries ~subjects:6 ~seed:9 @ [ ("//nosuchtag", Engine.Insecure) ] in
+          for round = 1 to 3 do
+            List.iter
+              (fun (q, sem) ->
+                let got = Client.collect (Client.submit cl ~tenant:"t0" q sem) in
+                check (Alcotest.list Alcotest.int)
+                  (Printf.sprintf "round %d %s" round q)
+                  (Engine.query store index q sem).Engine.answers got;
+                check Alcotest.int
+                  (Printf.sprintf "round %d %s: pins at once" round q)
+                  0 (Serve.pinned_readers srv))
+              qs
+          done;
+          (match Client.collect (Client.submit cl ~tenant:"t0" "//item[" Engine.Insecure) with
+          | _ -> Alcotest.fail "malformed query answered"
+          | exception Client.Server_error _ -> ());
+          check Alcotest.int "pins at once after an error" 0
+            (Serve.pinned_readers srv)))
+
+let test_e2e_one_write_per_short_query () =
+  (* a query whose answers fit one chunk costs the server one write
+     (Accepted and Last together); a k-chunk one costs k, or k + 1 when
+     the chunk size divides the answer count (the trailing End) *)
+  let count q =
+    let store, index = make_store 41 in
+    List.length (Engine.query store index q Engine.Insecure).Engine.answers
+  in
+  (* chunk 16, then a chunk size equal to //item's answer count *)
+  List.iter
+    (fun chunk ->
+      with_server ~chunk (fun ~srv:_ ~server:_ ~store ~index ~path ->
+          let cl = Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Client.close cl)
+            (fun () ->
+              List.iter
+                (fun q ->
+                  let n =
+                    List.length
+                      (Engine.query store index q Engine.Insecure).Engine.answers
+                  in
+                  let chunks = (n + chunk - 1) / chunk in
+                  let expected = if n mod chunk = 0 then chunks + 1 else chunks in
+                  let w0 = writes () in
+                  ignore
+                    (Client.collect (Client.submit cl ~tenant:"t0" q Engine.Insecure));
+                  check Alcotest.int
+                    (Printf.sprintf "%s (%d answers, chunk %d): server writes" q n
+                       chunk)
+                    expected (writes () - w0))
+                [ "/site"; "/site/regions"; "//item"; "//nosuchtag" ])))
+    [ 16; count "//item" ]
+
+let test_e2e_pipelined_errors () =
+  (* every typed error of a pipelined Submit+Next leaves no reply
+     unread: the next exchange on the connection gets its own reply *)
+  let store, index = make_store 41 in
+  Serve.with_service ~jobs:1 ~chunk:4 ~buffer_chunks:1 ~max_queued:1 (fun srv ->
+      Serve.add_tenant srv "t0" (Serve.Mem (store, index));
+      let path = sock_path () in
+      let server = Server.start srv ~path ~name:"test" in
+      Fun.protect
+        ~finally:(fun () -> Server.stop server)
+        (fun () ->
+          let cl = Client.connect path in
+          Fun.protect
+            ~finally:(fun () -> Client.close cl)
+            (fun () ->
+              let still_in_sync what =
+                let kvs = Client.stats cl in
+                check Alcotest.bool (what ^ ": next reply is its own") true
+                  (List.mem_assoc "served" kvs)
+              in
+              (match Client.submit cl ~tenant:"nope" "//item" Engine.Insecure with
+              | _ -> Alcotest.fail "unknown tenant accepted"
+              | exception Client.Server_error _ -> ());
+              still_in_sync "unknown tenant";
+              let st = Client.submit cl ~tenant:"t0" "//item[" Engine.Insecure in
+              (match Client.next_chunk st with
+              | _ -> Alcotest.fail "malformed query answered"
+              | exception Client.Server_error _ -> ());
+              check (Alcotest.list Alcotest.int) "failed stream stays ended" []
+                (Client.next_chunk st);
+              still_in_sync "malformed xpath";
+              (* wedge the one worker on an undrained stream, queue one
+                 job behind it: the admission bound is then reached *)
+              let blocker = Serve.submit srv ~tenant:"t0" "//item" Engine.Insecure in
+              ignore (Serve.next_chunk blocker);
+              let queued = Serve.submit srv ~tenant:"t0" "/site" Engine.Insecure in
+              (match Client.submit cl ~tenant:"t0" "/site" Engine.Insecure with
+              | _ -> Alcotest.fail "submit past the admission bound accepted"
+              | exception Serve.Overloaded -> ());
+              still_in_sync "shed";
+              Serve.close blocker;
+              check (Alcotest.list Alcotest.int) "queued job still served"
+                (Engine.query store index "/site" Engine.Insecure).Engine.answers
+                (Serve.collect queued);
+              check (Alcotest.list Alcotest.int) "connection still serves"
+                (Engine.query store index "/site" Engine.Insecure).Engine.answers
+                (Client.collect (Client.submit cl ~tenant:"t0" "/site" Engine.Insecure)))))
+
+let test_e2e_close_right_after_submit () =
+  with_server ~chunk:4 ~buffer_chunks:1
+    (fun ~srv ~server:_ ~store ~index ~path ->
+      let cl = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          for _ = 1 to 5 do
+            let st = Client.submit cl ~tenant:"t0" "//item" Engine.Insecure in
+            Client.close_stream st;
+            check (Alcotest.list Alcotest.int) "closed stream reads empty" []
+              (Client.next_chunk st)
+          done;
+          check Alcotest.bool "pins released after close" true
+            (eventually (fun () -> Serve.pinned_readers srv = 0 && pin_count store = 0));
+          check (Alcotest.list Alcotest.int) "connection still serves"
+            (Engine.query store index "//item/name" Engine.Insecure).Engine.answers
+            (Client.collect
+               (Client.submit cl ~tenant:"t0" "//item/name" Engine.Insecure))))
+
+let test_e2e_interleaved_mixed_ends () =
+  (* streams ending by Last, by End after a full chunk, empty, and
+     multi-chunk, their pulls alternating on one connection *)
+  with_server ~chunk:8 (fun ~srv ~server:_ ~store ~index ~path ->
+      let cl = Client.connect path in
+      Fun.protect
+        ~finally:(fun () -> Client.close cl)
+        (fun () ->
+          let exact =
+            (* a query whose answer count the chunk size divides, if
+               the document has one among these *)
+            List.find_opt
+              (fun q ->
+                let n =
+                  List.length (Engine.query store index q Engine.Insecure).Engine.answers
+                in
+                n > 0 && n mod 8 = 0)
+              [ "//item/name"; "//person"; "//category"; "//open_auction"; "//bidder" ]
+          in
+          let qs =
+            [ "//item"; "/site"; "//nosuchtag"; "//person/name" ]
+            @ Option.to_list exact
+          in
+          let streams =
+            List.map (fun q -> (q, Client.submit cl ~tenant:"t0" q Engine.Insecure, ref [])) qs
+          in
+          let more = ref true in
+          while !more do
+            more := false;
+            List.iter
+              (fun (_, st, acc) ->
+                match Client.next_chunk st with
+                | [] -> ()
+                | c ->
+                    acc := List.rev_append c !acc;
+                    more := true)
+              streams
+          done;
+          List.iter
+            (fun (q, _, acc) ->
+              check (Alcotest.list Alcotest.int) q
+                (Engine.query store index q Engine.Insecure).Engine.answers
+                (List.rev !acc))
+            streams;
+          check Alcotest.int "no pins left" 0 (Serve.pinned_readers srv)))
+
 let suite =
   [
     Alcotest.test_case "codec: round-trip all frame types" `Quick
@@ -552,4 +757,16 @@ let suite =
     Alcotest.test_case "e2e: stats over the wire" `Quick test_stats_over_wire;
     Alcotest.test_case "e2e: stop with live clients" `Quick
       test_server_stop_with_live_clients;
+    Alcotest.test_case "codec: planted-bug canary drops a Last answer" `Quick
+      test_planted_bug_last;
+    Alcotest.test_case "e2e: no pins once collect returns" `Quick
+      test_e2e_pins_zero_after_collect;
+    Alcotest.test_case "e2e: one server write per one-chunk query" `Quick
+      test_e2e_one_write_per_short_query;
+    Alcotest.test_case "e2e: pipelined submit errors leave no reply unread"
+      `Quick test_e2e_pipelined_errors;
+    Alcotest.test_case "e2e: close_stream right after submit" `Quick
+      test_e2e_close_right_after_submit;
+    Alcotest.test_case "e2e: interleaved streams, every kind of end" `Quick
+      test_e2e_interleaved_mixed_ends;
   ]
