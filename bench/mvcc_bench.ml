@@ -1,16 +1,17 @@
 (** MVCC bench: reader throughput under continuous updates, and group
     commit vs per-record flushing.
 
-    Part 1 — snapshot-isolated readers.  A 4-domain executor (readers
-    epoch-pinned at creation) runs a fixed query batch twice: once with
-    the writer idle, once while a writer domain continuously applies
-    accessibility updates ({!Update.set_node_accessibility} windows)
-    for the whole measured interval.  Updates force copy-on-write page
-    versions, so the contended run exercises the version-chain read
-    path.  Throughput is compared on the repo's modeled account
-    ([wall + sim_io / jobs], as in the parallel bench — on a 1-core
-    host wall time only shows domains time-sharing the CPU); the gate
-    is contended >= 80% of writer-idle.  The pinned readers' answers
+    Part 1 — snapshot-isolated readers.  A 4-worker {!Serve} runs a
+    fixed query batch twice over one reader pinned before the batch
+    (every query's own reader, taken from it, shares its epoch): once
+    with the writer idle, once while a writer domain continuously
+    applies accessibility updates ({!Update.set_node_accessibility}
+    windows) for the whole measured interval.  Updates force
+    copy-on-write page versions, so the contended run exercises the
+    version-chain read path.  Throughput is compared on the repo's
+    modeled account ([wall + sim_io / jobs], as in the parallel bench —
+    on a 1-core host wall time only shows domains time-sharing the
+    CPU); the gate is contended >= 80% of writer-idle.  The pinned readers' answers
     must be byte-identical across both runs: updates may not leak into
     a pinned snapshot.
 
@@ -34,7 +35,7 @@ module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Xpath = Dolx_nok.Xpath
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
 module Query_mix = Dolx_workload.Query_mix
@@ -69,16 +70,14 @@ let setup () =
   in
   (tree, store, Tag_index.build tree)
 
-(* Run [batch] on a fresh [jobs]-wide executor; while it runs, [writer]
-   (if any) applies updates until signalled.  Returns the answers, wall
-   seconds, simulated-I/O seconds and the number of updates applied. *)
+(* Run [batch] on a fresh [jobs]-worker service over a reader pinned
+   now; while it runs, [writer] (if any) applies updates to the live
+   store until signalled.  Returns the answers, wall seconds,
+   simulated-I/O seconds and the number of updates applied. *)
 let run_point store index batch ~with_writer =
-  let exec = Exec.create ~pool_capacity:reader_pool_capacity ~jobs store index in
-  (* warm-up as in the parallel bench: [reset_stats] zeroes counters
-     but leaves the private pools' frames; domain start-up is inside
-     each batch, so the measured run pays it *)
-  ignore (Exec.run_batch exec [ List.hd batch ]);
-  Exec.reset_stats exec;
+  Store.with_reader store @@ fun pinned ->
+  Serve.with_service ~jobs @@ fun srv ->
+  Serve.add_tenant srv "bench" (Serve.Mem (pinned, index));
   Disk.reset_stats (Store.disk store);
   let stop = Atomic.make false in
   let updates = Atomic.make 0 in
@@ -100,13 +99,12 @@ let run_point store index batch ~with_writer =
              done))
   in
   let t0 = Unix.gettimeofday () in
-  let results = Exec.run_batch exec batch in
+  let answers = Serve.run_batch srv ~tenant:"bench" batch in
   let wall = Unix.gettimeofday () -. t0 in
   Atomic.set stop true;
   Option.iter Domain.join writer;
   let sim_io = Disk.simulated_us (Store.disk store) /. 1e6 in
-  Exec.shutdown exec;
-  (List.map (fun r -> r.Engine.answers) results, wall, sim_io, Atomic.get updates)
+  (answers, wall, sim_io, Atomic.get updates)
 
 let readers_under_updates () =
   let tree, store, index = setup () in

@@ -1,5 +1,6 @@
-(** Parallel execution bench: batch throughput of a Dolx_exec fork-join,
-    swept over worker counts.
+(** Parallel execution bench: batch throughput of {!Serve.run_batch},
+    swept over worker counts.  Each query runs on a fresh reader, so no
+    worker count starts with warmer pools than another.
 
     The store is configured I/O-bound on purpose — small pages (1 KiB)
     and small per-reader buffer pools (16 frames) over a large XMark
@@ -7,10 +8,13 @@
     (the {!Disk} cost model charges 100 µs per physical page read
     without sleeping the wall clock).
 
-    Two numbers are reported per worker count:
+    The batch is the seeded mix repeated [rounds] times, so at CI
+    scale one worker spends over 0.3 s on it: long enough for wall
+    time to be read above scheduling noise.  Two numbers are reported
+    per worker count:
 
     - wall: measured wall-clock throughput.  On a single-core host the
-      domains time-share one CPU, so wall throughput shows fork-join
+      domains time-share one CPU, so wall throughput shows scheduling
       overhead rather than speedup; on a multicore host it shows real
       scaling.
     - modeled: throughput under the repo's own synthetic I/O cost
@@ -33,7 +37,7 @@ module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Xpath = Dolx_nok.Xpath
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
 module Query_mix = Dolx_workload.Query_mix
@@ -49,6 +53,8 @@ let reader_pool_capacity = 16
 let read_cost_us = 400.0
 
 let n_subjects = 8
+
+let rounds = 20
 
 let jobs_sweep =
   match Sys.getenv_opt "DOLX_BENCH_PARALLEL_JOBS" with
@@ -80,35 +86,25 @@ let semantics = function
   | Query_mix.Secure s -> Engine.Secure s
   | Query_mix.Secure_path s -> Engine.Secure_path s
 
-let answers_signature results =
-  List.map (fun r -> r.Engine.answers) results
-
-(* One sweep point: run [batch] on a [jobs]-wide executor, returning wall
-   seconds, simulated-I/O seconds and the results. *)
+(* One sweep point: run [batch] on a [jobs]-worker service, returning
+   the answers, wall seconds and simulated-I/O seconds.  The workers
+   start before the clock does. *)
 let run_point store index batch jobs =
-  let exec =
-    Exec.create ~pool_capacity:reader_pool_capacity ~jobs store index
-  in
-  (* warm-up: one query's first-touch costs off the clock; [reset_stats]
-     then zeroes the counters but does not empty the private pools (the
-     warm-up reader keeps its frames).  Domain start-up is inside every
-     batch, so the measured run pays it. *)
-  ignore (Exec.run_batch exec [ List.hd batch ]);
-  Exec.reset_stats exec;
-  Disk.reset_stats (Store.disk store);
-  let t0 = Unix.gettimeofday () in
-  let results = Exec.run_batch exec batch in
-  let wall = Unix.gettimeofday () -. t0 in
-  let sim_io = Disk.simulated_us (Store.disk store) /. 1e6 in
-  Exec.shutdown exec;
-  (results, wall, sim_io)
+  Serve.with_service ~jobs (fun srv ->
+      Serve.add_tenant srv "bench" (Serve.Mem (store, index));
+      Disk.reset_stats (Store.disk store);
+      let t0 = Unix.gettimeofday () in
+      let answers = Serve.run_batch srv ~tenant:"bench" batch in
+      let wall = Unix.gettimeofday () -. t0 in
+      (answers, wall, Disk.simulated_us (Store.disk store) /. 1e6))
 
 let run () =
   let tree, store, index = setup () in
   let entries = Query_mix.generate ~n:(48 * scale) ~subjects:n_subjects ~seed:85 () in
-  let batch =
+  let mix =
     List.map (fun e -> (Xpath.parse e.Query_mix.xpath, semantics e.Query_mix.semantics)) entries
   in
+  let batch = List.concat (List.init rounds (fun _ -> mix)) in
   let n = List.length batch in
   header "Parallel batch throughput (wall + modeled I/O overlap)";
   let baseline = ref None in
@@ -116,8 +112,7 @@ let run () =
   let points =
     List.map
       (fun jobs ->
-        let results, wall, sim_io = run_point store index batch jobs in
-        let signature = answers_signature results in
+        let signature, wall, sim_io = run_point store index batch jobs in
         (match !baseline with
         | None -> baseline := Some signature
         | Some b -> if b <> signature then deterministic := false);
@@ -170,6 +165,7 @@ let run () =
         ("subjects", Json.num_of_int n_subjects);
         ("page_size", Json.num_of_int page_size);
         ("reader_pool_capacity", Json.num_of_int reader_pool_capacity);
+        ("rounds", Json.num_of_int rounds);
         ("queries", Json.num_of_int n);
         ("deterministic", Json.Bool !deterministic);
         ( "points",

@@ -16,7 +16,7 @@
     Only the tier's handle toggle differs between the sides; every other
     tier stays at its default.  Answers are checked byte-identical on vs
     off for every configuration, and for one batch per density on a
-    4-domain executor against the sequential off-side baseline.  Each tier
+    4-worker [Serve] against the sequential off-side baseline.  Each tier
     adds its own integer columns per side (page touches, candidates
     scanned, …) and its own summary fields to the
     BENCH_<name>.json artifact. *)
@@ -28,7 +28,7 @@ module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Xpath = Dolx_nok.Xpath
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
 module Json = Dolx_obs.Json
@@ -149,7 +149,7 @@ let bench_config tier store index ~density ~subject (qid, xpath) =
   }
 
 (* Batch determinism: the full query set for every subject, sequential
-   tier-off baseline vs a 4-domain executor with the tier on. *)
+   tier-off baseline vs a 4-worker service with the tier on. *)
 let batch_identical tier store index =
   let batch =
     List.concat_map
@@ -162,15 +162,17 @@ let batch_identical tier store index =
     List.map (fun (p, sem) -> (Engine.run store index p sem).Engine.answers) batch
   in
   tier.toggle store true;
-  let exec = Exec.create ~pool_capacity ~jobs:4 store index in
-  let results = Exec.run_batch exec batch in
-  Exec.shutdown exec;
-  List.for_all2 (fun b r -> b = r.Engine.answers) baseline results
+  let answers =
+    Serve.with_service ~jobs:4 (fun srv ->
+        Serve.add_tenant srv "batch" (Serve.Mem (store, index));
+        Serve.run_batch srv ~tenant:"batch" batch)
+  in
+  baseline = answers
 
 (** Measure every (subject, Table-1 query) pair on one store per
     density, printing the per-point table.  [on_store] sees each store
     before its points are measured.  Returns the points in order and
-    whether every 4-domain batch matched its baseline. *)
+    whether every 4-worker batch matched its baseline. *)
 let measure tier ?(on_store = fun _ _ -> ()) densities =
   Printf.printf
     "%d nodes, %d subjects, %dB pages, %d-frame pool, %d reps (interleaved \

@@ -41,7 +41,6 @@ module Store = Dolx_core.Secure_store
 module Secure_view = Dolx_core.Secure_view
 module Cam = Dolx_cam.Cam
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
 module Serve = Dolx_serve.Serve
 module Tag_index = Dolx_index.Tag_index
 module Xmark = Dolx_workload.Xmark
@@ -306,7 +305,7 @@ let query_cmd =
 
 (* --- query-batch --- *)
 
-(* Batch evaluation as a Dolx_exec fork-join: queries come either
+(* Batch evaluation on a [Serve] of [--jobs] workers: queries come either
    from a file of "SUBJECT QUERY" lines (SUBJECT = policy subject name,
    or "*" for an unsecured evaluation) or from a deterministic
    Query_mix stream over the policy's subject population. *)
@@ -366,21 +365,24 @@ let query_batch doc policy mode jobs path_semantics no_run_index no_summary
                (e.Query_mix.xpath, engine_semantics e.Query_mix.semantics))
     | None, None -> bad_input "query-batch needs --queries FILE or --mix N"
   in
-  (* the batch joins its worker domains before it returns or raises;
-     with_executor releases the readers' epoch pins even when a query
-     raises mid-batch *)
-  Exec.with_executor ~jobs store index (fun exec ->
+  (* every query parses before any runs: a malformed one is a typed
+     input error with nothing printed *)
+  let patterns = List.map (fun (q, sem) -> (Dolx_nok.Xpath.parse q, sem)) batch in
+  (* each query's reader pin is released when its ticket drains, and
+     the workers are joined on the way out, even when a query raises *)
+  Serve.with_service ~jobs (fun srv ->
+      Serve.add_tenant srv "batch" (Serve.Mem (store, index));
       metrics_begin metrics store;
       let t0 = Unix.gettimeofday () in
-      let results = Exec.query_batch exec batch in
+      let answers = Serve.run_batch srv ~tenant:"batch" patterns in
       let dt = Unix.gettimeofday () -. t0 in
       List.iter2
-        (fun (q, sem) r ->
+        (fun (q, sem) a ->
           Printf.printf "%s\t%s\t%d answers\n" (semantics_name sem) q
-            (List.length r.Engine.answers))
-        batch results;
+            (List.length a))
+        batch answers;
       Printf.eprintf "%d queries on %d worker(s): %.3fs wall (%.1f queries/s)\n"
-        (List.length batch) (Exec.jobs exec) dt
+        (List.length batch) jobs dt
         (float_of_int (List.length batch) /. Float.max dt 1e-9));
   metrics_end metrics
 

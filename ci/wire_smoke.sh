@@ -6,7 +6,9 @@
 #   - the server's stats report pinned_readers 0 after the abort
 #     (disconnect-driven pin release observable from outside the process);
 #   - SIGTERM produces a clean shutdown (exit 0 and the shutdown line,
-#     which itself re-checks for leaked pins) and removes the socket.
+#     which itself re-checks for leaked pins) and removes the socket;
+#   - the shutdown line counts one disconnect: the aborting client's
+#     (the others send a goodbye before closing).
 #
 # Usage: ci/wire_smoke.sh [SECONDS]   (default 15)
 set -euo pipefail
@@ -70,6 +72,9 @@ SRV=
 cat "$tmp/server.log"
 grep -q 'clean shutdown' "$tmp/server.log" \
   || { echo "FAIL: no clean shutdown line" >&2; exit 1; }
+# every client but the aborting one says goodbye before it closes
+grep -q ' 1 disconnect(s),' "$tmp/server.log" \
+  || { echo "FAIL: disconnects other than the one aborting client" >&2; exit 1; }
 [ ! -e "$tmp/dolx.sock" ] \
   || { echo "FAIL: socket not removed on shutdown" >&2; exit 1; }
 echo "wire smoke OK"

@@ -176,35 +176,40 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
     used concurrently from separate domains as long as no mutation
     ({!Update}, {!rebuild}) runs — the disk serializes physical I/O
     internally, and everything else a reader touches is private or
-    read-only.  [pool_capacity] defaults to the parent's. *)
+    read-only.  A reader taken from a pinned reader pins that reader's
+    epoch again and shares its snapshot.  [pool_capacity] defaults to
+    the parent's. *)
 let reader ?pool_capacity t =
   let pool_capacity =
     match pool_capacity with Some c -> c | None -> t.pool_capacity
   in
   let epoch_pin, dol, layout, runs =
-    if !planted_stale then
-      (* Planted MVCC bug: hand out the LIVE dol / layout and an
-         un-pinned pool, so this "reader" observes in-flight updates —
-         the linearizability fuzz must catch it. *)
-      (None, t.dol, t.layout, t.runs)
-    else begin
-      (* Pin-then-validate: pin the current epoch, then check that the
-         published snapshot is the one current at that epoch.  The
-         writer publishes the new snapshot BEFORE advancing the epoch,
-         so a mismatch only happens in that short window — retry. *)
-      let ep = Disk.epoch t.disk in
-      let rec pin () =
-        let e = Epoch.pin ep in
-        let s = Atomic.get t.published in
-        if s.p_epoch = e then (Some e, s.p_dol, s.p_layout, s.p_runs)
-        else begin
-          Epoch.unpin ep e;
-          Domain.cpu_relax ();
-          pin ()
-        end
-      in
-      pin ()
-    end
+    match t.epoch_pin with
+    | Some e ->
+        Epoch.repin (Disk.epoch t.disk) e;
+        (Some e, t.dol, t.layout, t.runs)
+    | None when !planted_stale ->
+        (* Planted MVCC bug: hand out the LIVE dol / layout and an
+           un-pinned pool, so this "reader" observes in-flight updates —
+           the linearizability fuzz must catch it. *)
+        (None, t.dol, t.layout, t.runs)
+    | None ->
+        (* Pin-then-validate: pin the current epoch, then check that the
+           published snapshot is the one current at that epoch.  The
+           writer publishes the new snapshot BEFORE advancing the epoch,
+           so a mismatch only happens in that short window — retry. *)
+        let ep = Disk.epoch t.disk in
+        let rec pin () =
+          let e = Epoch.pin ep in
+          let s = Atomic.get t.published in
+          if s.p_epoch = e then (Some e, s.p_dol, s.p_layout, s.p_runs)
+          else begin
+            Epoch.unpin ep e;
+            Domain.cpu_relax ();
+            pin ()
+          end
+        in
+        pin ()
   in
   {
     t with

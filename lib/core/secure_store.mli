@@ -42,7 +42,9 @@ val assemble :
     even while {!with_write} windows (splices, subject changes,
     quarantine transitions) run concurrently.  Handles may evaluate
     queries from separate domains — the disk serializes physical page
-    I/O internally.  [pool_capacity] defaults to the parent's.
+    I/O internally.  A reader of a pinned reader pins the same epoch
+    and shares its snapshot, so it never sees a later update either.
+    [pool_capacity] defaults to the parent's.
     Call {!release} (or use {!with_reader}) when done so superseded page
     versions can be retired. *)
 val reader : ?pool_capacity:int -> t -> t
@@ -166,7 +168,7 @@ val io_stats : t -> io_stats
 (** Add to the registry what this handle's pool and check counts, and
     its disk, gained since their last fold, and move the marks forward
     (the disk keeps its own, since readers share it).  Called at stream
-    end (so each query of an [Exec] batch folds its worker's reader),
+    end (so each query a [Serve] worker runs folds its own reader),
     {!release} and the end of {!with_write}; folding twice adds
     nothing. *)
 val fold_metrics : t -> unit

@@ -11,7 +11,7 @@ module Disk = Dolx_storage.Disk
 module Tag_index = Dolx_index.Tag_index
 module Value_index = Dolx_index.Value_index
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Prng = Dolx_util.Prng
 module Bitset = Dolx_util.Bitset
 
@@ -165,7 +165,9 @@ let check_query st tag (q : Gen.query) =
       engine ~value_index " (value index)")
     (all_sems st)
 
-(* Executor batch: every query under every semantics across the workers. *)
+(* Service batch: every query under every semantics across the
+   workers, streamed in chunks and ticket buffers sized from the case
+   seed. *)
 let check_exec st tag =
   if st.cfg.jobs > 1 then
     let tasks =
@@ -173,17 +175,26 @@ let check_exec st tag =
         (fun q -> List.map (fun sem -> (q, sem)) (all_sems st))
         st.case.Gen.queries
     in
-    if tasks <> [] then
-      Exec.with_executor ~jobs:st.cfg.jobs st.store st.index (fun ex ->
-          let results = Exec.run_batch ex (List.map (fun (q, s) -> (q.Gen.pat, s)) tasks) in
-          List.iter2
-            (fun (q, sem) (r : Engine.result) ->
-              let want = Oracle.eval st.tree (oracle_sem st sem) q.Gen.pat in
-              if r.Engine.answers <> want then
-                failf tag "batch %s under %s: executor %s, oracle %s"
-                  (Gen.query_to_string q) (sem_name sem) (ints r.Engine.answers)
-                  (ints want))
-            tasks results)
+    if tasks <> [] then begin
+      let g = Prng.create (st.fault_seed lxor 0x5E4E) in
+      let chunk = 1 + Prng.int g 70 in
+      let buffer_chunks = 1 + Prng.int g 4 in
+      let answers =
+        Serve.with_service ~jobs:st.cfg.jobs ~chunk ~buffer_chunks (fun srv ->
+            Serve.add_tenant srv "case" (Serve.Mem (st.store, st.index));
+            Serve.run_batch srv ~tenant:"case"
+              (List.map (fun (q, s) -> (q.Gen.pat, s)) tasks))
+      in
+      List.iter2
+        (fun (q, sem) got ->
+          let want = Oracle.eval st.tree (oracle_sem st sem) q.Gen.pat in
+          if got <> want then
+            failf tag "batch %s under %s (chunk %d, buffer %d): service %s, \
+                       oracle %s"
+              (Gen.query_to_string q) (sem_name sem) chunk buffer_chunks
+              (ints got) (ints want))
+        tasks answers
+    end
 
 (* --- trace application --- *)
 

@@ -16,8 +16,8 @@
     serve/wire/commit events, span histograms.
 
     Concurrency: counters and gauges are [Atomic.t]-backed, so the same
-    named cell can be bumped from several domains (the workers of a
-    [Dolx_exec] batch, the [Serve] workers) without losing increments.
+    named cell can be bumped from several domains (the [Serve]
+    workers) without losing increments.
     Histograms remain single-writer: they back span tracing, which only
     records on the main domain.
 

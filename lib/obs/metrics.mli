@@ -5,8 +5,7 @@
     live — there is no on/off switch.
 
     Counters and gauges are [Atomic.t]-backed: increments from several
-    domains (the workers of a {!Dolx_exec} batch, the [Serve] workers)
-    are never lost.
+    domains (the [Serve] workers) are never lost.
     Histograms are single-writer (they back span tracing, which records
     only on the main domain).
 

@@ -86,8 +86,8 @@ let record c span =
 
 let with_span ?(c = default) name f =
   (* The collector's nesting state is single-writer: spans are recorded
-     only on the main domain, so engine code running on a [Dolx_exec]
-     batch's worker domain passes through untimed instead of racing on
+     only on the main domain, so engine code running on a [Serve]
+     worker domain passes through untimed instead of racing on
      [depth]/[spans].  Parallel runs are profiled by the per-reader
      counters, not by spans. *)
   if not (c.on && Domain.is_main_domain ()) then f ()

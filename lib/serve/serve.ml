@@ -30,6 +30,7 @@ module Store = Dolx_core.Secure_store
 module Db_file = Dolx_core.Db_file
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
+module Pattern = Dolx_nok.Pattern
 module Xpath = Dolx_nok.Xpath
 module Metrics = Dolx_obs.Metrics
 
@@ -214,10 +215,11 @@ type shard = {
 
 (** {1 Scheduler} *)
 
+(* [jb_pattern] runs on the worker: a submitted XPath string is parsed
+   there, so a malformed query fails through its ticket. *)
 type job = {
-  jb_xpath : string;
+  jb_pattern : unit -> Pattern.t;
   jb_semantics : Engine.semantics;
-  jb_tenant : string;
   jb_ticket : ticket;
 }
 
@@ -380,8 +382,8 @@ let run_job t tenant job =
       end
     in
     match
-      Engine.stream ~chunk:t.chunk reader index
-        (Xpath.parse job.jb_xpath) job.jb_semantics
+      Engine.stream ~chunk:t.chunk reader index (job.jb_pattern ())
+        job.jb_semantics
     with
     | exception e -> finish ~error:e ~peak:0 ()
     | stream -> (
@@ -478,7 +480,7 @@ let add_tenant t ?(weight = 1.0) name source =
     };
   Mutex.unlock t.m
 
-let submit t ~tenant xpath semantics =
+let submit_pattern t ~tenant pattern semantics =
   Mutex.lock t.m;
   if t.stop then begin
     Mutex.unlock t.m;
@@ -500,14 +502,44 @@ let submit t ~tenant xpath semantics =
          queue's stale pass would otherwise grant it a catch-up burst *)
       if Queue.is_empty tn.tn_jobs then tn.tn_pass <- Float.max tn.tn_pass t.vclock;
       Queue.add
-        { jb_xpath = xpath; jb_semantics = semantics; jb_tenant = tenant;
-          jb_ticket = tk }
+        { jb_pattern = pattern; jb_semantics = semantics; jb_ticket = tk }
         tn.tn_jobs;
       t.queued <- t.queued + 1;
       Condition.signal t.work;
       Mutex.unlock t.m;
       Metrics.incr c_submitted;
       tk
+
+let submit t ~tenant xpath semantics =
+  submit_pattern t ~tenant (fun () -> Xpath.parse xpath) semantics
+
+(* One tenant's tickets are dispatched FIFO, so draining them in
+   submission order always drains the one a worker is producing into
+   (the drain rule of the module comment).  At most [max_queued] are
+   open at once, so a batch alone on the service is never shed. *)
+let run_batch t ~tenant queries =
+  let open_tickets = Queue.create () in
+  let answers = ref [] and error = ref None in
+  let drain_one () =
+    match collect (Queue.pop open_tickets) with
+    | a -> answers := a :: !answers
+    | exception e -> if !error = None then error := Some e
+  in
+  (* a [submit_pattern] that raises leaves no ticket open behind it *)
+  Fun.protect
+    ~finally:(fun () -> Queue.iter close open_tickets)
+    (fun () ->
+      List.iter
+        (fun (pattern, semantics) ->
+          if Queue.length open_tickets >= t.max_queued then drain_one ();
+          Queue.add
+            (submit_pattern t ~tenant (fun () -> pattern) semantics)
+            open_tickets)
+        queries;
+      while not (Queue.is_empty open_tickets) do
+        drain_one ()
+      done);
+  match !error with Some e -> raise e | None -> List.rev !answers
 
 let shutdown t =
   Mutex.lock t.m;

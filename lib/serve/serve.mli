@@ -75,6 +75,20 @@ type ticket
     (the parse runs on the worker), not here. *)
 val submit : t -> tenant:string -> string -> Engine.semantics -> ticket
 
+(** Evaluate a batch for one tenant and return each query's answers,
+    in submission order — equal to [(Engine.run ...).answers] on each
+    query, whatever [jobs], [chunk] or [buffer_chunks].  Each query runs
+    on its own fresh reader, like a {!submit}ted one.  At most
+    [max_queued] tickets are open at once, so a batch that is the
+    service's only client is never shed.  A failing query does not stop
+    the rest: every ticket is drained, then the first failure in
+    submission order is re-raised.
+    @raise Invalid_argument on an unknown tenant or a shut-down
+    service. *)
+val run_batch :
+  t -> tenant:string -> (Dolx_nok.Pattern.t * Engine.semantics) list ->
+  int list list
+
 (** Stop accepting work, cancel in-flight streams (as by {!close}),
     join the worker domains, and fail every job still queued with a
     ticket error — accepted work is never silently dropped.

@@ -147,10 +147,10 @@ type t = {
      [visible_until]). *)
   epoch : Epoch.t;
   versions : (int, version list) Hashtbl.t;
-  (* One device, many domains: the worker domains of a [Dolx_exec]
-     batch (and the [Serve] workers) read through private buffer pools
-     over this one disk, so the page store, the stats record
-     and the fault machinery are serialized here.  Contention is low by
+  (* One device, many domains: the [Serve] worker domains read
+     through private buffer pools over this one disk, so the page
+     store, the stats record and the fault machinery are serialized
+     here.  Contention is low by
      construction — the pools absorb > 95% of touches, so the lock is
      taken only on real page I/O. *)
   m : Mutex.t;

@@ -8,9 +8,8 @@
 
     Thread-safety: {!read}, {!write}, {!allocate}, {!mark_bad},
     {!clear_bad} and {!is_bad} are serialized by an internal mutex, so
-    one disk can be shared by the private buffer pools that the worker
-    domains of a [Dolx_exec] batch (or the [Serve] workers) read
-    through.
+    one disk can be shared by the private buffer pools that the
+    [Serve] worker domains read through.
     Configuration setters ({!set_fault_plan}, {!set_verify_reads}) and
     {!reset_stats} are for quiescent use between runs.  Events bump
     plain {!stats} fields; the registry learns them by {!fold_metrics}. *)

@@ -54,17 +54,29 @@ let advance t =
   Metrics.gauge_set g_current (float_of_int t.current);
   t.current
 
-(** Pin the current epoch and return it.  Until the matching {!unpin},
-    page versions visible at the returned epoch are retained. *)
-let pin t =
-  locked t @@ fun () ->
-  let e = t.current in
+(* One more pin on epoch [e]; called under the lock. *)
+let add_pin t e =
   Hashtbl.replace t.pins e
     (1 + Option.value (Hashtbl.find_opt t.pins e) ~default:0);
   t.n_pins <- t.n_pins + 1;
   Metrics.incr c_pins;
-  Metrics.gauge_set g_active_pins (float_of_int t.n_pins);
-  e
+  Metrics.gauge_set g_active_pins (float_of_int t.n_pins)
+
+(** Pin the current epoch and return it.  Until the matching {!unpin},
+    page versions visible at the returned epoch are retained. *)
+let pin t =
+  locked t @@ fun () ->
+  add_pin t t.current;
+  t.current
+
+(** Add one more pin to epoch [e], which must already be pinned: a
+    reader derived from a pinned reader shares its snapshot.
+    @raise Invalid_argument when [e] is not currently pinned. *)
+let repin t e =
+  locked t @@ fun () ->
+  if not (Hashtbl.mem t.pins e) then
+    invalid_arg (Printf.sprintf "Epoch.repin: epoch %d not pinned" e);
+  add_pin t e
 
 (** @raise Invalid_argument when [e] is not currently pinned. *)
 let unpin t e =

@@ -21,6 +21,12 @@ val advance : t -> int
     page versions visible at that epoch are retained. *)
 val pin : t -> int
 
+(** Add one more pin to epoch [e], which must already be pinned (a
+    reader taken from a pinned reader shares its epoch); released by
+    {!unpin} like any other.
+    @raise Invalid_argument when [e] is not currently pinned. *)
+val repin : t -> int -> unit
+
 (** Release one pin on epoch [e].
     @raise Invalid_argument when [e] is not currently pinned. *)
 val unpin : t -> int -> unit

@@ -82,7 +82,11 @@ let connect ?(retry_for = 0.0) ?max_frame ?(client = "dolx-client") path =
 
 let server_name t = t.name
 
-let close t = Conn.close t.conn
+(* Say goodbye, so the server counts a clean end rather than a
+   disconnect; a server already gone needs none. *)
+let close t =
+  (try Conn.send t.conn (Frame.Request Frame.Bye) with Conn.Closed _ -> ());
+  Conn.close t.conn
 
 let abort t = Conn.close t.conn
 

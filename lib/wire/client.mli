@@ -30,8 +30,9 @@ val connect :
 (** The name the server sent in its [Welcome]. *)
 val server_name : t -> string
 
-(** Close the connection.  Open streams are implicitly abandoned — the
-    server closes their tickets on seeing the disconnect. *)
+(** Send a [Bye] and close the connection.  Open streams are
+    implicitly abandoned — the server closes their tickets when the
+    session ends.  Idempotent. *)
 val close : t -> unit
 
 (** Slam the connection shut with no goodbye, mid-anything — what a

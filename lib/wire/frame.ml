@@ -26,6 +26,7 @@ type request =
   | Next of { id : int }
   | Close of { id : int }
   | Stats
+  | Bye
 
 type response =
   | Welcome of { server : string }
@@ -53,6 +54,7 @@ and tag_submit = 0x02
 and tag_next = 0x03
 and tag_close = 0x04
 and tag_stats = 0x05
+and tag_bye = 0x06
 
 let tag_welcome = 0x81
 and tag_accepted = 0x82
@@ -110,6 +112,7 @@ let encode_body buf = function
       Buffer.add_char buf (Char.chr tag_close);
       add_varint buf id
   | Request Stats -> Buffer.add_char buf (Char.chr tag_stats)
+  | Request Bye -> Buffer.add_char buf (Char.chr tag_bye)
   | Response (Welcome { server }) ->
       Buffer.add_char buf (Char.chr tag_welcome);
       add_string buf server
@@ -228,6 +231,7 @@ let decode_body d lo ~limit =
     else if tag = tag_next then Request (Next { id = varint () })
     else if tag = tag_close then Request (Close { id = varint () })
     else if tag = tag_stats then Request Stats
+    else if tag = tag_bye then Request Bye
     else if tag = tag_welcome then Response (Welcome { server = string () })
     else if tag = tag_accepted then Response (Accepted { id = varint () })
     else if tag = tag_chunk || tag = tag_last then begin
@@ -320,6 +324,7 @@ let pp ppf = function
   | Request (Next { id }) -> Format.fprintf ppf "next(#%d)" id
   | Request (Close { id }) -> Format.fprintf ppf "close(#%d)" id
   | Request Stats -> Format.fprintf ppf "stats"
+  | Request Bye -> Format.fprintf ppf "bye"
   | Response (Welcome { server }) -> Format.fprintf ppf "welcome(%s)" server
   | Response (Accepted { id }) -> Format.fprintf ppf "accepted(#%d)" id
   | Response (Chunk { id; answers }) ->

@@ -21,7 +21,9 @@ exception Corrupt of string
 
 (** Requests travel client → server. [Submit.id] is a client-chosen
     stream id, fresh per submission on that connection; [Next], [Close]
-    refer to it. *)
+    refer to it.  [Bye] is a client's last frame before it closes the
+    connection: the server ends the session without counting a
+    disconnect, and sends no reply. *)
 type request =
   | Hello of { client : string }
   | Submit of {
@@ -33,9 +35,10 @@ type request =
   | Next of { id : int }
   | Close of { id : int }
   | Stats
+  | Bye
 
-(** Responses travel server → client.  Every request gets exactly one
-    response, in request order: [Hello]→[Welcome]; [Submit]→[Accepted]/
+(** Responses travel server → client.  Every request but [Bye] gets
+    exactly one response, in request order: [Hello]→[Welcome]; [Submit]→[Accepted]/
     [Overloaded]/[Error]; [Next]→[Chunk]/[Last]/[End]/[Error];
     [Close]→[End] (idempotent ack); [Stats]→[Stats_reply].  [Last] is a
     chunk that ends its stream: no [Next] for that id follows it. *)

@@ -54,7 +54,7 @@ let gen_frame g =
            })
   | 2 -> Frame.Request (Frame.Next { id = gen_int g })
   | 3 -> Frame.Request (Frame.Close { id = gen_int g })
-  | 4 -> Frame.Request Frame.Stats
+  | 4 -> Frame.Request (if Prng.bool g ~p:0.5 then Frame.Stats else Frame.Bye)
   | 5 -> Frame.Response (Frame.Welcome { server = gen_string g })
   | 6 -> Frame.Response (Frame.Accepted { id = gen_int g })
   | (7 | 8) as k ->

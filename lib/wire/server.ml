@@ -67,53 +67,57 @@ let stats_reply t =
       ("disconnects", t.disconnects);
     ]
 
-(* One response per request.  Submit errors (unknown tenant, admission
-   shed) are reported on the stream id; a worker-side evaluation error
-   surfaces at the Next that would have pulled past it.  A chunk that
-   ends its stream goes out as [Last], so no Next→End exchange follows. *)
-let handle_request t tickets = function
-  | Frame.Hello { client = _ } -> Frame.Welcome { server = t.server_name }
+(* One response per request; [None] for the client's goodbye, which
+   ends the session.  Submit errors (unknown tenant, admission shed) are
+   reported on the stream id; a worker-side evaluation error surfaces at
+   the Next that would have pulled past it.  A chunk that ends its
+   stream goes out as [Last], so no Next→End exchange follows. *)
+let handle_request t tickets req =
+  match req with
+  | Frame.Bye -> None
+  | Frame.Hello { client = _ } -> Some (Frame.Welcome { server = t.server_name })
   | Frame.Submit { id; tenant; xpath; semantics } ->
-      if Hashtbl.mem tickets id then
-        Frame.Error { id; message = "stream id already in use" }
-      else begin
-        match Serve.submit t.srv ~tenant xpath semantics with
-        | tk ->
-            Hashtbl.replace tickets id tk;
-            Frame.Accepted { id }
-        | exception Serve.Overloaded -> Frame.Overloaded { id }
-        | exception e -> Frame.Error { id; message = Printexc.to_string e }
-      end
-  | Frame.Next { id } -> (
-      match Hashtbl.find_opt tickets id with
-      | None -> Frame.Error { id; message = "unknown stream id" }
-      | Some tk -> (
-          match Serve.next_chunk_last tk with
-          | [], _ ->
-              Hashtbl.remove tickets id;
-              Frame.End { id }
-          | answers, true ->
-              Hashtbl.remove tickets id;
-              Metrics.incr c_chunks;
-              Frame.Last { id; answers }
-          | answers, false ->
-              Metrics.incr c_chunks;
-              Frame.Chunk { id; answers }
-          | exception e ->
-              Hashtbl.remove tickets id;
-              Frame.Error { id; message = Printexc.to_string e }))
+      Some
+        (if Hashtbl.mem tickets id then
+           Frame.Error { id; message = "stream id already in use" }
+         else
+           match Serve.submit t.srv ~tenant xpath semantics with
+           | tk ->
+               Hashtbl.replace tickets id tk;
+               Frame.Accepted { id }
+           | exception Serve.Overloaded -> Frame.Overloaded { id }
+           | exception e -> Frame.Error { id; message = Printexc.to_string e })
+  | Frame.Next { id } ->
+      Some
+        (match Hashtbl.find_opt tickets id with
+        | None -> Frame.Error { id; message = "unknown stream id" }
+        | Some tk -> (
+            match Serve.next_chunk_last tk with
+            | [], _ ->
+                Hashtbl.remove tickets id;
+                Frame.End { id }
+            | answers, true ->
+                Hashtbl.remove tickets id;
+                Metrics.incr c_chunks;
+                Frame.Last { id; answers }
+            | answers, false ->
+                Metrics.incr c_chunks;
+                Frame.Chunk { id; answers }
+            | exception e ->
+                Hashtbl.remove tickets id;
+                Frame.Error { id; message = Printexc.to_string e }))
   | Frame.Close { id } ->
       (match Hashtbl.find_opt tickets id with
       | Some tk ->
           Serve.close tk;
           Hashtbl.remove tickets id
       | None -> ());
-      Frame.End { id }
+      Some (Frame.End { id })
   | Frame.Stats ->
       Mutex.lock t.m;
       let reply = stats_reply t in
       Mutex.unlock t.m;
-      reply
+      Some reply
 
 let unregister t sid ~disconnected =
   Mutex.lock t.m;
@@ -125,10 +129,11 @@ let unregister t sid ~disconnected =
   Mutex.unlock t.m
 
 (* The session loop: requests are answered in order, and the replies
-   to requests that arrived together leave together.  Every exit path — clean EOF, mid-frame cut,
-   undecodable input, a write landing on a dead peer — closes all the
-   session's tickets, so its readers' epoch pins release at the next
-   chunk boundary. *)
+   to requests that arrived together leave together.  Only a [Bye] ends
+   the session cleanly; EOF without one counts as a disconnect.  Every
+   exit path — goodbye, EOF, mid-frame cut, undecodable input, a write
+   landing on a dead peer — closes all the session's tickets, so its
+   readers' epoch pins release at the next chunk boundary. *)
 let session_loop t sid conn =
   let tickets : (int, Serve.ticket) Hashtbl.t = Hashtbl.create 8 in
   let disconnected = ref false in
@@ -141,17 +146,23 @@ let session_loop t sid conn =
       try
         let rec loop () =
           match Conn.recv conn with
-          | Frame.Request req ->
-              Conn.queue conn (Frame.Response (handle_request t tickets req));
-              (* hold the reply back while the client's next request is
-                 already here: a pipelined Submit+Next is answered with
-                 one write (a long pipeline is flushed every 64 KiB) *)
-              if (not (Conn.ready conn)) || Conn.queued_bytes conn > 65536
-              then begin
-                Conn.flush conn;
-                Metrics.incr c_writes
-              end;
-              loop ()
+          | Frame.Request req -> (
+              match handle_request t tickets req with
+              | None -> ()
+              | Some reply ->
+                  Conn.queue conn (Frame.Response reply);
+                  (* hold the reply back while the client's next request
+                     is already here: a pipelined Submit+Next is answered
+                     with one write (a long pipeline is flushed every
+                     64 KiB) *)
+                  if (not (Conn.ready conn)) || Conn.queued_bytes conn > 65536
+                  then begin
+                    (* counted first: a client that has the reply may
+                       read the counter at once *)
+                    Metrics.incr c_writes;
+                    Conn.flush conn
+                  end;
+                  loop ())
           | Frame.Response _ ->
               (* a client must never send response frames *)
               Metrics.incr c_protocol_errors;

@@ -6,7 +6,7 @@
     must be retired once the last pin holding them is released.  The
     journal's record sequence must replay idempotently (including across
     a torn group-commit batch), [Group_commit] must amortize flushes at
-    the predicted rate, and executor teardown must release every domain,
+    the predicted rate, and service teardown must release every domain,
     epoch pin, and file descriptor even when a query raises. *)
 
 module Tree = Dolx_xml.Tree
@@ -23,7 +23,7 @@ module Buffer_pool = Dolx_storage.Buffer_pool
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
 module Gen = Dolx_fuzz.Gen
@@ -68,6 +68,38 @@ let test_snapshot_isolation () =
   Store.release pinned (* idempotent *);
   check Alcotest.int "all page versions retired after last release" 0
     (Disk.live_versions (Store.disk store))
+
+(* A reader taken from a pinned reader pins the same epoch: after an
+   update window it still answers from the pre-update snapshot, and
+   keeps it after its parent is released. *)
+let test_reader_of_pinned_reader () =
+  let store = make_store ~nodes:1500 ~page_size:1024 19 in
+  let index = Tag_index.build (Store.tree store) in
+  let q = Dolx_nok.Xpath.parse "//name" in
+  let answers ?(subject = 0) h =
+    (Engine.run h index q (Engine.Secure subject)).Engine.answers
+  in
+  let subject =
+    match List.find_opt (fun s -> answers ~subject:s store <> []) [ 0; 1; 2; 3 ] with
+    | Some s -> s
+    | None -> Alcotest.fail "the query has no answer to lose"
+  in
+  let answers = answers ~subject in
+  let pre = answers store in
+  let pinned = Store.reader store in
+  Update.set_subtree_accessibility store ~subject ~grant:false (List.hd pre);
+  if answers store = pre then Alcotest.fail "the update changed no answer";
+  let child = Store.reader pinned in
+  check Alcotest.int "the parent's epoch" (Store.snapshot_epoch pinned)
+    (Store.snapshot_epoch child);
+  check (Alcotest.list Alcotest.int) "pre-update answers" pre (answers child);
+  Store.release pinned;
+  check (Alcotest.list Alcotest.int) "still pre-update after the parent's release"
+    pre (answers child);
+  Store.release child;
+  check Alcotest.int "pins released" 0
+    (Epoch.pin_count (Disk.epoch (Store.disk store)));
+  check Alcotest.int "versions retired" 0 (Disk.live_versions (Store.disk store))
 
 (* A pinned reader's pool borrows the disk's page image.  Images are
    immutable, so the frame it holds keeps the pre-update bytes after the
@@ -264,17 +296,20 @@ let test_teardown_on_exception () =
   let fds0 = open_fds () in
   let seen = ref None in
   (match
-     Exec.with_executor ~jobs:3 store index (fun ex ->
-         seen := Some ex;
-         ignore (Exec.query_batch ex [ ("//item", Engine.Insecure) ]);
+     Serve.with_service ~jobs:3 (fun srv ->
+         seen := Some srv;
+         Serve.add_tenant srv "t" (Serve.Mem (store, index));
+         ignore
+           (Serve.run_batch srv ~tenant:"t"
+              [ (Dolx_nok.Xpath.parse "//item", Engine.Insecure) ]);
          failwith "mid-query crash")
    with
   | () -> Alcotest.fail "exception swallowed"
   | exception Failure _ -> ());
-  let ex = Option.get !seen in
+  let srv = Option.get !seen in
   check Alcotest.int "all epoch pins released" pins0 (Epoch.pin_count ep);
   check Alcotest.int "no leaked file descriptors" fds0 (open_fds ());
-  Exec.shutdown ex (* idempotent *)
+  Serve.shutdown srv (* idempotent *)
 
 (* --- the planted stale-snapshot bug is caught by the fuzz checks --- *)
 
@@ -342,4 +377,6 @@ let suite =
       test_planted_stale_caught;
     Alcotest.test_case "borrowed frame survives rewrite and retire" `Quick
       test_borrowed_frame_survives_retire;
+    Alcotest.test_case "reader of a pinned reader keeps its snapshot" `Quick
+      test_reader_of_pinned_reader;
   ]

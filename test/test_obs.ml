@@ -2,7 +2,7 @@
     percentiles, span tracing with a deterministic clock, JSON
     round-trips, and the fold of per-instance counts into the registry:
     after every fold point (query end, early close, update window,
-    [Exec] barrier, reader release after a fault) the registry equals
+    a [Serve] batch, reader release after a fault) the registry equals
     the per-instance records. *)
 
 module Metrics = Dolx_obs.Metrics
@@ -16,7 +16,7 @@ module Store = Dolx_core.Secure_store
 module Update = Dolx_core.Update
 module Disk = Dolx_storage.Disk
 module Buffer_pool = Dolx_storage.Buffer_pool
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Engine = Dolx_nok.Engine
 module Tag_index = Dolx_index.Tag_index
 module Xmark = Dolx_workload.Xmark
@@ -266,6 +266,13 @@ let test_trace_json () =
 
 (* Pool and check counts summed over [handles], disk counts once (the
    handles share one disk), each against its registry counter. *)
+(* The registry counters [check_folded] compares. *)
+let folded_counters =
+  [ "pool.touches"; "pool.hits"; "pool.misses"; "pool.retries";
+    "pool.evictions"; "store.access_checks"; "store.header_skips";
+    "store.codebook_lookups"; "store.run_answers"; "disk.reads";
+    "disk.writes"; "disk.transient_faults" ]
+
 let check_folded label handles disk =
   let sum f = List.fold_left (fun acc h -> acc + f h) 0 handles in
   let io f = sum (fun h -> f (Store.io_stats h)) in
@@ -359,34 +366,56 @@ let test_fold_on_early_close () =
     ((Store.io_stats r).Store.page_touches > 0);
   Store.release r
 
-(* A batch at two domains: each query's stream folds its worker
-   reader's counts when it is drained, so after the barrier the registry
-   holds every reader's work.  Read before shutdown (whose release would
-   fold too). *)
+(* A batch at two workers: each query's stream folds its own fresh
+   reader's counts when it is drained, so once [run_batch] returns the
+   registry holds every reader's work — the same counts as the batch
+   run one query at a time on fresh readers, whose records
+   [check_folded] sums. *)
 let test_fold_after_exec_barrier () =
   let store, index = table1_store () in
   (* the segment path: the summary filter would evaluate no segment *)
   Store.set_summary store false;
-  Exec.with_executor ~jobs:2 store index (fun exec ->
-      Exec.reset_stats exec;
-      Metrics.reset Metrics.default;
-      let queries =
-        [ "//site//text"; "//site//keyword"; "//site//name";
-          "//description//keyword" ]
-      in
-      (* a few rounds, so both workers take queries *)
-      for _ = 1 to 4 do
-        List.iter2
-          (fun q (r : Engine.result) ->
-            (* each answer is a last-segment root, so >= 64 roots went
-               through segment evaluation *)
-            Alcotest.(check bool) (q ^ ": >= 64 answers") true
-              (List.length r.Engine.answers >= 64))
-          queries
-          (Exec.query_batch exec
-             (List.map (fun q -> (q, Engine.Secure 0)) queries))
-      done;
-      check_folded "exec jobs=2" (Exec.readers exec) (Store.disk store))
+  let queries =
+    [ "//site//text"; "//site//keyword"; "//site//name";
+      "//description//keyword" ]
+  in
+  (* a few rounds, so both workers take queries *)
+  let batch = List.concat (List.init 4 (fun _ -> queries)) in
+  let patterns =
+    List.map (fun q -> (Dolx_nok.Xpath.parse q, Engine.Secure 0)) batch
+  in
+  let view () =
+    List.map (fun n -> (n, Metrics.counter_value n)) folded_counters
+    @ [ ("disk.simulated_us",
+         int_of_float (Metrics.gauge_value (Metrics.gauge "disk.simulated_us"))) ]
+  in
+  reset_views store;
+  let readers =
+    List.map
+      (fun (p, sem) ->
+        let r = Store.reader store in
+        ignore (Engine.run r index p sem);
+        r)
+      patterns
+  in
+  check_folded "one query at a time" readers (Store.disk store);
+  let want = view () in
+  List.iter Store.release readers;
+  reset_views store;
+  let answers =
+    Serve.with_service ~jobs:2 (fun srv ->
+        Serve.add_tenant srv "t" (Serve.Mem (store, index));
+        Serve.run_batch srv ~tenant:"t" patterns)
+  in
+  List.iter2
+    (fun q a ->
+      (* each answer is a last-segment root, so >= 64 roots went
+         through segment evaluation *)
+      Alcotest.(check bool) (q ^ ": >= 64 answers") true (List.length a >= 64))
+    batch answers;
+  List.iter2
+    (fun (n, w) (_, h) -> check Alcotest.int ("serve jobs=2: " ^ n) w h)
+    want (view ())
 
 (* An update window folds at its end; [Disk.reset_stats] leaves the
    lifetime [versions_saved] in place, and the registry then counts

@@ -1,9 +1,9 @@
-(** Determinism and accounting of the multicore executor: batch
-    evaluation on several domains must be byte-identical to the
-    sequential engine on the same inputs — across PRNG-seeded query
-    mixes, all three semantics, and quarantined stores — and the summed
-    per-reader statistics must agree with the metrics registry they are
-    folded into. *)
+(** Determinism and accounting of parallel batches ({!Serve.run_batch}):
+    batch evaluation on several worker domains must be byte-identical to
+    the sequential engine on the same inputs — across PRNG-seeded query
+    mixes, all three semantics, and quarantined stores — and the
+    registry must count the same work as the same batch run one query
+    at a time. *)
 
 module Tree = Dolx_xml.Tree
 module Prng = Dolx_util.Prng
@@ -16,7 +16,7 @@ module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
 module Xpath = Dolx_nok.Xpath
 module Pattern = Dolx_nok.Pattern
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Metrics = Dolx_obs.Metrics
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
@@ -57,13 +57,43 @@ let make_quarantined_store seed =
   in
   (store, Tag_index.build tree)
 
-let result_eq name (a : Engine.result) (b : Engine.result) =
-  check Alcotest.(list int) (name ^ ": answers") a.Engine.answers b.Engine.answers;
-  check Alcotest.int (name ^ ": segments") a.Engine.segments b.Engine.segments;
-  check Alcotest.int (name ^ ": joins") a.Engine.joins b.Engine.joins;
-  check Alcotest.int
-    (name ^ ": candidates")
-    a.Engine.candidates_scanned b.Engine.candidates_scanned
+(* [batch] on a fresh [jobs]-worker service over [store]. *)
+let serve_batch ?(jobs = 4) store index batch =
+  Serve.with_service ~jobs (fun srv ->
+      Serve.add_tenant srv "t" (Serve.Mem (store, index));
+      Serve.run_batch srv ~tenant:"t" batch)
+
+let engine_counters =
+  [ "engine.queries"; "engine.segments"; "engine.joins";
+    "engine.candidates_scanned"; "engine.answers" ]
+
+(* What [f] adds to the named registry counters. *)
+let counter_deltas names f =
+  let before = List.map (fun n -> Metrics.counter_value n) names in
+  let r = f () in
+  (r, List.map2 (fun n b -> (n, Metrics.counter_value n - b)) names before)
+
+(* A batch equals sequential evaluation: the same answers, query by
+   query, and the same engine work (segments, joins, candidates) as the
+   same batch run one query at a time, each on a fresh reader. *)
+let batch_eq name store index batch =
+  let expected, want =
+    counter_deltas engine_counters (fun () ->
+        List.map
+          (fun (p, sem) ->
+            Store.with_reader store (fun r -> (Engine.run r index p sem).Engine.answers))
+          batch)
+  in
+  let got, have =
+    counter_deltas engine_counters (fun () -> serve_batch store index batch)
+  in
+  List.iteri
+    (fun i (e, g) ->
+      check Alcotest.(list int) (Printf.sprintf "%s query %d: answers" name i) e g)
+    (List.combine expected got);
+  List.iter2
+    (fun (n, w) (_, h) -> check Alcotest.int (name ^ ": " ^ n) w h)
+    want have
 
 (* --- batch determinism: >= 20 seeded mixes, jobs=4 vs sequential --- *)
 
@@ -72,15 +102,7 @@ let batch_vs_sequential store index ~mix_seed ~subjects ~n =
   let batch =
     List.map (fun e -> (Xpath.parse e.Query_mix.xpath, semantics e.Query_mix.semantics)) entries
   in
-  let expected =
-    List.map (fun (p, sem) -> Engine.run store index p sem) batch
-  in
-  let exec = Exec.create ~jobs:4 store index in
-  let got = Exec.run_batch exec batch in
-  Exec.shutdown exec;
-  List.iteri
-    (fun i (e, g) -> result_eq (Printf.sprintf "mix %d query %d" mix_seed i) e g)
-    (List.combine expected got)
+  batch_eq (Printf.sprintf "mix %d" mix_seed) store index batch
 
 let test_batch_determinism () =
   (* two documents x ten mixes = twenty seeded workloads *)
@@ -108,29 +130,31 @@ let test_batch_all_semantics () =
         [ (p, Engine.Insecure); (p, Engine.Secure 2); (p, Engine.Secure_path 3) ])
       Xmark.queries
   in
-  let expected = List.map (fun (p, sem) -> Engine.run store index p sem) batch in
-  let exec = Exec.create ~jobs:4 store index in
-  let got = Exec.run_batch exec batch in
-  Exec.shutdown exec;
-  List.iteri
-    (fun i (e, g) -> result_eq (Printf.sprintf "semantics case %d" i) e g)
-    (List.combine expected got)
+  batch_eq "semantics" store index batch
 
 (* --- statistics parity: per-reader sums vs the folded registry --- *)
 
+(* Every query of a service batch folds its own fresh reader at stream
+   end, so the registry must hold what the same queries count on fresh
+   readers one at a time. *)
 let test_stats_parity () =
   let store, index = make_store 91 in
-  let exec = Exec.create ~jobs:2 store index in
   let entries = Query_mix.generate ~n:12 ~subjects:6 ~seed:801 () in
   let batch =
     List.map (fun e -> (Xpath.parse e.Query_mix.xpath, semantics e.Query_mix.semantics)) entries
   in
-  Exec.reset_stats exec;
-  Metrics.reset Metrics.default;
-  ignore (Exec.run_batch exec batch);
-  let sum f =
-    List.fold_left (fun acc r -> acc + f (Store.io_stats r)) 0 (Exec.readers exec)
+  let per_reader =
+    List.map
+      (fun (p, sem) ->
+        Store.with_reader store (fun r ->
+            ignore (Engine.run r index p sem);
+            Store.io_stats r))
+      batch
   in
+  Store.reset_stats store;
+  Metrics.reset Metrics.default;
+  ignore (serve_batch ~jobs:2 store index batch);
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 per_reader in
   let reg name = Metrics.counter_value name in
   check Alcotest.int "access checks" (reg "store.access_checks")
     (sum (fun s -> s.Store.access_checks));
@@ -147,15 +171,14 @@ let test_stats_parity () =
     (sum (fun s -> s.Store.pool_misses));
   (* the readers share one disk: its counts are taken once *)
   check Alcotest.int "disk reads" (reg "disk.reads")
-    (Disk.stats (Store.disk store)).Disk.reads;
-  Exec.shutdown exec
+    (Disk.stats (Store.disk store)).Disk.reads
 
 (* --- a raising query mid-batch --- *)
 
 (* The middle query cannot be evaluated (its first step has the
-   following-sibling axis), so the batch re-raises its error after the
-   join; the executor then answers the next batch like the sequential
-   engine, and shutdown releases every pin. *)
+   following-sibling axis), so the batch re-raises its error once every
+   ticket is drained; the service then answers the next batch like the
+   sequential engine, and no reader pin outlives a batch. *)
 let test_raising_task_mid_batch () =
   let store, index = make_store 63 in
   let ep = Disk.epoch (Store.disk store) in
@@ -170,17 +193,22 @@ let test_raising_task_mid_batch () =
          (Pattern.Tag "item") [])
   in
   let batch = before @ ((bad, Engine.Insecure) :: after) in
-  let exec = Exec.create ~jobs:2 store index in
-  (match Exec.run_batch exec batch with
-  | _ -> Alcotest.fail "the raising query's exception was swallowed"
-  | exception Invalid_argument msg ->
-      check Alcotest.string "the raising query's error"
-        "Engine: query cannot start with following-sibling::" msg);
-  let expected = List.map (fun (p, sem) -> Engine.run store index p sem) good in
-  List.iteri
-    (fun i (e, g) -> result_eq (Printf.sprintf "after failure, query %d" i) e g)
-    (List.combine expected (Exec.run_batch exec good));
-  Exec.shutdown exec;
+  Serve.with_service ~jobs:2 (fun srv ->
+      Serve.add_tenant srv "t" (Serve.Mem (store, index));
+      (match Serve.run_batch srv ~tenant:"t" batch with
+      | _ -> Alcotest.fail "the raising query's exception was swallowed"
+      | exception Invalid_argument msg ->
+          check Alcotest.string "the raising query's error"
+            "Engine: query cannot start with following-sibling::" msg);
+      check Alcotest.int "pins back at baseline after the failed batch" pins0
+        (Epoch.pin_count ep);
+      let expected =
+        List.map (fun (p, sem) -> (Engine.run store index p sem).Engine.answers) good
+      in
+      List.iteri
+        (fun i (e, g) ->
+          check Alcotest.(list int) (Printf.sprintf "after failure, query %d" i) e g)
+        (List.combine expected (Serve.run_batch srv ~tenant:"t" good)));
   check Alcotest.int "pins back at baseline" pins0 (Epoch.pin_count ep)
 
 (* --- atomic counters are exact under concurrent increments --- *)

@@ -15,7 +15,7 @@ module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
+module Serve = Dolx_serve.Serve
 module Metrics = Dolx_obs.Metrics
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
@@ -351,14 +351,17 @@ let test_parallel_determinism () =
     List.map (fun (q, s) -> (Engine.query store index q s).Engine.answers) batch
   in
   Store.set_run_index store true;
-  let exec = Exec.create ~jobs:4 store index in
-  let results = Exec.query_batch exec batch in
-  Exec.shutdown exec;
+  let results =
+    Serve.with_service ~jobs:4 (fun srv ->
+        Serve.add_tenant srv "t" (Serve.Mem (store, index));
+        Serve.run_batch srv ~tenant:"t"
+          (List.map (fun (q, s) -> (Dolx_nok.Xpath.parse q, s)) batch))
+  in
   List.iteri
     (fun i r ->
       check Fixtures.int_list
         (Printf.sprintf "jobs=4 query %d" i)
-        (List.nth baseline i) r.Engine.answers)
+        (List.nth baseline i) r)
     results
 
 (* --- per-epoch tables: update traces, carry-forward, residency --- *)

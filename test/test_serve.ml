@@ -17,7 +17,9 @@ module Epoch = Dolx_storage.Epoch
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
-module Exec = Dolx_exec.Exec
+module Pattern = Dolx_nok.Pattern
+module Xpath = Dolx_nok.Xpath
+module Update = Dolx_core.Update
 module Serve = Dolx_serve.Serve
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
@@ -575,6 +577,87 @@ let test_ticket_end_mark () =
       ("//nosuchtag", 4);
     ]
 
+(* --- batches: [run_batch] --- *)
+
+(* Twigs whose returning node is not the last step have no XPath form;
+   a batch carries patterns, so they run like any other query. *)
+let test_batch_non_xpath_twigs () =
+  let store, index = make_store 23 in
+  let tag ?(axis = Pattern.Child) ?(returning = false) t kids =
+    Pattern.make ~axis ~returning (Pattern.Tag t) kids
+  in
+  let twigs =
+    [
+      (* item, with a name child and a keyword below its description *)
+      tag ~axis:Pattern.Descendant ~returning:true "item"
+        [ tag "name" []; tag "description" [ tag ~axis:Pattern.Descendant "keyword" [] ] ];
+      (* the description of an item with a name *)
+      tag ~axis:Pattern.Descendant "item"
+        [ tag "name" []; tag ~returning:true "description" [ tag ~axis:Pattern.Descendant "keyword" [] ] ];
+      (* a person's name followed by a sibling *)
+      tag ~axis:Pattern.Descendant "person"
+        [ tag ~returning:true "name" [ tag ~axis:Pattern.Following_sibling "emailaddress" [] ] ];
+    ]
+  in
+  let batch =
+    List.concat_map
+      (fun root ->
+        let p = Pattern.of_root root in
+        [ (p, Engine.Insecure); (p, Engine.Secure 1); (p, Engine.Secure_path 2) ])
+      twigs
+  in
+  let want = List.map (fun (p, sem) -> (Engine.run store index p sem).Engine.answers) batch in
+  if List.for_all (( = ) []) want then Alcotest.fail "every twig is empty";
+  let got =
+    Serve.with_service ~jobs:2 ~chunk:3 ~buffer_chunks:1 (fun srv ->
+        Serve.add_tenant srv "t" (Serve.Mem (store, index));
+        Serve.run_batch srv ~tenant:"t" batch)
+  in
+  List.iteri
+    (fun i (w, g) ->
+      check (Alcotest.list Alcotest.int) (Printf.sprintf "twig query %d" i) w g)
+    (List.combine want got)
+
+(* A batch longer than the admission bound waits for room instead of
+   being shed. *)
+let test_batch_within_admission () =
+  let store, index = make_store 29 in
+  let batch =
+    List.map (fun (q, sem) -> (Xpath.parse q, sem)) (queries ~subjects:6 ~seed:31)
+  in
+  let batch = batch @ batch @ batch in
+  let want = List.map (fun (p, sem) -> (Engine.run store index p sem).Engine.answers) batch in
+  Serve.with_service ~jobs:2 ~max_queued:2 ~chunk:16 ~buffer_chunks:1 (fun srv ->
+      Serve.add_tenant srv "t" (Serve.Mem (store, index));
+      let got = Serve.run_batch srv ~tenant:"t" batch in
+      check (Alcotest.list (Alcotest.list Alcotest.int)) "answers" want got;
+      let st = Serve.stats srv in
+      check Alcotest.int "nothing shed" 0 st.Serve.shed;
+      check Alcotest.int "every query served" (List.length batch) st.Serve.served;
+      check Alcotest.int "no pin left" 0 (Serve.pinned_readers srv))
+
+(* A tenant over a pinned reader serves that reader's snapshot: each
+   query's own reader pins the same epoch, so a batch after an update
+   window answers as one before it, while a tenant over the live store
+   sees the update. *)
+let test_batch_over_pinned_reader () =
+  let store, index = make_store 37 in
+  let batch = [ (Xpath.parse "//item", Engine.Secure 0) ] in
+  let pre = List.map (fun (p, sem) -> (Engine.run store index p sem).Engine.answers) batch in
+  Store.with_reader store (fun pinned ->
+      Serve.with_service ~jobs:2 (fun srv ->
+          Serve.add_tenant srv "pinned" (Serve.Mem (pinned, index));
+          Serve.add_tenant srv "live" (Serve.Mem (store, index));
+          check (Alcotest.list (Alcotest.list Alcotest.int)) "before the update" pre
+            (Serve.run_batch srv ~tenant:"pinned" batch);
+          Update.set_subtree_accessibility store ~subject:0 ~grant:false
+            (List.hd (List.hd pre));
+          let live = Serve.run_batch srv ~tenant:"live" batch in
+          if live = pre then Alcotest.fail "the update changed no answer";
+          check (Alcotest.list (Alcotest.list Alcotest.int)) "after the update" pre
+            (Serve.run_batch srv ~tenant:"pinned" batch)));
+  check Alcotest.int "pins released" 0 (pin_count store)
+
 let suite =
   [
     Alcotest.test_case "stream = run (3 docs x mixed queries)" `Quick
@@ -608,4 +691,10 @@ let suite =
     prop_summary_stream_prefix;
     Alcotest.test_case "ticket: end mark on the exhausting chunk" `Quick
       test_ticket_end_mark;
+    Alcotest.test_case "batch: twigs without an XPath form" `Quick
+      test_batch_non_xpath_twigs;
+    Alcotest.test_case "batch: longer than max_queued, never shed" `Quick
+      test_batch_within_admission;
+    Alcotest.test_case "batch: a pinned-reader tenant keeps its snapshot" `Quick
+      test_batch_over_pinned_reader;
   ]

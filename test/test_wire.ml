@@ -92,6 +92,7 @@ let all_frames =
     Frame.Request (Frame.Next { id = 7 });
     Frame.Request (Frame.Close { id = 128 });
     Frame.Request Frame.Stats;
+    Frame.Request Frame.Bye;
     Frame.Response (Frame.Welcome { server = "dolx" });
     Frame.Response (Frame.Accepted { id = 16384 });
     Frame.Response (Frame.Chunk { id = 3; answers = [] });
