@@ -2,8 +2,10 @@
     commit vs per-record flushing.
 
     Part 1 — snapshot-isolated readers.  A 4-worker {!Serve} runs a
-    fixed query batch twice over one reader pinned before the batch
-    (every query's own reader, taken from it, shares its epoch): once
+    fixed query batch (a seeded mix repeated [rounds] times, so the
+    contended run overlaps several update windows) twice over one
+    reader pinned before the batch (every query's own reader, taken
+    from it, shares its epoch): once
     with the writer idle, once while a writer domain continuously
     applies accessibility updates ({!Update.set_node_accessibility}
     windows) for the whole measured interval.  Updates force
@@ -51,6 +53,8 @@ let read_cost_us = 400.0
 let n_subjects = 6
 
 let jobs = 4
+
+let rounds = 40
 
 let semantics = function
   | Query_mix.Insecure -> Engine.Insecure
@@ -109,11 +113,12 @@ let run_point store index batch ~with_writer =
 let readers_under_updates () =
   let tree, store, index = setup () in
   let entries = Query_mix.generate ~n:(32 * scale) ~subjects:n_subjects ~seed:93 () in
-  let batch =
+  let mix =
     List.map
       (fun e -> (Xpath.parse e.Query_mix.xpath, semantics e.Query_mix.semantics))
       entries
   in
+  let batch = List.concat (List.init rounds (fun _ -> mix)) in
   let n = List.length batch in
   header "MVCC: reader throughput under continuous updates";
   Printf.printf "XMark instance: %d nodes, %d queries on %d reader domains\n%!"
@@ -145,6 +150,7 @@ let readers_under_updates () =
       [
         ("nodes", Json.num_of_int (Tree.size tree));
         ("queries", Json.num_of_int n);
+        ("rounds", Json.num_of_int rounds);
         ("jobs", Json.num_of_int jobs);
         ("updates_during_run", Json.num_of_int updates);
         ("idle_modeled_s", Json.Num idle_m);

@@ -318,16 +318,15 @@ let with_write ?only_subject t f =
 
 let quarantined t = Array.to_list t.quarantine
 
-let in_quarantine t v =
-  (* Few ranges in practice; linear scan with early exit on sorted lo. *)
-  let n = Array.length t.quarantine in
-  let rec go i =
-    if i >= n then false
-    else
-      let lo, hi = t.quarantine.(i) in
-      if v < lo then false else v <= hi || go (i + 1)
-  in
-  n > 0 && go 0
+(* Few ranges in practice; linear scan with early exit on sorted lo.  A
+   top-level loop: a local one would allocate a closure per check. *)
+let rec quarantined_from q v i =
+  i < Array.length q
+  &&
+  let lo, hi = q.(i) in
+  v >= lo && (v <= hi || quarantined_from q v (i + 1))
+
+let in_quarantine t v = quarantined_from t.quarantine v 0
 
 let tree t = t.tree
 let dol t = t.dol
@@ -465,9 +464,11 @@ let accessible_with_skip (t : t) ~subject v =
   else if in_quarantine t v then false
   else if t.use_runs then begin
     (* subsumes the header skip: a run verdict needs no page at all,
-       whereas the header can only prove whole-page denial.  A granted
-       node is still read by the evaluator, so its page is touched —
-       the run index only elides I/O for denied nodes. *)
+       whereas the header can only prove whole-page denial.  The callers
+       are the plans that read the node they visit, so a granted node's
+       page is touched here and the run index elides I/O for denied
+       nodes only.  A step the summary-path plan decides without a page
+       asks [accessible] instead and touches nothing. *)
     let ok = run_verdict t ~subject v in
     if ok then touch t v;
     ok

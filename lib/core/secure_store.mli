@@ -220,8 +220,11 @@ val page_provably_inaccessible : t -> subject:int -> Tree.node -> bool
 
 (** ACCESS with the header optimization: consult the in-memory header
     first; fetch the page only when it cannot decide.  With the run
-    index on, both this and {!accessible} answer from runs without any
-    page access — the run verdict subsumes the header skip. *)
+    index on, both this and {!accessible} answer from runs — the run
+    verdict subsumes the header skip — but this one is the visit of a
+    plan that reads the node, so it touches a granted node's page.  A
+    summary-path step decided without a page asks {!accessible}, which
+    touches none. *)
 val accessible_with_skip : t -> subject:int -> Tree.node -> bool
 
 (** {1 Run-index range queries}

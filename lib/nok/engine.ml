@@ -43,6 +43,8 @@ let c_pruned = Metrics.counter "engine.candidates_pruned"
 
 let c_summary_pruned = Metrics.counter "engine.summary_pruned"
 
+let c_resident = Metrics.counter "engine.resident_decisions"
+
 type semantics =
   | Insecure              (** plain NoK evaluation, no access control *)
   | Secure of int         (** ε-NoK for the given subject (Cho et al.) *)
@@ -208,16 +210,23 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    proper ancestor of the current candidate, and candidates ascend, so
    its verdicts are kept in a {!chain} that forgets an ancestor once the
    candidates leave its subtree.  Every distinct chain node is thus
-   qualified — and its page visited — at most once, however many
-   candidates share it.
+   qualified at most once, however many candidates share it.
+
+   Every node asked about step [i] lies in a class admissible for [i]:
+   the last step's candidates passed the class filter in the cursor,
+   and an earlier step's ancestor passes it on either axis before it is
+   asked.  So a plain step ({!resident_step}) is decided without its
+   page: its class already fixes its tag, and the run index holds its
+   access verdict.  Every other step keeps [Nok_match.qualifies], which
+   visits the node's page.
 
    Answer-equivalent to the segment/join plan under all three
-   semantics: the same [Nok_match.qualifies] checks (tag, value,
-   predicate branches, access mode) decide membership at every
-   position, existential ancestor choice matches the semi-join
-   semantics, and descendant edges re-check connecting paths with
-   [Nok_match.path_clear], which enforces exactly the ε-STD condition
-   (and is a no-op outside path semantics).
+   semantics: the same checks (tag, value, predicate branches, access
+   mode) decide membership at every position, existential ancestor
+   choice matches the semi-join semantics, and descendant edges
+   re-check connecting paths with [Nok_match.path_clear], which
+   enforces exactly the ε-STD condition (and is a no-op outside path
+   semantics).
 
    [summary_path_steps] is the plan-shape test, shared with {!explain};
    [summary_path_filter] returns the plan as data — the candidate
@@ -243,6 +252,29 @@ let summary_path_steps (plan : Decompose.plan) =
          steps
   in
   if usable then Some steps else None
+
+(* No predicate, no value test, a tag test: what [Nok_match.qualifies]
+   would read from the page is the tag, which an admitted class already
+   fixes (a tag step's classes come from [Path_summary.classes_with_tag]),
+   and the access verdict. *)
+let plain_step (st : Decompose.step) =
+  st.Decompose.preds = []
+  && st.Decompose.pnode.Pattern.value = None
+  &&
+  match st.Decompose.pnode.Pattern.test with
+  | Pattern.Tag _ -> true
+  | Pattern.Wildcard -> false
+
+let resident_step store semantics st =
+  if not (plain_step st) then None
+  else
+    match semantics with
+    | Insecure -> Some (fun _ -> true)
+    | (Secure s | Secure_path s) when Store.run_index_enabled store ->
+        (* a run verdict: counted as a check, quarantine and the [access]
+           canary included, with no page touched *)
+        Some (fun v -> Store.accessible store ~subject:s v)
+    | Secure _ | Secure_path _ -> None
 
 (* One step's verdicts for proper ancestors of the current candidate,
    ascending preorder: node [pre.(j)] and its verdict [ok.(j)].  The
@@ -278,8 +310,8 @@ let chain_insert c j u ok =
   c.ok.(j) <- ok;
   c.len <- c.len + 1
 
-let summary_path_filter ?value_index ~summary ~pruned store index mode
-    semantics steps scanned =
+let summary_path_filter ?value_index ~summary ~pruned ~resident store index
+    mode semantics steps scanned =
   let k = Array.length steps - 1 in
   let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   Metrics.incr c_plan_path;
@@ -300,8 +332,14 @@ let summary_path_filter ?value_index ~summary ~pruned store index mode
   let quals =
     Array.map
       (fun (st : Decompose.step) ->
-        Nok_match.qualifies store index mode st.Decompose.pnode
-          ~preds:st.Decompose.preds)
+        match resident_step store semantics st with
+        | Some decide ->
+            fun v ->
+              incr resident;
+              decide v
+        | None ->
+            Nok_match.qualifies store index mode st.Decompose.pnode
+              ~preds:st.Decompose.preds)
       steps
   in
   let qualify i v =
@@ -320,7 +358,7 @@ let summary_path_filter ?value_index ~summary ~pruned store index mode
         match axis i with
         | Pattern.Child ->
             let u = Store.parent store v in
-            u <> Tree.nil && match_up (i - 1) u
+            u <> Tree.nil && admissible (i - 1) u && match_up (i - 1) u
         | Pattern.Descendant -> search i v (Store.parent store v)
         | Pattern.Following_sibling -> false
     in
@@ -413,6 +451,7 @@ type stream = {
   st_segments : int;
   st_scanned : int ref;
   st_pruned : int ref;  (* admissible candidates skipped in denied runs *)
+  st_resident : int ref;  (* qualifications decided without a page *)
   st_joins : int ref;
   mutable st_src : src;
   mutable st_emitted : int;
@@ -438,6 +477,7 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
   let summary = summary_analysis store pattern semantics in
   let scanned = ref 0 in
   let pruned = ref 0 in
+  let resident = ref 0 in
   let joins = ref 0 in
   let rec stage segments roots =
     match segments with
@@ -481,8 +521,8 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     match (summary, summary_path_steps plan) with
     | Some sp, Some steps ->
         let cands, keep =
-          summary_path_filter ?value_index ~summary:sp ~pruned store index
-            mode semantics steps scanned
+          summary_path_filter ?value_index ~summary:sp ~pruned ~resident store
+            index mode semantics steps scanned
         in
         S_filter (cands, keep)
     | _ ->
@@ -498,6 +538,7 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     st_segments = Decompose.segment_count plan;
     st_scanned = scanned;
     st_pruned = pruned;
+    st_resident = resident;
     st_joins = joins;
     st_src = src;
     st_emitted = 0;
@@ -518,6 +559,7 @@ let stream_finalize st =
     Metrics.add c_joins !(st.st_joins);
     Metrics.add c_candidates !(st.st_scanned);
     Metrics.add c_pruned !(st.st_pruned);
+    Metrics.add c_resident !(st.st_resident);
     Metrics.add c_answers st.st_emitted;
     Store.fold_metrics st.st_store
   end
@@ -690,7 +732,9 @@ let bindings ?(limit = max_int) store index pattern semantics =
     class count and the candidates its walk covers, the postings inside
     those classes' span hull (before any subject's dead spans are
     dropped); the segment plan's is the index candidate count seeding
-    each segment.  The database-explain view of §3.1's decomposition. *)
+    each segment.  The summary-path plan also names the trunk steps it
+    decides without a page ({!resident_step}).  The database-explain
+    view of §3.1's decomposition. *)
 let explain store index pattern =
   let plan = Decompose.plan pattern in
   let buf = Buffer.create 256 in
@@ -713,7 +757,25 @@ let explain store index pattern =
             their span hull (of %d postings)"
            (Summary_prune.cardinal summary last)
            (Postings.length (narrowed_postings ~summary store index last))
-           (Postings.length (Nok_match.postings store index last)))
+           (Postings.length (Nok_match.postings store index last)));
+      let plain =
+        List.concat
+          (List.mapi
+             (fun i (st : Decompose.step) ->
+               match st.Decompose.pnode.Pattern.test with
+               | Pattern.Tag t when plain_step st ->
+                   [ Printf.sprintf "%d %s" (i + 1) t ]
+               | _ -> [])
+             (Array.to_list steps))
+      in
+      Buffer.add_string buf
+        (if plain = [] then "\n  steps decided without a page: none"
+         else
+           Printf.sprintf "\n  steps decided without a page: %s (%s)"
+             (String.concat ", " plain)
+             (if Store.run_index_enabled store then
+                "the class map; under secure semantics the run index too"
+              else "the class map, under Insecure only: the run index is off"))
   | None -> Buffer.add_string buf "strategy: segments + joins");
   List.iteri
     (fun i (seg : Decompose.segment) ->

@@ -54,7 +54,8 @@ val bindings :
     and its estimated cost, then the segments and joins.  The summary
     path's cost is its last step's admissible class count and the
     postings inside those classes' span hull; the segment plan's is the
-    index candidate count seeding each segment. *)
+    index candidate count seeding each segment.  A summary-path plan also
+    names the trunk steps it decides without a page ({!resident_step}). *)
 val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** {1 Evaluator internals} *)
@@ -65,6 +66,20 @@ val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
     startup by [DOLX_FUZZ_PLANT_BUG=prune]; tests may toggle the ref
     directly.  Never set on production paths. *)
 val planted_bug : bool ref
+
+(** How the summary-path plan decides trunk step [step] on this handle
+    without reading a page, or [None] when the step reads its page
+    ({!Nok_match.qualifies}).  Only a plain step — no predicate, no value
+    test, a tag test — is decided without a page: under [Insecure] its
+    admitted class alone decides it (the class fixes the tag), under
+    secure semantics with the run index on the run verdict
+    ({!Dolx_core.Secure_store.accessible}: a counted check, quarantine
+    included, no page touch) does.  The decision holds only for nodes
+    whose summary class is admissible for the step, and there it equals
+    {!Nok_match.qualifies}; the plan asks about no other node, and counts
+    each such decision in [engine.resident_decisions]. *)
+val resident_step :
+  Store.t -> semantics -> Decompose.step -> (Dolx_xml.Tree.node -> bool) option
 
 (** Class analysis of the query against the handle's path summary
     ({!Summary_prune}); [None] when the summary tier is disabled on this

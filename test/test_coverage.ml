@@ -242,6 +242,26 @@ let test_insert_subtree_errors () =
     (Invalid_argument "Tree.insert_subtree: after is not a child of parent")
     (fun () -> ignore (Tree.insert_subtree t ~parent:4 ~after:1 sub))
 
+(* The summary-path plan names the steps it decides without a page:
+   the plain ones, and none when every step has a predicate. *)
+let test_explain_names_resident_steps () =
+  let store, index = library_store () in
+  let line q =
+    List.find_opt
+      (fun l -> contains l "decided without a page")
+      (String.split_on_char '\n' (Engine.explain store index (Xpath.parse q)))
+  in
+  (match line "//shelf//book[title]" with
+  | Some l ->
+      Alcotest.(check bool) ("names the plain step: " ^ l) true (contains l "1 shelf");
+      Alcotest.(check bool) ("skips the predicate step: " ^ l) false (contains l "book")
+  | None -> Alcotest.fail "no resident-step line");
+  (match line "//book[title]" with
+  | Some l -> Alcotest.(check bool) ("none: " ^ l) true (contains l ": none")
+  | None -> Alcotest.fail "no resident-step line");
+  Alcotest.(check bool) "segment plan: no line" true
+    (line "//shelf//book/following-sibling::box" = None)
+
 let suite =
   [
     Alcotest.test_case "serializer variants" `Quick test_serializer_variants;
@@ -266,4 +286,6 @@ let suite =
     Alcotest.test_case "explain strategy matches run" `Quick
       test_explain_strategy_matches_run;
     Alcotest.test_case "insert subtree errors" `Quick test_insert_subtree_errors;
+    Alcotest.test_case "explain names the steps decided without a page" `Quick
+      test_explain_names_resident_steps;
   ]

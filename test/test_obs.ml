@@ -354,7 +354,7 @@ let test_fold_on_early_close () =
   reset_views store;
   let r = Store.reader store in
   let st =
-    Engine.stream ~chunk:4 r index (Dolx_nok.Xpath.parse "//keyword")
+    Engine.stream ~chunk:4 r index (Dolx_nok.Xpath.parse "//text[keyword]")
       (Engine.Secure 0)
   in
   check Alcotest.int "first chunk full" 4 (List.length (Engine.stream_next st));
@@ -449,7 +449,7 @@ let test_fold_on_release_after_fault () =
   Fun.protect
     ~finally:(fun () -> Disk.set_fault_plan disk None)
     (fun () ->
-      match Engine.query r index "//keyword" (Engine.Secure 0) with
+      match Engine.query r index "//text[keyword]" (Engine.Secure 0) with
       | _ -> Alcotest.fail "expected a disk fault"
       | exception Disk.Fault { kind = Disk.Transient_read; _ } -> ());
   Store.release r;

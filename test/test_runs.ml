@@ -15,6 +15,10 @@ module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
 module Engine = Dolx_nok.Engine
+module Decompose = Dolx_nok.Decompose
+module Nok_match = Dolx_nok.Nok_match
+module Pattern = Dolx_nok.Pattern
+module Summary_prune = Dolx_nok.Summary_prune
 module Serve = Dolx_serve.Serve
 module Metrics = Dolx_obs.Metrics
 module Xmark = Dolx_workload.Xmark
@@ -516,6 +520,182 @@ let prop_gate_matches_run_from =
           true)
         probes)
 
+(* --- summary-path steps decided without a page --- *)
+
+(* On random documents, policies and update traces, a plain step's
+   resident decision equals the page-reading qualification on every node
+   of a class the step admits, under all three semantics, on a store
+   with quarantined ranges.  A step that is not plain, or a secure
+   semantics with the run index off, gets no resident decision.  Every
+   check denies the quarantined range and only it, with the run index
+   on and off. *)
+let prop_resident_step_matches_qualifies =
+  let queries =
+    [ "//parlist//parlist"; "//listitem//keyword"; "//item//emph";
+      "/site/categories/category/description/text/bold";
+      "/site/regions/*/item[name]/description"; "//person[name]//city";
+      "//text[bold]/keyword" ]
+  in
+  Fixtures.qtest ~count:20 "resident step decision = Nok_match.qualifies"
+    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 4) (int_range 0 6))
+    (fun (seed, subjects, updates) ->
+      let tree, dol = make_dol ~nodes:500 ~subjects seed in
+      let n = Tree.size tree in
+      let disk = Disk.create ~page_size:512 () in
+      let layout =
+        Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+      in
+      let q0 = n / 7 in
+      let store =
+        Store.assemble ~pool_capacity:8 ~quarantine:[ (q0, q0 + 15) ] ~tree ~dol
+          ~disk ~layout ()
+      in
+      let index = Tag_index.build tree in
+      let ps = Store.path_summary store in
+      let rng = Prng.create (seed + 7) in
+      let check_all round =
+        List.iter
+          (fun q ->
+            let pattern = Dolx_nok.Xpath.parse q in
+            let steps =
+              List.concat_map
+                (fun (sg : Decompose.segment) -> sg.Decompose.steps)
+                (Decompose.plan pattern).Decompose.segments
+            in
+            List.iter
+              (fun sem ->
+                List.iter
+                  (fun runs ->
+                    Store.set_run_index store runs;
+                    let sp =
+                      match Engine.summary_analysis store pattern sem with
+                      | Some sp -> sp
+                      | None -> QCheck2.Test.fail_report "summary off"
+                    in
+                    let mode =
+                      match sem with
+                      | Engine.Insecure -> Nok_match.insecure
+                      | Engine.Secure s -> Nok_match.secure s
+                      | Engine.Secure_path s -> Nok_match.secure ~path_semantics:true s
+                    in
+                    List.iter
+                      (fun (st : Decompose.step) ->
+                        let p = st.Decompose.pnode in
+                        let plain =
+                          st.Decompose.preds = [] && p.Pattern.value = None
+                          && p.Pattern.test <> Pattern.Wildcard
+                        in
+                        match Engine.resident_step store sem st with
+                        | None ->
+                            if plain && (runs || sem = Engine.Insecure) then
+                              QCheck2.Test.fail_reportf "%s: a plain step reads its page" q
+                        | Some decide ->
+                            if not plain then
+                              QCheck2.Test.fail_reportf "%s: a step with a predicate \
+                                                         decided without its page" q;
+                            if sem <> Engine.Insecure && not runs then
+                              QCheck2.Test.fail_reportf "%s: resident with the runs off" q;
+                            let adm = Summary_prune.classes sp p in
+                            let qualifies =
+                              Nok_match.qualifies store index mode p ~preds:st.Decompose.preds
+                            in
+                            for v = 0 to n - 1 do
+                              if
+                                Summary_prune.mem adm (Dolx_index.Path_summary.class_of ps v)
+                                && decide v <> qualifies v
+                              then
+                                QCheck2.Test.fail_reportf
+                                  "round %d, %s, node %d: resident %b, page %b" round q v
+                                  (decide v) (qualifies v)
+                            done)
+                      steps)
+                  [ true; false ])
+              (all_semantics subjects))
+          queries;
+        (* the quarantine's edges, on the run path and the page path *)
+        List.iter
+          (fun runs ->
+            Store.set_run_index store runs;
+            for s = 0 to subjects - 1 do
+              for v = max 0 (q0 - 1) to min (n - 1) (q0 + 16) do
+                let want =
+                  (v < q0 || v > q0 + 15) && Dol.accessible (Store.dol store) ~subject:s v
+                in
+                if Store.accessible store ~subject:s v <> want then
+                  QCheck2.Test.fail_reportf "round %d, runs %b: node %d of subject %d"
+                    round runs v s
+              done
+            done)
+          [ true; false ];
+        Store.set_run_index store true
+      in
+      check_all 0;
+      for round = 1 to updates do
+        let s = Prng.int rng subjects and v = Prng.int rng n in
+        let grant = Prng.bool rng ~p:0.5 in
+        if Prng.bool rng ~p:0.5 then
+          Update.set_subtree_accessibility store ~subject:s ~grant v
+        else ignore (Update.set_node_accessibility store ~subject:s ~grant v);
+        check_all round
+      done;
+      true)
+
+(* Q4–Q6: every trunk step is plain. *)
+let plain_trunks = [ "//parlist//parlist"; "//listitem//keyword"; "//item//emph" ]
+
+let plain_trunk_store () =
+  let tree, dol = make_dol ~nodes:3000 ~subjects:3 61 in
+  (Store.create ~page_size:512 ~pool_capacity:16 tree dol, Tag_index.build tree)
+
+(* On a store with both tiers on, under [Secure] the summary-path plan
+   decides every step of Q4–Q6 from the class map and the runs, reads no
+   page, and answers what the segment plan answers. *)
+let test_plain_trunks_read_no_page () =
+  let store, index = plain_trunk_store () in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun s ->
+          Store.set_summary store false;
+          let want = (Engine.query store index q (Engine.Secure s)).Engine.answers in
+          Store.set_summary store true;
+          let before = Metrics.counter_value "engine.resident_decisions" in
+          Store.with_reader store (fun r ->
+              let got = (Engine.query r index q (Engine.Secure s)).Engine.answers in
+              check Fixtures.int_list (q ^ ": segment plan's answers") want got;
+              let io = Store.io_stats r in
+              check Alcotest.int (q ^ ": no page touched") 0 io.Store.page_touches;
+              check Alcotest.int (q ^ ": no pool miss") 0 io.Store.pool_misses;
+              check Alcotest.bool (q ^ ": checks counted") true
+                (want = [] || io.Store.access_checks > 0));
+          check Alcotest.bool (q ^ ": resident decisions counted") true
+            (want = []
+            || Metrics.counter_value "engine.resident_decisions" > before))
+        [ 0; 1; 2 ])
+    plain_trunks
+
+(* The same queries with the run index off: a secure verdict needs the
+   page, so the plan falls back to [Nok_match.qualifies] and reads
+   pages, with the same answers and no resident decision. *)
+let test_runs_off_reads_pages () =
+  let store, index = plain_trunk_store () in
+  List.iter
+    (fun q ->
+      Store.set_summary store false;
+      let want = (Engine.query store index q (Engine.Secure 0)).Engine.answers in
+      Store.set_summary store true;
+      Store.set_run_index store false;
+      let before = Metrics.counter_value "engine.resident_decisions" in
+      Store.with_reader store (fun r ->
+          let got = (Engine.query r index q (Engine.Secure 0)).Engine.answers in
+          check Fixtures.int_list (q ^ ": same answers") want got;
+          check Alcotest.bool (q ^ ": pages read") true
+            ((Store.io_stats r).Store.page_touches > 0));
+      check Alcotest.int (q ^ ": no resident decision") before
+        (Metrics.counter_value "engine.resident_decisions");
+      Store.set_run_index store true)
+    plain_trunks
+
 let suite =
   [
     prop_runs_match_dol;
@@ -538,4 +718,9 @@ let suite =
     Alcotest.test_case "every built subject stays resident" `Quick
       test_residency;
     prop_gate_matches_run_from;
+    prop_resident_step_matches_qualifies;
+    Alcotest.test_case "Q4-Q6 under Secure read no page" `Quick
+      test_plain_trunks_read_no_page;
+    Alcotest.test_case "run index off: Q4-Q6 read pages" `Quick
+      test_runs_off_reads_pages;
   ]
