@@ -60,8 +60,9 @@ let bench_build ~density dol =
   for s = 0 to n_subjects - 1 do
     let r = Access_runs.runs checked ~subject:s in
     runs_total := !runs_total + Access_runs.run_count r;
+    let w = Access_runs.walk r in
     for v = 0 to n - 1 do
-      if Access_runs.mem r v <> Dol.accessible dol ~subject:s v then
+      if Access_runs.mem w v <> Dol.accessible dol ~subject:s v then
         identical := false
     done
   done;

@@ -110,13 +110,15 @@ let search r lo hi low =
   done;
   !lo
 
-(* The number of flips [<= v]: [v] is accessible iff it is odd. *)
-let rank r v =
-  if v < 0 then 0
-  else
-    let b = v lsr 16 in
-    if b >= Array.length r.dir - 1 then count r
-    else search r r.dir.(b) r.dir.(b + 1) (v land 0xffff)
+(* The first index in [\[lo, hi)] whose low bits exceed [low], or [hi],
+   galloping up from [lo] in steps from [step]: cheap when the answer
+   is near [lo].  Every flip before [lo] must be [<= low]'s
+   preorder. *)
+let rec gallop r lo hi low step =
+  let probe = lo + step - 1 in
+  if probe >= hi then search r lo hi low
+  else if u16 r probe <= low then gallop r (probe + 1) hi low (2 * step)
+  else search r lo probe low
 
 
 (* Pack sorted flips [f] over [n] nodes. *)
@@ -196,28 +198,87 @@ let resident t = fold_cells (fun a _ -> a + 1) 0 t
 
 let total_bytes t = fold_cells (fun a r -> a + bytes r) 0 t
 
-(** {1 Cursors} *)
+(** {1 Walks} *)
 
-(* A handle's view of the index.  [held] is the last answer of
-   {!runs_for}, for ([h_subject], [h_gen]).  {!accessible} scans [cr],
-   for ([c_subject], [c_gen]), and remembers where its last answer
-   was found: every node of [\[lo, hi)] has [rank] flips at or before
-   it, [hi] being flip [rank] itself, and [base] is the first preorder
-   of [lo]'s block, whose flips end at index [stop].  [hits] counts the
-   answers that were not builds, folded into [runs.hits] by
-   {!fold_metrics}. *)
-type cursor = {
-  mutable held : runs;
-  mutable h_subject : int;
-  mutable h_gen : int;
-  mutable cr : runs;
-  mutable c_subject : int;
-  mutable c_gen : int;
+(* A position on one flip list: every preorder of [\[lo, hi)] has
+   [rank] flips at or before it, and [hi] is flip [rank] itself
+   ([max_int] past the last flip).  [v] is accessible iff its rank is
+   odd. *)
+type walk = {
+  mutable w_runs : runs;
   mutable lo : int;
   mutable hi : int;
   mutable rank : int;
-  mutable base : int;
-  mutable stop : int;
+}
+
+(* Point [w] at the segment before the first flip. *)
+let rewind w r =
+  w.w_runs <- r;
+  w.rank <- 0;
+  w.lo <- min_int;
+  w.hi <- (if count r = 0 then max_int else value r 0 0)
+
+let walk r =
+  let w = { w_runs = r; lo = 0; hi = 0; rank = 0 } in
+  rewind w r;
+  w
+
+(* Point [w] at [v]'s segment: nothing is searched inside the current
+   one; forward of it the search gallops up from the current rank, and
+   behind it the search covers [v]'s block.  Either way the search stays
+   inside [v]'s block: the flips before it are all below [v]. *)
+let seek w v =
+  if v < w.lo || v >= w.hi then begin
+    let r = w.w_runs in
+    let dir = r.dir in
+    let b = v lsr 16 in
+    if v < 0 then rewind w r
+    else if b >= Array.length dir - 1 then begin
+      (* past the last block: every flip is below [v] *)
+      w.rank <- count r;
+      w.lo <- (Array.length dir - 1) lsl 16;
+      w.hi <- max_int
+    end
+    else begin
+      let first = dir.(b) and stop = dir.(b + 1) and low = v land 0xffff in
+      (* forward, flip [rank] is [hi <= v] and lies in a block [<= b] *)
+      let i =
+        if v >= w.hi then gallop r (max (w.rank + 1) first) stop low 1
+        else search r first stop low
+      in
+      w.rank <- i;
+      w.lo <- (b lsl 16) lor (if i > first then u16 r (i - 1) else 0);
+      w.hi <-
+        (if i < stop then (b lsl 16) lor u16 r i
+         else if i = count r then max_int
+         else value r (b + 1) i)
+    end
+  end
+
+let mem w v =
+  seek w v;
+  w.rank land 1 = 1
+
+let next_accessible w v =
+  seek w v;
+  if w.rank land 1 = 1 then v else w.hi
+
+let span_inside w ~lo ~hi =
+  lo > hi
+  || begin
+    seek w lo;
+    w.rank land 1 = 1 && hi < w.hi
+  end
+
+(** {1 Cursors} *)
+
+(* A handle's view of the index: [pos] walks the last answer of
+   {!runs_for}, for ([h_subject], [h_gen]).  [hits] counts the answers
+   that were not builds, folded into [runs.hits] by {!fold_metrics}. *)
+type cursor = {
+  pos : walk;
+  mutable h_subject : int;
+  mutable h_gen : int;
   mutable hits : int;
   mutable folded_hits : int;
 }
@@ -225,12 +286,7 @@ type cursor = {
 let no_runs = { r_n = 0; flips = Bytes.empty; dir = [| 0; 0 |]; r_covered = 0 }
 
 let cursor () =
-  {
-    held = no_runs; h_subject = -1; h_gen = 0;
-    cr = no_runs; c_subject = -1; c_gen = 0;
-    lo = max_int; hi = max_int; rank = 0; base = 0; stop = 0;
-    hits = 0; folded_hits = 0;
-  }
+  { pos = walk no_runs; h_subject = -1; h_gen = 0; hits = 0; folded_hits = 0 }
 
 let fold_metrics cu =
   Metrics.add c_hits (cu.hits - cu.folded_hits);
@@ -269,15 +325,20 @@ let runs_for t cu ~dol ~subject =
   let gen = Dol.generation dol in
   if cu.h_subject = subject && cu.h_gen = gen then begin
     cu.hits <- cu.hits + 1;
-    cu.held
+    cu.pos.w_runs
   end
   else begin
     let r = resolve t cu dol subject gen in
-    cu.held <- r;
+    rewind cu.pos r;
     cu.h_subject <- subject;
     cu.h_gen <- gen;
     r
   end
+
+let walk_for t cu ~dol ~subject =
+  if not (cu.h_subject = subject && cu.h_gen = Dol.generation dol) then
+    ignore (runs_for t cu ~dol ~subject);
+  cu.pos
 
 let runs t ~subject =
   let cu = cursor () in
@@ -285,7 +346,7 @@ let runs t ~subject =
   fold_metrics cu;
   r
 
-(** {1 Queries} *)
+(** {1 Statistics} *)
 
 let run_count r = (count r + 1) / 2
 
@@ -294,46 +355,6 @@ let covered r = r.r_covered
 let accessible_fraction r =
   if r.r_n = 0 then 0.0 else float_of_int r.r_covered /. float_of_int r.r_n
 
-let mem r v = rank r v land 1 = 1
-
-(* Flip [j] searched from block [b], or [max_int] past the last. *)
-let flip r b j = if j >= count r then max_int else value r b j
-
-(* The run answer for [v] of rank [i]. *)
-let run_at r v i =
-  let b = v lsr 16 in
-  if i land 1 = 1 then (v, flip r b i) else (flip r b i, flip r b (i + 1))
-
-let run_from r v = run_at r v (rank r v)
-
-(* The first index in [\[lo, hi)] whose low bits exceed [low], or [hi],
-   galloping up from [lo] in steps from [step]: cheap when the answer
-   is near [lo].  Every flip before [lo] must be [<= low]'s
-   preorder. *)
-let rec gallop r lo hi low step =
-  let probe = lo + step - 1 in
-  if probe >= hi then search r lo hi low
-  else if u16 r probe <= low then gallop r (probe + 1) hi low (2 * step)
-  else search r lo probe low
-
-let gate r =
-  let blocks = Array.length r.dir - 1 in
-  (* the last probe, its block and its rank; [block = -1]: none *)
-  let last = ref 0 and block = ref (-1) and last_rank = ref 0 in
-  fun v ->
-    let b = v lsr 16 in
-    let i =
-      if b = !block && v >= !last then
-        gallop r !last_rank r.dir.(b + 1) (v land 0xffff) 1
-      else begin
-        block := if v >= 0 && b < blocks then b else -1;
-        rank r v
-      end
-    in
-    last := v;
-    last_rank := i;
-    run_at r v i
-
 let of_flips ~n flips =
   Array.iteri
     (fun j v ->
@@ -341,58 +362,3 @@ let of_flips ~n flips =
         invalid_arg "Access_runs.of_flips: flips must ascend inside [0, n)")
     flips;
   encode n (Int_vec.of_array flips)
-
-let span_inside r ~lo ~hi =
-  lo > hi
-  ||
-  let i = rank r lo in
-  i land 1 = 1 && (i = count r || value r (lo lsr 16) i > hi)
-
-(* Point [cu] at the segment [\[v, flip i)], where [i] is [v]'s rank.
-   Starting it at [v] rather than at flip [i - 1] saves a lookup; a
-   later node below [v] just searches again.  A forward move inside
-   the block (document-order scans) takes a few linear steps over the
-   low bits before falling back to a binary search. *)
-let locate cu v =
-  let r = cu.cr in
-  if v >= cu.hi && (v - cu.base) lsr 16 = 0 then begin
-    (* flip [rank] is [hi <= v], in this block *)
-    let low = v - cu.base and stop = cu.stop in
-    let i = ref (cu.rank + 1) in
-    let last = min stop (!i + 8) in
-    while !i < last && u16 r !i <= low do incr i done;
-    let i = if !i < last || !i = stop then !i else search r !i stop low in
-    cu.rank <- i;
-    cu.lo <- v;
-    cu.hi <-
-      (if i < stop then cu.base lor u16 r i
-       else if i = count r then max_int
-       else value r (v lsr 16) i)
-  end
-  else begin
-    let b = min (v lsr 16) (Array.length r.dir - 2) in
-    let i = rank r v in
-    cu.base <- b lsl 16;
-    cu.stop <- r.dir.(b + 1);
-    cu.rank <- i;
-    cu.lo <- v;
-    cu.hi <- (if i = count r then max_int else value r b i)
-  end
-
-(* Point [cu]'s scan at [r], with no segment ([lo = hi = max_int]
-   sends the first {!locate} to the binary search). *)
-let scan cu r =
-  cu.cr <- r;
-  cu.lo <- max_int;
-  cu.hi <- max_int;
-  cu.rank <- 0
-
-let accessible t cu ~dol ~subject v =
-  let gen = Dol.generation dol in
-  if not (cu.c_subject = subject && cu.c_gen = gen) then begin
-    scan cu (runs_for t cu ~dol ~subject);
-    cu.c_subject <- subject;
-    cu.c_gen <- gen
-  end;
-  if v < cu.lo || v >= cu.hi then locate cu v;
-  cu.rank land 1 = 1

@@ -6,9 +6,13 @@
     keeps, per subject, the sorted preorders where the subject's verdict
     flips — a run start, then the first preorder past that run, and so
     on — typically far fewer than the transitions.  Membership is the
-    parity of the flips at or before a node, so hot-path checks are
-    O(log r), document-order scans are O(1) cursor advances, and a sorted
-    candidate scan skips a whole denied run per {!run_from} call.
+    parity of the flips at or before a node.  One {!walk} answers every
+    question on a list — membership, the next accessible node, whether a
+    span lies inside one run — from its position: a probe inside the
+    last segment searches nothing, a later one gallops forward, an
+    earlier one searches its 64 Ki-preorder block.  Document-order scans
+    thus advance in O(1), and a sorted candidate scan skips a whole
+    denied run per {!next_accessible} call.
 
     A flip list is compact: each flip is its low 16 bits in a [Bytes.t],
     plus a directory of where each 64 Ki-preorder block begins (a
@@ -56,15 +60,37 @@ val resident : t -> int
 (** Total bytes of the resident lists. *)
 val total_bytes : t -> int
 
+(** {1 Walks} *)
+
+(** A position on one flip list: the segment of preorders around the
+    last probe that share its flip count, and that count.  Unsynchronized
+    and allocation-free to probe; one per walk, private to one domain.
+    Any probe order is correct; ascending probes are the cheap ones. *)
+type walk
+
+(** [walk r] — a fresh position on [r]. *)
+val walk : runs -> walk
+
+(** Is node [v] inside an accessible run? *)
+val mem : walk -> int -> bool
+
+(** [next_accessible w v] — the least accessible preorder [>= v], or
+    [max_int] when none remains.  Inside an accessible run that is [v]
+    itself; inside a denied one, the start of the next run. *)
+val next_accessible : walk -> int -> int
+
+(** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
+    are maximal and disjoint, this holds iff every node in the interval
+    is accessible.  Empty intervals ([lo > hi]) are contained. *)
+val span_inside : walk -> lo:int -> hi:int -> bool
+
 (** {1 Cursors}
 
-    A cursor caches one handle's last answer — the list and the flip
-    segment around the last node checked — for one (subject,
-    generation) pair, so a document-order traversal advances
-    monotonically instead of binary-searching per node, and counts the
-    table hits its handle made.  Cursors are cheap, unsynchronized, and
-    private to one reader; create one per handle.  Any access pattern
-    is correct — backward seeks search again. *)
+    A cursor holds one handle's last answer — a list, for one (subject,
+    generation) pair — and a {!walk} on it, so a document-order
+    traversal advances monotonically instead of searching per node, and
+    counts the table hits its handle made.  Cursors are cheap,
+    unsynchronized, and private to one reader; create one per handle. *)
 
 type cursor
 
@@ -91,7 +117,13 @@ val runs : t -> subject:int -> runs
     and counted as a build. *)
 val runs_for : t -> cursor -> dol:Dol.t -> subject:int -> runs
 
-(** {1 Queries on a list} *)
+(** [walk_for t cu ~dol ~subject] — [cu]'s own walk, on the list
+    {!runs_for} answers.  Only a change of subject or generation (of
+    [dol], live or pinned) reaches {!runs_for} and its hit count; a
+    repeat keeps the walk where its last probe left it. *)
+val walk_for : t -> cursor -> dol:Dol.t -> subject:int -> walk
+
+(** {1 Statistics} *)
 
 val run_count : runs -> int
 
@@ -103,39 +135,9 @@ val accessible_fraction : runs -> float
 
 val bytes : runs -> int
 
-(** O(log r) membership: is node [v] inside an accessible run? *)
-val mem : runs -> int -> bool
-
-(** [run_from r v] — the accessible run holding or following [v], as
-    [(lo, hi)]: [lo] is the least accessible preorder [>= v] and [hi]
-    the first preorder past its run ([max_int] when the run has no end
-    flip).  [(max_int, max_int)] when no accessible node remains. *)
-val run_from : runs -> int -> int * int
-
-(** [gate r] — a function equal to [run_from r] for a walk in
-    ascending order.  It remembers the rank of its last probe, so a
-    later probe in the same 64 Ki-preorder block gallops forward from
-    there instead of searching the block again; a backward probe, or
-    one in another block, searches from scratch.  Stateful: one gate
-    per walk, private to one domain. *)
-val gate : runs -> int -> int * int
-
 (** [of_flips ~n flips] — the list over [n] nodes whose flips are
     [flips]: accessible from [flips.(0)] up to [flips.(1)], and so on.
     For tests and tools.
     @raise Invalid_argument unless [flips] ascends strictly inside
     [\[0, n)]. *)
 val of_flips : n:int -> int array -> runs
-
-(** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
-    are maximal and disjoint, this holds iff every node in the interval
-    is accessible.  Empty intervals ([lo > hi]) are contained. *)
-val span_inside : runs -> lo:int -> hi:int -> bool
-
-(** {1 Membership} *)
-
-(** [accessible t cu ~dol ~subject v] — membership through the cursor,
-    revalidating subject and generation (of [dol], the caller's DOL —
-    live or pinned snapshot) as needed.  Only a change of subject or
-    generation reaches {!runs_for} (and its hit count). *)
-val accessible : t -> cursor -> dol:Dol.t -> subject:int -> int -> bool

@@ -431,10 +431,13 @@ let grants (t : t) code subject =
   t.counts.codebook_lookups <- t.counts.codebook_lookups + 1;
   Codebook.grants (Dol.codebook t.dol) code subject
 
+(* [subject]'s walk through this handle's cursor, as its DOL sees it. *)
+let walk_of t ~subject = Access_runs.walk_for t.runs t.run_cursor ~dol:t.dol ~subject
+
 (* Answer one check from the run index through this handle's cursor. *)
 let run_verdict (t : t) ~subject v =
   t.counts.run_answers <- t.counts.run_answers + 1;
-  Access_runs.accessible t.runs t.run_cursor ~dol:t.dol ~subject v
+  Access_runs.mem (walk_of t ~subject) v
 
 let accessible (t : t) ~subject v =
   t.counts.access_checks <- t.counts.access_checks + 1;
@@ -483,26 +486,36 @@ let accessible_with_skip (t : t) ~subject v =
 
 (** {1 Run-index range queries}
 
-    Set-level accessibility, only available when the run index is on.
-    Each helper degrades to a conservative identity when the index is
-    off, so callers need no mode split; none of them touches a page. *)
+    Accessibility of node sets, from the run index without a page.  Each
+    helper degrades when the index is off, so callers need no mode
+    split. *)
 
-(* [subject]'s runs as this handle's DOL sees them, through its cursor. *)
-let runs_of t ~subject = Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~subject
+(** The least accessible preorder [>= v] (see
+    {!Access_runs.next_accessible}); the identity when the index is off,
+    so nothing is skipped.  Applied to [~subject] alone, one list lookup
+    serves every later call, through a walk of its own. *)
+let next_accessible t ~subject =
+  if not t.use_runs then Fun.id
+  else
+    Access_runs.next_accessible
+      (Access_runs.walk (Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~subject))
 
-(** The accessible run holding or following [v] (see
-    {!Access_runs.run_from}); [(v, max_int)] when the index is off, so
-    nothing is skipped.  Applied to [~subject] alone, one run lookup
-    serves every later call, through a gate that moves forward with an
-    ascending walk ({!Access_runs.gate}). *)
-let accessible_run t ~subject =
-  if not t.use_runs then fun v -> (v, max_int)
-  else Access_runs.gate (runs_of t ~subject)
+(* Each node from [u] up to, but excluding, [top]: the run verdict
+   with the index on, [check] off.  Top-level, so a walk builds no
+   closure. *)
+let rec climb t ~subject ~check ~top u =
+  u = top || u = Tree.nil
+  || ((if t.use_runs then accessible t ~subject u else check u)
+     && climb t ~subject ~check ~top (parent t u))
 
-(** Is every node in [\[lo, hi\]] provably accessible (single-run
-    containment)?  [false] means "unknown" when the index is off. *)
-let span_provably_accessible t ~subject ~lo ~hi =
-  lo > hi || (t.use_runs && Access_runs.span_inside (runs_of t ~subject) ~lo ~hi)
+(** Every node from [v] up the parent chain to, but excluding, [top]
+    accessible?  With the run index on, one run containing [(top, v]]
+    proves it, and otherwise each node's run verdict decides; off,
+    [check] decides each node, from [v] up, stopping at the first
+    denial. *)
+let path_clear t ~subject ~check ~top v =
+  (t.use_runs && Access_runs.span_inside (walk_of t ~subject) ~lo:(top + 1) ~hi:v)
+  || climb t ~subject ~check ~top v
 
 (** {1 Structural reorganization}
 

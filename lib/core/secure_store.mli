@@ -229,24 +229,33 @@ val accessible_with_skip : t -> subject:int -> Tree.node -> bool
 
 (** {1 Run-index range queries}
 
-    Set-level accessibility; no page I/O.  Each helper degrades to a
-    conservative identity when the run index is off, so callers need no
-    mode split. *)
+    Accessibility of node sets: with the run index on, none of these
+    touches a page.  Each degrades when the index is off — to an
+    identity, or to the caller's own check — so callers need no mode
+    split. *)
 
-(** [accessible_run t ~subject v] — the accessible run holding or
-    following [v], as [(lo, hi)]: [lo] is the least accessible preorder
-    [>= v] and [hi] the first preorder past its run ([max_int] for an
-    open end; [(max_int, max_int)] when none remains).  A sorted scan
-    skips a whole denied run per call.  [(v, max_int)] when the index is
-    off, so nothing is skipped.  Applied to [~subject] alone, one run
-    lookup serves every later call, and the function it returns keeps
-    its place: probes in ascending order gallop forward from the last
-    one ({!Access_runs.gate}).  Use one per walk, on one domain. *)
-val accessible_run : t -> subject:int -> Tree.node -> int * int
+(** [next_accessible t ~subject v] — the least preorder [>= v]
+    accessible to [subject], or [max_int] when none remains, so a sorted
+    scan skips a whole denied run per call.  The identity when the index
+    is off, so nothing is skipped.  Applied to [~subject] alone, one
+    list lookup serves every later call, and the function it returns
+    keeps its own {!Access_runs.walk}: ascending probes gallop forward
+    from the last one and allocate nothing.  Use one per walk, on one
+    domain. *)
+val next_accessible : t -> subject:int -> Tree.node -> Tree.node
 
-(** Is every node of [\[lo, hi\]] provably accessible (contained in one
-    accessible run)?  [false] means "unknown" when the index is off. *)
-val span_provably_accessible : t -> subject:int -> lo:int -> hi:int -> bool
+(** [path_clear t ~subject ~check ~top v] — the one connecting-path walk
+    of secure descendant steps (ε-NoK's path semantics and every ε-STD
+    variant): is every node from [v] up its parent chain to, but
+    excluding, [top] accessible?  [top] must be an ancestor of [v], [v]
+    itself (the empty path) or [Tree.nil] (the whole chain).  With the
+    run index on it reads no page: one run containing the span
+    [(top, v\]] proves the path clear, and otherwise each path node's
+    run verdict decides ({!accessible}).  With it off, [check] — the
+    caller's own visit or memoized check, which pays the paper's page
+    reads — decides each node bottom-up, stopping at the first denial. *)
+val path_clear :
+  t -> subject:int -> check:(Tree.node -> bool) -> top:Tree.node -> Tree.node -> bool
 
 (** {1 Structural reorganization}
 

@@ -56,23 +56,18 @@ let seek t i v =
   let n = length t in
   if i >= n || get t i >= v then i else widen t n v i 1
 
-let admit_all _ = (min_int, max_int)
-
 type cursor = {
   c_t : t;
   c_n : int;
-  c_gate : int -> int * int;
+  c_gate : int -> int;
   c_only : int -> bool;
   c_skipped : int -> int -> unit;
-  mutable c_i : int;   (* position of the next member to consider *)
-  mutable c_lo : int;  (* the current admitted interval [c_lo, c_hi) *)
-  mutable c_hi : int;
+  mutable c_i : int;  (* position of the next member to consider *)
 }
 
-let cursor ?(gate = admit_all) ?(only = fun _ -> true) ?(skipped = fun _ _ -> ())
-    t =
+let cursor ?(gate = Fun.id) ?(only = fun _ -> true) ?(skipped = fun _ _ -> ()) t =
   { c_t = t; c_n = length t; c_gate = gate; c_only = only; c_skipped = skipped;
-    c_i = 0; c_lo = min_int; c_hi = min_int }
+    c_i = 0 }
 
 let rec next c =
   let i = c.c_i in
@@ -83,22 +78,18 @@ let rec next c =
       c.c_i <- i + 1;
       next c
     end
-    else if v >= c.c_hi then begin
-      let lo, hi = c.c_gate v in
-      c.c_lo <- lo;
-      c.c_hi <- hi;
-      next c
-    end
-    else if v < c.c_lo then begin
-      let j = seek c.c_t i c.c_lo in
-      c.c_skipped i j;
-      c.c_i <- j;
-      next c
-    end
-    else begin
-      c.c_i <- i + 1;
-      v
-    end
+    else
+      let u = c.c_gate v in
+      if u = v then begin
+        c.c_i <- i + 1;
+        v
+      end
+      else begin
+        let j = seek c.c_t i u in
+        c.c_skipped i j;
+        c.c_i <- j;
+        next c
+      end
 
 let drain c =
   let rec go acc = match next c with -1 -> List.rev acc | v -> go (v :: acc) in

@@ -38,23 +38,23 @@ type cursor
 
 (** [cursor ?gate ?only ?skipped t] walks [t]'s members in ascending
     order.  Members failing [only] are passed over before [gate] is
-    consulted.  The others are admitted only when they lie inside
-    [gate]'s intervals: [gate v] is the first admitted interval
-    [\[lo, hi)] that ends after [v] ([hi > v]; [lo = hi = max_int] when
-    none remains), and one call covers every member inside it.  The
-    members below its [lo] are skipped by a galloping search, and
-    [skipped i j] is told their positions [\[i, j)] (which may include
-    members failing [only]).  By default every member is admitted.
-    Nothing is walked until {!next} is called. *)
+    consulted.  [gate v] is the least admitted preorder [>= v]
+    ([max_int] when none remains): [v] is admitted when it is [v]
+    itself, and otherwise the members below the answer are skipped by a
+    galloping search, and [skipped i j] is told their positions
+    [\[i, j)] (which may include members failing [only]).  By default
+    every member is admitted.  Nothing is walked until {!next} is
+    called. *)
 val cursor :
-  ?gate:(int -> int * int) ->
+  ?gate:(int -> int) ->
   ?only:(int -> bool) ->
   ?skipped:(int -> int -> unit) ->
   t ->
   cursor
 
 (** The next admitted member, or [-1] once the walk is exhausted (and on
-    every later call).  Allocates only when [gate] does. *)
+    every later call).  Allocates nothing when [gate] allocates
+    nothing. *)
 val next : cursor -> int
 
 (** The admitted members not yet returned, ascending; exhausts the
@@ -65,7 +65,7 @@ val drain : cursor -> int list
     to each admitted member until [f] accepts one: [true] at the first
     member [f] accepts, [false] when none does. *)
 val scan :
-  ?gate:(int -> int * int) ->
+  ?gate:(int -> int) ->
   ?only:(int -> bool) ->
   ?skipped:(int -> int -> unit) ->
   t ->

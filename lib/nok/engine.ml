@@ -115,7 +115,7 @@ let candidates ?value_index ?summary ~pruned store index semantics
       let gate =
         match subject_of semantics with
         | Some s when Store.run_index_enabled store ->
-            Some (Store.accessible_run store ~subject:s)
+            Some (Store.next_accessible store ~subject:s)
         | _ -> None
       in
       let only =
@@ -145,8 +145,8 @@ let summary_analysis store pattern semantics =
     let sp = Summary_prune.analyze ~table ps pattern in
     (match subject_of semantics with
     | Some s when Store.run_index_enabled store ->
-        let run = Store.accessible_run store ~subject:s in
-        let dead ~lo ~hi = fst (run lo) > hi in
+        let next = Store.next_accessible store ~subject:s in
+        let dead ~lo ~hi = next lo > hi in
         ignore (Summary_prune.drop_dead_spans sp ~dead)
     | _ -> ());
     Metrics.add c_summary_pruned (Summary_prune.pruned_classes sp);
@@ -347,6 +347,7 @@ let summary_path_filter ?value_index ~summary ~pruned ~resident store index
     quals.(i) v
   in
   let chains = Array.init k (fun _ -> chain ()) in
+  let path_clear = Nok_match.path_clear store mode in
   (* [match_up] is [decide] through the step's chain, for [i < k] *)
   let rec decide i v =
     let above =
@@ -367,7 +368,7 @@ let summary_path_filter ?value_index ~summary ~pruned ~resident store index
     u <> Tree.nil
     && ((admissible (i - 1) u
         && match_up (i - 1) u
-        && Nok_match.path_clear store mode ~ctx:u v)
+        && path_clear ~ctx:u v)
        || search i v (Store.parent store u))
   and match_up i u =
     let c = chains.(i) in
@@ -677,6 +678,7 @@ let bindings ?(limit = max_int) store index pattern semantics =
       p.Pattern.children
   in
   let qualify p v = Nok_match.qualifies store index mode p ~preds:(preds p) v in
+  let path_clear = Nok_match.path_clear store mode in
   let tree = Store.tree store in
   let candidates (p : Pattern.pnode) ctx =
     match p.Pattern.axis with
@@ -696,7 +698,7 @@ let bindings ?(limit = max_int) store index pattern semantics =
         let last = Tree.subtree_end tree ctx in
         let all = List.init (last - ctx) (fun i -> ctx + 1 + i) in
         if mode.Nok_match.path_semantics then
-          List.filter (fun u -> Nok_match.path_clear store mode ~ctx u) all
+          List.filter (fun u -> path_clear ~ctx u) all
         else all
   in
   let out = ref [] in

@@ -44,20 +44,16 @@ let visit store mode v =
 
 (** Under path semantics: are all nodes strictly between [ctx] and its
     descendant [u] accessible?  (Both endpoints are checked by [visit]
-    at their own binding sites.) *)
-let path_clear store mode ~ctx u =
-  (not mode.path_semantics)
-  ||
+    at their own binding sites.)  {!Store.path_clear} walks the path,
+    with [visit] as the check when the run index is off.  Applied to
+    [store mode] alone, it builds that check once for every later
+    call. *)
+let path_clear store mode =
   match mode.subject with
-  | None -> true
-  | Some s ->
-      (* run containment: every node strictly between [ctx] and [u] has
-         preorder in (ctx, u), so one accessible run covering that span
-         proves the path clear without walking (or touching) it *)
-      Store.span_provably_accessible store ~subject:s ~lo:(ctx + 1) ~hi:(u - 1)
-      ||
-      let rec up v = v = ctx || (visit store mode v && up (Store.parent store v)) in
-      up (Store.parent store u)
+  | Some s when mode.path_semantics ->
+      let check = visit store mode in
+      fun ~ctx u -> Store.path_clear store ~subject:s ~check ~top:ctx (Store.parent store u)
+  | _ -> fun ~ctx:_ _ -> true
 
 let test_ok store (test : Pattern.test) v =
   match test with
@@ -116,12 +112,13 @@ let rec exists_match store index mode (p : Pattern.pnode) ctx =
       (* inaccessible candidates would fail [visit] one by one; skip
          whole denied runs instead *)
       let gate =
-        Option.map (fun s -> Store.accessible_run store ~subject:s) mode.subject
+        Option.map (fun s -> Store.next_accessible store ~subject:s) mode.subject
       in
+      let path_clear = path_clear store mode in
       Postings.scan ?gate cands (fun u ->
           visit store mode u
           && value_ok store p.Pattern.value u
-          && path_clear store mode ~ctx u
+          && path_clear ~ctx u
           && children_match store index mode p u)
 
 (* Every branch in [ps] matches under [v]; no closure is built for a

@@ -28,7 +28,9 @@ val subject_of : mode -> int option
 val visit : Store.t -> mode -> Dolx_xml.Tree.node -> bool
 
 (** Under path semantics: all nodes strictly between [ctx] and its
-    descendant [u] accessible? *)
+    descendant [u] accessible?  Apply it to [store mode] once and reuse
+    the result per pair: the mode's check is built at that partial
+    application. *)
 val path_clear : Store.t -> mode -> ctx:Dolx_xml.Tree.node -> Dolx_xml.Tree.node -> bool
 
 (** Does [v] pass the pattern node's tag test? *)

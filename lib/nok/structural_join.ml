@@ -20,7 +20,12 @@
       computed incrementally on the STD stack, so every tree edge on a
       candidate path is examined (and its page touched) at most once per
       join — "only load each page once if necessary, regardless of the
-      accessibility distribution". *)
+      accessibility distribution".
+
+    Every variant walks a connecting path with {!Store.path_clear}.  The
+    page patterns above are those of the paper's store; with the run
+    index on, the walk decides each path node from the runs and reads no
+    page. *)
 
 module Store = Dolx_core.Secure_store
 module Tree = Dolx_xml.Tree
@@ -71,27 +76,11 @@ let make_checker store ~subject =
         Hashtbl.replace memo v b;
         b
 
-(** Are all nodes strictly between ancestor [a] and descendant [d]
-    accessible?  ([a] and [d] themselves were checked when their NoK
-    fragments matched.) *)
-let path_accessible store ~subject ~memo ~a ~d =
-  (* run containment: when [a] is an ancestor of [d], every node on the
-     connecting path has preorder in (a, d); a single accessible run
-     covering [a+1, d-1] proves the path clear with no page access.
-     (The guard matters: for non-ancestor pairs the walk climbs past [a]
-     through nodes outside that span.) *)
-  if
-    Store.is_ancestor store a d
-    && Store.span_provably_accessible store ~subject ~lo:(a + 1) ~hi:(d - 1)
-  then true
-  else
-    let check =
-      match memo with
-      | Some f -> f
-      | None -> make_checker store ~subject
-    in
-    let rec up v = v = a || v = Tree.nil || (check v && up (Store.parent store v)) in
-    up (Store.parent store d)
+(* Are all nodes strictly between ancestor [a] and descendant [d]
+   accessible?  ([a] and [d] themselves were checked when their NoK
+   fragments matched.) *)
+let pair_clear store ~subject ~check (a, d) =
+  Store.path_clear store ~subject ~check ~top:a (Store.parent store d)
 
 (** ε-STD, unmemoized: the straw-man the paper warns about — every pair
     re-walks its connecting path against the store, so a node shared by
@@ -102,18 +91,12 @@ let secure_stack_tree_desc_unmemoized store ~subject ~alist ~dlist =
     Store.touch store v;
     Store.accessible store ~subject v
   in
-  List.filter
-    (fun (a, d) ->
-      let rec up v = v = a || v = Tree.nil || (check v && up (Store.parent store v)) in
-      up (Store.parent store d))
-    (stack_tree_desc store ~alist ~dlist)
+  List.filter (pair_clear store ~subject ~check) (stack_tree_desc store ~alist ~dlist)
 
 (** ε-STD, naive: filter STD pairs by re-walking each connecting path. *)
 let secure_stack_tree_desc_naive store ~subject ~alist ~dlist =
   let check = make_checker store ~subject in
-  List.filter
-    (fun (a, d) -> path_accessible store ~subject ~memo:(Some check) ~a ~d)
-    (stack_tree_desc store ~alist ~dlist)
+  List.filter (pair_clear store ~subject ~check) (stack_tree_desc store ~alist ~dlist)
 
 (** ε-STD, stack-cached: each stack entry carries whether the path
     segment from the entry below it (exclusive) up to and including
@@ -136,35 +119,19 @@ let secure_stack_tree_desc store ~subject ~alist ~dlist =
     in
     stack := go !stack
   in
-  (* all nodes strictly between [stop] and [v] (both exclusive) ok?
-     [stop] is an ancestor of [v] at every call site, so single-run
-     containment of (stop, v) decides without walking. *)
-  let clear_between ~stop v =
-    Store.span_provably_accessible store ~subject ~lo:(stop + 1) ~hi:(v - 1)
-    ||
-    let rec up u = u = stop || u = Tree.nil || (check u && up (Store.parent store u)) in
-    up (Store.parent store v)
-  in
+  let clear ~top v = Store.path_clear store ~subject ~check ~top v in
   while !di < nd do
     if !ai < na && a.(!ai) < d.(!di) then begin
       let av = a.(!ai) in
       pop_finished av;
       (* The segment verdict is lazy: it is paid for only if some
          descendant actually joins below this entry, so an ancestor that
-         never participates in a pair costs nothing.  A single run
-         covering the segment — the entry's own node included — decides
-         it with no page access, mirroring [path_accessible]. *)
+         never participates in a pair costs nothing.  The segment runs
+         from the entry's own node up to the entry below it; for the
+         bottom entry it is the node alone. *)
       let seg =
-        match !stack with
-        | (below, _) :: _ ->
-            lazy
-              (Store.span_provably_accessible store ~subject ~lo:(below + 1)
-                 ~hi:av
-              || (check av && clear_between ~stop:below av))
-        | [] ->
-            lazy
-              (Store.span_provably_accessible store ~subject ~lo:av ~hi:av
-              || check av)
+        let top = match !stack with (below, _) :: _ -> below | [] -> Store.parent store av in
+        lazy (clear ~top av)
       in
       stack := (av, seg) :: !stack;
       incr ai
@@ -175,7 +142,7 @@ let secure_stack_tree_desc store ~subject ~alist ~dlist =
       (match !stack with
       | [] -> ()
       | (top, _) :: _ ->
-          let ok = ref (clear_between ~stop:top dv) in
+          let ok = ref (clear ~top (Store.parent store dv)) in
           let rec emit = function
             | [] -> ()
             | (node, seg) :: rest ->

@@ -9,11 +9,6 @@ module Store = Dolx_core.Secure_store
     grouped by descendant, innermost ancestor first. *)
 val stack_tree_desc : Store.t -> alist:int list -> dlist:int list -> (int * int) list
 
-(** All nodes strictly between ancestor [a] and descendant [d]
-    accessible?  [memo] shares per-node verdicts across calls. *)
-val path_accessible :
-  Store.t -> subject:int -> memo:(int -> bool) option -> a:int -> d:int -> bool
-
 (** ε-STD, straw-man: every pair re-walks its connecting path against
     the store — the cost the paper warns about ("this checking may
     involve lots of page reads"). *)

@@ -662,14 +662,10 @@ let prop_hull_cursor_equals_full_walk =
       let pattern = pattern_of shape ~ret:0 in
       let sp = Summary_prune.analyze ~table ps pattern in
       let acc = Fixtures.random_bools (Prng.create seed) n (float_of_int p10 /. 10.0) in
-      (* the accessible run holding or following [v] *)
+      (* the least accessible node [>= v] *)
       let gate v =
         let rec first u = if u >= n then max_int else if acc.(u) then u else first (u + 1) in
-        let lo = first (max v 0) in
-        if lo = max_int then (max_int, max_int)
-        else
-          let rec stop u = if u < n && acc.(u) then stop (u + 1) else u in
-          (lo, if stop lo >= n then max_int else stop lo)
+        first (max v 0)
       in
       Pattern.fold
         (fun ok (p : Pattern.pnode) ->

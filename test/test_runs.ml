@@ -14,6 +14,7 @@ module Store = Dolx_core.Secure_store
 module Disk = Dolx_storage.Disk
 module Nok_layout = Dolx_storage.Nok_layout
 module Tag_index = Dolx_index.Tag_index
+module Postings = Dolx_index.Postings
 module Engine = Dolx_nok.Engine
 module Decompose = Dolx_nok.Decompose
 module Nok_match = Dolx_nok.Nok_match
@@ -45,12 +46,12 @@ let prop_runs_match_dol =
       let ri = Access_runs.create dol in
       let cu = Access_runs.cursor () in
       for s = 0 to subjects - 1 do
-        let r = Access_runs.runs ri ~subject:s in
+        let w = Access_runs.walk (Access_runs.runs ri ~subject:s) in
         for v = 0 to n - 1 do
           let want = Dol.accessible dol ~subject:s v in
-          if Access_runs.mem r v <> want then
+          if Access_runs.mem w v <> want then
             QCheck2.Test.fail_reportf "mem: subject %d node %d" s v;
-          if Access_runs.accessible ri cu ~dol ~subject:s v <> want then
+          if Access_runs.mem (Access_runs.walk_for ri cu ~dol ~subject:s) v <> want then
             QCheck2.Test.fail_reportf "cursor: subject %d node %d" s v
         done
       done;
@@ -105,8 +106,9 @@ let random_deny rng dol ~subjects =
    disjoint and maximal. *)
 let check_runs_against r ~n ~want ~what =
   let runs = oracle_runs n want in
+  let w = Access_runs.walk r in
   for v = 0 to n - 1 do
-    if Access_runs.mem r v <> want v then
+    if Access_runs.mem w v <> want v then
       QCheck2.Test.fail_reportf "%s: mem node %d" what v
   done;
   if Access_runs.run_count r <> List.length runs then
@@ -118,9 +120,13 @@ let check_runs_against r ~n ~want ~what =
       (Access_runs.covered r) covered;
   List.iter
     (fun (lo, hi) ->
-      if not (Access_runs.span_inside r ~lo ~hi) then
+      if not (Access_runs.span_inside w ~lo ~hi) then
         QCheck2.Test.fail_reportf "%s: run [%d,%d] split" what lo hi;
-      if Access_runs.run_from r lo <> (lo, if hi = n - 1 then max_int else hi + 1)
+      (* the run's bounds: it starts at [lo], and past its end the next
+         accessible node lies beyond [hi + 1] *)
+      if Access_runs.next_accessible w lo <> lo
+         || (hi < n - 1 && Access_runs.next_accessible w (hi + 1) <= hi + 1)
+         || (hi = n - 1 && not (Access_runs.mem w max_int))
       then QCheck2.Test.fail_reportf "%s: run [%d,%d] bounds" what lo hi)
     runs
 
@@ -164,16 +170,22 @@ let test_range_helpers () =
   let ri = Access_runs.create dol in
   let rng = Prng.create 99 in
   for s = 0 to 2 do
-    let r = Access_runs.runs ri ~subject:s in
+    let w = Access_runs.walk (Access_runs.runs ri ~subject:s) in
     let acc v = Dol.accessible dol ~subject:s v in
-    (* run_from: the next accessible node and the end of its run *)
+    (* next_accessible: the next accessible node; and the end of its run,
+       the first node past it that [mem] denies, with every node between
+       inside one run *)
     for _ = 1 to 200 do
       let v = Prng.int rng n in
       let rec first p u = if u >= n then max_int else if p u then u else first p (u + 1) in
       let lo = first acc v in
-      let brute = (lo, if lo = max_int then max_int else first (fun u -> not (acc u)) lo) in
-      if Access_runs.run_from r v <> brute then
-        Alcotest.failf "run_from s=%d v=%d" s v
+      let hi = if lo = max_int then max_int else first (fun u -> not (acc u)) lo in
+      if Access_runs.next_accessible w v <> lo then
+        Alcotest.failf "next_accessible s=%d v=%d" s v;
+      if lo <> max_int
+         && (not (Access_runs.span_inside w ~lo ~hi:(min hi n - 1))
+            || Access_runs.mem w (if hi = max_int then max_int else hi) = (hi < n))
+      then Alcotest.failf "run end s=%d v=%d" s v
     done;
     (* span_inside = all nodes accessible *)
     for _ = 1 to 200 do
@@ -183,10 +195,10 @@ let test_range_helpers () =
       for v = lo to hi do
         if not (acc v) then brute := false
       done;
-      if Access_runs.span_inside r ~lo ~hi <> !brute then
+      if Access_runs.span_inside w ~lo ~hi <> !brute then
         Alcotest.failf "span_inside s=%d [%d,%d]" s lo hi
     done;
-    check Alcotest.bool "empty span" true (Access_runs.span_inside r ~lo:5 ~hi:4)
+    check Alcotest.bool "empty span" true (Access_runs.span_inside w ~lo:5 ~hi:4)
   done
 
 (* --- coverage statistics --- *)
@@ -225,9 +237,9 @@ let prop_rebuild_after_updates =
           ignore (Update.dol_set_node dol ~subject:s ~grant v)
         else Update.dol_set_subtree dol tree ~subject:s ~grant v;
         (* stale generation must force a rebuild that matches the oracle *)
-        let r = Access_runs.runs ri ~subject:s in
+        let w = Access_runs.walk (Access_runs.runs ri ~subject:s) in
         for u = 0 to n - 1 do
-          if Access_runs.mem r u <> Dol.accessible dol ~subject:s u then
+          if Access_runs.mem w u <> Dol.accessible dol ~subject:s u then
             QCheck2.Test.fail_reportf "round %d subject %d node %d" round s u
         done
       done;
@@ -267,9 +279,9 @@ let test_stale_columns () =
     done
   in
   let check_runs s =
-    let r = Access_runs.runs (Store.run_index store) ~subject:s in
+    let w = Access_runs.walk (Access_runs.runs (Store.run_index store) ~subject:s) in
     for v = 0 to n - 1 do
-      if Access_runs.mem r v <> entry_grants dol ~subject:s v then
+      if Access_runs.mem w v <> entry_grants dol ~subject:s v then
         Alcotest.failf "rebuilt runs: subject %d node %d" s v
     done
   in
@@ -375,8 +387,8 @@ let runs_matrix h =
   let dol = Store.dol h and ri = Store.run_index h in
   let cu = Access_runs.cursor () in
   Array.init (Codebook.width (Dol.codebook dol)) (fun s ->
-      let r = Access_runs.runs_for ri cu ~dol ~subject:s in
-      Array.init (Dol.n_nodes dol) (Access_runs.mem r))
+      let w = Access_runs.walk_for ri cu ~dol ~subject:s in
+      Array.init (Dol.n_nodes dol) (Access_runs.mem w))
 
 let dol_matrix dol =
   Array.init (Codebook.width (Dol.codebook dol)) (fun s ->
@@ -486,13 +498,26 @@ let test_residency () =
     built;
   check Alcotest.int "no rebuild" b0 (Metrics.counter_value "runs.builds")
 
-(* The forward-moving gate against [run_from], which searches from
-   scratch: random flip lists over up to five 64 Ki blocks (sometimes
-   crowded into one block), probed by ascending walks with small steps
-   that cross block edges, broken by random backward and forward jumps
-   and repeats. *)
-let prop_gate_matches_run_from =
-  Fixtures.qtest ~count:300 "gate = run_from (random flips, probe orders)"
+(* Brute force over a flip array: the flips at or before [v] (a node is
+   accessible iff their number is odd), the least accessible node
+   [>= v], and whether every node of [\[lo, hi\]] is accessible. *)
+let flips_rank flips v = Array.fold_left (fun k f -> if f <= v then k + 1 else k) 0 flips
+
+let brute_next flips v =
+  let k = flips_rank flips v in
+  if k land 1 = 1 then v else if k < Array.length flips then flips.(k) else max_int
+
+let brute_span flips ~lo ~hi =
+  lo > hi
+  || (flips_rank flips lo land 1 = 1 && flips_rank flips lo = flips_rank flips hi)
+
+(* One walk's [next_accessible] against brute force: random flip lists
+   over up to five 64 Ki blocks (sometimes crowded into one block),
+   probed by ascending walks with small steps that cross block edges,
+   broken by random backward and forward jumps and repeats.  After each
+   probe the run found is checked to end where the flips say. *)
+let prop_walk_next_accessible =
+  Fixtures.qtest ~count:300 "walk next_accessible = brute force (random flips, probe orders)"
     QCheck2.Gen.(
       quad (int_range 1 300_000) bool
         (list_size (int_bound 120) (int_bound 299_999))
@@ -503,8 +528,7 @@ let prop_gate_matches_run_from =
         List.map (fun x -> spread x mod n) raw
         |> List.sort_uniq compare |> Array.of_list
       in
-      let r = Access_runs.of_flips ~n flips in
-      let gate = Access_runs.gate r in
+      let w = Access_runs.walk (Access_runs.of_flips ~n flips) in
       let v = ref 0 in
       List.for_all
         (fun (kind, x) ->
@@ -513,12 +537,96 @@ let prop_gate_matches_run_from =
              | 0 -> spread x mod (n + 3)  (* jump anywhere *)
              | 1 -> !v  (* repeat *)
              | _ -> !v + (x mod 700));
-          let got = gate !v and want = Access_runs.run_from r !v in
+          let got = Access_runs.next_accessible w !v and want = brute_next flips !v in
           if got <> want then
-            QCheck2.Test.fail_reportf "n %d, probe %d: gate (%d, %d), run_from (%d, %d)"
-              n !v (fst got) (snd got) (fst want) (snd want);
+            QCheck2.Test.fail_reportf "n %d, probe %d: next_accessible %d, brute force %d"
+              n !v got want;
+          (* the run from [want] ends at the next flip *)
+          (if want <> max_int then
+             let k = flips_rank flips want in
+             let past = if k < Array.length flips then flips.(k) else max_int in
+             if not (Access_runs.span_inside w ~lo:want ~hi:(min past n - 1))
+                || (past < n && Access_runs.mem w past)
+             then
+               QCheck2.Test.fail_reportf "n %d, probe %d: run from %d not ending at %d"
+                 n !v want past);
           true)
         probes)
+
+(* One walk probed in a mixed order — forward gallops, backward block
+   searches, repeats and block-edge crossings — answers [mem],
+   [next_accessible] and [span_inside] as brute force does, on flip
+   lists spanning at least three 64 Ki blocks with flips clustered
+   around the block edges. *)
+let prop_walk_mixed_probes =
+  Fixtures.qtest ~count:200 "walk mem/next_accessible/span_inside = brute force (mixed probes)"
+    QCheck2.Gen.(
+      quad (int_range 3 5) (int_bound 0xffff)
+        (list_size (int_bound 80) (pair (int_bound 5) (int_range (-12) 12)))
+        (list_size (int_bound 200) (triple (int_bound 4) (int_bound 0x4ffff) (int_bound 300))))
+    (fun (blocks, tail, raw, probes) ->
+      let n = ((blocks - 1) lsl 16) + 1 + tail in
+      let flips =
+        List.filter_map
+          (fun (b, d) ->
+            let f = (b lsl 16) + d in
+            if f >= 0 && f < n then Some f else None)
+          raw
+        |> List.sort_uniq compare |> Array.of_list
+      in
+      let w = Access_runs.walk (Access_runs.of_flips ~n flips) in
+      let v = ref 0 in
+      List.for_all
+        (fun (kind, x, len) ->
+          (v :=
+             match kind with
+             | 0 -> x mod (n + 3)  (* jump anywhere *)
+             | 1 -> max 0 (!v - len)  (* step back *)
+             | 2 -> !v + len  (* step forward *)
+             | 3 -> ((x mod (blocks + 1)) lsl 16) + (len mod 24) - 12  (* a block edge *)
+             | _ -> !v);
+          let v = max 0 !v in
+          let hi = v + (len mod 70_000) in
+          let mem = Access_runs.mem w v
+          and next = Access_runs.next_accessible w v
+          and span = Access_runs.span_inside w ~lo:v ~hi in
+          if mem <> (flips_rank flips v land 1 = 1) then
+            QCheck2.Test.fail_reportf "n %d, probe %d: mem %b" n v mem;
+          if next <> brute_next flips v then
+            QCheck2.Test.fail_reportf "n %d, probe %d: next_accessible %d, brute force %d"
+              n v next (brute_next flips v);
+          if span <> brute_span flips ~lo:v ~hi then
+            QCheck2.Test.fail_reportf "n %d, span [%d, %d]: span_inside %b" n v hi span;
+          true)
+        probes)
+
+(* A run-gated candidate walk allocates nothing per gate call: drain a
+   {!Postings.cursor} over every preorder, gated by the store's runs,
+   and count the minor words of the whole drain against the gate calls
+   it made. *)
+let test_gate_allocates_nothing () =
+  let subjects = 2 in
+  let tree, dol = make_dol ~nodes:6000 ~subjects 17 in
+  let store = Store.create tree dol in
+  let n = Tree.size tree in
+  for s = 0 to subjects - 1 do
+    let next = Store.next_accessible store ~subject:s in
+    let calls = ref 0 in
+    let gate v =
+      incr calls;
+      next v
+    in
+    let c = Postings.cursor ~gate (Postings.span 0 (n - 1)) in
+    let rec drain k = match Postings.next c with -1 -> k | _ -> drain (k + 1) in
+    let w0 = Gc.minor_words () in
+    let admitted = drain 0 in
+    let words = Gc.minor_words () -. w0 in
+    if !calls < 100 || admitted = 0 then
+      Alcotest.failf "subject %d: a weak probe (%d gate calls, %d admitted)" s !calls
+        admitted;
+    if words > 64.0 then
+      Alcotest.failf "subject %d: %.0f minor words for %d gate calls" s words !calls
+  done
 
 (* --- summary-path steps decided without a page --- *)
 
@@ -717,7 +825,10 @@ let suite =
       test_carry_forward;
     Alcotest.test_case "every built subject stays resident" `Quick
       test_residency;
-    prop_gate_matches_run_from;
+    prop_walk_next_accessible;
+    prop_walk_mixed_probes;
+    Alcotest.test_case "a run-gated drain allocates nothing per gate call" `Quick
+      test_gate_allocates_nothing;
     prop_resident_step_matches_qualifies;
     Alcotest.test_case "Q4-Q6 under Secure read no page" `Quick
       test_plain_trunks_read_no_page;
