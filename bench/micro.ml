@@ -1,10 +1,12 @@
 (** Bechamel micro-benchmarks of the core operations: DOL lookup, CAM
-    lookup, codebook interning, physical access check, and the synthetic
-    ACL + DOL construction path. *)
+    lookup, codebook interning, physical access check, the synthetic
+    ACL + DOL construction path, and a multi-subject DOL's build and
+    serialization. *)
 
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Codebook = Dolx_core.Codebook
+module Persist = Dolx_core.Persist
 module Cam = Dolx_cam.Cam
 module Store = Dolx_core.Secure_store
 module Bitset = Dolx_util.Bitset
@@ -80,9 +82,28 @@ let tests () =
   let t_cam_build =
     Test.make ~name:"cam_build_20k" (Staged.stage (fun () -> ignore (Cam.build tree bools)))
   in
+  (* 64 independent subjects: a codebook of thousands of 64-bit
+     entries, where [dol_of_bool_array_20k] builds one of 2 *)
+  let multi = Synth_acl.generate_multi tree ~seed:94 ~n_subjects:64 () in
+  let multi_dol = Dol.of_labeling multi in
+  let image = Persist.to_bytes multi_dol in
+  let t_dol_build_multi =
+    Test.make ~name:"dol_of_labeling_20k_x64" (Staged.stage (fun () ->
+        ignore (Dol.of_labeling multi)))
+  in
+  (* the codebook entries are most of the image *)
+  let t_persist_encode =
+    Test.make ~name:"persist_encode_20k_x64" (Staged.stage (fun () ->
+        ignore (Persist.to_bytes multi_dol)))
+  in
+  let t_persist_decode =
+    Test.make ~name:"persist_decode_20k_x64" (Staged.stage (fun () ->
+        ignore (Persist.of_bytes image)))
+  in
   [
     t_dol_lookup; t_cam_lookup; t_store_check; t_store_check_seq;
     t_store_check_skip; t_codebook; t_dol_build; t_cam_build;
+    t_dol_build_multi; t_persist_encode; t_persist_decode;
   ]
 
 let benchmark () =

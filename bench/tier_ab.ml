@@ -93,7 +93,7 @@ let make_store ~nodes params seed =
   let dol = Dol.of_labeling labeling in
   let disk = Disk.create ~page_size () in
   let layout =
-    Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+    Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
   in
   let store = Store.assemble ~pool_capacity ~tree ~dol ~disk ~layout () in
   (store, Tag_index.build tree)

@@ -78,10 +78,10 @@ let () =
   done;
   (* correlated subscribers share codes: show the three most common ACLs *)
   let usage = Hashtbl.create 16 in
-  List.iter
-    (fun (_, code) ->
+  Array.iter
+    (fun code ->
       Hashtbl.replace usage code (1 + Option.value ~default:0 (Hashtbl.find_opt usage code)))
-    (Dol.transitions dol);
+    dol.Dol.trans_code;
   let top =
     Hashtbl.fold (fun c k acc -> (k, c) :: acc) usage []
     |> List.sort (fun a b -> compare b a)

@@ -95,7 +95,7 @@ let u16 r j = get16u r.flips (2 * j)
    count, so both loops stop inside it. *)
 let value r b j =
   let dir = r.dir in
-  let b = ref (min b (Array.length dir - 2)) in
+  let b = ref (Int.min b (Array.length dir - 2)) in
   while Array.unsafe_get dir !b > j do decr b done;
   while Array.unsafe_get dir (!b + 1) <= j do incr b done;
   (!b lsl 16) lor u16 r j
@@ -124,7 +124,7 @@ let rec gallop r lo hi low step =
 (* Pack sorted flips [f] over [n] nodes. *)
 let encode n (f : Int_vec.t) =
   let m = Int_vec.length f in
-  let blocks = max 1 ((n + 0xffff) lsr 16) in
+  let blocks = Int.max 1 ((n + 0xffff) lsr 16) in
   let flips = Bytes.create (2 * m) in
   let dir = Array.make (blocks + 1) m in
   dir.(0) <- 0;
@@ -150,7 +150,7 @@ let inter n f g =
   let nf = Int_vec.length f and ng = Array.length g in
   let i = ref 0 and j = ref 0 in
   let next () =
-    min (if !i < nf then Int_vec.get f !i else n) (if !j < ng then g.(!j) else n)
+    Int.min (if !i < nf then Int_vec.get f !i else n) (if !j < ng then g.(!j) else n)
   in
   let p = ref (next ()) in
   while !p < n do
@@ -243,7 +243,7 @@ let seek w v =
       let first = dir.(b) and stop = dir.(b + 1) and low = v land 0xffff in
       (* forward, flip [rank] is [hi <= v] and lies in a block [<= b] *)
       let i =
-        if v >= w.hi then gallop r (max (w.rank + 1) first) stop low 1
+        if v >= w.hi then gallop r (Int.max (w.rank + 1) first) stop low 1
         else search r first stop low
       in
       w.rank <- i;

@@ -97,7 +97,12 @@ type cursor
 val cursor : unit -> cursor
 
 (** Add the hits [cu] counted since its last fold to [runs.hits].  Call
-    it from the cursor's domain, or after synchronizing with it. *)
+    it from the cursor's domain, or after synchronizing with it.  A hit
+    is a list lookup that found its list cached, not a run answer: the
+    cursor's walk answers repeat checks on its list with no lookup, so
+    [runs.hits] (and perfbench's [core.runs_build_ratio], builds over
+    builds plus hits) tracks how often a handle changes list.  Builds
+    per query is the figure that shows the index's cache at work. *)
 val fold_metrics : cursor -> unit
 
 (** {!runs_for} with a fresh cursor and the DOL the table was made for

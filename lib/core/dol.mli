@@ -44,9 +44,6 @@ val n_nodes : t -> int
 (** Number of transition nodes — the paper's Fig. 6 metric. *)
 val transition_count : t -> int
 
-(** The transition list as sorted [(preorder, code)] pairs. *)
-val transitions : t -> (int * int) list
-
 (** {1 Construction} *)
 
 (** Build from a materialized labeling in one document-order pass. *)

@@ -38,25 +38,6 @@ let version = 2
 
 exception Corrupt of string
 
-let bitset_to_bytes bits =
-  let width = Bitset.width bits in
-  let nbytes = (width + 7) / 8 in
-  let out = Bytes.make nbytes '\000' in
-  Bitset.iter_set
-    (fun i ->
-      let b = Bytes.get_uint8 out (i / 8) in
-      Bytes.set_uint8 out (i / 8) (b lor (1 lsl (i mod 8))))
-    bits;
-  out
-
-let bitset_of_bytes ~width buf pos =
-  let bits = Bitset.create width in
-  for i = 0 to width - 1 do
-    if Bytes.get_uint8 buf (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0 then
-      Bitset.set bits i true
-  done;
-  bits
-
 (** Serialize a DOL (body only, no trailing CRC) into [buf]. *)
 let write_body buf (dol : Dol.t) =
   let cb = Dol.codebook dol in
@@ -64,29 +45,26 @@ let write_body buf (dol : Dol.t) =
   let entry_bytes = (width + 7) / 8 in
   Buffer.add_string buf magic;
   Buffer.add_uint8 buf version;
+  let tmp = Bytes.create Varint.max_len in
   let add_varint x =
-    let tmp = Bytes.create Varint.max_len in
     let len = Varint.write tmp 0 x in
     Buffer.add_subbytes buf tmp 0 len
   in
   add_varint width;
   add_varint (Dol.n_nodes dol);
   add_varint (Codebook.count cb);
-  Codebook.iter
-    (fun _ bits ->
-      let b = bitset_to_bytes bits in
-      assert (Bytes.length b = entry_bytes);
-      Buffer.add_bytes buf b)
-    cb;
-  let transitions = Dol.transitions dol in
-  add_varint (List.length transitions);
+  let entries = Bytes.create (Codebook.count cb * entry_bytes) in
+  Codebook.iter (fun c bits -> Bitset.write_bytes bits entries (c * entry_bytes)) cb;
+  Buffer.add_bytes buf entries;
+  let pres = dol.Dol.trans_pre and codes = dol.Dol.trans_code in
+  add_varint (Array.length pres);
   let prev = ref 0 in
-  List.iter
-    (fun (pre, code) ->
+  Array.iteri
+    (fun i pre ->
       add_varint (pre - !prev);
-      add_varint code;
+      add_varint codes.(i);
       prev := pre)
-    transitions
+    pres
 
 (** Serialize a DOL. *)
 let to_bytes (dol : Dol.t) =
@@ -125,16 +103,15 @@ let of_body buf ~limit =
      before allocating anything proportional to them. *)
   if entry_bytes > 0 && n_codes > (limit - !pos) / entry_bytes then
     raise (Corrupt "truncated input");
-  let cb = Codebook.create ~width in
-  for _ = 1 to n_codes do
-    need entry_bytes;
-    let bits = bitset_of_bytes ~width buf !pos in
-    pos := !pos + entry_bytes;
-    (* verbatim, not interned: duplicate entries are a legal state after
-       subject removals (cleaned lazily by Update.compact), and embedded
-       codes reference entry indices *)
-    ignore (Codebook.append_exact cb bits)
-  done;
+  need (n_codes * entry_bytes);
+  let entries =
+    Array.init n_codes (fun c -> Bitset.of_bytes ~width buf (!pos + (c * entry_bytes)))
+  in
+  pos := !pos + (n_codes * entry_bytes);
+  (* verbatim, not interned: duplicate entries are a legal state after
+     subject removals (cleaned lazily by Update.compact), and embedded
+     codes reference entry indices *)
+  let cb = Codebook.of_entries ~width entries in
   let n_trans = read_varint () in
   if n_trans <= 0 then raise (Corrupt "no transitions");
   if n_trans > (limit - !pos) / 2 then raise (Corrupt "truncated input");

@@ -165,8 +165,10 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?(fill = 0.9)
   if Dol.n_nodes dol <> Tree.size tree then
     invalid_arg "Secure_store.create: tree / DOL size mismatch";
   let disk = Disk.create ~page_size () in
-  let transitions = Array.of_list (Dol.transitions dol) in
-  let layout = Nok_layout.build ~fill disk tree ~transitions in
+  let layout =
+    Nok_layout.build ~fill disk tree ~trans_pre:dol.Dol.trans_pre
+      ~trans_code:dol.Dol.trans_code
+  in
   assemble ~pool_capacity ~fill ~run_index ~path_summary ~tree ~dol ~disk ~layout
     ()
 

@@ -17,10 +17,15 @@ type t = {
   n_leaf_paths : int;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
 let build tree =
   let n = Tree.size tree in
   let cls_of = Array.make n (-1) in
-  let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
+  (* a child class is keyed by (parent class + 1) * tag count + tag:
+     one int per node, no tuple to allocate or hash *)
+  let n_tags = Dolx_xml.Tag.count (Tree.tag_table tree) in
+  let tbl : int Itbl.t = Itbl.create 1024 in
   let rev_tags = ref [] and rev_parents = ref [] in
   let n_cls = ref 0 in
   (* one preorder pass: a node's parent precedes it, so the parent's
@@ -28,13 +33,14 @@ let build tree =
   for v = 0 to n - 1 do
     let pc = if v = 0 then -1 else cls_of.(Tree.parent tree v) in
     let tg = Tree.tag tree v in
+    let key = ((pc + 1) * n_tags) + tg in
     let c =
-      match Hashtbl.find_opt tbl (pc, tg) with
-      | Some c -> c
-      | None ->
+      match Itbl.find tbl key with
+      | c -> c
+      | exception Not_found ->
           let c = !n_cls in
           incr n_cls;
-          Hashtbl.add tbl (pc, tg) c;
+          Itbl.add tbl key c;
           rev_tags := tg :: !rev_tags;
           rev_parents := pc :: !rev_parents;
           c

@@ -585,7 +585,7 @@ let stream_next st =
             else begin
               if keep v then begin
                 emit v;
-                st.st_peak <- max st.st_peak !n
+                st.st_peak <- Int.max st.st_peak !n
               end;
               fill ()
             end
@@ -613,7 +613,7 @@ let stream_next st =
                         (eval_segment st.st_store st.st_index st.st_mode
                            t.tl_seg [ r ] st.st_scanned);
                     st.st_peak <-
-                      max st.st_peak (!n + List.length t.tl_pending);
+                      Int.max st.st_peak (!n + List.length t.tl_pending);
                     fill ()))
     in
     fill ();

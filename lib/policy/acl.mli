@@ -18,7 +18,11 @@ val width : store -> int
 val count : store -> int
 
 (** Intern [bits].  The bitset must not be mutated afterwards; use
-    {!Bitset.with_bit} for updates. *)
+    {!Bitset.with_bit} for updates.  This is the only way to make an
+    id, and it hash-conses: distinct ids of one store always hold
+    distinct bitsets (not {!Bitset.equal}).  The DOL build relies on
+    it to renumber ids into codebook codes without hashing an ACL per
+    transition. *)
 val intern : store -> Bitset.t -> id
 
 (** @raise Invalid_argument on an unknown id. *)

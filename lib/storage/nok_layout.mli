@@ -84,12 +84,14 @@ val flush : packer -> unit
 
 (** {1 Building} *)
 
-(** Lay the document out on [disk] in document order.  [transitions] is
-    the DOL transition list as sorted [(preorder, code)] pairs starting
-    at the root; [fill] bounds page occupancy at build time (default
-    0.9 — the slack absorbs accessibility updates in place, §3.4).
+(** Lay the document out on [disk] in document order.  [trans_pre] and
+    [trans_code] are the DOL's parallel transition arrays (sorted
+    preorders starting at the root, and their codes); [fill] bounds
+    page occupancy at build time (default 0.9 — the slack absorbs
+    accessibility updates in place, §3.4).
     @raise Invalid_argument on pages < 64 bytes or bad transitions. *)
-val build : ?fill:float -> Disk.t -> Tree.t -> transitions:(int * int) array -> t
+val build :
+  ?fill:float -> Disk.t -> Tree.t -> trans_pre:int array -> trans_code:int array -> t
 
 (** One-pass construction from SAX-style events — the physical half of
     the paper's one-pass claims (§2, §7): the DOL transition code rides

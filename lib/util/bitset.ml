@@ -38,7 +38,22 @@ let with_bit t i b =
   set u i b;
   u
 
-let equal a b = a.width = b.width && a.words = b.words
+(* Plain loops: polymorphic [=] on [int array] and a closure through
+   [Array.iter] would put every codebook insert and lookup through
+   [compare_val] and an indirect call. *)
+let equal a b =
+  a == b
+  || a.width = b.width
+     &&
+     let wa = a.words and wb = b.words in
+     let n = Array.length wa in
+     n = Array.length wb
+     &&
+     let i = ref 0 in
+     while !i < n && Array.unsafe_get wa !i = Array.unsafe_get wb !i do
+       incr i
+     done;
+     !i = n
 
 let compare a b =
   let c = Int.compare a.width b.width in
@@ -46,7 +61,10 @@ let compare a b =
 
 let hash t =
   let h = ref (t.width * 0x9e3779b1) in
-  Array.iter (fun w -> h := (!h * 31) lxor w) t.words;
+  let w = t.words in
+  for i = 0 to Array.length w - 1 do
+    h := (!h * 31) lxor Array.unsafe_get w i
+  done;
   !h land max_int
 
 let popcount_word w =
@@ -129,3 +147,42 @@ let to_string t = Fmt.str "%a" pp t
 (** Bytes needed to store one ACL of this width (one bit per subject),
     matching the paper's space accounting. *)
 let storage_bytes t = (t.width + 7) / 8
+
+(** {1 Byte images}
+
+    Bit [i] is bit [i mod 8] of byte [i / 8], little-endian.  A byte
+    holds 8 consecutive bits, so one byte moves per step; a byte whose
+    bits straddle two 63-bit words takes its high part from the next. *)
+
+let write_bytes t buf pos =
+  let words = t.words in
+  let last = Array.length words - 1 in
+  for k = 0 to ((t.width + 7) / 8) - 1 do
+    let w = (8 * k) / 63 and off = (8 * k) mod 63 in
+    let v = Array.unsafe_get words w lsr off in
+    (* bits past the width are clear, so a straddling high part is too *)
+    let v =
+      if off > 55 && w < last then v lor (Array.unsafe_get words (w + 1) lsl (63 - off))
+      else v
+    in
+    Bytes.set_uint8 buf (pos + k) (v land 0xff)
+  done
+
+let of_bytes ~width buf pos =
+  let t = create width in
+  let words = t.words in
+  let nbytes = (width + 7) / 8 in
+  for k = 0 to nbytes - 1 do
+    let v = Bytes.get_uint8 buf (pos + k) in
+    (* drop the junk bits past the width in the last byte *)
+    let v = if k = nbytes - 1 then v land ((1 lsl (width - (8 * k))) - 1) else v in
+    if v <> 0 then begin
+      let w = (8 * k) / 63 and off = (8 * k) mod 63 in
+      words.(w) <- words.(w) lor (v lsl off);
+      if off > 55 then begin
+        let hi = v lsr (63 - off) in
+        if hi <> 0 then words.(w + 1) <- words.(w + 1) lor hi
+      end
+    end
+  done;
+  t

@@ -70,3 +70,18 @@ val to_string : t -> string
 (** Bytes to store one ACL of this width (one bit per subject), matching
     the paper's space accounting. *)
 val storage_bytes : t -> int
+
+(** {1 Byte images}
+
+    The persisted entry layout: {!storage_bytes} bytes, bit [i] is bit
+    [i mod 8] of byte [i / 8] (little-endian, 8 bits per byte). *)
+
+(** [write_bytes t buf pos] writes [t]'s image at [buf.[pos]]; bits of
+    the last byte past the width are written clear.
+    @raise Invalid_argument when the image does not fit. *)
+val write_bytes : t -> Bytes.t -> int -> unit
+
+(** [of_bytes ~width buf pos] reads the image of a [width]-bit set at
+    [buf.[pos]].  Bits of the last byte past [width] are ignored.
+    @raise Invalid_argument when the image runs past [buf]. *)
+val of_bytes : width:int -> Bytes.t -> int -> t

@@ -41,7 +41,7 @@ let test_layout_wide_tags () =
   let dol = Dol.of_bool_array bools in
   let disk = Disk.create ~page_size:256 () in
   let layout =
-    Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+    Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
   in
   let pool = Buffer_pool.create ~capacity:8 disk in
   let t2 = Nok_layout.decode_tree layout pool ~tag_table:(Tree.tag_table tree) in

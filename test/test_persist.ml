@@ -16,6 +16,7 @@ module Mode = Dolx_policy.Mode
 module Rule = Dolx_policy.Rule
 module Propagate = Dolx_policy.Propagate
 module Labeling = Dolx_policy.Labeling
+module Acl = Dolx_policy.Acl
 module Bitset = Dolx_util.Bitset
 module Prng = Dolx_util.Prng
 module Xmark = Dolx_workload.Xmark
@@ -335,7 +336,7 @@ let test_stream_layout_equals_batch () =
   let disk_b = Disk.create ~page_size:512 () in
   let layout_b =
     Nok_layout.build disk_b tree
-      ~transitions:(Array.of_list (Dol.transitions dol_batch))
+      ~trans_pre:dol_batch.Dol.trans_pre ~trans_code:dol_batch.Dol.trans_code
   in
   (* one-pass path: walk the serialized document's events, pushing the
      node ACL into the streaming DOL and the (tag, code) into the
@@ -392,7 +393,7 @@ let prop_stream_layout_random =
       let page_size = 1 lsl psize_log in
       let disk_b = Disk.create ~page_size () in
       let layout_b =
-        Nok_layout.build disk_b tree ~transitions:(Array.of_list (Dol.transitions dol))
+        Nok_layout.build disk_b tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
       in
       let disk_s = Disk.create ~page_size () in
       let slb = Nok_layout.stream disk_s in
@@ -558,6 +559,96 @@ let test_db_file_rebuild_keeps_fill () =
   in
   check (Alcotest.float 0.0) "default fill" 0.9 (Store.fill default)
 
+
+(* --- the codebook entry codec --- *)
+
+(* The entry coder as it went bit by bit, kept as the reference for
+   [Bitset.write_bytes] / [Bitset.of_bytes]. *)
+let bitwise_to_bytes bits =
+  let out = Bytes.make ((Bitset.width bits + 7) / 8) '\000' in
+  Bitset.iter_set
+    (fun i ->
+      let b = Bytes.get_uint8 out (i / 8) in
+      Bytes.set_uint8 out (i / 8) (b lor (1 lsl (i mod 8))))
+    bits;
+  out
+
+let bitwise_of_bytes ~width buf pos =
+  let bits = Bitset.create width in
+  for i = 0 to width - 1 do
+    if Bytes.get_uint8 buf (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0 then
+      Bitset.set bits i true
+  done;
+  bits
+
+(* Widths around the 63-bit word boundaries, where a byte straddles two
+   words, and random ones. *)
+let gen_codec_width =
+  QCheck2.Gen.(oneof [ oneofl [ 0; 1; 7; 8; 9; 62; 63; 64; 126; 127; 189; 256; 300 ]; int_bound 400 ])
+
+let prop_codec_encode =
+  Fixtures.qtest ~count:300 "byte codec encode = bit-by-bit encoder"
+    QCheck2.Gen.(triple (int_bound 100_000) gen_codec_width (int_bound 9))
+    (fun (seed, width, pos) ->
+      let rng = Prng.create seed in
+      let p = Prng.float rng in
+      let bits = Bitset.create width in
+      for i = 0 to width - 1 do
+        if Prng.bool rng ~p then Bitset.set bits i true
+      done;
+      let nbytes = (width + 7) / 8 in
+      (* surrounding junk must survive untouched *)
+      let buf = Bytes.init (pos + nbytes + 3) (fun _ -> Char.chr (Prng.int rng 256)) in
+      let before = Bytes.copy buf in
+      Bitset.write_bytes bits buf pos;
+      Bytes.sub buf pos nbytes = bitwise_to_bytes bits
+      && Bytes.sub buf 0 pos = Bytes.sub before 0 pos
+      && Bytes.sub buf (pos + nbytes) 3 = Bytes.sub before (pos + nbytes) 3)
+
+let prop_codec_decode =
+  Fixtures.qtest ~count:300 "byte codec decode = bit-by-bit decoder"
+    QCheck2.Gen.(triple (int_bound 100_000) gen_codec_width (int_bound 9))
+    (fun (seed, width, pos) ->
+      let rng = Prng.create seed in
+      let nbytes = (width + 7) / 8 in
+      (* random bytes, so the last one carries junk past the width *)
+      let buf = Bytes.init (pos + nbytes) (fun _ -> Char.chr (Prng.int rng 256)) in
+      let got = Bitset.of_bytes ~width buf pos in
+      (* the image without the junk *)
+      let clean = Bytes.sub buf pos nbytes in
+      if width mod 8 <> 0 then
+        Bytes.set_uint8 clean (nbytes - 1)
+          (Bytes.get_uint8 clean (nbytes - 1) land ((1 lsl (width mod 8)) - 1));
+      Bitset.equal got (bitwise_of_bytes ~width buf pos) && bitwise_to_bytes got = clean)
+
+(* A subject removal leaves equal entries under distinct codes; the
+   transitions reference those codes, so a load must keep every entry
+   at its index. *)
+let test_persist_duplicate_entries () =
+  let store = Acl.create ~width:3 in
+  let acl l = Acl.intern store (Bitset.of_list 3 l) in
+  let node_acl = [| acl [ 0 ]; acl [ 0; 2 ]; acl [ 2 ]; acl [ 1; 2 ]; acl []; acl [ 0; 1 ]; acl [ 0 ] |] in
+  let dol = Dol.of_labeling (Labeling.create ~store ~node_acl) in
+  Update.remove_subject dol 2;
+  let cb = Dol.codebook dol in
+  check Alcotest.bool "removal left duplicates" true (Codebook.redundant_entries cb > 0);
+  let dol' = Persist.of_bytes (Persist.to_bytes dol) in
+  let cb' = Dol.codebook dol' in
+  check Alcotest.int "entries" (Codebook.count cb) (Codebook.count cb');
+  for c = 0 to Codebook.count cb - 1 do
+    check Alcotest.bool (Printf.sprintf "entry %d" c) true
+      (Bitset.equal (Codebook.get cb c) (Codebook.get cb' c));
+    (* interning converges on the lowest code carrying the ACL *)
+    check Alcotest.int (Printf.sprintf "intern entry %d" c)
+      (Codebook.intern (Codebook.copy cb) (Codebook.get cb c))
+      (Codebook.intern cb' (Codebook.get cb' c))
+  done;
+  check Fixtures.int_list "transition codes" (Array.to_list dol.Dol.trans_code)
+    (Array.to_list dol'.Dol.trans_code);
+  check Alcotest.int "redundant entries" (Codebook.redundant_entries cb)
+    (Codebook.redundant_entries cb');
+  check Alcotest.bool "same image" true (Persist.to_bytes dol = Persist.to_bytes dol')
+
 let suite =
   [
     Alcotest.test_case "persist: roundtrip (multi-subject)" `Quick test_persist_roundtrip_small;
@@ -591,4 +682,8 @@ let suite =
       test_stream_layout_rejects;
     Alcotest.test_case "db file: loaded store rebuilds at its fill" `Quick
       test_db_file_rebuild_keeps_fill;
+    prop_codec_encode;
+    prop_codec_decode;
+    Alcotest.test_case "persist: duplicate entries keep their codes" `Quick
+      test_persist_duplicate_entries;
   ]

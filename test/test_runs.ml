@@ -328,7 +328,7 @@ let test_quarantined_equivalence () =
   let page_size = 512 in
   let disk = Disk.create ~page_size () in
   let layout =
-    Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+    Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
   in
   let quarantine = [ (n / 6, n / 5); (n / 2, n / 2 + 40) ] in
   let store = Store.assemble ~pool_capacity:16 ~quarantine ~tree ~dol ~disk ~layout () in
@@ -651,7 +651,7 @@ let prop_resident_step_matches_qualifies =
       let n = Tree.size tree in
       let disk = Disk.create ~page_size:512 () in
       let layout =
-        Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+        Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
       in
       let q0 = n / 7 in
       let store =

@@ -50,7 +50,7 @@ let make_quarantined_store seed =
   let dol = Dol.of_labeling labeling in
   let disk = Disk.create ~page_size:1024 () in
   let layout =
-    Nok_layout.build disk tree ~transitions:(Array.of_list (Dol.transitions dol))
+    Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
   in
   let quarantine = [ (n / 5, n / 4); (n / 2, n / 2 + 60) ] in
   let store =
