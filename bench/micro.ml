@@ -1,7 +1,7 @@
 (** Bechamel micro-benchmarks of the core operations: DOL lookup, CAM
-    lookup, codebook interning, physical access check, the synthetic
-    ACL + DOL construction path, and a multi-subject DOL's build and
-    serialization. *)
+    lookup, codebook interning and verdicts, physical access check, the
+    synthetic ACL + DOL construction path, and a multi-subject DOL's
+    build and serialization. *)
 
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
@@ -91,6 +91,16 @@ let tests () =
     Test.make ~name:"dol_of_labeling_20k_x64" (Staged.stage (fun () ->
         ignore (Dol.of_labeling multi)))
   in
+  (* the codebook step of the runs-off access check: a subject's verdict
+     under the code governing a random node, on the 64-subject book *)
+  let multi_cb = Dol.codebook multi_dol in
+  let multi_codes = Array.map (Dol.code_at multi_dol) probe in
+  let g = ref 0 in
+  let t_codebook_grants =
+    Test.make ~name:"codebook_grants" (Staged.stage (fun () ->
+        g := (!g + 1) land 1023;
+        ignore (Codebook.grants multi_cb multi_codes.(!g) (!g land 63))))
+  in
   (* the codebook entries are most of the image *)
   let t_persist_encode =
     Test.make ~name:"persist_encode_20k_x64" (Staged.stage (fun () ->
@@ -102,7 +112,7 @@ let tests () =
   in
   [
     t_dol_lookup; t_cam_lookup; t_store_check; t_store_check_seq;
-    t_store_check_skip; t_codebook; t_dol_build; t_cam_build;
+    t_store_check_skip; t_codebook; t_codebook_grants; t_dol_build; t_cam_build;
     t_dol_build_multi; t_persist_encode; t_persist_decode;
   ]
 

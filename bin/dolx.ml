@@ -937,6 +937,10 @@ let stats_db db =
     (Codebook.count (Dol.codebook dol))
     (Codebook.width (Dol.codebook dol))
     (Dol.codebook_bytes dol);
+  let gauge name = int_of_float (Metrics.gauge_value (Metrics.gauge name)) in
+  Printf.printf "  resident: %d bytes, %d indexed entries\n"
+    (gauge "codebook.resident_bytes")
+    (gauge "codebook.indexed_entries");
   Printf.printf "transitions: %d (density %.4f); embedded codes: %d bytes\n"
     (Dol.transition_count dol)
     (Dol.transition_density dol)

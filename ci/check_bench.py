@@ -266,7 +266,16 @@ def check_metrics(path):
         require(isinstance(counters[key], int), f"{key} not an int")
     require(counters["engine.queries"] == 1, "expected exactly one query")
     require(counters["pool.touches"] > 0, "no page touches recorded")
-    return {k: counters[k] for k in ("pool.touches", "disk.reads", "engine.queries")}
+    # a read-only query must not build the codebook's intern index
+    gauges = doc["gauges"]
+    for key in ("codebook.resident_bytes", "codebook.indexed_entries"):
+        require(is_num(gauges.get(key)), f"missing gauge {key}")
+    require(gauges["codebook.resident_bytes"] > 0, "codebook holds no bytes")
+    require(gauges["codebook.indexed_entries"] == 0,
+            "a read-only query built the codebook's intern index")
+    out = {k: counters[k] for k in ("pool.touches", "disk.reads", "engine.queries")}
+    out["codebook.indexed_entries"] = gauges["codebook.indexed_entries"]
+    return out
 
 
 def main(argv):

@@ -9,7 +9,6 @@
     cursor holds the list it last probed, so repeat lookups for one
     subject touch no shared state. *)
 
-module Bitset = Dolx_util.Bitset
 module Int_vec = Dolx_util.Int_vec
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
@@ -163,7 +162,7 @@ let inter n f g =
   out
 
 (* [subject]'s flip list under [dol]: one pass over the transitions,
-   reading each verdict from the codebook entry's bits, keeping the
+   reading each verdict straight from the codebook matrix, keeping the
    preorders where the verdict changes; the deny ranges are then taken
    out.  Nothing is cached in the codebook. *)
 let build t dol subject =
@@ -172,18 +171,11 @@ let build t dol subject =
   if subject >= Codebook.width cb then
     invalid_arg "Access_runs.runs: unknown subject";
   let pres = dol.Dol.trans_pre and codes = dol.Dol.trans_code in
-  let k = Array.length pres in
-  if Array.length codes <> k then invalid_arg "Access_runs.build: ragged DOL";
+  if Array.length codes <> Array.length pres then
+    invalid_arg "Access_runs.build: ragged DOL";
   let n = Dol.n_nodes dol in
   let f = Int_vec.create () in
-  let prev = ref false in
-  for i = 0 to k - 1 do
-    let b = Bitset.get (Codebook.get cb codes.(i)) subject in
-    if b <> !prev then begin
-      Int_vec.push f pres.(i);
-      prev := b
-    end
-  done;
+  Codebook.iter_changes cb subject codes (fun i -> Int_vec.push f pres.(i));
   Metrics.incr c_builds;
   encode n (inter n f t.allow)
 

@@ -60,8 +60,8 @@ let transition_count t = Array.length t.trans_pre
     and two ids never name equal ones: the codebook is a renumbering of
     the ids that start a transition.  [code_of] maps an id to its code,
     given at the id's first transition in the order interning would
-    give it, and each distinct ACL is inserted once, never hashed per
-    transition. *)
+    give it, and each distinct ACL is written into the codebook's matrix
+    once, never hashed. *)
 let of_labeling labeling =
   let store = Labeling.store labeling in
   let n = Labeling.size labeling in

@@ -28,7 +28,6 @@
     sanity-capped against the input length — any malformed input raises
     {!Corrupt}, never [Invalid_argument] or an out-of-bounds error. *)
 
-module Bitset = Dolx_util.Bitset
 module Varint = Dolx_util.Varint
 module Crc = Dolx_util.Crc
 
@@ -41,8 +40,6 @@ exception Corrupt of string
 (** Serialize a DOL (body only, no trailing CRC) into [buf]. *)
 let write_body buf (dol : Dol.t) =
   let cb = Dol.codebook dol in
-  let width = Codebook.width cb in
-  let entry_bytes = (width + 7) / 8 in
   Buffer.add_string buf magic;
   Buffer.add_uint8 buf version;
   let tmp = Bytes.create Varint.max_len in
@@ -50,12 +47,10 @@ let write_body buf (dol : Dol.t) =
     let len = Varint.write tmp 0 x in
     Buffer.add_subbytes buf tmp 0 len
   in
-  add_varint width;
+  add_varint (Codebook.width cb);
   add_varint (Dol.n_nodes dol);
   add_varint (Codebook.count cb);
-  let entries = Bytes.create (Codebook.count cb * entry_bytes) in
-  Codebook.iter (fun c bits -> Bitset.write_bytes bits entries (c * entry_bytes)) cb;
-  Buffer.add_bytes buf entries;
+  Codebook.write_bytes cb buf;
   let pres = dol.Dol.trans_pre and codes = dol.Dol.trans_code in
   add_varint (Array.length pres);
   let prev = ref 0 in
@@ -104,14 +99,11 @@ let of_body buf ~limit =
   if entry_bytes > 0 && n_codes > (limit - !pos) / entry_bytes then
     raise (Corrupt "truncated input");
   need (n_codes * entry_bytes);
-  let entries =
-    Array.init n_codes (fun c -> Bitset.of_bytes ~width buf (!pos + (c * entry_bytes)))
-  in
-  pos := !pos + (n_codes * entry_bytes);
   (* verbatim, not interned: duplicate entries are a legal state after
      subject removals (cleaned lazily by Update.compact), and embedded
      codes reference entry indices *)
-  let cb = Codebook.of_entries ~width entries in
+  let cb = Codebook.of_bytes ~width ~count:n_codes buf !pos in
+  pos := !pos + (n_codes * entry_bytes);
   let n_trans = read_varint () in
   if n_trans <= 0 then raise (Corrupt "no transitions");
   if n_trans > (limit - !pos) / 2 then raise (Corrupt "truncated input");

@@ -344,11 +344,13 @@ let path_summary t = t.summary
 let summary_enabled t = t.use_summary
 let set_summary t b = t.use_summary <- b
 
-(** Re-publish the path-summary size gauge (it is zeroed by a registry
-    [Metrics.reset], e.g. at the start of a measured window). *)
+(** Re-publish the path-summary and codebook gauges (a registry
+    [Metrics.reset], e.g. at the start of a measured window, zeroes
+    them). *)
 let refresh_gauges t =
   Metrics.gauge_set g_summary_nodes
-    (float_of_int (Path_summary.node_count t.summary))
+    (float_of_int (Path_summary.node_count t.summary));
+  Codebook.publish_gauges (Dol.codebook t.dol)
 
 (** {1 Statistics} *)
 

@@ -130,7 +130,8 @@ val summary_enabled : t -> bool
 
 val set_summary : t -> bool -> unit
 
-(** Re-publish the [summary.nodes] gauge after a registry reset. *)
+(** Re-publish the [summary.nodes] and codebook gauges after a registry
+    reset. *)
 val refresh_gauges : t -> unit
 
 (** {1 Fuzzer fault site}

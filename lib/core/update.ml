@@ -323,9 +323,10 @@ let set_subtree_accessibility store ~subject ~grant v =
 
     The dol-level {!add_subject} / {!remove_subject} mutate the codebook
     in place, which is unsafe once snapshot readers share it.  The
-    store-level variants copy-on-write the codebook (entries are shared;
-    the column surgery happens on the copy), swap it into the live DOL
-    and publish a new epoch — pinned readers keep the old book. *)
+    store-level variants copy-on-write the codebook (a copy of its
+    matrix; the column surgery happens on the copy), swap it into the
+    live DOL and publish a new epoch — pinned readers keep the old
+    book. *)
 
 let store_add_subject store ?like () =
   Secure_store.with_write store (fun store ->

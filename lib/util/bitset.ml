@@ -150,22 +150,32 @@ let storage_bytes t = (t.width + 7) / 8
 
 (** {1 Byte images}
 
-    Bit [i] is bit [i mod 8] of byte [i / 8], little-endian.  A byte
-    holds 8 consecutive bits, so one byte moves per step; a byte whose
-    bits straddle two 63-bit words takes its high part from the next. *)
+    Bit [i] is bit [i mod 8] of byte [i / 8], little-endian.  Eight
+    bytes hold 64 consecutive bits, so a writer moves eight bytes per
+    step, and a reader one; bits that straddle two 63-bit words take
+    their high part from the next. *)
 
 let write_bytes t buf pos =
+  let nbytes = (t.width + 7) / 8 in
+  if pos < 0 || pos + nbytes > Bytes.length buf then invalid_arg "Bitset.write_bytes";
   let words = t.words in
   let last = Array.length words - 1 in
-  for k = 0 to ((t.width + 7) / 8) - 1 do
-    let w = (8 * k) / 63 and off = (8 * k) mod 63 in
-    let v = Array.unsafe_get words w lsr off in
+  let word i = if i <= last then Array.unsafe_get words i else 0 in
+  (* Eight bytes at a time: bits [64j, 64j + 64) are the top of word
+     [w] from bit [off] (63 - off bits) and the bottom of word [w + 1]. *)
+  let chunks = nbytes / 8 in
+  for j = 0 to chunks - 1 do
+    let w = 64 * j / 63 and off = 64 * j mod 63 in
+    let lo = Int64.logand (Int64.of_int (word w lsr off)) Int64.max_int in
+    let hi = Int64.shift_left (Int64.of_int (word (w + 1))) (63 - off) in
+    Bytes.set_int64_le buf (pos + (8 * j)) (Int64.logor lo hi)
+  done;
+  (* the tail, a byte at a time *)
+  for k = 8 * chunks to nbytes - 1 do
+    let w = 8 * k / 63 and off = 8 * k mod 63 in
     (* bits past the width are clear, so a straddling high part is too *)
-    let v =
-      if off > 55 && w < last then v lor (Array.unsafe_get words (w + 1) lsl (63 - off))
-      else v
-    in
-    Bytes.set_uint8 buf (pos + k) (v land 0xff)
+    let v = (word w lsr off) lor (if off > 55 then word (w + 1) lsl (63 - off) else 0) in
+    Bytes.unsafe_set buf (pos + k) (Char.unsafe_chr (v land 0xff))
   done
 
 let of_bytes ~width buf pos =

@@ -5,6 +5,7 @@ module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
 module Codebook = Dolx_core.Codebook
 module Update = Dolx_core.Update
+module Persist = Dolx_core.Persist
 module Labeling = Dolx_policy.Labeling
 module Acl = Dolx_policy.Acl
 module Bitset = Dolx_util.Bitset
@@ -553,6 +554,219 @@ let prop_insert_equals_interning =
       Dol.validate got;
       trans_of got = trans && same_entries (Dol.codebook got) cb)
 
+(* --- the flat codebook against a list-of-bitsets model --- *)
+
+(* One of 12 ACL patterns over [width] subjects: few enough that
+   interning meets equal entries often. *)
+let pattern width k =
+  let b = Bitset.create width in
+  for i = 0 to width - 1 do
+    if (((i + 1) * (k + 3)) + (i * i * k)) mod 5 < 2 then Bitset.set b i true
+  done;
+  b
+
+type cb_op =
+  | Intern of int  (** a pattern *)
+  | With_bit of int * int * bool  (** code and subject, each taken modulo *)
+  | Add of int option  (** [like], modulo the width *)
+  | Remove of int  (** modulo the width *)
+  | Reload  (** a [Persist] round trip *)
+  | Copy
+
+let gen_cb_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun k -> Intern k) (int_bound 11));
+        (3, map3 (fun c s b -> With_bit (c, s, b)) nat nat bool);
+        (1, map (fun l -> Add l) (opt nat));
+        (1, map (fun s -> Remove s) nat);
+        (1, pure Reload);
+        (1, pure Copy);
+      ])
+
+(* The model: entries in code order; interning returns the lowest
+   equal entry's code. *)
+let model_intern m bits =
+  let rec go c = function
+    | [] ->
+        m := !m @ [ bits ];
+        c
+    | e :: rest -> if Bitset.equal e bits then c else go (c + 1) rest
+  in
+  go 0 !m
+
+let model_distinct m = List.length (List.sort_uniq Bitset.compare m)
+
+(* A DOL whose transition [c] carries code [c], to push a book through
+   [Persist]. *)
+let dol_over cb =
+  let k = Codebook.count cb in
+  { Dol.codebook = cb; trans_pre = Array.init k Fun.id; trans_code = Array.init k Fun.id;
+    n_nodes = k; generation = 0 }
+
+let model_agrees cb width m =
+  let m = Array.of_list m in
+  Codebook.width cb = width
+  && Codebook.count cb = Array.length m
+  && Codebook.redundant_entries cb = Array.length m - model_distinct (Array.to_list m)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun c e ->
+            Bitset.equal (Codebook.get cb c) e
+            && List.for_all
+                 (fun s -> Codebook.grants cb c s = Bitset.get e s)
+                 (List.init width Fun.id))
+          m)
+
+let prop_codebook_model =
+  Fixtures.qtest ~count:200 "codebook = list-of-bitsets model"
+    QCheck2.Gen.(
+      triple (oneofl [ 0; 1; 5; 8; 9; 63; 64; 65; 130 ]) (list_size (int_bound 6) (int_bound 11))
+        (list_size (int_range 1 40) gen_cb_op))
+    (fun (width0, init, ops) ->
+      let width = ref width0 in
+      let m = ref (List.map (pattern width0) init) in
+      (* the initial entries verbatim, duplicates included *)
+      let cb = ref (Codebook.of_entries ~width:width0 (Array.of_list !m)) in
+      List.for_all
+        (fun op ->
+          let same_code =
+            match op with
+            | Intern k ->
+                let bits = pattern !width k in
+                Codebook.intern !cb bits = model_intern m bits
+            | With_bit (c, s, b) ->
+                let n = List.length !m in
+                n = 0 || !width = 0
+                ||
+                let c = c mod n and s = s mod !width in
+                let e = List.nth !m c in
+                let want = if Bitset.get e s = b then c else model_intern m (Bitset.with_bit e s b) in
+                Codebook.with_bit !cb c s b = want
+            | Add like ->
+                let like = if !width = 0 then None else Option.map (fun l -> l mod !width) like in
+                let w = !width in
+                m :=
+                  List.map
+                    (fun e ->
+                      let e' = Bitset.resize e (w + 1) in
+                      match like with
+                      | Some l when Bitset.get e l -> Bitset.with_bit e' w true
+                      | _ -> e')
+                    !m;
+                width := w + 1;
+                Codebook.add_subject !cb ?like () = w
+            | Remove s ->
+                !width = 0
+                ||
+                let s = s mod !width in
+                m := List.map (fun e -> Bitset.remove_bit e s) !m;
+                decr width;
+                Codebook.remove_subject !cb s;
+                true
+            | Reload ->
+                Codebook.count !cb = 0
+                ||
+                let img = Persist.to_bytes (dol_over !cb) in
+                cb := Dol.codebook (Persist.of_bytes img);
+                Codebook.indexed_entries !cb = 0
+                && Persist.to_bytes (dol_over !cb) = img
+            | Copy ->
+                cb := Codebook.copy !cb;
+                Codebook.indexed_entries !cb = 0
+          in
+          same_code && model_agrees !cb !width !m)
+        ops)
+
+(* The codes an eagerly indexed book gives [queries] in turn, starting
+   from [entries]: the lowest equal entry, or a new one. *)
+let eager_codes entries queries =
+  let tbl = Hashtbl.create 64 and count = ref (Array.length entries) in
+  Array.iteri
+    (fun c e ->
+      let key = Bitset.to_string e in
+      if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key c)
+    entries;
+  List.map
+    (fun q ->
+      let key = Bitset.to_string q in
+      match Hashtbl.find_opt tbl key with
+      | Some c -> c
+      | None ->
+          Hashtbl.add tbl key !count;
+          incr count;
+          !count - 1)
+    queries
+
+let prop_lazy_index_equals_eager =
+  Fixtures.qtest ~count:120 "first intern after of_labeling or a load = eager index"
+    QCheck2.Gen.(pair gen_codebook_case (pair (int_bound 1000) bool))
+    (fun ((seed, width, n, k), (r, narrow)) ->
+      let rng = Prng.create seed in
+      let dol = Dol.of_labeling (shuffled_labeling rng ~width ~n ~k) in
+      (* a removal leaves duplicate entries: the lowest code must win *)
+      if narrow && width > 1 then Update.remove_subject dol (r mod width);
+      let cb = Dol.codebook dol in
+      let w = Codebook.width cb in
+      let entries = Array.init (Codebook.count cb) (Codebook.get cb) in
+      (* existing entries, and fresh ACLs interned twice *)
+      let queries =
+        List.init 30 (fun i ->
+            if i mod 3 = 0 then pattern w (Prng.int rng 12)
+            else entries.(Prng.int rng (Array.length entries)))
+      in
+      let want = eager_codes entries queries in
+      let loaded = Dol.codebook (Persist.of_bytes (Persist.to_bytes dol)) in
+      Codebook.indexed_entries cb = 0
+      && Codebook.indexed_entries loaded = 0
+      && List.map (Codebook.intern loaded) queries = want
+      && List.map (Codebook.intern cb) queries = want
+      && Codebook.indexed_entries cb > 0)
+
+(* A reader domain checks [grants] and [get] for the codes published to
+   it while the writer interns through several matrix growths. *)
+let test_codebook_reader_during_growth () =
+  let width = 70 and base = 64 in
+  let acl c =
+    let b = Bitset.create width in
+    for s = 0 to width - 1 do
+      (* the low 16 bits spell [c], so the entries are distinct *)
+      if (if s < 16 then (c lsr s) land 1 = 1 else ((c * 7) + (s * 13)) mod 11 < 4) then
+        Bitset.set b s true
+    done;
+    b
+  in
+  let cb = Codebook.of_entries ~width (Array.init base acl) in
+  let total = base * 16 (* four doublings past [base] *) in
+  let published = Atomic.make base and wrong = Atomic.make 0 and checks = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        let rng = Prng.create 5 in
+        let expected = Array.init total acl in
+        let finished = ref false in
+        while not !finished do
+          let p = Atomic.get published in
+          if p >= total then finished := true;
+          for _ = 1 to 64 do
+            let c = Prng.int rng p and s = Prng.int rng width in
+            if Codebook.grants cb c s <> Bitset.get expected.(c) s then Atomic.incr wrong;
+            Atomic.incr checks
+          done;
+          let c = Prng.int rng p in
+          if not (Bitset.equal (Codebook.get cb c) expected.(c)) then Atomic.incr wrong
+        done)
+  in
+  for c = base to total - 1 do
+    let got = Codebook.intern cb (acl c) in
+    if got <> c then Atomic.incr wrong;
+    Atomic.set published (c + 1)
+  done;
+  Domain.join reader;
+  check Alcotest.int "entries" total (Codebook.count cb);
+  check Alcotest.bool "reader ran" true (Atomic.get checks > 0);
+  check Alcotest.int "wrong verdicts" 0 (Atomic.get wrong)
+
 let suite =
   [
     Alcotest.test_case "figure 1(a) transitions" `Quick test_single_subject_transitions;
@@ -582,4 +796,8 @@ let suite =
     prop_streaming_equals_interning;
     prop_extract_equals_interning;
     prop_insert_equals_interning;
+    prop_codebook_model;
+    prop_lazy_index_equals_eager;
+    Alcotest.test_case "codebook reader during matrix growth" `Quick
+      test_codebook_reader_during_growth;
   ]

@@ -649,6 +649,36 @@ let test_persist_duplicate_entries () =
     (Codebook.redundant_entries cb');
   check Alcotest.bool "same image" true (Persist.to_bytes dol = Persist.to_bytes dol')
 
+(* A read-only open builds no intern index: not a [Persist] load, not a
+   [Db_file] load, not Q1–Q6 under every semantics with the run index on
+   or off.  The first update builds it. *)
+let test_read_only_opens_build_no_index () =
+  let tree = Xmark.generate_nodes ~seed:12 3000 in
+  let dol = Dol.of_labeling (Synth_acl.generate_multi tree ~seed:13 ~n_subjects:6 ()) in
+  let indexed store = Codebook.indexed_entries (Store.codebook store) in
+  check Alcotest.int "of_labeling" 0 (Codebook.indexed_entries (Dol.codebook dol));
+  let loaded = Persist.of_bytes (Persist.to_bytes dol) in
+  check Alcotest.int "persist load" 0 (Codebook.indexed_entries (Dol.codebook loaded));
+  let store, _ = Db_file.of_bytes (Db_file.to_bytes (Store.create tree dol)) in
+  check Alcotest.int "db file load" 0 (indexed store);
+  let index = Tag_index.build tree in
+  List.iter
+    (fun run_index ->
+      Store.set_run_index store run_index;
+      List.iter
+        (fun (_, q) ->
+          List.iter
+            (fun sem -> ignore (Engine.query store index q sem))
+            [ Engine.Insecure; Engine.Secure 1; Engine.Secure_path 1 ])
+        Xmark.queries)
+    [ true; false ];
+  check Alcotest.int "Q1-Q6, runs on and off" 0 (indexed store);
+  let v = 5 in
+  let grant = not (Dol.accessible (Store.dol store) ~subject:1 v) in
+  check Alcotest.bool "the update changed the DOL" true
+    (Update.set_node_accessibility store ~subject:1 ~grant v);
+  check Alcotest.bool "the first update built the index" true (indexed store > 0)
+
 let suite =
   [
     Alcotest.test_case "persist: roundtrip (multi-subject)" `Quick test_persist_roundtrip_small;
@@ -686,4 +716,6 @@ let suite =
     prop_codec_decode;
     Alcotest.test_case "persist: duplicate entries keep their codes" `Quick
       test_persist_duplicate_entries;
+    Alcotest.test_case "read-only opens build no intern index" `Quick
+      test_read_only_opens_build_no_index;
   ]
