@@ -1,7 +1,8 @@
 (** Bechamel micro-benchmarks of the core operations: DOL lookup, CAM
     lookup, codebook interning and verdicts, physical access check, the
-    synthetic ACL + DOL construction path, and a multi-subject DOL's
-    build and serialization. *)
+    synthetic ACL + DOL construction path, a multi-subject DOL's build
+    and serialization, and the summary-path drain of Q4–Q6 under each
+    semantics. *)
 
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
@@ -13,6 +14,9 @@ module Bitset = Dolx_util.Bitset
 module Prng = Dolx_util.Prng
 module Xmark = Dolx_workload.Xmark
 module Synth_acl = Dolx_workload.Synth_acl
+module Engine = Dolx_nok.Engine
+module Xpath = Dolx_nok.Xpath
+module Tag_index = Dolx_index.Tag_index
 open Bechamel
 open Toolkit
 
@@ -110,10 +114,35 @@ let tests () =
     Test.make ~name:"persist_decode_20k_x64" (Staged.stage (fun () ->
         ignore (Persist.of_bytes image)))
   in
+  (* Q4-Q6 drained in 64-answer chunks, as perfbench's [twigs] streams
+     them, on a store with the run index and the path summary on: the
+     summary-path loop's in-process cost, with no wire.  One op drains
+     one query, cycling through the three for a subject that the first
+     op's run build leaves cached. *)
+  let twig_store = Store.create ~page_size:1024 ~pool_capacity:64 tree multi_dol in
+  let twig_index = Tag_index.build tree in
+  let twigs =
+    Array.of_list
+      (List.filter_map
+         (fun (id, q) -> if List.mem id [ "Q4"; "Q5"; "Q6" ] then Some (Xpath.parse q) else None)
+         Xmark.queries)
+  in
+  let drain st =
+    let rec go () = match Engine.stream_next st with [] -> () | _ -> go () in
+    go ()
+  in
+  let twig name semantics =
+    let q = ref 0 in
+    Test.make ~name:("summary_path_twigs_" ^ name) (Staged.stage (fun () ->
+        q := (!q + 1) mod 3;
+        drain (Engine.stream ~chunk:64 twig_store twig_index twigs.(!q) semantics)))
+  in
   [
     t_dol_lookup; t_cam_lookup; t_store_check; t_store_check_seq;
     t_store_check_skip; t_codebook; t_codebook_grants; t_dol_build; t_cam_build;
     t_dol_build_multi; t_persist_encode; t_persist_decode;
+    twig "secure" (Engine.Secure 0); twig "secure_path" (Engine.Secure_path 0);
+    twig "insecure" Engine.Insecure;
   ]
 
 let benchmark () =

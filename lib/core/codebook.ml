@@ -51,6 +51,11 @@ type t = {
 
 let stride_of width = (width + 7) / 8
 
+(* A page header holds the code in force as a u32 (Nok_layout), so no
+   book grows past 2^32 entries, and a load may refuse a larger count
+   whatever the width. *)
+let max_count = 1 lsl 32
+
 let index_bytes t =
   match t.index with Some ix -> Sys.word_size / 8 * Array.length ix.slots | None -> 0
 
@@ -174,6 +179,8 @@ let fill ix rows stride i h c =
    duplicate row keeps its lowest code (the state subject removal
    leaves until [Update.compact]). *)
 let index_rows rows stride count =
+  (* at width 0 every row is the empty ACL: row 0 stands for all *)
+  let count = if stride = 0 then Int.min count 1 else count in
   let ix = { slots = slots_for count; used = 0 } in
   for c = 0 to count - 1 do
     let off = c * stride in
@@ -195,6 +202,7 @@ let intern_index t =
 
 (* Append the row image [img] as code [t.count]. *)
 let push_row t img =
+  if t.count >= max_count then invalid_arg "Codebook.intern: the book is full";
   if t.count >= t.capacity then begin
     let capacity = max 8 (2 * t.capacity) in
     let rows = Bytes.make (capacity * t.stride) '\000' in
@@ -234,6 +242,7 @@ let intern t bits =
 (* A book of [count] rows written by [write rows stride], with room for
    no more. *)
 let build ~width ~count write =
+  if count > max_count then invalid_arg "Codebook: too many entries";
   let stride = stride_of width and capacity = max 1 count in
   let rows = Bytes.make (capacity * stride) '\000' in
   write rows stride;

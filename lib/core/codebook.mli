@@ -38,6 +38,11 @@ val copy : t -> t
 (** Number of entries — the paper's Fig. 5 metric. *)
 val count : t -> int
 
+(** The most entries a book holds, [2^32]: a page header stores the code
+    in force as a u32.  {!intern} past it and a construction of more
+    raise [Invalid_argument]; [Persist] refuses an image claiming more. *)
+val max_count : int
+
 (** Intern an ACL, returning its code: the lowest code whose entry
     equals it, or a new entry.  The first call on a book builds the
     index over every existing entry in ascending code order. *)

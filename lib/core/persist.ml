@@ -94,8 +94,11 @@ let of_body buf ~limit =
   let n_codes = read_varint () in
   if width < 0 || n_nodes <= 0 || n_codes <= 0 then raise (Corrupt "bad header");
   let entry_bytes = (width + 7) / 8 in
-  (* Cap the counts by what the remaining bytes could possibly hold
-     before allocating anything proportional to them. *)
+  (* Cap the counts by what a book can hold (a width-0 entry has no
+     bytes, so the bytes left bound nothing there) and by what the
+     remaining bytes could possibly hold, before allocating anything
+     proportional to them. *)
+  if n_codes > Codebook.max_count then raise (Corrupt "bad header");
   if entry_bytes > 0 && n_codes > (limit - !pos) / entry_bytes then
     raise (Corrupt "truncated input");
   need (n_codes * entry_bytes);

@@ -92,6 +92,8 @@ let leaf_path_count t = t.n_leaf_paths
 
 let class_of t v = t.cls_of.(v)
 
+let class_map t = t.cls_of
+
 let tag t c : Dolx_xml.Tag.id = t.tags.(c)
 
 let parent t c = t.parents.(c)

@@ -31,6 +31,11 @@ val leaf_path_count : t -> int
 (** The class of data node [v]. *)
 val class_of : t -> Dolx_xml.Tree.node -> cls
 
+(** The node-to-class map, [class_map t].(v) = [class_of t v]: the array
+    itself, not a copy, for loops that classify many nodes without a
+    call per node.  Callers must not mutate it. *)
+val class_map : t -> cls array
+
 val tag : t -> cls -> Dolx_xml.Tag.id
 
 (** Parent class, [-1] for the root class. *)

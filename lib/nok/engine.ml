@@ -201,7 +201,7 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
 (* Summary-path plan: when the trunk uses only child and descendant
    axes and ends in a tag test, the query is resolved bottom-up from
    the LAST step's class-filtered postings instead of top-down through
-   segment evaluation and structural joins.  [decide i v] decides
+   segment evaluation and structural joins.  [decide l i v] decides
    whether [v] can carry step [i] with all earlier steps bound above it:
    child edges have a unique parent; descendant edges search proper
    ancestors, skipping any whose summary class is inadmissible for the
@@ -225,14 +225,13 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    mode) decide membership at every position, existential ancestor
    choice matches the semi-join semantics, and descendant edges
    re-check connecting paths with [Nok_match.path_clear], which
-   enforces exactly the ε-STD condition (and is a no-op outside path
+   enforces exactly the ε-STD condition (and is skipped outside path
    semantics).
 
    [summary_path_steps] is the plan-shape test, shared with {!explain};
-   [summary_path_filter] returns the plan as data — the candidate
-   cursor and the qualification predicate — so the stream pulls and
-   filters one candidate at a time, and holds neither the candidate nor
-   the answer list. *)
+   [summary_path_loop] builds the plan as data — the candidate cursor
+   and a {!loop} record — so the stream pulls and decides one candidate
+   at a time, and holds neither the candidate nor the answer list. *)
 let summary_path_steps (plan : Decompose.plan) =
   let steps =
     Array.of_list
@@ -265,16 +264,14 @@ let plain_step (st : Decompose.step) =
   | Pattern.Tag _ -> true
   | Pattern.Wildcard -> false
 
+(* A plain step needs the access verdict only under secure semantics,
+   and the run index holds it (a counted check, quarantine and the
+   [access] canary included, with no page touched). *)
 let resident_step store semantics st =
-  if not (plain_step st) then None
-  else
-    match semantics with
-    | Insecure -> Some (fun _ -> true)
-    | (Secure s | Secure_path s) when Store.run_index_enabled store ->
-        (* a run verdict: counted as a check, quarantine and the [access]
-           canary included, with no page touched *)
-        Some (fun v -> Store.accessible store ~subject:s v)
-    | Secure _ | Secure_path _ -> None
+  plain_step st
+  && match semantics with
+     | Insecure -> true
+     | Secure _ | Secure_path _ -> Store.run_index_enabled store
 
 (* One step's verdicts for proper ancestors of the current candidate,
    ascending preorder: node [pre.(j)] and its verdict [ok.(j)].  The
@@ -283,12 +280,6 @@ let resident_step store semantics st =
 type chain = { mutable pre : int array; mutable ok : bool array; mutable len : int }
 
 let chain () = { pre = Array.make 16 0; ok = Array.make 16 false; len = 0 }
-
-(* Forget the entries that are not ancestors of the candidate [v]. *)
-let chain_enter store c v =
-  while c.len > 0 && Store.subtree_end store c.pre.(c.len - 1) < v do
-    c.len <- c.len - 1
-  done
 
 (* The number of entries below [u]: [u]'s position, or where it goes.
    Searched from the deep end, where the lookups land. *)
@@ -299,95 +290,136 @@ let chain_pos c u =
   done;
   !j
 
+(* Insert at [j], shifting the entries above it with a plain loop: a
+   chain holds a few entries, fewer than a blit's call costs. *)
 let chain_insert c j u ok =
   if c.len = Array.length c.pre then begin
     c.pre <- Array.append c.pre c.pre;
     c.ok <- Array.append c.ok c.ok
   end;
-  Array.blit c.pre j c.pre (j + 1) (c.len - j);
-  Array.blit c.ok j c.ok (j + 1) (c.len - j);
-  c.pre.(j) <- u;
-  c.ok.(j) <- ok;
+  let pre = c.pre and oks = c.ok in
+  for m = c.len downto j + 1 do
+    pre.(m) <- pre.(m - 1);
+    oks.(m) <- oks.(m - 1)
+  done;
+  pre.(j) <- u;
+  oks.(j) <- ok;
   c.len <- c.len + 1
 
-let summary_path_filter ?value_index ~summary ~pruned ~resident store index
+(* The summary-path plan's state, built once per stream.  The decision
+   functions below read the tree and the class map through the arrays
+   held here: each would otherwise be a call into another library per
+   ancestor hop, and the default build compiles every library
+   [-opaque], so none of those calls is inlined. *)
+type loop = {
+  lp_cands : Postings.cursor;  (* the last step's candidates *)
+  lp_k : int;  (* the last step *)
+  lp_parents : int array;  (* node -> parent, [Tree.nil] for the root *)
+  lp_sizes : int array;  (* node -> subtree size *)
+  lp_class : int array;  (* node -> summary class *)
+  lp_adm : Bytes.t array;  (* step -> one byte per class, non-zero = admissible *)
+  lp_child : bool array;  (* step -> child axis (else descendant) *)
+  lp_plain : bool array;  (* step -> {!resident_step} *)
+  lp_quals : (int -> bool) array;  (* step -> [Nok_match.qualifies], other steps *)
+  lp_store : Store.t;
+  lp_subject : int;  (* [-1] under [Insecure] *)
+  lp_path : bool;  (* [Secure_path]: connecting paths are checked *)
+  lp_path_clear : ctx:int -> int -> bool;
+  lp_chains : chain array;  (* one per step but the last *)
+  lp_scanned : int ref;
+  lp_resident : int ref;
+}
+
+let admissible l i u = Bytes.get l.lp_adm.(i) l.lp_class.(u) <> '\000'
+
+let qualify l i v =
+  incr l.lp_scanned;
+  if l.lp_plain.(i) then begin
+    incr l.lp_resident;
+    l.lp_subject < 0 || Store.accessible l.lp_store ~subject:l.lp_subject v
+  end
+  else l.lp_quals.(i) v
+
+(* [match_up] is [decide] through the step's chain, for [i < k] *)
+let rec decide l i v =
+  (if i = 0 then (not l.lp_child.(0)) || v = Tree.root
+   else
+     let u = l.lp_parents.(v) in
+     if l.lp_child.(i) then u <> Tree.nil && admissible l (i - 1) u && match_up l (i - 1) u
+     else search l i v u)
+  && qualify l i v
+
+and search l i v u =
+  u <> Tree.nil
+  && ((admissible l (i - 1) u
+      && match_up l (i - 1) u
+      && ((not l.lp_path) || l.lp_path_clear ~ctx:u v))
+     || search l i v l.lp_parents.(u))
+
+and match_up l i u =
+  let c = l.lp_chains.(i) in
+  let j = chain_pos c u in
+  if j < c.len && c.pre.(j) = u then c.ok.(j)
+  else begin
+    (* deciding [u] touches only the chains of steps below [i], so
+       [j] is still [u]'s place *)
+    let b = decide l i u in
+    chain_insert c j u b;
+    b
+  end
+
+(* Does candidate [v] answer?  First each chain forgets the entries
+   whose subtree ends before [v]. *)
+let keep l v =
+  for i = 0 to l.lp_k - 1 do
+    let c = l.lp_chains.(i) in
+    while c.len > 0 && (let p = c.pre.(c.len - 1) in p + l.lp_sizes.(p) - 1 < v) do
+      c.len <- c.len - 1
+    done
+  done;
+  decide l l.lp_k v
+
+let summary_path_loop ?value_index ~summary ~pruned ~resident store index
     mode semantics steps scanned =
   let k = Array.length steps - 1 in
-  let axis i = steps.(i).Decompose.pnode.Pattern.axis in
   Metrics.incr c_plan_path;
-  let last = steps.(k).Decompose.pnode in
   let cands =
-    candidates ?value_index ~summary ~pruned store index semantics last
+    candidates ?value_index ~summary ~pruned store index semantics
+      steps.(k).Decompose.pnode
   in
-  let ps = Store.path_summary store in
-  let adm =
-    Array.map
-      (fun (st : Decompose.step) ->
-        Summary_prune.classes summary st.Decompose.pnode)
-      steps
-  in
-  (* [Summary_prune.mem] spelled out, as in {!candidates}: this runs per
-     ancestor hop *)
-  let admissible i v = Bytes.get adm.(i) (Path_summary.class_of ps v) <> '\000' in
-  let quals =
-    Array.map
-      (fun (st : Decompose.step) ->
-        match resident_step store semantics st with
-        | Some decide ->
-            fun v ->
-              incr resident;
-              decide v
-        | None ->
+  let tree = Store.tree store in
+  let plain = Array.map (resident_step store semantics) steps in
+  {
+    lp_cands = cands;
+    lp_k = k;
+    lp_parents = Tree.parents tree;
+    lp_sizes = Tree.subtree_sizes tree;
+    lp_class = Path_summary.class_map (Store.path_summary store);
+    lp_adm =
+      Array.map
+        (fun (st : Decompose.step) -> Summary_prune.classes summary st.Decompose.pnode)
+        steps;
+    lp_child =
+      Array.map
+        (fun (st : Decompose.step) -> st.Decompose.pnode.Pattern.axis = Pattern.Child)
+        steps;
+    lp_plain = plain;
+    lp_quals =
+      Array.mapi
+        (fun i (st : Decompose.step) ->
+          if plain.(i) then Fun.const true
+          else
             Nok_match.qualifies store index mode st.Decompose.pnode
               ~preds:st.Decompose.preds)
-      steps
-  in
-  let qualify i v =
-    incr scanned;
-    quals.(i) v
-  in
-  let chains = Array.init k (fun _ -> chain ()) in
-  let path_clear = Nok_match.path_clear store mode in
-  (* [match_up] is [decide] through the step's chain, for [i < k] *)
-  let rec decide i v =
-    let above =
-      if i = 0 then
-        match axis 0 with
-        | Pattern.Child -> v = Tree.root
-        | Pattern.Descendant | Pattern.Following_sibling -> true
-      else
-        match axis i with
-        | Pattern.Child ->
-            let u = Store.parent store v in
-            u <> Tree.nil && admissible (i - 1) u && match_up (i - 1) u
-        | Pattern.Descendant -> search i v (Store.parent store v)
-        | Pattern.Following_sibling -> false
-    in
-    above && qualify i v
-  and search i v u =
-    u <> Tree.nil
-    && ((admissible (i - 1) u
-        && match_up (i - 1) u
-        && path_clear ~ctx:u v)
-       || search i v (Store.parent store u))
-  and match_up i u =
-    let c = chains.(i) in
-    let j = chain_pos c u in
-    if j < c.len && c.pre.(j) = u then c.ok.(j)
-    else begin
-      (* deciding [u] touches only the chains of steps below [i], so
-         [j] is still [u]'s place *)
-      let b = decide i u in
-      chain_insert c j u b;
-      b
-    end
-  in
-  ( cands,
-    fun v ->
-      for i = 0 to k - 1 do
-        chain_enter store chains.(i) v
-      done;
-      decide k v )
+        steps;
+    lp_store = store;
+    lp_subject = Option.value (subject_of semantics) ~default:(-1);
+    lp_path = (match semantics with Secure_path _ -> true | Insecure | Secure _ -> false);
+    lp_path_clear = Nok_match.path_clear store mode;
+    lp_chains = Array.init k (fun _ -> chain ());
+    lp_scanned = scanned;
+    lp_resident = resident;
+  }
 
 (* Candidate roots of the plan's first segment: the document root for a
    child entry, the candidate pipeline for a descendant entry. *)
@@ -454,6 +486,7 @@ type stream = {
   st_pruned : int ref;  (* admissible candidates skipped in denied runs *)
   st_resident : int ref;  (* qualifications decided without a page *)
   st_joins : int ref;
+  mutable st_buf : int array;  (* the chunk in progress, grown up to [st_chunk] *)
   mutable st_src : src;
   mutable st_emitted : int;
   mutable st_peak : int;  (* high-water mark of buffered answers *)
@@ -461,7 +494,7 @@ type stream = {
 }
 
 and src =
-  | S_filter of Postings.cursor * (int -> bool)
+  | S_loop of loop
   | S_tail of tail
   | S_end
 
@@ -521,11 +554,9 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     Trace.with_span "engine.stream_stage" @@ fun () ->
     match (summary, summary_path_steps plan) with
     | Some sp, Some steps ->
-        let cands, keep =
-          summary_path_filter ?value_index ~summary:sp ~pruned ~resident store
-            index mode semantics steps scanned
-        in
-        S_filter (cands, keep)
+        S_loop
+          (summary_path_loop ?value_index ~summary:sp ~pruned ~resident store
+             index mode semantics steps scanned)
     | _ ->
         stage plan.Decompose.segments
           (first_roots ?value_index ?summary ~pruned store index semantics
@@ -541,6 +572,7 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     st_pruned = pruned;
     st_resident = resident;
     st_joins = joins;
+    st_buf = Array.make (Int.min chunk 64) 0;
     st_src = src;
     st_emitted = 0;
     st_peak = 0;
@@ -565,62 +597,77 @@ let stream_finalize st =
     Store.fold_metrics st.st_store
   end
 
+(* Put [v] at position [n] of the chunk in progress. *)
+let emit st n v =
+  if n = Array.length st.st_buf then begin
+    let b = Array.make (Int.min st.st_chunk (2 * n)) 0 in
+    Array.blit st.st_buf 0 b 0 n;
+    st.st_buf <- b
+  end;
+  st.st_buf.(n) <- v;
+  st.st_emitted <- st.st_emitted + 1
+
+(* Fill the chunk from position [n] on; each returns the chunk's
+   length. *)
+let rec fill_loop st l n =
+  if n >= st.st_chunk then n
+  else
+    let v = Postings.next l.lp_cands in
+    if v < 0 then begin
+      st.st_src <- S_end;
+      n
+    end
+    else if keep l v then begin
+      emit st n v;
+      st.st_peak <- Int.max st.st_peak (n + 1);
+      fill_loop st l (n + 1)
+    end
+    else fill_loop st l n
+
+let rec fill_tail st t n =
+  if n >= st.st_chunk then n
+  else
+    let barrier = match t.tl_roots with r :: _ -> r | [] -> max_int in
+    match t.tl_pending with
+    | a :: rest when a < barrier ->
+        t.tl_pending <- rest;
+        emit st n a;
+        fill_tail st t (n + 1)
+    | _ -> (
+        match t.tl_roots with
+        | [] ->
+            (* pending is empty: everything below max_int was emittable
+               and the branch above drained it *)
+            st.st_src <- S_end;
+            n
+        | r :: rest ->
+            (* one root per refill, so pending never holds more than one
+               root's overlap *)
+            t.tl_roots <- rest;
+            t.tl_pending <-
+              merge_uniq t.tl_pending
+                (eval_segment st.st_store st.st_index st.st_mode t.tl_seg [ r ]
+                   st.st_scanned);
+            st.st_peak <- Int.max st.st_peak (n + List.length t.tl_pending);
+            fill_tail st t n)
+
+(* The first [n] entries of [buf], consed from the end: one cell per
+   answer, no reversal. *)
+let rec chunk_list buf n acc = if n = 0 then acc else chunk_list buf (n - 1) (buf.(n - 1) :: acc)
+
 let stream_next st =
   if st.st_done then []
   else begin
-    let buf = ref [] in
-    let n = ref 0 in
-    let emit v =
-      buf := v :: !buf;
-      incr n;
-      st.st_emitted <- st.st_emitted + 1
+    let n =
+      match st.st_src with
+      | S_end -> 0
+      | S_loop l -> fill_loop st l 0
+      | S_tail t -> fill_tail st t 0
     in
-    let rec fill () =
-      if !n < st.st_chunk then
-        match st.st_src with
-        | S_end -> ()
-        | S_filter (cands, keep) ->
-            let v = Postings.next cands in
-            if v < 0 then st.st_src <- S_end
-            else begin
-              if keep v then begin
-                emit v;
-                st.st_peak <- Int.max st.st_peak !n
-              end;
-              fill ()
-            end
-        | S_tail t -> (
-            let barrier =
-              match t.tl_roots with r :: _ -> r | [] -> max_int
-            in
-            match t.tl_pending with
-            | a :: rest when a < barrier ->
-                t.tl_pending <- rest;
-                emit a;
-                fill ()
-            | _ -> (
-                match t.tl_roots with
-                | [] ->
-                    (* pending is empty: everything below max_int was
-                       emittable and the branch above drained it *)
-                    st.st_src <- S_end
-                | r :: rest ->
-                    (* one root per refill, so pending never holds more
-                       than one root's overlap *)
-                    t.tl_roots <- rest;
-                    t.tl_pending <-
-                      merge_uniq t.tl_pending
-                        (eval_segment st.st_store st.st_index st.st_mode
-                           t.tl_seg [ r ] st.st_scanned);
-                    st.st_peak <-
-                      Int.max st.st_peak (!n + List.length t.tl_pending);
-                    fill ()))
-    in
-    fill ();
     (* the call whose refill exhausts the source finalizes, so the
        chunk it returns is known to be the last *)
     (match st.st_src with S_end -> stream_finalize st | _ -> ());
-    List.rev !buf
+    chunk_list st.st_buf n []
   end
 
 let stream_close st = stream_finalize st
@@ -760,12 +807,14 @@ let explain store index pattern =
            (Summary_prune.cardinal summary last)
            (Postings.length (narrowed_postings ~summary store index last))
            (Postings.length (Nok_match.postings store index last)));
+      (* the steps [Insecure] decides without a page; secure semantics
+         decide the same ones when the run index is on *)
       let plain =
         List.concat
           (List.mapi
              (fun i (st : Decompose.step) ->
                match st.Decompose.pnode.Pattern.test with
-               | Pattern.Tag t when plain_step st ->
+               | Pattern.Tag t when resident_step store Insecure st ->
                    [ Printf.sprintf "%d %s" (i + 1) t ]
                | _ -> [])
              (Array.to_list steps))

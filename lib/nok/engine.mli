@@ -67,19 +67,20 @@ val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
     directly.  Never set on production paths. *)
 val planted_bug : bool ref
 
-(** How the summary-path plan decides trunk step [step] on this handle
-    without reading a page, or [None] when the step reads its page
+(** Does the summary-path plan decide trunk step [step] on this handle
+    without reading a page?  When [false] the step reads its page
     ({!Nok_match.qualifies}).  Only a plain step — no predicate, no value
     test, a tag test — is decided without a page: under [Insecure] its
-    admitted class alone decides it (the class fixes the tag), under
-    secure semantics with the run index on the run verdict
+    admitted class alone decides it ([true]: the class fixes the tag),
+    under secure semantics with the run index on the run verdict
     ({!Dolx_core.Secure_store.accessible}: a counted check, quarantine
-    included, no page touch) does.  The decision holds only for nodes
-    whose summary class is admissible for the step, and there it equals
-    {!Nok_match.qualifies}; the plan asks about no other node, and counts
-    each such decision in [engine.resident_decisions]. *)
-val resident_step :
-  Store.t -> semantics -> Decompose.step -> (Dolx_xml.Tree.node -> bool) option
+    and the [access] canary included, no page touch) does.  That decision
+    holds only for nodes whose summary class is admissible for the step,
+    and there it equals {!Nok_match.qualifies}; the plan asks about no
+    other node, and counts each such decision in
+    [engine.resident_decisions].  {!explain} names the steps this holds
+    for. *)
+val resident_step : Store.t -> semantics -> Decompose.step -> bool
 
 (** Class analysis of the query against the handle's path summary
     ({!Summary_prune}); [None] when the summary tier is disabled on this
@@ -92,8 +93,8 @@ val summary_analysis :
 (** {1 Streaming evaluation}
 
     The single driver of the §4 pipeline.  Building a stream picks the
-    plan and stages it: the summary-path filter (answer bottom-up from
-    the last step's class-filtered postings) when the summary tier is on
+    plan and stages it: the summary-path decision loop (answer bottom-up
+    from the last step's class-filtered postings) when the summary tier is on
     and the trunk uses only child and descendant axes and ends in a tag
     test; otherwise every segment but the last is evaluated eagerly and
     joined with (ε-)Stack-Tree-Desc, the next segment's candidates
@@ -102,9 +103,14 @@ val summary_analysis :
 
     Memory.  The summary-path plan stages nothing: each {!stream_next}
     pulls candidates one at a time from a gated cursor over the index's
-    resident postings and keeps one verdict per ancestor and earlier
-    step, so a stream holds O([chunk] + steps × document depth) words,
-    bounded by neither the candidate nor the answer count.  The segment
+    resident postings and decides each in a loop over arrays the stream
+    fetched once (the tree's parents and subtree sizes, the summary's
+    class map, each step's admissible classes), keeping one verdict per
+    ancestor and earlier step; it allocates nothing per candidate.  So a
+    stream holds O([chunk] + steps × document depth) words, bounded by
+    neither the candidate nor the answer count.  Every plan writes a
+    chunk's answers into a buffer the stream keeps, and {!stream_next}
+    conses the returned list from its end, one cell per answer.  The segment
     plan emits the last segment's candidate roots one root at a time,
     holding the chunk plus one root's reorder margin, and also the lists
     it staged: the joined bindings and those candidate roots, each at

@@ -49,6 +49,8 @@ let next_sibling t v = check t v; t.next_siblings.(v)
 let subtree_size t v = check t v; t.sizes.(v)
 let text t v = check t v; t.texts.(v)
 let tag_table t = t.tag_table
+let parents t = t.parents
+let subtree_sizes t = t.sizes
 
 (** Preorder of the last node in v's subtree. *)
 let subtree_end t v = v + subtree_size t v - 1

@@ -43,6 +43,15 @@ val next_sibling : t -> node -> node
 (** Nodes in [v]'s subtree, including [v]. *)
 val subtree_size : t -> node -> int
 
+(** The arena's parent array, [parents t].(v) = [parent t v] for every
+    node: the array itself, not a copy, for loops that read many nodes'
+    parents without a call per node.  Callers must not mutate it. *)
+val parents : t -> node array
+
+(** The arena's subtree-size array, [subtree_sizes t].(v) =
+    [subtree_size t v]: the array itself, read-only, as {!parents}. *)
+val subtree_sizes : t -> int array
+
 (** Concatenated text content directly under [v] ("" when none). *)
 val text : t -> node -> string
 

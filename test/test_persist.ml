@@ -649,6 +649,65 @@ let test_persist_duplicate_entries () =
     (Codebook.redundant_entries cb');
   check Alcotest.bool "same image" true (Persist.to_bytes dol = Persist.to_bytes dol')
 
+(* A DOL image of width 0: one node, one transition to code 0, and a
+   codebook that claims [n_codes] entries of no bytes each. *)
+let width0_image n_codes =
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf "DOLX";
+  Buffer.add_uint8 buf 2;
+  let tmp = Bytes.create Dolx_util.Varint.max_len in
+  let varint x = Buffer.add_subbytes buf tmp 0 (Dolx_util.Varint.write tmp 0 x) in
+  List.iter varint [ 0; 1; n_codes; 1; 0; 0 ];
+  let body = Buffer.to_bytes buf in
+  let crc = Bytes.create 4 in
+  Bytes.set_int32_le crc 0 (Int32.of_int (Dolx_util.Crc.digest body));
+  Bytes.cat body crc
+
+(* Subject removal down to width 0 keeps every entry, so the writer
+   produces images whose entries have no bytes: each loads, keeps its
+   entries and transitions and writes back the same image.  A width-0
+   book's first intern indexes one entry, whatever its count.  A
+   hand-made width-0 image claiming more entries than a book can hold
+   raises [Corrupt]; the bytes left bound nothing there. *)
+let test_persist_width_zero () =
+  let store = Acl.create ~width:3 in
+  let acl l = Acl.intern store (Bitset.of_list 3 l) in
+  let node_acl = [| acl [ 0 ]; acl [ 0; 2 ]; acl [ 2 ]; acl [ 1; 2 ]; acl []; acl [ 0; 1 ]; acl [ 0 ] |] in
+  let dol = Dol.of_labeling (Labeling.create ~store ~node_acl) in
+  let count = Codebook.count (Dol.codebook dol) in
+  List.iter
+    (fun subject ->
+      Update.remove_subject dol subject;
+      let image = Persist.to_bytes dol in
+      let dol' = Persist.of_bytes image in
+      let cb' = Dol.codebook dol' in
+      let w = Codebook.width cb' in
+      check Alcotest.int (Printf.sprintf "width %d: entries" w) count (Codebook.count cb');
+      check Fixtures.int_list (Printf.sprintf "width %d: transition codes" w)
+        (Array.to_list dol.Dol.trans_code) (Array.to_list dol'.Dol.trans_code);
+      check Alcotest.bool (Printf.sprintf "width %d: same image" w) true
+        (Persist.to_bytes dol' = image))
+    [ 2; 1; 0 ];
+  let cb = Dol.codebook (Persist.of_bytes (Persist.to_bytes dol)) in
+  check Alcotest.int "width 0" 0 (Codebook.width cb);
+  check Alcotest.int "every width-0 entry is code 0's ACL" (count - 1)
+    (Codebook.redundant_entries cb);
+  check Alcotest.int "intern at width 0" 0 (Codebook.intern cb (Bitset.create 0));
+  check Alcotest.int "one entry indexed" 1 (Codebook.indexed_entries cb);
+  (* the largest count a book holds loads, and indexes one entry *)
+  let full = Dol.codebook (Persist.of_bytes (width0_image Codebook.max_count)) in
+  check Alcotest.int "max_count entries" Codebook.max_count (Codebook.count full);
+  check Alcotest.int "intern on max_count entries" 0 (Codebook.intern full (Bitset.create 0));
+  check Alcotest.int "one of max_count indexed" 1 (Codebook.indexed_entries full);
+  List.iter
+    (fun n_codes ->
+      let image = width0_image n_codes in
+      match Persist.of_bytes image with
+      | exception Persist.Corrupt _ -> ()
+      | _ -> Alcotest.failf "%d-byte image claiming %d entries loaded" (Bytes.length image) n_codes)
+    [ Codebook.max_count + 1; 1 lsl 40 ];
+  check Alcotest.int "the hand-made image is 20 bytes" 20 (Bytes.length (width0_image (1 lsl 40)))
+
 (* A read-only open builds no intern index: not a [Persist] load, not a
    [Db_file] load, not Q1–Q6 under every semantics with the run index on
    or off.  The first update builds it. *)
@@ -718,4 +777,6 @@ let suite =
       test_persist_duplicate_entries;
     Alcotest.test_case "read-only opens build no intern index" `Quick
       test_read_only_opens_build_no_index;
+    Alcotest.test_case "persist: width-0 images load, an oversized count is Corrupt" `Quick
+      test_persist_width_zero;
   ]

@@ -631,12 +631,13 @@ let test_gate_allocates_nothing () =
 (* --- summary-path steps decided without a page --- *)
 
 (* On random documents, policies and update traces, a plain step's
-   resident decision equals the page-reading qualification on every node
-   of a class the step admits, under all three semantics, on a store
-   with quarantined ranges.  A step that is not plain, or a secure
-   semantics with the run index off, gets no resident decision.  Every
-   check denies the quarantined range and only it, with the run index
-   on and off. *)
+   resident decision ({!Engine.resident_step} holds; the class under
+   [Insecure], the run verdict under secure semantics) equals the
+   page-reading qualification on every node of a class the step admits,
+   under all three semantics, on a store with quarantined ranges.  A
+   step that is not plain, or a secure semantics with the run index off,
+   gets no resident decision.  Every check denies the quarantined range
+   and only it, with the run index on and off. *)
 let prop_resident_step_matches_qualifies =
   let queries =
     [ "//parlist//parlist"; "//listitem//keyword"; "//item//emph";
@@ -693,29 +694,39 @@ let prop_resident_step_matches_qualifies =
                           st.Decompose.preds = [] && p.Pattern.value = None
                           && p.Pattern.test <> Pattern.Wildcard
                         in
-                        match Engine.resident_step store sem st with
-                        | None ->
-                            if plain && (runs || sem = Engine.Insecure) then
-                              QCheck2.Test.fail_reportf "%s: a plain step reads its page" q
-                        | Some decide ->
-                            if not plain then
-                              QCheck2.Test.fail_reportf "%s: a step with a predicate \
-                                                         decided without its page" q;
-                            if sem <> Engine.Insecure && not runs then
-                              QCheck2.Test.fail_reportf "%s: resident with the runs off" q;
-                            let adm = Summary_prune.classes sp p in
-                            let qualifies =
-                              Nok_match.qualifies store index mode p ~preds:st.Decompose.preds
-                            in
-                            for v = 0 to n - 1 do
-                              if
-                                Summary_prune.mem adm (Dolx_index.Path_summary.class_of ps v)
-                                && decide v <> qualifies v
-                              then
-                                QCheck2.Test.fail_reportf
-                                  "round %d, %s, node %d: resident %b, page %b" round q v
-                                  (decide v) (qualifies v)
-                            done)
+                        if not (Engine.resident_step store sem st) then begin
+                          if plain && (runs || sem = Engine.Insecure) then
+                            QCheck2.Test.fail_reportf "%s: a plain step reads its page" q
+                        end
+                        else begin
+                          (* the decision the plan takes for a resident
+                             step: the class alone under [Insecure], the
+                             counted run verdict under secure semantics *)
+                          let decide v =
+                            match sem with
+                            | Engine.Insecure -> true
+                            | Engine.Secure s | Engine.Secure_path s ->
+                                Store.accessible store ~subject:s v
+                          in
+                          if not plain then
+                            QCheck2.Test.fail_reportf "%s: a step with a predicate \
+                                                       decided without its page" q;
+                          if sem <> Engine.Insecure && not runs then
+                            QCheck2.Test.fail_reportf "%s: resident with the runs off" q;
+                          let adm = Summary_prune.classes sp p in
+                          let qualifies =
+                            Nok_match.qualifies store index mode p ~preds:st.Decompose.preds
+                          in
+                          for v = 0 to n - 1 do
+                            if
+                              Summary_prune.mem adm (Dolx_index.Path_summary.class_of ps v)
+                              && decide v <> qualifies v
+                            then
+                              QCheck2.Test.fail_reportf
+                                "round %d, %s, node %d: resident %b, page %b" round q v
+                                (decide v) (qualifies v)
+                          done
+                        end)
                       steps)
                   [ true; false ])
               (all_semantics subjects))
@@ -804,6 +815,295 @@ let test_runs_off_reads_pages () =
       Store.set_run_index store true)
     plain_trunks
 
+(* --- the summary-path decision loop --- *)
+
+(* A random summary-path trunk along the root path of a random node: 2-4
+   steps at increasing depths, the last at the node itself.  An edge is
+   a child edge where the depths are adjacent and the draw says so, a
+   descendant edge elsewhere.  A step before the last may be a wildcard;
+   a step may carry a child or descendant predicate naming a child's
+   tag (sometimes with its text) or a tag no node has; the last step may
+   test its text. *)
+let random_trunk rng tree =
+  let n = Tree.size tree in
+  let rec pick tries =
+    let v = Prng.int rng n in
+    if Tree.depth tree v >= 2 || tries = 0 then v else pick (tries - 1)
+  in
+  let rec up u acc = if u = Tree.nil then acc else up (Tree.parent tree u) (u :: acc) in
+  let path = Array.of_list (up (pick 50) []) in
+  let d = Array.length path in
+  let steps = Int.min (2 + Prng.int rng 3) d in
+  let positions =
+    List.sort compare (Prng.sample rng (d - 1) (steps - 1)) @ [ d - 1 ]
+  in
+  let buf = Buffer.create 64 in
+  let quote s = "\"" ^ s ^ "\"" in
+  let safe s = not (String.contains s '"') in
+  List.iteri
+    (fun m pos ->
+      let u = path.(pos) in
+      let child =
+        if m = 0 then pos = 0 && Prng.bool rng ~p:0.5
+        else pos = List.nth positions (m - 1) + 1 && Prng.bool rng ~p:0.6
+      in
+      Buffer.add_string buf (if child then "/" else "//");
+      Buffer.add_string buf
+        (if m < steps - 1 && Prng.bool rng ~p:0.15 then "*" else Tree.tag_name tree u);
+      if Prng.bool rng ~p:0.3 then begin
+        let axis = if Prng.bool rng ~p:0.3 then "//" else "" in
+        match Tree.children tree u with
+        | [] -> Buffer.add_string buf ("[" ^ axis ^ "nosuchtag]")
+        | cs ->
+            let c = List.nth cs (Prng.int rng (List.length cs)) in
+            let t = Tree.tag_name tree c and x = Tree.text tree c in
+            if Prng.bool rng ~p:0.1 then Buffer.add_string buf ("[" ^ axis ^ "nosuchtag]")
+            else if Prng.bool rng ~p:0.25 && x <> "" && safe x then
+              Buffer.add_string buf ("[" ^ axis ^ t ^ "=" ^ quote x ^ "]")
+            else Buffer.add_string buf ("[" ^ axis ^ t ^ "]")
+      end;
+      let x = Tree.text tree u in
+      if m = steps - 1 && x <> "" && safe x && Prng.bool rng ~p:0.1 then
+        Buffer.add_string buf ("=" ^ quote x))
+    positions;
+  Buffer.contents buf
+
+(* On random documents, policies, update traces and a quarantined range,
+   random 2-4 step trunks answer the same through the summary-path loop,
+   through the segment plan (summary off) and in the naive oracle, under
+   all three semantics with the run index on and off. *)
+let prop_summary_loop_matches_oracle =
+  Fixtures.qtest ~count:15 "summary-path loop = segment plan = oracle"
+    QCheck2.Gen.(triple (int_range 0 10_000) (int_range 1 4) (int_range 0 3))
+    (fun (seed, subjects, updates) ->
+      let tree, dol = make_dol ~nodes:400 ~subjects seed in
+      let n = Tree.size tree in
+      let disk = Disk.create ~page_size:512 () in
+      let layout =
+        Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
+      in
+      let q0 = 1 + (seed mod (n / 2)) in
+      let store =
+        Store.assemble ~pool_capacity:8 ~quarantine:[ (q0, q0 + 9) ] ~tree ~dol ~disk
+          ~layout ()
+      in
+      let index = Tag_index.build tree in
+      let rng = Prng.create (seed + 3) in
+      let trunks = List.init 4 (fun _ -> random_trunk rng tree) in
+      let check_all round =
+        List.iter
+          (fun q ->
+            let pattern = Dolx_nok.Xpath.parse q in
+            List.iter
+              (fun sem ->
+                let acc s v = (v < q0 || v > q0 + 9) && Dol.accessible (Store.dol store) ~subject:s v in
+                let oracle =
+                  Reference.eval tree
+                    (match sem with
+                    | Engine.Insecure -> Reference.Any
+                    | Engine.Secure s -> Reference.Bound (acc s)
+                    | Engine.Secure_path s -> Reference.Path (acc s))
+                    pattern
+                in
+                List.iter
+                  (fun runs ->
+                    Store.set_run_index store runs;
+                    Store.set_summary store false;
+                    let segments = (Engine.run store index pattern sem).Engine.answers in
+                    Store.set_summary store true;
+                    let before = Metrics.counter_value "engine.plan_summary_path" in
+                    let loop = (Engine.run store index pattern sem).Engine.answers in
+                    if Metrics.counter_value "engine.plan_summary_path" <> before + 1 then
+                      QCheck2.Test.fail_reportf "%s: not a summary-path plan" q;
+                    if loop <> oracle || segments <> oracle then
+                      QCheck2.Test.fail_reportf
+                        "round %d, %s, runs %b: loop %d answers, segments %d, oracle %d" round q
+                        runs (List.length loop) (List.length segments) (List.length oracle))
+                  [ true; false ])
+              (all_semantics subjects))
+          trunks;
+        Store.set_run_index store true
+      in
+      check_all 0;
+      for round = 1 to updates do
+        let s = Prng.int rng subjects and v = Prng.int rng n in
+        let grant = Prng.bool rng ~p:0.5 in
+        if Prng.bool rng ~p:0.5 then
+          Update.set_subtree_accessibility store ~subject:s ~grant v
+        else ignore (Update.set_node_accessibility store ~subject:s ~grant v);
+        check_all round
+      done;
+      true)
+
+(* The summary-path plan's qualification count, by a model that keeps
+   every (step, node) verdict in a table it never empties: the chains
+   forget an ancestor only once no later candidate lies in its subtree,
+   so the plan must qualify exactly the nodes the model does.  [Insecure]
+   and [Secure] (run index on, no quarantine), plain trunks. *)
+let memo_model store pattern sem =
+  let tree = Store.tree store in
+  let ps = Store.path_summary store in
+  let sp = Option.get (Engine.summary_analysis store pattern sem) in
+  let steps =
+    Array.of_list
+      (List.concat_map
+         (fun (sg : Decompose.segment) -> sg.Decompose.steps)
+         (Decompose.plan pattern).Decompose.segments)
+  in
+  let k = Array.length steps - 1 in
+  let pnode i = steps.(i).Decompose.pnode in
+  let adm i u =
+    Summary_prune.mem (Summary_prune.classes sp (pnode i)) (Dolx_index.Path_summary.class_of ps u)
+  in
+  let ok v =
+    match sem with
+    | Engine.Secure s -> Dol.accessible (Store.dol store) ~subject:s v
+    | Engine.Insecure | Engine.Secure_path _ -> true
+  in
+  let count = ref 0 in
+  let memo = Hashtbl.create 64 in
+  let rec decide i v =
+    let above =
+      if i = 0 then (pnode 0).Pattern.axis <> Pattern.Child || v = Tree.root
+      else if (pnode i).Pattern.axis = Pattern.Child then
+        let u = Tree.parent tree v in
+        u <> Tree.nil && adm (i - 1) u && memo_decide (i - 1) u
+      else
+        let rec search u =
+          u <> Tree.nil && ((adm (i - 1) u && memo_decide (i - 1) u) || search (Tree.parent tree u))
+        in
+        search (Tree.parent tree v)
+    in
+    above
+    && begin
+      incr count;
+      ok v
+    end
+  and memo_decide i u =
+    match Hashtbl.find_opt memo (i, u) with
+    | Some b -> b
+    | None ->
+        let b = decide i u in
+        Hashtbl.add memo (i, u) b;
+        b
+  in
+  let last = match (pnode k).Pattern.test with Pattern.Tag t -> t | Pattern.Wildcard -> "" in
+  let answers = ref [] in
+  for v = 0 to Tree.size tree - 1 do
+    (* the cursor: the last step's tag, an admissible class, and under
+       [Secure] the run gate *)
+    if Tree.tag_name tree v = last && adm k v && ok v && decide k v then answers := v :: !answers
+  done;
+  (List.rev !answers, !count)
+
+let test_loop_qualifies_each_node_once () =
+  let trunks =
+    plain_trunks
+    @ [ "//listitem//parlist//listitem//keyword"; "/site//item/description//keyword";
+        "//category//text/keyword"; "//parlist/listitem//text" ]
+  in
+  List.iter
+    (fun seed ->
+      let tree, dol = make_dol ~nodes:3000 ~subjects:2 seed in
+      let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+      let index = Tag_index.build tree in
+      List.iter
+        (fun q ->
+          let pattern = Dolx_nok.Xpath.parse q in
+          List.iter
+            (fun sem ->
+              let want, scanned = memo_model store pattern sem in
+              let before = Metrics.counter_value "engine.resident_decisions" in
+              let r = Engine.run store index pattern sem in
+              check Fixtures.int_list (q ^ ": answers") want r.Engine.answers;
+              check Alcotest.int (q ^ ": qualifications") scanned r.Engine.candidates_scanned;
+              check Alcotest.int (q ^ ": every one decided without a page") scanned
+                (Metrics.counter_value "engine.resident_decisions" - before))
+            [ Engine.Insecure; Engine.Secure 0; Engine.Secure 1 ])
+        trunks)
+    [ 5; 71 ]
+
+(* A Q4-Q6 summary-path drain allocates the chunk lists' cells, three
+   words per answer, and a constant per chunk and per stream: the
+   decision loop allocates nothing per candidate or per ancestor. *)
+let test_loop_drain_allocation () =
+  let tree, dol = make_dol ~nodes:40_000 ~subjects:2 23 in
+  let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+  let index = Tag_index.build tree in
+  List.iter
+    (fun q ->
+      let pattern = Dolx_nok.Xpath.parse q in
+      List.iter
+        (fun sem ->
+          List.iter
+            (fun chunk ->
+              let st = Engine.stream ~chunk store index pattern sem in
+              let answers = ref 0 and chunks = ref 0 in
+              let rec drain () =
+                match Engine.stream_next st with
+                | [] -> ()
+                | c ->
+                    answers := !answers + List.length c;
+                    incr chunks;
+                    drain ()
+              in
+              let w0 = Gc.minor_words () in
+              drain ();
+              let words = Gc.minor_words () -. w0 in
+              let scanned = Engine.stream_scanned st in
+              if !answers < 50 || scanned <= !answers then
+                Alcotest.failf "%s, chunk %d: a weak probe (%d answers, %d scanned)" q chunk
+                  !answers scanned;
+              let bound = float_of_int ((3 * !answers) + (8 * !chunks) + 512) in
+              if words > bound then
+                Alcotest.failf "%s, chunk %d: %.0f minor words for %d answers in %d chunks" q
+                  chunk words !answers !chunks)
+            [ 64; 256 ])
+        [ Engine.Insecure; Engine.Secure 0; Engine.Secure_path 1 ])
+    plain_trunks
+
+(* The [access] canary (node 3 reported inaccessible) reaches the steps
+   the summary-path loop decides without a page: armed, a plain trunk
+   binding node 3, and one passing through it, answer what the oracle
+   answers with node 3 denied, under both secure semantics. *)
+let test_canary_reaches_plain_steps () =
+  let tree, dol = make_dol ~nodes:2000 ~subjects:1 13 in
+  let store = Store.create tree dol in
+  let index = Tag_index.build tree in
+  List.iter
+    (fun v -> ignore (Update.set_node_accessibility store ~subject:0 ~grant:true v))
+    [ 0; 1; 2; 3 ];
+  let rec up u acc = if u = Tree.nil then acc else up (Tree.parent tree u) (u :: acc) in
+  let to3 = String.concat "" (List.map (fun u -> "/" ^ Tree.tag_name tree u) (up 3 [])) in
+  let below = Tree.tag_name tree (Tree.subtree_end tree 3) in
+  let acc armed v = not (armed && v = 3) && Dol.accessible (Store.dol store) ~subject:0 v in
+  List.iter
+    (fun q ->
+      let pattern = Dolx_nok.Xpath.parse q in
+      List.iter
+        (fun sem ->
+          let answers armed =
+            Store.planted_bug := armed;
+            Fun.protect
+              ~finally:(fun () -> Store.planted_bug := false)
+              (fun () -> (Engine.run store index pattern sem).Engine.answers)
+          in
+          let oracle armed =
+            Reference.eval tree
+              (match sem with
+              | Engine.Secure_path _ -> Reference.Path (acc armed)
+              | _ -> Reference.Bound (acc armed))
+              pattern
+          in
+          let plain = (answers false, oracle false) in
+          check Fixtures.int_list (q ^ ": unarmed") (snd plain) (fst plain);
+          if fst plain = [] then Alcotest.failf "%s: a weak probe (no answer)" q;
+          check Fixtures.int_list (q ^ ": armed") (oracle true) (answers true);
+          check Alcotest.bool (q ^ ": the canary moved the answers") true
+            (oracle true <> fst plain))
+        [ Engine.Secure 0; Engine.Secure_path 0 ])
+    [ to3; to3 ^ "//" ^ below ]
+
 let suite =
   [
     prop_runs_match_dol;
@@ -834,4 +1134,11 @@ let suite =
       test_plain_trunks_read_no_page;
     Alcotest.test_case "run index off: Q4-Q6 read pages" `Quick
       test_runs_off_reads_pages;
+    prop_summary_loop_matches_oracle;
+    Alcotest.test_case "summary-path loop qualifies each chain node once" `Quick
+      test_loop_qualifies_each_node_once;
+    Alcotest.test_case "a Q4-Q6 summary-path drain allocates per answer only" `Quick
+      test_loop_drain_allocation;
+    Alcotest.test_case "the access canary reaches the plain steps" `Quick
+      test_canary_reaches_plain_steps;
   ]
