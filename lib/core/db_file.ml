@@ -38,6 +38,7 @@
                          varint n_entries
                          n_entries * (varint lp, page_size bytes image)
                          varint dol_len, Persist body
+                         (n_entries = 0: the update changed the DOL only)
     v}
 
     {b Journal protocol} (write-ahead redo): an update that touches
@@ -45,7 +46,7 @@
     and the new DOL as a journal record, sealed by the CRC and the 0xC3
     commit mark, to an otherwise {e unmodified} base file.  The journal
     region holds a {e sequence} of such records — group commit
-    ({!append_update}, [Dolx_core.Group_commit]) batches several updates
+    ({!record_update}, [Dolx_core.Group_commit]) batches several updates
     into one file write by appending one record per update.  On load,
     records are rolled forward in order; the first record that is not
     sealed (flag byte with no payload, a torn payload prefix, a bad CRC,
@@ -616,128 +617,127 @@ let of_bytes ?pool_capacity ?(on_bad_page = `Fail) buf =
   in
   (store, registry)
 
-(** {1 Journaled updates}
+(** {1 Journaled updates} *)
 
-    [update_images ~base f] loads the clean image [base], applies the
-    update [f], and returns the durable byte images a crashing writer
-    could leave behind, in order: the untouched base (crash before the
-    journal write), torn journal prefixes, the full journal without its
-    commit mark, and finally the committed image.  Every image loads:
-    all but the last yield exactly the pre-update state, the last yields
-    exactly the post-update state.  [torn] adds PRNG-chosen extra tear
-    points.  The committed image is last, so
-    [List.nth images (List.length images - 1)] is the update's durable
-    result (see {!apply_update}). *)
 (* Flush buffered pages and drain the layout's dirty tracking into one
-   journal-record payload; [None] when no page changed (the [`Clean]
-   drain — dol-only changes are not journaled, matching the historical
-   single-record behavior). *)
-let update_payload store =
+   journal-record payload for what changed since the DOL stood at
+   generation [since]: every dirty page image, and the DOL.  An update
+   that changed the DOL alone (a subject added or removed) gets a
+   record with no page.  [None] when nothing changed. *)
+let update_payload ~since store =
   Dolx_storage.Buffer_pool.flush_all (Secure_store.pool store);
   let layout = Secure_store.layout store in
-  match Nok_layout.drain_dirty layout with
-  | `Clean -> None
-  | (`Pages _ | `Renumbered) as dirty ->
-      let entries =
-        match dirty with
-        | `Pages lps -> lps
-        | `Renumbered -> List.init (Nok_layout.page_count layout) Fun.id
-      in
-      let payload = Buffer.create 4096 in
-      add_varint payload (Nok_layout.page_count layout);
-      add_varint payload (List.length entries);
-      List.iter
-        (fun lp ->
-          add_varint payload lp;
-          Buffer.add_bytes payload (Nok_layout.page_image layout lp))
-        entries;
-      let dol_body = Buffer.create 1024 in
-      Persist.write_body dol_body (Secure_store.dol store);
-      add_varint payload (Buffer.length dol_body);
-      Buffer.add_buffer payload dol_body;
-      Some (Buffer.to_bytes payload)
+  let entries =
+    match Nok_layout.drain_dirty layout with
+    | `Clean -> []
+    | `Pages lps -> lps
+    | `Renumbered -> List.init (Nok_layout.page_count layout) Fun.id
+  in
+  if entries = [] && Dol.generation (Secure_store.dol store) = since then None
+  else begin
+    let payload = Buffer.create 4096 in
+    add_varint payload (Nok_layout.page_count layout);
+    add_varint payload (List.length entries);
+    List.iter
+      (fun lp ->
+        add_varint payload lp;
+        Buffer.add_bytes payload (Nok_layout.page_image layout lp))
+      entries;
+    let dol_body = Buffer.create 1024 in
+    Persist.write_body dol_body (Secure_store.dol store);
+    add_varint payload (Buffer.length dol_body);
+    Buffer.add_buffer payload dol_body;
+    Some (Buffer.to_bytes payload)
+  end
 
-let update_images ?pool_capacity ?torn ~base f =
-  let base_len = Bytes.length base in
-  if base_len = 0 || Bytes.get_uint8 base (base_len - 1) <> 0 then
-    invalid_arg "Db_file.update_images: base image is not clean (has a journal)";
-  let store, _registry = of_bytes ?pool_capacity base in
+(* The last byte of an image a record can follow: a clean image's
+   journal flag (0) or a journaled image's last commit mark. *)
+let journal_tail ~who image =
+  let len = Bytes.length image in
+  if len = 0 then invalid_arg (who ^ ": empty image");
+  let last = Bytes.get_uint8 image (len - 1) in
+  if last <> 0 && last <> commit_mark then
+    invalid_arg (who ^ ": image is neither clean nor journaled");
+  last
+
+(* The one record encoder: [image] with [payload] appended as a sealed
+   journal record — a clean image's flag byte flipped to 1 first, a
+   journaled image extended — so each result is a byte prefix of the
+   next append's. *)
+let append_record image payload =
+  let len = Bytes.length image in
+  let last = journal_tail ~who:"Db_file.append_record" image in
+  Metrics.incr c_journal_writes;
+  Metrics.add c_journal_bytes (Bytes.length payload);
+  let buf = Buffer.create (len + Bytes.length payload + 16) in
+  if last = 0 then begin
+    Buffer.add_subbytes buf image 0 (len - 1);
+    Buffer.add_uint8 buf 1
+  end
+  else Buffer.add_bytes buf image;
+  add_varint buf (Bytes.length payload);
+  Buffer.add_bytes buf payload;
+  add_u32 buf (Crc.digest payload);
+  Buffer.add_uint8 buf commit_mark;
+  Buffer.to_bytes buf
+
+(* [store] must be the state [image] loads as. *)
+let record_update ~image store f =
+  let since = Dol.generation (Secure_store.dol store) in
   f store;
-  match update_payload store with
-  | None -> [ base ]
-  | Some payload ->
-      Metrics.incr c_journal_writes;
-      Metrics.add c_journal_bytes (Bytes.length payload);
-      (* stem = base minus its trailing journal flag byte *)
-      let journal = Buffer.create (Bytes.length payload + 16) in
-      Buffer.add_subbytes journal base 0 (base_len - 1);
-      Buffer.add_uint8 journal 1;
-      add_varint journal (Bytes.length payload);
-      Buffer.add_bytes journal payload;
-      add_u32 journal (Crc.digest payload);
-      let uncommitted = Buffer.to_bytes journal in
-      Buffer.add_uint8 journal commit_mark;
-      let committed = Buffer.to_bytes journal in
-      let flagged = Bytes.sub committed 0 base_len in
-      let tears =
-        let span = Bytes.length uncommitted - base_len in
-        let mid = Bytes.sub committed 0 (base_len + (span / 2)) in
-        match torn with
-        | None -> [ mid ]
-        | Some prng ->
-            mid
-            :: List.init 3 (fun _ ->
-                   Bytes.sub committed 0 (base_len + 1 + Prng.int prng span))
-      in
-      (base :: flagged :: tears) @ [ uncommitted; committed ]
+  match update_payload ~since store with
+  | None -> image
+  | Some payload -> append_record image payload
 
-(** Apply an update durably: journal it, then compact by loading the
-    committed image (exercising roll-forward) and rewriting a clean
-    file.  The registries embedded in [base], if any, are re-embedded. *)
+(* Load the clean image [base] and apply [f] to it, journaling the
+   update: the store, its registries and the committed image. *)
+let journal ?pool_capacity ~who ~base f =
+  if journal_tail ~who base <> 0 then
+    invalid_arg (who ^ ": base image is not clean (has a journal)");
+  let store, registry = of_bytes ?pool_capacity base in
+  let committed = record_update ~image:base store f in
+  (store, registry, committed)
+
+(* Every durable image a crash during the journaled commit could leave
+   behind, the committed one last (see the interface). *)
+let update_images ?pool_capacity ?torn ~base f =
+  let _, _, committed =
+    journal ?pool_capacity ~who:"Db_file.update_images" ~base f
+  in
+  let base_len = Bytes.length base in
+  (* a record only ever adds bytes *)
+  if Bytes.length committed = base_len then [ base ]
+  else begin
+    let uncommitted = Bytes.sub committed 0 (Bytes.length committed - 1) in
+    let flagged = Bytes.sub committed 0 base_len in
+    let tears =
+      let span = Bytes.length uncommitted - base_len in
+      let mid = Bytes.sub committed 0 (base_len + (span / 2)) in
+      match torn with
+      | None -> [ mid ]
+      | Some prng ->
+          mid
+          :: List.init 3 (fun _ ->
+                 Bytes.sub committed 0 (base_len + 1 + Prng.int prng span))
+    in
+    (base :: flagged :: tears) @ [ uncommitted; committed ]
+  end
+
+(* Journal the update, then compact the updated store. *)
 let apply_update ?pool_capacity ~base f =
-  let images = update_images ?pool_capacity ~base f in
-  let committed = List.nth images (List.length images - 1) in
-  let store, registry = of_bytes ?pool_capacity committed in
+  let store, registry, _committed =
+    journal ?pool_capacity ~who:"Db_file.apply_update" ~base f
+  in
   match registry with
   | None -> to_bytes store
   | Some (subjects, modes) -> to_bytes ~subjects ~modes store
 
-(** Append one update to [image] as a journal record, without
-    compacting: the group-commit building block.  [image] may be clean
-    (its trailing flag byte is flipped to 1 and the record appended) or
-    already journaled (the record is purely appended), so successive
-    appends chain — each result is a byte prefix of the next, and a
-    crash that tears the file anywhere inside the appended region loads
-    as the state after some {e prefix} of the batch.  Replay is
-    idempotent: records are pure redo (whole page images + full DOL).
-    Compact with {!apply_update} / {!to_bytes} when the batch is done.
-    @raise Invalid_argument when [image] is neither clean nor
-    journaled. *)
+(* The reference chain a commit group is checked against: one load,
+   the update, the encoder. *)
 let append_update ?pool_capacity ~image f =
-  let len = Bytes.length image in
-  if len = 0 then invalid_arg "Db_file.append_update: empty image";
-  let last = Bytes.get_uint8 image (len - 1) in
-  if last <> 0 && last <> commit_mark then
-    invalid_arg "Db_file.append_update: image is neither clean nor journaled";
+  ignore (journal_tail ~who:"Db_file.append_update" image);
   let store, _registry = of_bytes ?pool_capacity image in
-  f store;
-  match update_payload store with
-  | None -> image
-  | Some payload ->
-      Metrics.incr c_journal_writes;
-      Metrics.add c_journal_bytes (Bytes.length payload);
-      let buf = Buffer.create (len + Bytes.length payload + 16) in
-      if last = 0 then begin
-        (* clean image: flip the journal flag, then the first record *)
-        Buffer.add_subbytes buf image 0 (len - 1);
-        Buffer.add_uint8 buf 1
-      end
-      else Buffer.add_bytes buf image;
-      add_varint buf (Bytes.length payload);
-      Buffer.add_bytes buf payload;
-      add_u32 buf (Crc.digest payload);
-      Buffer.add_uint8 buf commit_mark;
-      Buffer.to_bytes buf
+  record_update ~image store f
 
 (** Byte extent [(offset, length)] of logical page [lp]'s image + CRC
     inside a database image — for corruption-injection tests.

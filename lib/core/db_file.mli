@@ -57,20 +57,36 @@ val update_images :
   ?pool_capacity:int -> ?torn:Dolx_util.Prng.t -> base:Bytes.t ->
   (Secure_store.t -> unit) -> Bytes.t list
 
-(** Apply an update durably: journal it, reload the committed image
-    (exercising journal roll-forward), and compact to a clean image.
-    Registries embedded in [base] are re-embedded. *)
+(** Apply an update durably: load [base] once, apply [f], journal it,
+    and compact the updated store to a clean image.  Registries embedded
+    in [base] are re-embedded.
+    @raise Invalid_argument when [base] is not a clean image. *)
 val apply_update :
   ?pool_capacity:int -> base:Bytes.t -> (Secure_store.t -> unit) -> Bytes.t
 
-(** Append one update to [image] as a journal record without compacting
-    — the group-commit building block ([Dolx_core.Group_commit] batches
-    several appends into one flush).  [image] may be clean or already
-    journaled; each result is a byte prefix of the next append's result,
-    so a crash tearing the file anywhere in the appended region loads
-    (via {!of_bytes}) as the state after some prefix of the batch, and
-    replaying a record batch is idempotent (records are pure redo).
-    When [f] changed no page, returns [image] unchanged.
+(** [record_update ~image store f] applies [f] to [store] and returns
+    [image] with [f]'s journal record appended — no load.  [store] must
+    be the state [image] loads as (a store loaded from it, changed since
+    only through this function), so a commit group keeps one live store
+    and writes each record from it ([Dolx_core.Group_commit]).  A record
+    carries every page [f] dirtied and the DOL; an update that changed
+    only the DOL (a subject added or removed) gets a record with no
+    page.  When [f] changed nothing, returns [image] itself.  When [f]
+    raises, [store] may hold part of its effect and must be reloaded
+    from [image].
+    @raise Invalid_argument when [image] is neither clean nor
+    journaled. *)
+val record_update :
+  image:Bytes.t -> Secure_store.t -> (Secure_store.t -> unit) -> Bytes.t
+
+(** Append one update to [image] as a journal record without compacting:
+    one load of [image], then {!record_update}.  [image] may be clean or
+    already journaled; each result is a byte prefix of the next append's
+    result, so a crash tearing the file anywhere in the appended region
+    loads (via {!of_bytes}) as the state after some prefix of the
+    records, and replaying them is idempotent (records are pure redo).
+    This is the reference chain a commit group's images are checked
+    against.  When [f] changed nothing, returns [image] unchanged.
     @raise Invalid_argument when [image] is neither clean nor
     journaled. *)
 val append_update :

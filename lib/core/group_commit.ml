@@ -1,25 +1,14 @@
 (** Group commit: batch concurrent durable updates into shared flushes.
 
-    Per-update durability ({!Db_file.apply_update}) pays one journal
-    write {e and} one flush (the fsync equivalent of the simulated
-    storage) per update.  This module keeps the current database image
-    in memory and lets any number of domains submit update closures;
-    a leader drains the queue, applies up to [max_batch] updates as
-    journal records appended to the image ({!Db_file.append_update}),
-    and makes the whole batch durable with a {e single} flush before
-    waking the submitters.  Crash safety is inherited from the record
-    format: a torn batch loads as the state after some prefix of the
-    committed records, and replay is idempotent (records are pure redo).
-
-    The wait is bounded: a leader never drains more than [max_batch]
-    requests, so a submitter waits for at most one in-flight batch plus
-    its own; with the queue saturated, each flush amortizes over
-    [max_batch] updates.
-
-    The flush itself is modeled, as all storage costs in this repository
-    are: it is counted (metrics [commit.flushes], {!stats}) and priced
-    at [flush_cost_us] microseconds, so benchmarks can report modeled
-    durable throughput without depending on host fsync behavior. *)
+    A commit group keeps the current database image and one live store
+    (the state that image loads as).  A leader drains up to [max_batch]
+    queued update closures, applies each to the live store, appends its
+    journal record to the image ({!Db_file.record_update}) and makes the
+    batch durable with a {e single} modeled flush before waking the
+    submitters.  No record reloads the image: the only loads are
+    {!create}'s and the one after an update that raises.  Crash safety,
+    the bounded wait and the flush model are described in the
+    interface. *)
 
 module Metrics = Dolx_obs.Metrics
 
@@ -31,7 +20,7 @@ let c_flushes = Metrics.counter "commit.flushes"
 
 type stats = {
   batches : int;  (** leader drains (one flush each) *)
-  records : int;  (** updates committed through batches *)
+  records : int;  (** updates committed; one that raised is not *)
   flushes : int;  (** modeled flushes (= batches + checkpoints) *)
   modeled_flush_us : int;  (** flushes × flush_cost_us *)
 }
@@ -42,36 +31,37 @@ type t = {
   pool_capacity : int option;
   max_batch : int;
   flush_cost_us : int;
+  registry : (Dolx_policy.Subject.registry * Dolx_policy.Mode.registry) option;
   mutable image : Bytes.t; (* current durable image (journaled or clean) *)
+  mutable store : Secure_store.t; (* what [image] loads as; the leader's *)
   mutable next_ticket : int;
   mutable durable : int; (* tickets < durable are flushed *)
   mutable leader : bool; (* a leader is applying a batch / checkpoint *)
   mutable queue : (int * (Secure_store.t -> unit)) list; (* oldest first *)
   failed : (int, exn) Hashtbl.t; (* accessed under [m] only *)
-  mutable batches : int;
-  mutable records : int;
-  mutable flushes : int;
+  mutable stats : stats;
 }
 
 let create ?pool_capacity ?(max_batch = 8) ?(flush_cost_us = 5_000) image =
   if max_batch < 1 then invalid_arg "Group_commit.create: max_batch < 1";
   if Bytes.length image = 0 then
     invalid_arg "Group_commit.create: empty image";
+  let store, registry = Db_file.of_bytes ?pool_capacity image in
   {
     m = Mutex.create ();
     cond = Condition.create ();
     pool_capacity;
     max_batch;
     flush_cost_us;
+    registry;
     image;
+    store;
     next_ticket = 0;
     durable = 0;
     leader = false;
     queue = [];
     failed = Hashtbl.create 8;
-    batches = 0;
-    records = 0;
-    flushes = 0;
+    stats = { batches = 0; records = 0; flushes = 0; modeled_flush_us = 0 };
   }
 
 let max_batch t = t.max_batch
@@ -83,30 +73,62 @@ let split_at k xs =
   in
   go k [] xs
 
-(* Leader work, outside the lock: append each update of [batch] to
-   [img] as a journal record.  An update that raises commits nothing
-   (its record is never appended) and is reported to its submitter; the
-   rest of the batch proceeds on the unchanged image. *)
-let apply_batch t img batch =
+(* The leader bracket, entered with [t.m] held: wait for the flag and
+   take it, run [work] outside the lock, then under it [install] the
+   result, give the flag back and wake every waiter.  When [work]
+   raises, nothing is installed but the flag is still given back.
+   Returns [install]'s result with [t.m] released. *)
+let lead t work install =
+  while t.leader do
+    Condition.wait t.cond t.m
+  done;
+  t.leader <- true;
+  Mutex.unlock t.m;
+  let r = match work () with x -> Ok x | exception e -> Error e in
+  Mutex.lock t.m;
+  let r = Result.map install r in
+  t.leader <- false;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.m;
+  match r with Ok x -> x | Error e -> raise e
+
+(* Leader work, outside the lock: apply each update of [batch] to the
+   live store and append its record to the image.  An update that
+   raises commits nothing and is reported to its submitter: the store
+   is reloaded from the image as of the last record, so no partial
+   effect of it rides into a later record.  Returns the new image and
+   the failures, newest first. *)
+let apply_batch t batch =
   List.fold_left
     (fun (img, failures) (ticket, f) ->
-      match Db_file.append_update ?pool_capacity:t.pool_capacity ~image:img f with
+      match Db_file.record_update ~image:img t.store f with
       | img' -> (img', failures)
-      | exception e -> (img, (ticket, e) :: failures))
-    (img, []) batch
+      | exception e ->
+          t.store <- fst (Db_file.of_bytes ?pool_capacity:t.pool_capacity img);
+          (img, (ticket, e) :: failures))
+    (t.image, []) batch
 
-(* Under [t.m]: record one finished batch and wake everyone. *)
-let finish_batch t img n failures =
+(* Under [t.m]: count one flush, of [batches] batches (0 or 1) making
+   [records] updates durable. *)
+let count_flush t ~batches ~records =
+  let s = t.stats in
+  t.stats <-
+    {
+      batches = s.batches + batches;
+      records = s.records + records;
+      flushes = s.flushes + 1;
+      modeled_flush_us = s.modeled_flush_us + t.flush_cost_us;
+    };
+  Metrics.add c_batches batches;
+  Metrics.add c_records records;
+  Metrics.incr c_flushes
+
+(* Under [t.m]: install one flushed batch of [n] updates; returns its
+   failures. *)
+let finish_batch t (img, failures) n =
   t.image <- img;
-  List.iter (fun (ticket, e) -> Hashtbl.replace t.failed ticket e) failures;
-  t.batches <- t.batches + 1;
-  t.records <- t.records + n;
-  t.flushes <- t.flushes + 1;
-  Metrics.incr c_batches;
-  Metrics.add c_records n;
-  Metrics.incr c_flushes;
-  t.leader <- false;
-  Condition.broadcast t.cond
+  count_flush t ~batches:1 ~records:(n - List.length failures);
+  failures
 
 (** Submit one durable update and wait until it (and every update
     batched with it) is flushed.  The first waiter becomes the batch
@@ -130,28 +152,17 @@ let submit t f =
       wait ()
     end
     else begin
-      t.leader <- true;
       let batch, rest = split_at t.max_batch t.queue in
       t.queue <- rest;
-      let img = t.image in
-      Mutex.unlock t.m;
-      let img, failures =
-        match apply_batch t img batch with
-        | r -> r
-        | exception e ->
-            (* append_update only raises through [f]; anything else is a
-               bug, but never leave the leader flag stuck. *)
-            Mutex.lock t.m;
-            t.leader <- false;
-            Condition.broadcast t.cond;
-            Mutex.unlock t.m;
-            raise e
-      in
+      lead t
+        (fun () -> apply_batch t batch)
+        (fun r ->
+          (match List.rev batch with
+          | (last, _) :: _ -> t.durable <- last + 1
+          | [] -> ());
+          finish_batch t r (List.length batch)
+          |> List.iter (fun (ticket, e) -> Hashtbl.replace t.failed ticket e));
       Mutex.lock t.m;
-      (match List.rev batch with
-      | (last, _) :: _ -> t.durable <- last + 1
-      | [] -> ());
-      finish_batch t img (List.length batch) failures;
       wait ()
     end
   in
@@ -164,32 +175,23 @@ let submit t f =
     interleaving would make the chunking nondeterministic).  Re-raises
     the first failing update's exception after its chunk is flushed. *)
 let submit_batch t fs =
-  let rec chunks acc = function
-    | [] -> List.rev acc
+  let rec go first_failure = function
+    | [] -> Option.iter raise first_failure
     | fs ->
-        let b, rest = split_at t.max_batch fs in
-        chunks (b :: acc) rest
+        let batch, rest = split_at t.max_batch fs in
+        Mutex.lock t.m;
+        let failures =
+          lead t
+            (fun () -> apply_batch t (List.map (fun f -> (-1, f)) batch))
+            (fun r -> finish_batch t r (List.length batch))
+        in
+        go
+          (match (first_failure, List.rev failures) with
+          | None, (_, e) :: _ -> Some e
+          | first, _ -> first)
+          rest
   in
-  let first_failure = ref None in
-  List.iter
-    (fun batch ->
-      Mutex.lock t.m;
-      while t.leader do
-        Condition.wait t.cond t.m
-      done;
-      t.leader <- true;
-      let img = t.image in
-      Mutex.unlock t.m;
-      let tagged = List.map (fun f -> (-1, f)) batch in
-      let img, failures = apply_batch t img tagged in
-      Mutex.lock t.m;
-      finish_batch t img (List.length batch) [];
-      Mutex.unlock t.m;
-      match (!first_failure, List.rev failures) with
-      | None, (_, e) :: _ -> first_failure := Some e
-      | _ -> ())
-    (chunks [] fs);
-  match !first_failure with Some e -> raise e | None -> ()
+  go None fs
 
 (** The current durable image (journaled between checkpoints). *)
 let image t =
@@ -198,50 +200,24 @@ let image t =
   Mutex.unlock t.m;
   img
 
-(** Compact the journaled image to a clean one (journal rolled forward,
-    registries re-embedded), install it and return it.  Costs one
-    modeled flush.  Serializes with in-flight batches. *)
+(** Compact the journaled image to a clean one (the live store
+    serialized with the registries), install it and return it.  Costs
+    one modeled flush.  Serializes with in-flight batches. *)
 let checkpoint t =
   Mutex.lock t.m;
-  while t.leader do
-    Condition.wait t.cond t.m
-  done;
-  t.leader <- true;
-  let img = t.image in
-  Mutex.unlock t.m;
-  let clean =
-    match
-      (match Db_file.of_bytes ?pool_capacity:t.pool_capacity img with
-      | store, None -> Db_file.to_bytes store
-      | store, Some (subjects, modes) -> Db_file.to_bytes ~subjects ~modes store)
-    with
-    | clean -> clean
-    | exception e ->
-        Mutex.lock t.m;
-        t.leader <- false;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.m;
-        raise e
-  in
-  Mutex.lock t.m;
-  t.image <- clean;
-  t.flushes <- t.flushes + 1;
-  Metrics.incr c_flushes;
-  t.leader <- false;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.m;
-  clean
+  lead t
+    (fun () ->
+      match t.registry with
+      | None -> Db_file.to_bytes t.store
+      | Some (subjects, modes) -> Db_file.to_bytes ~subjects ~modes t.store)
+    (fun clean ->
+      t.image <- clean;
+      count_flush t ~batches:0 ~records:0;
+      clean)
 
 let stats t =
   Mutex.lock t.m;
-  let s =
-    {
-      batches = t.batches;
-      records = t.records;
-      flushes = t.flushes;
-      modeled_flush_us = t.flushes * t.flush_cost_us;
-    }
-  in
+  let s = t.stats in
   Mutex.unlock t.m;
   s
 

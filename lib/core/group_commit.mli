@@ -1,13 +1,17 @@
 (** Group commit: batch concurrent durable updates into shared flushes.
 
-    Keeps the current {!Db_file} image in memory; domains submit update
-    closures, a leader drains up to [max_batch] of them, appends one
-    journal record per update ({!Db_file.append_update}) and makes the
-    whole batch durable with a {e single} modeled flush before waking
-    the submitters.  Crash safety is the record format's: a torn batch
-    loads as the state after some prefix of the committed records, and
-    replay is idempotent.  The wait is bounded by [max_batch]: a
-    submitter waits for at most one in-flight batch plus its own.
+    Keeps the current {!Db_file} image and one live store — the state
+    that image loads as — in memory; domains submit update closures, a
+    leader drains up to [max_batch] of them, applies each to the live
+    store, appends its journal record ({!Db_file.record_update}) and
+    makes the whole batch durable with a {e single} modeled flush before
+    waking the submitters.  No record reloads the image: {!create}
+    loads it once, and only an update that raises reloads the store
+    (from the image as of the last record), so a failed update commits
+    nothing.  Crash safety is the record format's: a torn batch loads as
+    the state after some prefix of the committed records, and replay is
+    idempotent.  The wait is bounded by [max_batch]: a submitter waits
+    for at most one in-flight batch plus its own.
 
     Flushes are modeled (counted and priced at [flush_cost_us]), like
     every storage cost in this repository, so benchmarks report modeled
@@ -18,14 +22,15 @@ type t
 
 type stats = {
   batches : int;  (** leader drains (one flush each) *)
-  records : int;  (** updates committed through batches *)
+  records : int;  (** updates committed; one that raised is not *)
   flushes : int;  (** modeled flushes (= batches + checkpoints) *)
   modeled_flush_us : int;  (** flushes × flush_cost_us *)
 }
 
 (** [create image] starts a commit group over a database image (clean
-    or journaled).  [max_batch] (default 8) bounds records per flush;
-    [flush_cost_us] (default 5000) prices one modeled flush.
+    or journaled), loading its live store.  [max_batch] (default 8)
+    bounds records per flush; [flush_cost_us] (default 5000) prices one
+    modeled flush.
     @raise Invalid_argument on an empty image or [max_batch < 1]. *)
 val create : ?pool_capacity:int -> ?max_batch:int -> ?flush_cost_us:int ->
   Bytes.t -> t
@@ -48,9 +53,9 @@ val submit_batch : t -> (Secure_store.t -> unit) list -> unit
 (** The current durable image (journaled between checkpoints). *)
 val image : t -> Bytes.t
 
-(** Compact the image to a clean one (journal rolled forward,
-    registries re-embedded), install and return it.  Costs one modeled
-    flush; serializes with in-flight batches. *)
+(** Compact the image to a clean one — the live store serialized with
+    the image's registries, no load — install and return it.  Costs one
+    modeled flush; serializes with in-flight batches. *)
 val checkpoint : t -> Bytes.t
 
 val stats : t -> stats

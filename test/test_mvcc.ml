@@ -284,6 +284,154 @@ let test_group_commit_concurrent () =
   in
   if got <> want then Alcotest.fail "concurrent submits lost an update"
 
+(* --- one live store per commit group --- *)
+
+let append_chain base fs =
+  List.fold_left (fun img f -> Db_file.append_update ~image:img f) base fs
+
+let loaded_matrix img = matrix (fst (Db_file.of_bytes img))
+
+(* A subject added (rights copied from subject 0) and then one removed:
+   updates that change the codebook and no page.  [durable base]
+   commits one update on top of the durable image it is given and
+   returns the next; after each, the image must load as the in-memory
+   store that applied the same updates. *)
+let subject_ops = [
+  (fun st -> ignore (Update.store_add_subject st ~like:0 ()));
+  (fun st -> Update.store_remove_subject st 1);
+]
+
+let check_subject_only name durable =
+  let store = make_store ~nodes:200 20 in
+  let base = Db_file.to_bytes store in
+  let step = durable base in
+  let w0 = Codebook.width (Store.codebook store) in
+  ignore
+  @@ List.fold_left
+       (fun (i, img) f ->
+         let img = step img f in
+         f store;
+         let got = loaded_matrix img in
+         check Alcotest.int
+           (Printf.sprintf "%s: width after update %d" name i)
+           (if i = 0 then w0 + 1 else w0)
+           (Array.length got);
+         if got <> matrix store then
+           Alcotest.failf "%s: update %d lost (loaded matrix differs)" name i;
+         (i + 1, img))
+       (0, base) subject_ops
+
+let test_subject_only_append () =
+  check_subject_only "append_update" (fun _ img f ->
+      Db_file.append_update ~image:img f)
+
+let test_subject_only_apply () =
+  check_subject_only "apply_update" (fun _ img f ->
+      Db_file.apply_update ~base:img f)
+
+let test_subject_only_group_commit () =
+  check_subject_only "Group_commit.submit" (fun base ->
+      let gc = Group_commit.create base in
+      fun _ f ->
+        Group_commit.submit gc f;
+        Group_commit.image gc)
+
+(* An update that changes the labeling and then raises. *)
+let partial_then_raise (s, v) store =
+  flip_node (s, v) store;
+  raise Exit
+
+let test_records_count_committed () =
+  let store = make_store ~nodes:200 21 in
+  let n = Tree.size (Store.tree store) in
+  let base = Db_file.to_bytes store in
+  let gc = Group_commit.create ~max_batch:4 base in
+  (match
+     Group_commit.submit_batch gc
+       [ flip_node (0, 1); partial_then_raise (1, n / 2); flip_node (2, n - 1) ]
+   with
+  | () -> Alcotest.fail "submit_batch swallowed the failure"
+  | exception Exit -> ());
+  check Alcotest.int "submit_batch counts the two committed" 2
+    (Group_commit.stats gc).records;
+  let gc = Group_commit.create base in
+  (match Group_commit.submit gc (partial_then_raise (0, 3)) with
+  | () -> Alcotest.fail "submit swallowed the failure"
+  | exception Exit -> ());
+  let s = Group_commit.stats gc in
+  check Alcotest.int "a lone failing submit commits nothing" 0 s.records;
+  check Alcotest.int "its batch still flushed" 1 s.flushes;
+  check Alcotest.bool "and the image is the base" true
+    (Bytes.equal (Group_commit.image gc) base)
+
+(* The raising update sits between committed ones, so a partial effect
+   left in the live store would ride into the next record. *)
+let test_raising_update_leaves_no_trace () =
+  let store = make_store ~nodes:300 22 in
+  let n = Tree.size (Store.tree store) in
+  let base = Db_file.to_bytes store in
+  let oks = [ flip_node (0, 5); flip_node (1, n / 3); flip_node (2, n - 2) ] in
+  let bad = partial_then_raise (3, (2 * n) / 3) in
+  let want = append_chain base oks in
+  let batched = Group_commit.create ~max_batch:3 base in
+  (match
+     Group_commit.submit_batch batched
+       [ List.nth oks 0; bad; List.nth oks 1; List.nth oks 2 ]
+   with
+  | () -> Alcotest.fail "submit_batch swallowed the failure"
+  | exception Exit -> ());
+  check Alcotest.bool "submit_batch image = chain of the others" true
+    (Bytes.equal (Group_commit.image batched) want);
+  let single = Group_commit.create base in
+  Group_commit.submit single (List.nth oks 0);
+  (match Group_commit.submit single bad with
+  | () -> Alcotest.fail "submit swallowed the failure"
+  | exception Exit -> ());
+  List.iter (Group_commit.submit single) (List.tl oks);
+  check Alcotest.bool "submit image = chain of the others" true
+    (Bytes.equal (Group_commit.image single) want)
+
+(* Random durable updates: node, subtree, subject added (like another),
+   subject removed (when two or more remain), compaction and no-op.
+   Raw operands are reduced modulo the width and size at apply time. *)
+let op_update (kind, a, b, grant) st =
+  let w = Codebook.width (Store.codebook st) in
+  let n = Tree.size (Store.tree st) in
+  match kind with
+  | 0 -> ignore (Update.set_node_accessibility st ~subject:(a mod w) ~grant (b mod n))
+  | 1 -> Update.set_subtree_accessibility st ~subject:(a mod w) ~grant (b mod n)
+  | 2 -> ignore (Update.store_add_subject st ~like:(a mod w) ())
+  | 3 -> if w >= 2 then Update.store_remove_subject st (a mod w)
+  | 4 -> Update.store_compact st
+  | _ -> ()
+
+let prop_group_commit_equals_chains =
+  Fixtures.qtest ~count:40
+    "group commit = append chain = apply chain = in-memory store"
+    QCheck2.Gen.(
+      triple (int_bound 10_000) (int_range 1 6)
+        (list_size (int_range 1 12)
+           (quad (int_bound 5) (int_bound 1000) (int_bound 1000) bool)))
+    (fun (seed, max_batch, ops) ->
+      let store = make_store ~nodes:200 ~subjects:3 seed in
+      let base = Db_file.to_bytes store in
+      let fs = List.map op_update ops in
+      let chain = append_chain base fs in
+      let gc = Group_commit.create ~max_batch base in
+      Group_commit.submit_batch gc fs;
+      if not (Bytes.equal (Group_commit.image gc) chain) then
+        Alcotest.fail "group-commit image differs from the append chain";
+      let clean = Db_file.to_bytes (fst (Db_file.of_bytes chain)) in
+      if not (Bytes.equal (Group_commit.checkpoint gc) clean) then
+        Alcotest.fail "checkpoint differs from the reloaded chain";
+      let applied =
+        List.fold_left (fun img f -> Db_file.apply_update ~base:img f) base fs
+      in
+      if not (Bytes.equal applied clean) then
+        Alcotest.fail "apply_update chain differs from the reloaded chain";
+      List.iter (fun f -> f store) fs;
+      loaded_matrix chain = matrix store)
+
 (* --- teardown hygiene --- *)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
@@ -379,4 +527,15 @@ let suite =
       test_borrowed_frame_survives_retire;
     Alcotest.test_case "reader of a pinned reader keeps its snapshot" `Quick
       test_reader_of_pinned_reader;
+    Alcotest.test_case "subject-only update survives append_update" `Quick
+      test_subject_only_append;
+    Alcotest.test_case "subject-only update survives apply_update" `Quick
+      test_subject_only_apply;
+    Alcotest.test_case "subject-only update survives group commit" `Quick
+      test_subject_only_group_commit;
+    Alcotest.test_case "group commit counts committed updates only" `Quick
+      test_records_count_committed;
+    Alcotest.test_case "a raising update leaves no trace" `Quick
+      test_raising_update_leaves_no_trace;
+    prop_group_commit_equals_chains;
   ]
