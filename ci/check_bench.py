@@ -5,6 +5,7 @@ Usage:
     python3 ci/check_bench.py BENCH_parallel.json [BENCH_runs.json ...]
     python3 ci/check_bench.py           # checks every BENCH_*.json in cwd
     python3 ci/check_bench.py --metrics /tmp/metrics.json
+    python3 ci/check_bench.py --metrics-resident /tmp/metrics_resident.json
 
 Each document carries a "bench" discriminator; the matching validator
 checks both shape (fields present, numeric where expected) and the CI
@@ -278,11 +279,33 @@ def check_metrics(path):
     return out
 
 
+def check_metrics_resident(path):
+    """A secure summary-path query whose steps have no predicate (e.g.
+    //item//emph) decides every step from the class map and the run
+    index: no page is read, and every access check is a run answer."""
+    counters = json.load(open(path))["counters"]
+    keys = ("pool.touches", "store.access_checks", "store.run_answers",
+            "engine.resident_decisions", "engine.queries")
+    for key in keys:
+        require(isinstance(counters.get(key), int), f"missing int counter {key}")
+    require(counters["engine.queries"] == 1, "expected exactly one query")
+    require(counters["pool.touches"] == 0,
+            f"a resident query read {counters['pool.touches']} pages")
+    require(counters["store.access_checks"] > 0, "no access check recorded")
+    require(counters["store.run_answers"] == counters["store.access_checks"],
+            f"run answers {counters['store.run_answers']} != access checks "
+            f"{counters['store.access_checks']}")
+    require(counters["engine.resident_decisions"] > 0, "no resident decision recorded")
+    return {k: counters[k] for k in keys}
+
+
 def main(argv):
-    if argv and argv[0] == "--metrics":
-        require(len(argv) == 2, "--metrics takes exactly one file")
-        print(f"{argv[1]}: metrics JSON OK: {check_metrics(argv[1])}")
-        return 0
+    for flag, check in (("--metrics", check_metrics),
+                        ("--metrics-resident", check_metrics_resident)):
+        if argv and argv[0] == flag:
+            require(len(argv) == 2, f"{flag} takes exactly one file")
+            print(f"{argv[1]}: metrics JSON OK: {check(argv[1])}")
+            return 0
     paths = argv or sorted(glob.glob("BENCH_*.json"))
     require(paths, "no BENCH_*.json files found")
     # Explicitly named artifacts must exist: a bench that crashed before

@@ -119,6 +119,15 @@ let rec gallop r lo hi low step =
   else if u16 r probe <= low then gallop r (probe + 1) hi low (2 * step)
   else search r lo probe low
 
+(* {!gallop} downward: the first index in [\[lo, hi)] whose low bits
+   exceed [low], or [hi], probing down from [hi] in steps from [step].
+   Every flip before [lo] must be [<= low]'s preorder, and every flip
+   from [hi] on above it. *)
+let rec gallop_down r lo hi low step =
+  let probe = hi - step in
+  if probe < lo then search r lo hi low
+  else if u16 r probe > low then gallop_down r lo probe low (2 * step)
+  else search r (probe + 1) hi low
 
 (* Pack sorted flips [f] over [n] nodes. *)
 let encode n (f : Int_vec.t) =
@@ -192,6 +201,12 @@ let total_bytes t = fold_cells (fun a r -> a + bytes r) 0 t
 
 (** {1 Walks} *)
 
+(* A stretch of preorders sharing one verdict, filled by {!locate}.
+   Declared before [walk], whose [lo] / [hi] the code below means. *)
+type segment = { mutable lo : int; mutable hi : int; mutable ok : bool }
+
+let segment () = { lo = 0; hi = 0; ok = false }
+
 (* A position on one flip list: every preorder of [\[lo, hi)] has
    [rank] flips at or before it, and [hi] is flip [rank] itself
    ([max_int] past the last flip).  [v] is accessible iff its rank is
@@ -217,8 +232,9 @@ let walk r =
 
 (* Point [w] at [v]'s segment: nothing is searched inside the current
    one; forward of it the search gallops up from the current rank, and
-   behind it the search covers [v]'s block.  Either way the search stays
-   inside [v]'s block: the flips before it are all below [v]. *)
+   behind it down from there.  Either way the search stays inside [v]'s
+   block: the flips before it are all below [v], and flip [rank] and
+   the flips after it above. *)
 let seek w v =
   if v < w.lo || v >= w.hi then begin
     let r = w.w_runs in
@@ -236,10 +252,15 @@ let seek w v =
       (* forward, flip [rank] is [hi <= v] and lies in a block [<= b] *)
       let i =
         if v >= w.hi then gallop r (Int.max (w.rank + 1) first) stop low 1
-        else search r first stop low
+        else gallop_down r first (Int.min w.rank stop) low 1
       in
       w.rank <- i;
-      w.lo <- (b lsl 16) lor (if i > first then u16 r (i - 1) else 0);
+      (* flip [i - 1], so the segment is maximal: with none in [v]'s
+         block it lies in an earlier one *)
+      w.lo <-
+        (if i > first then (b lsl 16) lor u16 r (i - 1)
+         else if i = 0 then min_int
+         else value r b (i - 1));
       w.hi <-
         (if i < stop then (b lsl 16) lor u16 r i
          else if i = count r then max_int
@@ -254,6 +275,12 @@ let mem w v =
 let next_accessible w v =
   seek w v;
   if w.rank land 1 = 1 then v else w.hi
+
+let locate w v (s : segment) =
+  seek w v;
+  s.lo <- Int.max 0 w.lo;
+  s.hi <- Int.min w.w_runs.r_n w.hi;
+  s.ok <- w.rank land 1 = 1
 
 let span_inside w ~lo ~hi =
   lo > hi
@@ -328,7 +355,7 @@ let runs_for t cu ~dol ~subject =
   end
 
 let walk_for t cu ~dol ~subject =
-  if not (cu.h_subject = subject && cu.h_gen = Dol.generation dol) then
+  if not (cu.h_subject = subject && cu.h_gen = dol.Dol.generation) then
     ignore (runs_for t cu ~dol ~subject);
   cu.pos
 

@@ -8,9 +8,10 @@
     on — typically far fewer than the transitions.  Membership is the
     parity of the flips at or before a node.  One {!walk} answers every
     question on a list — membership, the next accessible node, whether a
-    span lies inside one run — from its position: a probe inside the
-    last segment searches nothing, a later one gallops forward, an
-    earlier one searches its 64 Ki-preorder block.  Document-order scans
+    span lies inside one run, the run segment around a node — from its
+    position: a probe inside the last segment searches nothing, a later
+    one gallops forward and an earlier one backward, inside the probe's
+    64 Ki-preorder block.  Document-order scans
     thus advance in O(1), and a sorted candidate scan skips a whole
     denied run per {!next_accessible} call.
 
@@ -78,6 +79,21 @@ val mem : walk -> int -> bool
     [max_int] when none remains.  Inside an accessible run that is [v]
     itself; inside a denied one, the start of the next run. *)
 val next_accessible : walk -> int -> int
+
+(** A stretch [\[lo, hi)] of preorders that share one verdict, [ok].
+    Caller-owned and filled in place by {!locate}, so a scan that keeps
+    one decides every node inside it with two compares.  A fresh one is
+    empty ([lo = hi = 0]) and contains no preorder. *)
+type segment = { mutable lo : int; mutable hi : int; mutable ok : bool }
+
+val segment : unit -> segment
+
+(** [locate w v s] fills [s] with the maximal stretch around node [v]
+    (inside [\[0, n)], for the list's [n] nodes) whose nodes share
+    [v]'s verdict, and that verdict: each end is a flip or the
+    document's edge.  Costs one probe of [w], like {!mem}; allocates
+    nothing. *)
+val locate : walk -> int -> segment -> unit
 
 (** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
     are maximal and disjoint, this holds iff every node in the interval

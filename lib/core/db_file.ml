@@ -46,7 +46,7 @@
     and the new DOL as a journal record, sealed by the CRC and the 0xC3
     commit mark, to an otherwise {e unmodified} base file.  The journal
     region holds a {e sequence} of such records — group commit
-    ({!record_update}, [Dolx_core.Group_commit]) batches several updates
+    ({!add_update}, [Dolx_core.Group_commit]) batches several updates
     into one file write by appending one record per update.  On load,
     records are rolled forward in order; the first record that is not
     sealed (flag byte with no payload, a torn payload prefix, a bad CRC,
@@ -650,44 +650,56 @@ let update_payload ~since store =
     Some (Buffer.to_bytes payload)
   end
 
-(* The last byte of an image a record can follow: a clean image's
-   journal flag (0) or a journaled image's last commit mark. *)
-let journal_tail ~who image =
-  let len = Bytes.length image in
+(* The last byte of an image of [len] bytes that a record can follow:
+   a clean image's journal flag (0) or a journaled image's last commit
+   mark. *)
+let check_tail ~who len last =
   if len = 0 then invalid_arg (who ^ ": empty image");
-  let last = Bytes.get_uint8 image (len - 1) in
+  let last = last () in
   if last <> 0 && last <> commit_mark then
     invalid_arg (who ^ ": image is neither clean nor journaled");
   last
 
-(* The one record encoder: [image] with [payload] appended as a sealed
-   journal record — a clean image's flag byte flipped to 1 first, a
-   journaled image extended — so each result is a byte prefix of the
-   next append's. *)
-let append_record image payload =
+let journal_tail ~who image =
   let len = Bytes.length image in
-  let last = journal_tail ~who:"Db_file.append_record" image in
+  check_tail ~who len (fun () -> Bytes.get_uint8 image (len - 1))
+
+(* The one record encoder: the image held in [buf] with [payload]
+   appended as a sealed journal record — a clean image's flag byte
+   flipped to 1 first, a journaled image extended — so each result is
+   a byte prefix of the next append's.  [buf] is checked before it is
+   changed, and nothing after that can raise. *)
+let add_record buf payload =
+  let len = Buffer.length buf in
+  let last =
+    check_tail ~who:"Db_file.add_record" len (fun () ->
+        Char.code (Buffer.nth buf (len - 1)))
+  in
   Metrics.incr c_journal_writes;
   Metrics.add c_journal_bytes (Bytes.length payload);
-  let buf = Buffer.create (len + Bytes.length payload + 16) in
   if last = 0 then begin
-    Buffer.add_subbytes buf image 0 (len - 1);
+    Buffer.truncate buf (len - 1);
     Buffer.add_uint8 buf 1
-  end
-  else Buffer.add_bytes buf image;
+  end;
   add_varint buf (Bytes.length payload);
   Buffer.add_bytes buf payload;
   add_u32 buf (Crc.digest payload);
-  Buffer.add_uint8 buf commit_mark;
-  Buffer.to_bytes buf
+  Buffer.add_uint8 buf commit_mark
 
-(* [store] must be the state [image] loads as. *)
-let record_update ~image store f =
+(* The image held in [buf] must be the state [store] loads as. *)
+let add_update buf store f =
   let since = Dol.generation (Secure_store.dol store) in
   f store;
   match update_payload ~since store with
-  | None -> image
-  | Some payload -> append_record image payload
+  | None -> ()
+  | Some payload -> add_record buf payload
+
+(* [store] must be the state [image] loads as. *)
+let record_update ~image store f =
+  let buf = Buffer.create (Bytes.length image + 4096) in
+  Buffer.add_bytes buf image;
+  add_update buf store f;
+  if Buffer.length buf = Bytes.length image then image else Buffer.to_bytes buf
 
 (* Load the clean image [base] and apply [f] to it, journaling the
    update: the store, its registries and the committed image. *)

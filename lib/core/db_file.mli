@@ -64,23 +64,23 @@ val update_images :
 val apply_update :
   ?pool_capacity:int -> base:Bytes.t -> (Secure_store.t -> unit) -> Bytes.t
 
-(** [record_update ~image store f] applies [f] to [store] and returns
-    [image] with [f]'s journal record appended — no load.  [store] must
-    be the state [image] loads as (a store loaded from it, changed since
-    only through this function), so a commit group keeps one live store
-    and writes each record from it ([Dolx_core.Group_commit]).  A record
-    carries every page [f] dirtied and the DOL; an update that changed
-    only the DOL (a subject added or removed) gets a record with no
-    page.  When [f] changed nothing, returns [image] itself.  When [f]
-    raises, [store] may hold part of its effect and must be reloaded
-    from [image].
-    @raise Invalid_argument when [image] is neither clean nor
+(** [add_update buf store f] applies [f] to [store] and appends [f]'s
+    journal record to the image held in [buf] — no load, and no copy of
+    the image: a commit group holds its image in one buffer, appends a
+    batch's records to it and materializes it once per flush
+    ([Dolx_core.Group_commit]).  [store] must be the state the image
+    loads as (a store loaded from it, changed since only through this
+    function).  A record carries every page [f] dirtied and the DOL; an
+    update that changed only the DOL (a subject added or removed) gets a
+    record with no page.  When [f] changed nothing, [buf] is unchanged.
+    When [f] raises, [buf] is unchanged, and [store] may hold part of
+    its effect and must be reloaded from the image.
+    @raise Invalid_argument when the image is neither clean nor
     journaled. *)
-val record_update :
-  image:Bytes.t -> Secure_store.t -> (Secure_store.t -> unit) -> Bytes.t
+val add_update : Buffer.t -> Secure_store.t -> (Secure_store.t -> unit) -> unit
 
 (** Append one update to [image] as a journal record without compacting:
-    one load of [image], then {!record_update}.  [image] may be clean or
+    one load of [image], then {!add_update}.  [image] may be clean or
     already journaled; each result is a byte prefix of the next append's
     result, so a crash tearing the file anywhere in the appended region
     loads (via {!of_bytes}) as the state after some prefix of the

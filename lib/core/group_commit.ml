@@ -3,12 +3,13 @@
     A commit group keeps the current database image and one live store
     (the state that image loads as).  A leader drains up to [max_batch]
     queued update closures, applies each to the live store, appends its
-    journal record to the image ({!Db_file.record_update}) and makes the
-    batch durable with a {e single} modeled flush before waking the
-    submitters.  No record reloads the image: the only loads are
-    {!create}'s and the one after an update that raises.  Crash safety,
-    the bounded wait and the flush model are described in the
-    interface. *)
+    journal record to the image ({!Db_file.add_update}; the batch's
+    records go into one buffer that holds the image once, materialized
+    once per batch) and makes the batch durable with a {e single}
+    modeled flush before waking the submitters.  No record reloads the
+    image: the only loads are {!create}'s and the one after an update
+    that raises.  Crash safety, the bounded wait and the flush model are
+    described in the interface. *)
 
 module Metrics = Dolx_obs.Metrics
 
@@ -93,20 +94,28 @@ let lead t work install =
   match r with Ok x -> x | Error e -> raise e
 
 (* Leader work, outside the lock: apply each update of [batch] to the
-   live store and append its record to the image.  An update that
-   raises commits nothing and is reported to its submitter: the store
-   is reloaded from the image as of the last record, so no partial
-   effect of it rides into a later record.  Returns the new image and
-   the failures, newest first. *)
+   live store and append its record to one buffer holding the image.
+   An update that raises commits nothing and is reported to its
+   submitter: the store is reloaded from the image as of the last
+   record, so no partial effect of it rides into a later record.
+   Returns the new image (the old one itself when no record was
+   written) and the failures, newest first. *)
 let apply_batch t batch =
-  List.fold_left
-    (fun (img, failures) (ticket, f) ->
-      match Db_file.record_update ~image:img t.store f with
-      | img' -> (img', failures)
-      | exception e ->
-          t.store <- fst (Db_file.of_bytes ?pool_capacity:t.pool_capacity img);
-          (img, (ticket, e) :: failures))
-    (t.image, []) batch
+  let len = Bytes.length t.image in
+  let buf = Buffer.create (len + 4096) in
+  Buffer.add_bytes buf t.image;
+  let failures =
+    List.fold_left
+      (fun failures (ticket, f) ->
+        match Db_file.add_update buf t.store f with
+        | () -> failures
+        | exception e ->
+            t.store <-
+              fst (Db_file.of_bytes ?pool_capacity:t.pool_capacity (Buffer.to_bytes buf));
+            (ticket, e) :: failures)
+      [] batch
+  in
+  ((if Buffer.length buf = len then t.image else Buffer.to_bytes buf), failures)
 
 (* Under [t.m]: count one flush, of [batches] batches (0 or 1) making
    [records] updates durable. *)

@@ -3,8 +3,9 @@
     Keeps the current {!Db_file} image and one live store — the state
     that image loads as — in memory; domains submit update closures, a
     leader drains up to [max_batch] of them, applies each to the live
-    store, appends its journal record ({!Db_file.record_update}) and
-    makes the whole batch durable with a {e single} modeled flush before
+    store, appends its journal record ({!Db_file.add_update}: a batch's
+    records go into one buffer holding the image once) and makes the
+    whole batch durable with a {e single} modeled flush before
     waking the submitters.  No record reloads the image: {!create}
     loads it once, and only an update that raises reloads the store
     (from the image as of the last record), so a failed update commits

@@ -443,14 +443,42 @@ let run_verdict (t : t) ~subject v =
   t.counts.run_answers <- t.counts.run_answers + 1;
   Access_runs.mem (walk_of t ~subject) v
 
+(* The run path needs no quarantine scan: the runs were built with the
+   quarantined ranges denied. *)
 let accessible (t : t) ~subject v =
   t.counts.access_checks <- t.counts.access_checks + 1;
   if !planted_bug && v = 3 then false
-  else if in_quarantine t v then false
   else if t.use_runs then run_verdict t ~subject v
+  else if in_quarantine t v then false
   else
     let code = Nok_layout.code_in_force_at t.layout t.cursor t.pool v in
     grants t code subject
+
+type segment = Access_runs.segment = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable ok : bool;
+}
+
+let segment = Access_runs.segment
+
+(* The run stretch around [v], cut by the [access] canary so that node
+   3 stands alone, denied: every node inside answers {!accessible}'s
+   verdict. *)
+let locate t ~subject v (s : segment) =
+  Access_runs.locate (walk_of t ~subject) v s;
+  if !planted_bug then
+    if v = 3 then begin
+      s.lo <- 3;
+      s.hi <- 4;
+      s.ok <- false
+    end
+    else if v < 3 then s.hi <- Int.min s.hi 3
+    else s.lo <- Int.max s.lo 4
+
+let count_run_checks (t : t) n =
+  t.counts.access_checks <- t.counts.access_checks + n;
+  t.counts.run_answers <- t.counts.run_answers + n
 
 (** Header-only test: true when the in-memory page table already proves
     every node on [v]'s page is inaccessible to [subject] ("if the
@@ -468,7 +496,6 @@ let page_provably_inaccessible t ~subject v =
 let accessible_with_skip (t : t) ~subject v =
   t.counts.access_checks <- t.counts.access_checks + 1;
   if !planted_bug && v = 3 then false
-  else if in_quarantine t v then false
   else if t.use_runs then begin
     (* subsumes the header skip: a run verdict needs no page at all,
        whereas the header can only prove whole-page denial.  The callers
@@ -480,6 +507,7 @@ let accessible_with_skip (t : t) ~subject v =
     if ok then touch t v;
     ok
   end
+  else if in_quarantine t v then false
   else if page_provably_inaccessible t ~subject v then begin
     t.counts.header_skips <- t.counts.header_skips + 1;
     false

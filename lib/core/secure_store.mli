@@ -28,7 +28,9 @@ val create :
     {!rebuild} uses.  [quarantine] lists inclusive preorder ranges
     whose access-control labels were lost to storage corruption: every
     access check inside a quarantined range answers [false] for every
-    subject (fail-secure — recovery must never fail open).
+    subject (fail-secure — recovery must never fail open): the run index
+    is built with the ranges denied, and with the index off the page
+    path checks the ranges first.
     @raise Invalid_argument on a malformed range. *)
 val assemble :
   ?pool_capacity:int -> ?fill:float -> ?quarantine:(int * int) list ->
@@ -213,6 +215,44 @@ val text : t -> Tree.node -> string
     so no I/O beyond the page the evaluator already loaded to visit
     [v]. *)
 val accessible : t -> subject:int -> Tree.node -> bool
+
+(** {2 Run segments}
+
+    A scan in document order can decide whole stretches of nodes at
+    once: {!locate} hands out the stretch of the run index around a
+    node, and the scan decides every node inside it with two compares,
+    adding the checks it decided so with {!count_run_checks}. *)
+
+(** A stretch [\[lo, hi)] of preorders sharing one verdict, [ok]
+    ({!Access_runs.segment}). *)
+type segment = Access_runs.segment = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable ok : bool;
+}
+
+(** An empty segment: it contains no preorder. *)
+val segment : unit -> segment
+
+(** [locate t ~subject v s] fills [s] with the maximal stretch around
+    [v] whose nodes all get [v]'s {!accessible} verdict with the run
+    index on, and that verdict.  Each end is a verdict change, the
+    document's edge, or a cut of the [access] canary ({!planted_bug}),
+    which stands node 3 alone, denied.  It reads the run index through
+    this handle's cursor, as {!accessible} does (so a moved DOL
+    generation, and the [stale] canary, apply), and quarantined ranges
+    are denied in the runs themselves.  No page is read, nothing is
+    counted and nothing is allocated.  Meant for handles with the run
+    index on: its verdicts are the run index's, whatever
+    {!run_index_enabled} says. *)
+val locate : t -> subject:int -> Tree.node -> segment -> unit
+
+(** [count_run_checks t n] — count [n] checks answered from the run
+    index without calling {!accessible}: [n] access checks, each one a
+    run answer.  A scan that decides nodes inside a {!locate} segment
+    adds them here, so {!io_stats} read as if {!accessible} had been
+    asked once per node. *)
+val count_run_checks : t -> int -> unit
 
 (** Header-only test: the in-memory page table already proves every node
     on [v]'s page inaccessible to [subject] (first code denies, change

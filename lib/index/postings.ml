@@ -34,6 +34,10 @@ let narrow t ~lo ~hi =
 
 let to_list t = List.init (length t) (get t)
 
+let members = function
+  | Slice (nodes, first, stop) -> (nodes, first, stop)
+  | Span (lo, stop) -> (Array.init (stop - lo) (( + ) lo), 0, stop - lo)
+
 (* The least [j] in [\[lo, hi)] with [get t j >= v], or [hi]: {!bisect}
    with the predicate spelled out, so a seek builds no closure. *)
 let rec first_at_least t lo hi v =

@@ -25,6 +25,17 @@ val narrow : t -> lo:int -> hi:int -> t
 (** The members, ascending. *)
 val to_list : t -> int list
 
+(** [members t] — an array and the range [\[first, stop)] of it that
+    holds [t]'s members in ascending order, for a caller that walks them
+    itself: a slice's own array (shared, not copied), or a span's
+    members in a fresh one. *)
+val members : t -> int array * int * int
+
+(** [seek t i v] — the least position [j >= i] whose member is [>= v],
+    or [length t]: a galloping search from [i], so a short skip costs a
+    few probes. *)
+val seek : t -> int -> int -> int
+
 (** [bisect lo hi p] — the least [i] in [\[lo, hi)] with [p i], or [hi];
     [p] must be monotone (false, then true). *)
 val bisect : int -> int -> (int -> bool) -> int

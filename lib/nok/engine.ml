@@ -22,6 +22,7 @@ module Tree = Dolx_xml.Tree
 module Tag_index = Dolx_index.Tag_index
 module Postings = Dolx_index.Postings
 module Path_summary = Dolx_index.Path_summary
+module Dol = Dolx_core.Dol
 module Metrics = Dolx_obs.Metrics
 module Trace = Dolx_obs.Trace
 
@@ -83,9 +84,8 @@ let narrowed_postings ?value_index ?summary store index (p : Pattern.pnode) =
       let lo, hi = Summary_prune.hull sp p in
       Postings.narrow cands ~lo ~hi
 
-(* The one candidate pipeline, for the first segment's seed, the next
-   segment at a join and the summary-path plan: a cursor over the
-   members of [p]'s postings whose summary class is admissible for [p]
+(* The segment plan's candidate pipeline, for the first segment's seed
+   and the next segment at a join: a cursor over the members of [p]'s postings whose summary class is admissible for [p]
    and that the subject's runs admit.  No admissible class gives an
    empty cursor; otherwise the walk covers only the admissible classes'
    span hull.  The class is checked first, so the runs are consulted
@@ -229,9 +229,10 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    semantics).
 
    [summary_path_steps] is the plan-shape test, shared with {!explain};
-   [summary_path_loop] builds the plan as data — the candidate cursor
-   and a {!loop} record — so the stream pulls and decides one candidate
-   at a time, and holds neither the candidate nor the answer list. *)
+   [summary_path_loop] builds the plan as data, a {!loop} record over
+   the last step's postings, so the stream pulls and decides one
+   candidate at a time, and holds neither the candidate nor the answer
+   list. *)
 let summary_path_steps (plan : Decompose.plan) =
   let steps =
     Array.of_list
@@ -310,9 +311,21 @@ let chain_insert c j u ok =
    functions below read the tree and the class map through the arrays
    held here: each would otherwise be a call into another library per
    ancestor hop, and the default build compiles every library
-   [-opaque], so none of those calls is inlined. *)
+   [-opaque], so none of those calls is inlined.
+
+   The loop walks the last step's postings itself.  Under secure
+   semantics with the run index on it is its own run gate: it keeps the
+   run segment ({!Store.locate}) of the last candidate it located, and
+   one more for the verdicts of earlier steps, so a node inside either
+   is decided by two compares.  Such a verdict is still one access check
+   and one run answer: [lp_checks] tallies them and each refill adds the
+   tally to the handle ({!Store.count_run_checks}). *)
 type loop = {
-  lp_cands : Postings.cursor;  (* the last step's candidates *)
+  lp_postings : Postings.t;  (* the last step's, span-hull narrowed ... *)
+  lp_nodes : int array;  (* ... held at [lp_first ..] of this array ... *)
+  lp_first : int;
+  mutable lp_i : int;  (* ... from here ... *)
+  lp_stop : int;  (* ... to here still to walk *)
   lp_k : int;  (* the last step *)
   lp_parents : int array;  (* node -> parent, [Tree.nil] for the root *)
   lp_sizes : int array;  (* node -> subtree size *)
@@ -323,22 +336,51 @@ type loop = {
   lp_quals : (int -> bool) array;  (* step -> [Nok_match.qualifies], other steps *)
   lp_store : Store.t;
   lp_subject : int;  (* [-1] under [Insecure] *)
+  lp_gated : bool;  (* secure semantics with the run index on *)
+  lp_drop2 : bool;  (* the [prune] canary, armed on a gated walk *)
+  lp_gate : Store.segment;  (* the last located candidate's run segment *)
+  lp_seg : Store.segment;  (* the last located earlier-step node's *)
+  mutable lp_gen : int;  (* the DOL generation both were located at *)
+  mutable lp_checks : int;  (* verdicts by compare, not yet on the handle *)
   lp_path : bool;  (* [Secure_path]: connecting paths are checked *)
   lp_path_clear : ctx:int -> int -> bool;
   lp_chains : chain array;  (* one per step but the last *)
   lp_scanned : int ref;
+  lp_pruned : int ref;
   lp_resident : int ref;
 }
 
 let admissible l i u = Bytes.get l.lp_adm.(i) l.lp_class.(u) <> '\000'
 
+(* [v]'s run verdict: in the gate's segment or the earlier steps', by
+   compare; otherwise the latter is located around [v]. *)
+let verdict l v =
+  l.lp_checks <- l.lp_checks + 1;
+  let g = l.lp_gate in
+  if v >= g.Store.lo && v < g.Store.hi then g.Store.ok
+  else begin
+    let a = l.lp_seg in
+    if v < a.Store.lo || v >= a.Store.hi then
+      Store.locate l.lp_store ~subject:l.lp_subject v a;
+    a.Store.ok
+  end
+
 let qualify l i v =
   incr l.lp_scanned;
   if l.lp_plain.(i) then begin
     incr l.lp_resident;
-    l.lp_subject < 0 || Store.accessible l.lp_store ~subject:l.lp_subject v
+    l.lp_subject < 0 || verdict l v
   end
   else l.lp_quals.(i) v
+
+(* Does the accessible segment [s] hold all of [\[lo, hi\]]? *)
+let inside (s : Store.segment) lo hi = s.Store.ok && s.Store.lo <= lo && hi < s.Store.hi
+
+(* The connecting path from [u] down to [v], [u] and [v] excluded: clear
+   when one accessible segment at hand holds [(u, v\]], else asked of
+   the run index (or the pages). *)
+let path_clear l u v =
+  inside l.lp_gate (u + 1) v || inside l.lp_seg (u + 1) v || l.lp_path_clear ~ctx:u v
 
 (* [match_up] is [decide] through the step's chain, for [i < k] *)
 let rec decide l i v =
@@ -353,7 +395,7 @@ and search l i v u =
   u <> Tree.nil
   && ((admissible l (i - 1) u
       && match_up l (i - 1) u
-      && ((not l.lp_path) || l.lp_path_clear ~ctx:u v))
+      && ((not l.lp_path) || path_clear l u v))
      || search l i v l.lp_parents.(u))
 
 and match_up l i u =
@@ -379,18 +421,64 @@ let keep l v =
   done;
   decide l l.lp_k v
 
+(* The next posting whose class the last step admits and, on a gated
+   walk, whose run segment is accessible; [-1] when none is left.  A
+   candidate inside the gate's segment passes by compare; one past it
+   locates its own, and a denied one is left with a gallop to its end,
+   counting in [pruned] the admissible postings passed over. *)
+let rec next_candidate l =
+  let i = l.lp_i in
+  if i >= l.lp_stop then -1
+  else
+    let v = l.lp_nodes.(i) in
+    if not (admissible l l.lp_k v) || (l.lp_drop2 && v = 2) then begin
+      l.lp_i <- i + 1;
+      next_candidate l
+    end
+    else if not l.lp_gated then begin
+      l.lp_i <- i + 1;
+      v
+    end
+    else begin
+      let g = l.lp_gate in
+      if v < g.Store.lo || v >= g.Store.hi then
+        Store.locate l.lp_store ~subject:l.lp_subject v g;
+      if g.Store.ok then begin
+        l.lp_i <- i + 1;
+        v
+      end
+      else begin
+        let first = l.lp_first in
+        let j = first + Postings.seek l.lp_postings (i - first) g.Store.hi in
+        for m = i to j - 1 do
+          if admissible l l.lp_k l.lp_nodes.(m) then incr l.lp_pruned
+        done;
+        l.lp_i <- j;
+        next_candidate l
+      end
+    end
+
 let summary_path_loop ?value_index ~summary ~pruned ~resident store index
     mode semantics steps scanned =
   let k = Array.length steps - 1 in
   Metrics.incr c_plan_path;
-  let cands =
-    candidates ?value_index ~summary ~pruned store index semantics
-      steps.(k).Decompose.pnode
+  Metrics.incr c_plan_summary;
+  let last = steps.(k).Decompose.pnode in
+  let postings =
+    if Summary_prune.empty_for summary last then Postings.empty
+    else narrowed_postings ?value_index ~summary store index last
   in
+  let nodes, first, stop = Postings.members postings in
   let tree = Store.tree store in
   let plain = Array.map (resident_step store semantics) steps in
+  let subject = Option.value (subject_of semantics) ~default:(-1) in
+  let gated = subject >= 0 && Store.run_index_enabled store in
   {
-    lp_cands = cands;
+    lp_postings = postings;
+    lp_nodes = nodes;
+    lp_first = first;
+    lp_i = first;
+    lp_stop = stop;
     lp_k = k;
     lp_parents = Tree.parents tree;
     lp_sizes = Tree.subtree_sizes tree;
@@ -413,11 +501,18 @@ let summary_path_loop ?value_index ~summary ~pruned ~resident store index
               ~preds:st.Decompose.preds)
         steps;
     lp_store = store;
-    lp_subject = Option.value (subject_of semantics) ~default:(-1);
+    lp_subject = subject;
+    lp_gated = gated;
+    lp_drop2 = gated && !planted_bug;
+    lp_gate = Store.segment ();
+    lp_seg = Store.segment ();
+    lp_gen = Dol.generation (Store.dol store);
+    lp_checks = 0;
     lp_path = (match semantics with Secure_path _ -> true | Insecure | Secure _ -> false);
     lp_path_clear = Nok_match.path_clear store mode;
     lp_chains = Array.init k (fun _ -> chain ());
     lp_scanned = scanned;
+    lp_pruned = pruned;
     lp_resident = resident;
   }
 
@@ -612,7 +707,7 @@ let emit st n v =
 let rec fill_loop st l n =
   if n >= st.st_chunk then n
   else
-    let v = Postings.next l.lp_cands in
+    let v = next_candidate l in
     if v < 0 then begin
       st.st_src <- S_end;
       n
@@ -623,6 +718,26 @@ let rec fill_loop st l n =
       fill_loop st l (n + 1)
     end
     else fill_loop st l n
+
+let forget (s : Store.segment) =
+  s.Store.lo <- 0;
+  s.Store.hi <- 0;
+  s.Store.ok <- false
+
+(* One refill of the loop: segments located before the DOL moved are
+   dropped first, and the checks decided by compare reach the handle
+   before the chunk does. *)
+let refill_loop st l =
+  let gen = Dol.generation (Store.dol l.lp_store) in
+  if gen <> l.lp_gen then begin
+    l.lp_gen <- gen;
+    forget l.lp_gate;
+    forget l.lp_seg
+  end;
+  let n = fill_loop st l 0 in
+  Store.count_run_checks l.lp_store l.lp_checks;
+  l.lp_checks <- 0;
+  n
 
 let rec fill_tail st t n =
   if n >= st.st_chunk then n
@@ -661,7 +776,7 @@ let stream_next st =
     let n =
       match st.st_src with
       | S_end -> 0
-      | S_loop l -> fill_loop st l 0
+      | S_loop l -> refill_loop st l
       | S_tail t -> fill_tail st t 0
     in
     (* the call whose refill exhausts the source finalizes, so the

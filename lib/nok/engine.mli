@@ -62,7 +62,9 @@ val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** Deliberate fault site for the differential fuzzer's self-test: when
     armed, run-index candidate pruning silently drops node 2 from every
-    pruned candidate set (run index on, secure semantics only).  Armed at
+    pruned candidate set (run index on, secure semantics only): the
+    segment plan's gated cursors and the summary-path loop's own run
+    gate.  Armed at
     startup by [DOLX_FUZZ_PLANT_BUG=prune]; tests may toggle the ref
     directly.  Never set on production paths. *)
 val planted_bug : bool ref
@@ -72,9 +74,11 @@ val planted_bug : bool ref
     ({!Nok_match.qualifies}).  Only a plain step — no predicate, no value
     test, a tag test — is decided without a page: under [Insecure] its
     admitted class alone decides it ([true]: the class fixes the tag),
-    under secure semantics with the run index on the run verdict
-    ({!Dolx_core.Secure_store.accessible}: a counted check, quarantine
-    and the [access] canary included, no page touch) does.  That decision
+    under secure semantics with the run index on its run verdict does:
+    a compare inside a run segment the loop holds, or one
+    {!Dolx_core.Secure_store.locate}, each counted as one check and one
+    run answer ({!Dolx_core.Secure_store.count_run_checks}), quarantine
+    and the [access] canary included, no page touched.  That decision
     holds only for nodes whose summary class is admissible for the step,
     and there it equals {!Nok_match.qualifies}; the plan asks about no
     other node, and counts each such decision in
@@ -102,8 +106,10 @@ val summary_analysis :
     produced chunk by chunk.
 
     Memory.  The summary-path plan stages nothing: each {!stream_next}
-    pulls candidates one at a time from a gated cursor over the index's
-    resident postings and decides each in a loop over arrays the stream
+    walks the index's resident postings one candidate at a time, as its
+    own run gate under secure semantics (a candidate inside the run
+    segment it holds passes by compare, a denied segment is skipped by
+    one gallop), and decides each in a loop over arrays the stream
     fetched once (the tree's parents and subtree sizes, the summary's
     class map, each step's admissible classes), keeping one verdict per
     ancestor and earlier step; it allocates nothing per candidate.  So a
@@ -116,9 +122,11 @@ val summary_analysis :
     it staged: the joined bindings and those candidate roots, each at
     most as long as its postings.
 
-    {!run} drains this stream; the [engine.*] counters (candidates
-    scanned and pruned included, tallied on the stream as they happen)
-    are flushed, and the store handle's counts folded
+    {!run} drains this stream; the run verdicts the loop decided by
+    compare reach the handle's check counts at the end of every refill,
+    so {!Dolx_core.Secure_store.io_stats} are exact between chunks; the
+    [engine.*] counters (candidates scanned and pruned included,
+    tallied on the stream as they happen) are flushed, and the store handle's counts folded
     ({!Dolx_core.Secure_store.fold_metrics}), once, at exhaustion — or
     at {!stream_close} for a stream abandoned early, with the partial
     tallies of what it pulled. *)

@@ -1104,6 +1104,214 @@ let test_canary_reaches_plain_steps () =
         [ Engine.Secure 0; Engine.Secure_path 0 ])
     [ to3; to3 ^ "//" ^ below ]
 
+(* The [prune] canary (node 2 dropped from every gated candidate walk)
+   reaches the summary-path loop's own run gate: armed, a plain trunk
+   whose last step binds node 2 loses it under both secure semantics,
+   as the oracle does with node 2 denied; [Insecure], ungated, keeps
+   it. *)
+let test_prune_canary_reaches_loop () =
+  let tree, dol = make_dol ~nodes:2000 ~subjects:1 13 in
+  let store = Store.create tree dol in
+  let index = Tag_index.build tree in
+  List.iter
+    (fun v -> ignore (Update.set_node_accessibility store ~subject:0 ~grant:true v))
+    [ 0; 1; 2 ];
+  let rec up u acc = if u = Tree.nil then acc else up (Tree.parent tree u) (u :: acc) in
+  let q = String.concat "" (List.map (fun u -> "/" ^ Tree.tag_name tree u) (up 2 [])) in
+  let pattern = Dolx_nok.Xpath.parse q in
+  let acc dropped v = not (dropped && v = 2) && Dol.accessible (Store.dol store) ~subject:0 v in
+  List.iter
+    (fun sem ->
+      let answers armed =
+        Engine.planted_bug := armed;
+        Fun.protect
+          ~finally:(fun () -> Engine.planted_bug := false)
+          (fun () ->
+            let before = Metrics.counter_value "engine.plan_summary_path" in
+            let a = (Engine.run store index pattern sem).Engine.answers in
+            check Alcotest.int (q ^ ": a summary-path plan") (before + 1)
+              (Metrics.counter_value "engine.plan_summary_path");
+            a)
+      in
+      let oracle dropped =
+        Reference.eval tree
+          (match sem with
+          | Engine.Insecure -> Reference.Any
+          | Engine.Secure_path _ -> Reference.Path (acc dropped)
+          | Engine.Secure _ -> Reference.Bound (acc dropped))
+          pattern
+      in
+      let plain = answers false in
+      check Fixtures.int_list (q ^ ": unarmed") (oracle false) plain;
+      if not (List.mem 2 plain) then Alcotest.failf "%s: a weak probe (node 2 not bound)" q;
+      check Fixtures.int_list (q ^ ": armed")
+        (oracle (sem <> Engine.Insecure))
+        (answers true))
+    [ Engine.Secure 0; Engine.Secure_path 0; Engine.Insecure ]
+
+(* --- run segments --- *)
+
+(* On random documents, policies, update traces and a quarantined range,
+   with the [access] canary armed and not, {!Store.locate} hands out a
+   stretch around [v] whose every node gets the stretch's verdict from
+   {!Store.accessible}, and each end is a verdict change, a canary cut
+   or the document's edge: on the live store and on a reader pinned
+   before the updates. *)
+let prop_segment_matches_verdicts =
+  Fixtures.qtest ~count:30 "run segment = per-node verdicts"
+    QCheck2.Gen.(quad (int_range 0 10_000) (int_range 1 4) (int_range 0 3) bool)
+    (fun (seed, subjects, updates, armed) ->
+      let tree, dol = make_dol ~nodes:400 ~subjects seed in
+      let n = Tree.size tree in
+      let disk = Disk.create ~page_size:512 () in
+      let layout =
+        Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
+      in
+      let q0 = 1 + (seed mod (n / 2)) in
+      let store =
+        Store.assemble ~pool_capacity:8 ~quarantine:[ (q0, q0 + 9) ] ~tree ~dol ~disk
+          ~layout ()
+      in
+      let rng = Prng.create (seed + 5) in
+      let pinned = Store.reader store in
+      let check_handle what h =
+        let seg = Store.segment () in
+        for s = 0 to Codebook.width (Dol.codebook (Store.dol h)) - 1 do
+          for _ = 1 to 40 do
+            let v = Prng.int rng n in
+            Store.locate h ~subject:s v seg;
+            let { Store.lo; hi; ok } = seg in
+            let verdict u = Store.accessible h ~subject:s u in
+            let cut u = armed && (u = 3 || u = 4) in
+            if not (lo <= v && v < hi) then
+              QCheck2.Test.fail_reportf "%s: subject %d node %d outside [%d, %d)" what s v
+                lo hi;
+            for u = lo to hi - 1 do
+              if verdict u <> ok then
+                QCheck2.Test.fail_reportf "%s: subject %d, [%d, %d) %b, node %d differs"
+                  what s lo hi ok u
+            done;
+            if not (lo = 0 || cut lo || verdict (lo - 1) <> ok) then
+              QCheck2.Test.fail_reportf "%s: subject %d, [%d, %d) extends below" what s lo hi;
+            if not (hi = n || cut hi || verdict hi <> ok) then
+              QCheck2.Test.fail_reportf "%s: subject %d, [%d, %d) extends above" what s lo hi
+          done
+        done
+      in
+      Store.planted_bug := armed;
+      Fun.protect
+        ~finally:(fun () ->
+          Store.planted_bug := false;
+          Store.release pinned)
+        (fun () ->
+          check_handle "round 0" store;
+          for round = 1 to updates do
+            let s = Prng.int rng subjects and v = Prng.int rng n in
+            let grant = Prng.bool rng ~p:0.5 in
+            if Prng.bool rng ~p:0.5 then
+              Update.set_subtree_accessibility store ~subject:s ~grant v
+            else ignore (Update.set_node_accessibility store ~subject:s ~grant v);
+            check_handle (Printf.sprintf "round %d" round) store;
+            check_handle (Printf.sprintf "round %d, pinned" round) pinned
+          done);
+      true)
+
+(* The run path asks no quarantine list: the runs deny the quarantined
+   ranges themselves.  Every quarantined node answers denied for every
+   subject through the run verdict ({!Store.accessible},
+   {!Store.accessible_with_skip}, {!Store.locate}): on the live store, on
+   a pinned reader, and after a published update that grants the whole
+   document, on the live store, a new reader and the old one. *)
+let test_quarantine_on_run_path () =
+  let subjects = 3 in
+  let tree, dol = make_dol ~nodes:1500 ~subjects 43 in
+  let n = Tree.size tree in
+  let disk = Disk.create ~page_size:512 () in
+  let layout =
+    Nok_layout.build disk tree ~trans_pre:dol.Dol.trans_pre ~trans_code:dol.Dol.trans_code
+  in
+  let quarantine = [ (0, 4); (n / 3, (n / 3) + 50); (n - 20, n - 1) ] in
+  let store = Store.assemble ~pool_capacity:16 ~quarantine ~tree ~dol ~disk ~layout () in
+  let seg = Store.segment () in
+  let denied what h =
+    check Alcotest.bool (what ^ ": run index on") true (Store.run_index_enabled h);
+    for s = 0 to subjects - 1 do
+      List.iter
+        (fun (lo, hi) ->
+          for v = lo to hi do
+            Store.locate h ~subject:s v seg;
+            if Store.accessible h ~subject:s v || Store.accessible_with_skip h ~subject:s v
+               || seg.Store.ok
+            then Alcotest.failf "%s: quarantined node %d granted to subject %d" what v s
+          done)
+        quarantine
+    done
+  in
+  denied "live" store;
+  let pinned = Store.reader store in
+  denied "pinned" pinned;
+  for s = 0 to subjects - 1 do
+    Update.set_subtree_accessibility store ~subject:s ~grant:true Tree.root
+  done;
+  check Alcotest.bool "the update granted an unquarantined node" true
+    (Store.accessible store ~subject:0 (n / 2));
+  denied "live, after the update" store;
+  Store.with_reader store (denied "reader after the update");
+  denied "pinned before the update" pinned;
+  Store.release pinned
+
+(* Under [Secure] with the run index on, every check of Q4–Q6 is a
+   resident decision answered by the run index, whether it was decided
+   by compare inside a run segment or located: [store.access_checks] =
+   [store.run_answers] = [engine.resident_decisions], on a fresh reader
+   and chunk by chunk. *)
+let test_plain_trunk_checks_are_run_answers () =
+  let tree, dol = make_dol ~nodes:2000 ~subjects:2 61 in
+  let store = Store.create ~page_size:512 ~pool_capacity:16 tree dol in
+  let index = Tag_index.build tree in
+  List.iter
+    (fun q ->
+      Store.with_reader store (fun r ->
+          let st = Engine.stream ~chunk:16 r index (Dolx_nok.Xpath.parse q) (Engine.Secure 0) in
+          let rec drain answers =
+            match Engine.stream_next st with
+            | [] -> answers
+            | c ->
+                let io = Store.io_stats r in
+                check Alcotest.int (q ^ ": checks = run answers at a chunk boundary")
+                  io.Store.access_checks io.Store.run_answers;
+                drain (answers + List.length c)
+          in
+          let r0 = Metrics.counter_value "engine.resident_decisions" in
+          let answers = drain 0 in
+          let io = Store.io_stats r in
+          let resident = Metrics.counter_value "engine.resident_decisions" - r0 in
+          if answers = 0 || io.Store.access_checks <= answers then
+            Alcotest.failf "%s: a weak probe (%d answers, %d checks)" q answers
+              io.Store.access_checks;
+          check Alcotest.int (q ^ ": checks = run answers") io.Store.access_checks
+            io.Store.run_answers;
+          check Alcotest.int (q ^ ": checks = resident decisions") io.Store.access_checks
+            resident))
+    plain_trunks
+
+(* A refill that finds the DOL's generation moved drops the loop's run
+   segments: a stream on the live store whose subject was granted the
+   whole document (one segment) stops answering once an update between
+   two chunks denies it everything. *)
+let test_refill_drops_stale_segments () =
+  let tree, dol = make_dol ~nodes:2000 ~subjects:2 19 in
+  let store = Store.create tree dol in
+  let index = Tag_index.build tree in
+  Update.set_subtree_accessibility store ~subject:0 ~grant:true Tree.root;
+  let st =
+    Engine.stream ~chunk:8 store index (Dolx_nok.Xpath.parse "//item//emph") (Engine.Secure 0)
+  in
+  let first = Engine.stream_next st in
+  check Alcotest.int "a full first chunk" 8 (List.length first);
+  Update.set_subtree_accessibility store ~subject:0 ~grant:false Tree.root;
+  check Fixtures.int_list "nothing after the deny" [] (Engine.stream_collect st)
+
 let suite =
   [
     prop_runs_match_dol;
@@ -1141,4 +1349,13 @@ let suite =
       test_loop_drain_allocation;
     Alcotest.test_case "the access canary reaches the plain steps" `Quick
       test_canary_reaches_plain_steps;
+    Alcotest.test_case "the prune canary reaches the summary-path loop" `Quick
+      test_prune_canary_reaches_loop;
+    prop_segment_matches_verdicts;
+    Alcotest.test_case "quarantine is denied on the run path" `Quick
+      test_quarantine_on_run_path;
+    Alcotest.test_case "Q4-Q6 under Secure: checks = run answers = resident decisions"
+      `Quick test_plain_trunk_checks_are_run_answers;
+    Alcotest.test_case "a refill after an update drops the loop's run segments" `Quick
+      test_refill_drops_stale_segments;
   ]

@@ -313,6 +313,31 @@ let golden_plans =
     ("Q6 eps secure", (1, 0, 729, 0));
   ]
 
+(* The serve rows' check counts on the live store:
+   (store.access_checks, store.run_answers).  Every plain step of the
+   summary-path plan is one check answered by the run index, whether
+   decided inside a run segment by compare or located; a predicate step
+   visits its node ([Nok_match.qualifies]), which is a check too.  The
+   pinned reader's counts must equal the live store's. *)
+let golden_checks =
+  [
+    ("Q1 serve insecure", (0, 0));
+    ("Q1 serve secure", (200, 200));
+    ("Q2 serve insecure", (0, 0));
+    ("Q2 serve secure", (12, 12));
+    ("Q3 serve insecure", (0, 0));
+    ("Q3 serve secure", (10, 10));
+    ("Q4 serve insecure", (0, 0));
+    ("Q4 serve secure", (355, 355));
+    ("Q5 serve insecure", (0, 0));
+    ("Q5 serve secure", (518, 518));
+    ("Q6 serve insecure", (0, 0));
+    ("Q6 serve secure", (439, 439));
+    ("Q4 serve secure-path", (370, 370));
+    ("Q5 serve secure-path", (520, 520));
+    ("Q6 serve secure-path", (648, 648));
+  ]
+
 let plan_counters =
   [ "engine.joins"; "engine.plan_summary_path"; "engine.candidates_scanned";
     "engine.candidates_pruned" ]
@@ -345,24 +370,31 @@ let page_model_counts () =
     Store.create ~run_index:tiers ~path_summary:tiers ~page_size:1024 ~pool_capacity:8
       tree dol
   in
+  let checks h =
+    let s = Store.io_stats h in
+    (s.Store.access_checks, s.Store.run_answers)
+  in
   let row store config (name, q) (sem_name, sem) =
     Buffer_pool.clear (Store.pool store);
     Store.reset_stats store;
     let before = List.map Metrics.counter_value plan_counters in
     ignore (Engine.query store index q sem);
-    let live = counts store in
+    let live = counts store and live_checks = checks store in
     let plans =
       match List.map2 (fun c b -> Metrics.counter_value c - b) plan_counters before with
       | [ a; b; c; d ] -> (a, b, c, d)
       | _ -> assert false
     in
-    let pinned =
+    let pinned, pinned_checks =
       Store.with_reader store (fun r ->
           Store.reset_stats r;
           ignore (Engine.query r index q sem);
-          counts r)
+          (counts r, checks r))
     in
-    (Printf.sprintf "%s %s %s" name config sem_name, live, pinned, plans)
+    let key = Printf.sprintf "%s %s %s" name config sem_name in
+    if pinned_checks <> live_checks then
+      Alcotest.failf "%s: the pinned reader's checks differ from the live store's" key;
+    (key, live, pinned, plans, live_checks)
   in
   List.concat_map
     (fun (config, tiers) ->
@@ -388,22 +420,34 @@ let test_golden_page_model_counts () =
     Printf.sprintf "    (%S, (%d, %d, %d, %d, %d));" k t h m r e
   in
   List.iter
-    (fun (k, _, pinned, _) ->
+    (fun (k, _, pinned, _, _) ->
       let want = List.assoc_opt k golden_counts in
       if want <> Some pinned then
         Alcotest.failf "%s: pinned reader counts moved; now:\n%s" k
-          (String.concat "\n" (List.map (fun (k, _, p, _) -> show (k, p)) got)))
+          (String.concat "\n" (List.map (fun (k, _, p, _, _) -> show (k, p)) got)))
     got;
-  let live = List.map (fun (k, l, _, _) -> (k, l)) got in
+  let live = List.map (fun (k, l, _, _, _) -> (k, l)) got in
   if live <> golden_counts then
     Alcotest.failf "live store counts moved; now:\n%s"
       (String.concat "\n" (List.map show live));
   (* the plan table has no path-semantics rows *)
   let plans =
     List.filter_map
-      (fun (k, _, _, p) -> if List.mem_assoc k golden_plans then Some (k, p) else None)
+      (fun (k, _, _, p, _) -> if List.mem_assoc k golden_plans then Some (k, p) else None)
       got
   in
+  let serve_checks =
+    List.filter_map
+      (fun (k, _, _, _, c) ->
+        if String.length k > 8 && String.sub k 2 6 = " serve" then Some (k, c) else None)
+      got
+  in
+  if serve_checks <> golden_checks then
+    Alcotest.failf "check counts moved; now:\n%s"
+      (String.concat "\n"
+         (List.map
+            (fun (k, (a, r)) -> Printf.sprintf "    (%S, (%d, %d));" k a r)
+            serve_checks));
   if plans <> golden_plans then
     Alcotest.failf "plan counts moved; now:\n%s"
       (String.concat "\n"
