@@ -1,8 +1,8 @@
 (** Bechamel micro-benchmarks of the core operations: DOL lookup, CAM
     lookup, codebook interning and verdicts, physical access check, the
     synthetic ACL + DOL construction path, a multi-subject DOL's build
-    and serialization, and the summary-path drain of Q4–Q6 under each
-    semantics. *)
+    and serialization, the summary-path drain of Q4–Q6 under each
+    semantics, and the segment plan's drain of Q4–Q6 under [Secure]. *)
 
 module Tree = Dolx_xml.Tree
 module Dol = Dolx_core.Dol
@@ -137,12 +137,23 @@ let tests () =
         q := (!q + 1) mod 3;
         drain (Engine.stream ~chunk:64 twig_store twig_index twigs.(!q) semantics)))
   in
+  (* The same drains with the summary off and the run index on: the
+     segment plan, whose seeds and joins draw their candidates through
+     the run-gated walk.  Perfbench never runs this plan. *)
+  let segment_store = Store.reader twig_store in
+  Store.set_summary segment_store false;
+  let t_segment_plan =
+    let q = ref 0 in
+    Test.make ~name:"segment_plan_twigs_secure" (Staged.stage (fun () ->
+        q := (!q + 1) mod 3;
+        drain (Engine.stream ~chunk:64 segment_store twig_index twigs.(!q) (Engine.Secure 0))))
+  in
   [
     t_dol_lookup; t_cam_lookup; t_store_check; t_store_check_seq;
     t_store_check_skip; t_codebook; t_codebook_grants; t_dol_build; t_cam_build;
     t_dol_build_multi; t_persist_encode; t_persist_decode;
     twig "secure" (Engine.Secure 0); twig "secure_path" (Engine.Secure_path 0);
-    twig "insecure" Engine.Insecure;
+    twig "insecure" Engine.Insecure; t_segment_plan;
   ]
 
 let benchmark () =

@@ -6,6 +6,7 @@ Usage:
     python3 ci/check_bench.py           # checks every BENCH_*.json in cwd
     python3 ci/check_bench.py --metrics /tmp/metrics.json
     python3 ci/check_bench.py --metrics-resident /tmp/metrics_resident.json
+    python3 ci/check_bench.py --metrics-gated /tmp/metrics_gated.json
 
 Each document carries a "bench" discriminator; the matching validator
 checks both shape (fields present, numeric where expected) and the CI
@@ -299,9 +300,30 @@ def check_metrics_resident(path):
     return {k: counters[k] for k in keys}
 
 
+def check_metrics_gated(path):
+    """A secure segment-plan query (e.g. //item//emph with the path
+    summary off) over a policy that denies a region subtree: its seed
+    and join draw their candidates through the run-gated walk, which
+    skips the denied run, and the whole query makes one run-list
+    lookup."""
+    counters = json.load(open(path))["counters"]
+    keys = ("engine.joins", "engine.candidates_pruned", "runs.hits",
+            "runs.builds", "engine.queries")
+    for key in keys:
+        require(isinstance(counters.get(key), int), f"missing int counter {key}")
+    require(counters["engine.queries"] == 1, "expected exactly one query")
+    require(counters["engine.joins"] >= 1, "the segment plan made no join")
+    require(counters["engine.candidates_pruned"] > 0,
+            "the run gate skipped no candidate")
+    lookups = counters["runs.hits"] + counters["runs.builds"]
+    require(lookups == 1, f"{lookups} run-list lookups for one query, expected 1")
+    return {k: counters[k] for k in keys}
+
+
 def main(argv):
     for flag, check in (("--metrics", check_metrics),
-                        ("--metrics-resident", check_metrics_resident)):
+                        ("--metrics-resident", check_metrics_resident),
+                        ("--metrics-gated", check_metrics_gated)):
         if argv and argv[0] == flag:
             require(len(argv) == 2, f"{flag} takes exactly one file")
             print(f"{argv[1]}: metrics JSON OK: {check(argv[1])}")

@@ -272,22 +272,11 @@ let mem w v =
   seek w v;
   w.rank land 1 = 1
 
-let next_accessible w v =
-  seek w v;
-  if w.rank land 1 = 1 then v else w.hi
-
 let locate w v (s : segment) =
   seek w v;
   s.lo <- Int.max 0 w.lo;
   s.hi <- Int.min w.w_runs.r_n w.hi;
   s.ok <- w.rank land 1 = 1
-
-let span_inside w ~lo ~hi =
-  lo > hi
-  || begin
-    seek w lo;
-    w.rank land 1 = 1 && hi < w.hi
-  end
 
 (** {1 Cursors} *)
 

@@ -6,14 +6,15 @@
     keeps, per subject, the sorted preorders where the subject's verdict
     flips — a run start, then the first preorder past that run, and so
     on — typically far fewer than the transitions.  Membership is the
-    parity of the flips at or before a node.  One {!walk} answers every
-    question on a list — membership, the next accessible node, whether a
-    span lies inside one run, the run segment around a node — from its
-    position: a probe inside the last segment searches nothing, a later
-    one gallops forward and an earlier one backward, inside the probe's
-    64 Ki-preorder block.  Document-order scans
-    thus advance in O(1), and a sorted candidate scan skips a whole
-    denied run per {!next_accessible} call.
+    parity of the flips at or before a node.  A {!walk} answers exactly
+    two questions on a list, from its position: is a node accessible
+    ({!mem}), and what is the run segment around it ({!locate}).  A
+    probe inside the last segment searches nothing, a later one gallops
+    forward and an earlier one backward, inside the probe's 64
+    Ki-preorder block.  Document-order scans thus advance in O(1), and a
+    sorted candidate scan that holds a located segment decides every
+    candidate inside it by compare and skips a whole denied run with
+    one seek.
 
     A flip list is compact: each flip is its low 16 bits in a [Bytes.t],
     plus a directory of where each 64 Ki-preorder block begins (a
@@ -75,11 +76,6 @@ val walk : runs -> walk
 (** Is node [v] inside an accessible run? *)
 val mem : walk -> int -> bool
 
-(** [next_accessible w v] — the least accessible preorder [>= v], or
-    [max_int] when none remains.  Inside an accessible run that is [v]
-    itself; inside a denied one, the start of the next run. *)
-val next_accessible : walk -> int -> int
-
 (** A stretch [\[lo, hi)] of preorders that share one verdict, [ok].
     Caller-owned and filled in place by {!locate}, so a scan that keeps
     one decides every node inside it with two compares.  A fresh one is
@@ -92,13 +88,11 @@ val segment : unit -> segment
     (inside [\[0, n)], for the list's [n] nodes) whose nodes share
     [v]'s verdict, and that verdict: each end is a flip or the
     document's edge.  Costs one probe of [w], like {!mem}; allocates
-    nothing. *)
+    nothing.  Range questions follow: [\[lo, hi\]] is all accessible
+    (all denied) iff the segment at [lo] is accessible (denied) and
+    [hi < s.hi]; the least accessible node [>= v] is [v] in an
+    accessible segment, else [s.hi], and none when that is [n]. *)
 val locate : walk -> int -> segment -> unit
-
-(** Does one run contain the whole interval [\[lo, hi\]]?  Because runs
-    are maximal and disjoint, this holds iff every node in the interval
-    is accessible.  Empty intervals ([lo > hi]) are contained. *)
-val span_inside : walk -> lo:int -> hi:int -> bool
 
 (** {1 Cursors}
 

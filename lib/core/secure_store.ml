@@ -96,6 +96,7 @@ type t = {
   mutable runs : Access_runs.t;
   mutable use_runs : bool;
   run_cursor : Access_runs.cursor;
+  path_seg : Access_runs.segment;  (* {!path_clear}'s, so a test allocates nothing *)
   mutable counts : counts;
   mutable folded : counts; (* the values of [counts] at the last fold *)
   (* Fail-secure quarantine: sorted disjoint preorder ranges [lo, hi]
@@ -147,6 +148,7 @@ let assemble ?(pool_capacity = 64) ?(fill = 0.9) ?(quarantine = [])
     runs;
     use_runs = run_index;
     run_cursor = Access_runs.cursor ();
+    path_seg = Access_runs.segment ();
     counts = zero_counts (); folded = zero_counts ();
     quarantine = quarantine_a;
     published =
@@ -222,6 +224,7 @@ let reader ?pool_capacity t =
     span = Nok_layout.span ();
     runs;
     run_cursor = Access_runs.cursor ();
+    path_seg = Access_runs.segment ();
     pool_capacity;
     counts = zero_counts ();
     folded = zero_counts ();
@@ -516,22 +519,6 @@ let accessible_with_skip (t : t) ~subject v =
     let code = Nok_layout.code_in_force_at t.layout t.cursor t.pool v in
     grants t code subject
 
-(** {1 Run-index range queries}
-
-    Accessibility of node sets, from the run index without a page.  Each
-    helper degrades when the index is off, so callers need no mode
-    split. *)
-
-(** The least accessible preorder [>= v] (see
-    {!Access_runs.next_accessible}); the identity when the index is off,
-    so nothing is skipped.  Applied to [~subject] alone, one list lookup
-    serves every later call, through a walk of its own. *)
-let next_accessible t ~subject =
-  if not t.use_runs then Fun.id
-  else
-    Access_runs.next_accessible
-      (Access_runs.walk (Access_runs.runs_for t.runs t.run_cursor ~dol:t.dol ~subject))
-
 (* Each node from [u] up to, but excluding, [top]: the run verdict
    with the index on, [check] off.  Top-level, so a walk builds no
    closure. *)
@@ -541,12 +528,16 @@ let rec climb t ~subject ~check ~top u =
      && climb t ~subject ~check ~top (parent t u))
 
 (** Every node from [v] up the parent chain to, but excluding, [top]
-    accessible?  With the run index on, one run containing [(top, v]]
-    proves it, and otherwise each node's run verdict decides; off,
-    [check] decides each node, from [v] up, stopping at the first
-    denial. *)
+    accessible?  With the run index on, an accessible segment at
+    [top + 1] that holds [v] proves it, and otherwise each node's run
+    verdict decides; off, [check] decides each node, from [v] up,
+    stopping at the first denial. *)
 let path_clear t ~subject ~check ~top v =
-  (t.use_runs && Access_runs.span_inside (walk_of t ~subject) ~lo:(top + 1) ~hi:v)
+  (t.use_runs
+  &&
+  let s = t.path_seg in
+  locate t ~subject (top + 1) s;
+  s.ok && v < s.hi)
   || climb t ~subject ~check ~top v
 
 (** {1 Structural reorganization}

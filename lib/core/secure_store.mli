@@ -268,33 +268,19 @@ val page_provably_inaccessible : t -> subject:int -> Tree.node -> bool
     touches none. *)
 val accessible_with_skip : t -> subject:int -> Tree.node -> bool
 
-(** {1 Run-index range queries}
-
-    Accessibility of node sets: with the run index on, none of these
-    touches a page.  Each degrades when the index is off — to an
-    identity, or to the caller's own check — so callers need no mode
-    split. *)
-
-(** [next_accessible t ~subject v] — the least preorder [>= v]
-    accessible to [subject], or [max_int] when none remains, so a sorted
-    scan skips a whole denied run per call.  The identity when the index
-    is off, so nothing is skipped.  Applied to [~subject] alone, one
-    list lookup serves every later call, and the function it returns
-    keeps its own {!Access_runs.walk}: ascending probes gallop forward
-    from the last one and allocate nothing.  Use one per walk, on one
-    domain. *)
-val next_accessible : t -> subject:int -> Tree.node -> Tree.node
+(** {1 Connecting paths} *)
 
 (** [path_clear t ~subject ~check ~top v] — the one connecting-path walk
     of secure descendant steps (ε-NoK's path semantics and every ε-STD
     variant): is every node from [v] up its parent chain to, but
     excluding, [top] accessible?  [top] must be an ancestor of [v], [v]
     itself (the empty path) or [Tree.nil] (the whole chain).  With the
-    run index on it reads no page: one run containing the span
-    [(top, v\]] proves the path clear, and otherwise each path node's
-    run verdict decides ({!accessible}).  With it off, [check] — the
-    caller's own visit or memoized check, which pays the paper's page
-    reads — decides each node bottom-up, stopping at the first denial. *)
+    run index on it reads no page and allocates nothing: an accessible
+    segment ({!locate}) at [top + 1] that holds [v] proves the path
+    clear, and otherwise each path node's run verdict decides
+    ({!accessible}).  With it off, [check] — the caller's own visit or
+    memoized check, which pays the paper's page reads — decides each
+    node bottom-up, stopping at the first denial. *)
 val path_clear :
   t -> subject:int -> check:(Tree.node -> bool) -> top:Tree.node -> Tree.node -> bool
 

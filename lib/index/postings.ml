@@ -36,7 +36,7 @@ let to_list t = List.init (length t) (get t)
 
 let members = function
   | Slice (nodes, first, stop) -> (nodes, first, stop)
-  | Span (lo, stop) -> (Array.init (stop - lo) (( + ) lo), 0, stop - lo)
+  | Span (lo, stop) -> ([||], lo, stop)
 
 (* The least [j] in [\[lo, hi)] with [get t j >= v], or [hi]: {!bisect}
    with the predicate spelled out, so a seek builds no closure. *)
@@ -59,47 +59,3 @@ let rec widen t n v lo step =
 let seek t i v =
   let n = length t in
   if i >= n || get t i >= v then i else widen t n v i 1
-
-type cursor = {
-  c_t : t;
-  c_n : int;
-  c_gate : int -> int;
-  c_only : int -> bool;
-  c_skipped : int -> int -> unit;
-  mutable c_i : int;  (* position of the next member to consider *)
-}
-
-let cursor ?(gate = Fun.id) ?(only = fun _ -> true) ?(skipped = fun _ _ -> ()) t =
-  { c_t = t; c_n = length t; c_gate = gate; c_only = only; c_skipped = skipped;
-    c_i = 0 }
-
-let rec next c =
-  let i = c.c_i in
-  if i >= c.c_n then -1
-  else
-    let v = get c.c_t i in
-    if not (c.c_only v) then begin
-      c.c_i <- i + 1;
-      next c
-    end
-    else
-      let u = c.c_gate v in
-      if u = v then begin
-        c.c_i <- i + 1;
-        v
-      end
-      else begin
-        let j = seek c.c_t i u in
-        c.c_skipped i j;
-        c.c_i <- j;
-        next c
-      end
-
-let drain c =
-  let rec go acc = match next c with -1 -> List.rev acc | v -> go (v :: acc) in
-  go []
-
-let scan ?gate ?only ?skipped t f =
-  let c = cursor ?gate ?only ?skipped t in
-  let rec go () = match next c with -1 -> false | v -> f v || go () in
-  go ()

@@ -65,12 +65,6 @@ type result = {
 
 let subject_of = function Insecure -> None | Secure s | Secure_path s -> Some s
 
-(* Deliberate fault site for the differential fuzzer's self-test: when
-   armed, run-index pruning silently drops node 2 from every candidate
-   set, so secure answers lose it while the runs-off path keeps it.
-   Armed only via DOLX_FUZZ_PLANT_BUG=prune; tests may toggle the ref. *)
-let planted_bug = ref (Sys.getenv_opt "DOLX_FUZZ_PLANT_BUG" = Some "prune")
-
 (* [p]'s postings, narrowed under a class analysis to the hull of [p]'s
    admissible classes' extent spans ({!Summary_prune.hull}): two binary
    searches.  Every admissible member lies inside the hull, so a
@@ -84,52 +78,31 @@ let narrowed_postings ?value_index ?summary store index (p : Pattern.pnode) =
       let lo, hi = Summary_prune.hull sp p in
       Postings.narrow cands ~lo ~hi
 
-(* The segment plan's candidate pipeline, for the first segment's seed
-   and the next segment at a join: a cursor over the members of [p]'s postings whose summary class is admissible for [p]
-   and that the subject's runs admit.  No admissible class gives an
-   empty cursor; otherwise the walk covers only the admissible classes'
-   span hull.  The class is checked first, so the runs are consulted
-   for admissible candidates only; a denied run is skipped with one seek
-   in the slice, and [pruned] counts the admissible candidates skipped
-   that way (the stream folds it into [engine.candidates_pruned]).
-   Nothing is walked until the caller pulls, so a stream that closes
-   early walks, and counts, only what it pulled.  Pruning is safe under
-   both secure semantics: a pruned candidate would fail its own [visit]
-   when qualified or when re-seeding the next segment. *)
-let candidates ?value_index ?summary ~pruned store index semantics
-    (p : Pattern.pnode) =
-  if Option.is_some summary then Metrics.incr c_plan_summary;
+(* The candidate pipeline of every plan: the segment plan's seed and
+   the next segment at a join, and the summary-path loop's last step.
+   A walk ({!Nok_match.walk}) over [p]'s postings, under a class analysis
+   narrowed to the admissible classes' span hull and filtered by class
+   (no admissible class gives an empty walk), and gated by the
+   subject's runs. *)
+let candidates ?value_index ?summary store index mode (p : Pattern.pnode) =
   match summary with
-  | Some sp when Summary_prune.empty_for sp p -> Postings.cursor Postings.empty
-  | _ ->
-      let cands = narrowed_postings ?value_index ?summary store index p in
-      let admissible =
-        match summary with
-        | None -> fun _ -> true
-        | Some sp ->
-            let a = Summary_prune.classes sp p and ps = Store.path_summary store in
-            (* [Summary_prune.mem], spelled out: this runs per posting,
-               and a call across modules is not inlined *)
-            fun v -> Bytes.get a (Path_summary.class_of ps v) <> '\000'
+  | None -> Nok_match.walk store mode (Nok_match.postings ?value_index store index p)
+  | Some sp ->
+      Metrics.incr c_plan_summary;
+      let postings =
+        if Summary_prune.empty_for sp p then Postings.empty
+        else narrowed_postings ?value_index ~summary:sp store index p
       in
-      let gate =
-        match subject_of semantics with
-        | Some s when Store.run_index_enabled store ->
-            Some (Store.next_accessible store ~subject:s)
-        | _ -> None
-      in
-      let only =
-        if !planted_bug && Option.is_some gate then fun v -> v <> 2 && admissible v
-        else admissible
-      in
-      let skipped i j =
-        if Option.is_none summary then pruned := !pruned + (j - i)
-        else
-          for k = i to j - 1 do
-            if admissible (Postings.get cands k) then incr pruned
-          done
-      in
-      Postings.cursor ?gate ~only ~skipped cands
+      Nok_match.walk ~classes:(Summary_prune.classes sp p) store mode postings
+
+(* The segment plan drains a walk at once: its candidates, ascending,
+   and its skipped tally added to [pruned]. *)
+let drain_candidates ?value_index ?summary ~pruned store index mode p =
+  let w = candidates ?value_index ?summary store index mode p in
+  let rec go acc = match Nok_match.next w with -1 -> List.rev acc | v -> go (v :: acc) in
+  let vs = go [] in
+  pruned := !pruned + w.Nok_match.w_pruned;
+  vs
 
 (* Class analysis of this query against the path summary, when the
    handle has the summary tier enabled.  Under secure semantics the
@@ -145,8 +118,12 @@ let summary_analysis store pattern semantics =
     let sp = Summary_prune.analyze ~table ps pattern in
     (match subject_of semantics with
     | Some s when Store.run_index_enabled store ->
-        let next = Store.next_accessible store ~subject:s in
-        let dead ~lo ~hi = next lo > hi in
+        (* dead: the denied segment at [lo] holds all of [\[lo, hi\]] *)
+        let seg = Store.segment () in
+        let dead ~lo ~hi =
+          Store.locate store ~subject:s lo seg;
+          (not seg.Store.ok) && hi < seg.Store.hi
+        in
         ignore (Summary_prune.drop_dead_spans sp ~dead)
     | _ -> ());
     Metrics.add c_summary_pruned (Summary_prune.pruned_classes sp);
@@ -213,7 +190,7 @@ let eval_segment store index mode (seg : Decompose.segment) roots scanned =
    qualified at most once, however many candidates share it.
 
    Every node asked about step [i] lies in a class admissible for [i]:
-   the last step's candidates passed the class filter in the cursor,
+   the last step's candidates passed the class filter in the walk,
    and an earlier step's ancestor passes it on either axis before it is
    asked.  So a plain step ({!resident_step}) is decided without its
    page: its class already fixes its tag, and the run index holds its
@@ -313,19 +290,15 @@ let chain_insert c j u ok =
    ancestor hop, and the default build compiles every library
    [-opaque], so none of those calls is inlined.
 
-   The loop walks the last step's postings itself.  Under secure
-   semantics with the run index on it is its own run gate: it keeps the
-   run segment ({!Store.locate}) of the last candidate it located, and
-   one more for the verdicts of earlier steps, so a node inside either
-   is decided by two compares.  Such a verdict is still one access check
+   The last step's candidates come from the shared walk ({!candidates}).
+   Under secure semantics with the run index on, the loop decides plain
+   steps' verdicts in the walk's two run segments ({!Store.locate}): the
+   gate's, and one more for earlier steps, so a node inside either is
+   decided by two compares.  Such a verdict is still one access check
    and one run answer: [lp_checks] tallies them and each refill adds the
    tally to the handle ({!Store.count_run_checks}). *)
 type loop = {
-  lp_postings : Postings.t;  (* the last step's, span-hull narrowed ... *)
-  lp_nodes : int array;  (* ... held at [lp_first ..] of this array ... *)
-  lp_first : int;
-  mutable lp_i : int;  (* ... from here ... *)
-  lp_stop : int;  (* ... to here still to walk *)
+  lp_walk : Nok_match.walk;  (* the last step's candidates *)
   lp_k : int;  (* the last step *)
   lp_parents : int array;  (* node -> parent, [Tree.nil] for the root *)
   lp_sizes : int array;  (* node -> subtree size *)
@@ -335,41 +308,38 @@ type loop = {
   lp_plain : bool array;  (* step -> {!resident_step} *)
   lp_quals : (int -> bool) array;  (* step -> [Nok_match.qualifies], other steps *)
   lp_store : Store.t;
-  lp_subject : int;  (* [-1] under [Insecure] *)
-  lp_gated : bool;  (* secure semantics with the run index on *)
-  lp_drop2 : bool;  (* the [prune] canary, armed on a gated walk *)
-  lp_gate : Store.segment;  (* the last located candidate's run segment *)
-  lp_seg : Store.segment;  (* the last located earlier-step node's *)
   mutable lp_gen : int;  (* the DOL generation both were located at *)
   mutable lp_checks : int;  (* verdicts by compare, not yet on the handle *)
   lp_path : bool;  (* [Secure_path]: connecting paths are checked *)
   lp_path_clear : ctx:int -> int -> bool;
   lp_chains : chain array;  (* one per step but the last *)
   lp_scanned : int ref;
-  lp_pruned : int ref;
   lp_resident : int ref;
 }
 
 let admissible l i u = Bytes.get l.lp_adm.(i) l.lp_class.(u) <> '\000'
 
-(* [v]'s run verdict: in the gate's segment or the earlier steps', by
-   compare; otherwise the latter is located around [v]. *)
+(* [v]'s run verdict: in the walk's gate segment or the earlier steps'
+   segment, by compare; otherwise the latter is located around [v]. *)
 let verdict l v =
   l.lp_checks <- l.lp_checks + 1;
-  let g = l.lp_gate in
+  let w = l.lp_walk in
+  let g = w.Nok_match.w_gate in
   if v >= g.Store.lo && v < g.Store.hi then g.Store.ok
   else begin
-    let a = l.lp_seg in
+    let a = w.Nok_match.w_seg in
     if v < a.Store.lo || v >= a.Store.hi then
-      Store.locate l.lp_store ~subject:l.lp_subject v a;
+      Store.locate l.lp_store ~subject:w.Nok_match.w_subject v a;
     a.Store.ok
   end
 
+(* A plain step is ungated only under [Insecure]: {!resident_step}
+   needs the run index under secure semantics. *)
 let qualify l i v =
   incr l.lp_scanned;
   if l.lp_plain.(i) then begin
     incr l.lp_resident;
-    l.lp_subject < 0 || verdict l v
+    l.lp_walk.Nok_match.w_subject < 0 || verdict l v
   end
   else l.lp_quals.(i) v
 
@@ -380,7 +350,10 @@ let inside (s : Store.segment) lo hi = s.Store.ok && s.Store.lo <= lo && hi < s.
    when one accessible segment at hand holds [(u, v\]], else asked of
    the run index (or the pages). *)
 let path_clear l u v =
-  inside l.lp_gate (u + 1) v || inside l.lp_seg (u + 1) v || l.lp_path_clear ~ctx:u v
+  let w = l.lp_walk in
+  inside w.Nok_match.w_gate (u + 1) v
+  || inside w.Nok_match.w_seg (u + 1) v
+  || l.lp_path_clear ~ctx:u v
 
 (* [match_up] is [decide] through the step's chain, for [i < k] *)
 let rec decide l i v =
@@ -421,64 +394,15 @@ let keep l v =
   done;
   decide l l.lp_k v
 
-(* The next posting whose class the last step admits and, on a gated
-   walk, whose run segment is accessible; [-1] when none is left.  A
-   candidate inside the gate's segment passes by compare; one past it
-   locates its own, and a denied one is left with a gallop to its end,
-   counting in [pruned] the admissible postings passed over. *)
-let rec next_candidate l =
-  let i = l.lp_i in
-  if i >= l.lp_stop then -1
-  else
-    let v = l.lp_nodes.(i) in
-    if not (admissible l l.lp_k v) || (l.lp_drop2 && v = 2) then begin
-      l.lp_i <- i + 1;
-      next_candidate l
-    end
-    else if not l.lp_gated then begin
-      l.lp_i <- i + 1;
-      v
-    end
-    else begin
-      let g = l.lp_gate in
-      if v < g.Store.lo || v >= g.Store.hi then
-        Store.locate l.lp_store ~subject:l.lp_subject v g;
-      if g.Store.ok then begin
-        l.lp_i <- i + 1;
-        v
-      end
-      else begin
-        let first = l.lp_first in
-        let j = first + Postings.seek l.lp_postings (i - first) g.Store.hi in
-        for m = i to j - 1 do
-          if admissible l l.lp_k l.lp_nodes.(m) then incr l.lp_pruned
-        done;
-        l.lp_i <- j;
-        next_candidate l
-      end
-    end
-
-let summary_path_loop ?value_index ~summary ~pruned ~resident store index
-    mode semantics steps scanned =
+let summary_path_loop ?value_index ~summary ~resident store index mode
+    semantics steps scanned =
   let k = Array.length steps - 1 in
   Metrics.incr c_plan_path;
-  Metrics.incr c_plan_summary;
-  let last = steps.(k).Decompose.pnode in
-  let postings =
-    if Summary_prune.empty_for summary last then Postings.empty
-    else narrowed_postings ?value_index ~summary store index last
-  in
-  let nodes, first, stop = Postings.members postings in
+  let w = candidates ?value_index ~summary store index mode steps.(k).Decompose.pnode in
   let tree = Store.tree store in
   let plain = Array.map (resident_step store semantics) steps in
-  let subject = Option.value (subject_of semantics) ~default:(-1) in
-  let gated = subject >= 0 && Store.run_index_enabled store in
   {
-    lp_postings = postings;
-    lp_nodes = nodes;
-    lp_first = first;
-    lp_i = first;
-    lp_stop = stop;
+    lp_walk = w;
     lp_k = k;
     lp_parents = Tree.parents tree;
     lp_sizes = Tree.subtree_sizes tree;
@@ -501,24 +425,18 @@ let summary_path_loop ?value_index ~summary ~pruned ~resident store index
               ~preds:st.Decompose.preds)
         steps;
     lp_store = store;
-    lp_subject = subject;
-    lp_gated = gated;
-    lp_drop2 = gated && !planted_bug;
-    lp_gate = Store.segment ();
-    lp_seg = Store.segment ();
     lp_gen = Dol.generation (Store.dol store);
     lp_checks = 0;
     lp_path = (match semantics with Secure_path _ -> true | Insecure | Secure _ -> false);
     lp_path_clear = Nok_match.path_clear store mode;
     lp_chains = Array.init k (fun _ -> chain ());
     lp_scanned = scanned;
-    lp_pruned = pruned;
     lp_resident = resident;
   }
 
 (* Candidate roots of the plan's first segment: the document root for a
    child entry, the candidate pipeline for a descendant entry. *)
-let first_roots ?value_index ?summary ~pruned store index semantics
+let first_roots ?value_index ?summary ~pruned store index mode
     (plan : Decompose.plan) =
   Trace.with_span "engine.index_seed" @@ fun () ->
   match plan.Decompose.segments with
@@ -531,9 +449,8 @@ let first_roots ?value_index ?summary ~pruned store index semantics
       | Pattern.Descendant -> (
           match seg.Decompose.steps with
           | s :: _ ->
-              Postings.drain
-                (candidates ?value_index ?summary ~pruned store index
-                   semantics s.Decompose.pnode)
+              drain_candidates ?value_index ?summary ~pruned store index mode
+                s.Decompose.pnode
           | [] -> []))
 
 (** {1 Streaming evaluation}
@@ -542,9 +459,9 @@ let first_roots ?value_index ?summary ~pruned store index semantics
     source and stages it: the summary-path filter when the plan shape
     allows it, otherwise every segment but the last (with its joins)
     runs eagerly.  Answers are then produced chunk by chunk — from the
-    filter's candidate cursor, or from the last segment's candidate
+    filter's candidate walk, or from the last segment's candidate
     roots.  The summary-path plan stages nothing: it holds the chunk,
-    the cursor and one ancestor {!chain} per earlier step, so its
+    the walk and one ancestor {!chain} per earlier step, so its
     memory is O(chunk + steps × depth) words whatever the candidate or
     answer count.  The segment plan also holds the lists it staged (the
     joined bindings and the last segment's candidate roots, each at
@@ -628,9 +545,8 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
               | [] -> invalid_arg "Engine: empty segment"
             in
             let dlist =
-              Postings.drain
-                (candidates ?value_index ?summary ~pruned store index
-                   semantics next_step.Decompose.pnode)
+              drain_candidates ?value_index ?summary ~pruned store index mode
+                next_step.Decompose.pnode
             in
             let pairs =
               match semantics with
@@ -650,12 +566,11 @@ let stream ?value_index ?(chunk = 256) store index pattern semantics =
     match (summary, summary_path_steps plan) with
     | Some sp, Some steps ->
         S_loop
-          (summary_path_loop ?value_index ~summary:sp ~pruned ~resident store
-             index mode semantics steps scanned)
+          (summary_path_loop ?value_index ~summary:sp ~resident store index mode
+             semantics steps scanned)
     | _ ->
         stage plan.Decompose.segments
-          (first_roots ?value_index ?summary ~pruned store index semantics
-             plan)
+          (first_roots ?value_index ?summary ~pruned store index mode plan)
   in
   {
     st_store = store;
@@ -707,7 +622,7 @@ let emit st n v =
 let rec fill_loop st l n =
   if n >= st.st_chunk then n
   else
-    let v = next_candidate l in
+    let v = Nok_match.next l.lp_walk in
     if v < 0 then begin
       st.st_src <- S_end;
       n
@@ -731,12 +646,14 @@ let refill_loop st l =
   let gen = Dol.generation (Store.dol l.lp_store) in
   if gen <> l.lp_gen then begin
     l.lp_gen <- gen;
-    forget l.lp_gate;
-    forget l.lp_seg
+    forget l.lp_walk.Nok_match.w_gate;
+    forget l.lp_walk.Nok_match.w_seg
   end;
   let n = fill_loop st l 0 in
   Store.count_run_checks l.lp_store l.lp_checks;
   l.lp_checks <- 0;
+  st.st_pruned := !(st.st_pruned) + l.lp_walk.Nok_match.w_pruned;
+  l.lp_walk.Nok_match.w_pruned <- 0;
   n
 
 let rec fill_tail st t n =

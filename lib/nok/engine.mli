@@ -60,15 +60,6 @@ val explain : Store.t -> Dolx_index.Tag_index.t -> Pattern.t -> string
 
 (** {1 Evaluator internals} *)
 
-(** Deliberate fault site for the differential fuzzer's self-test: when
-    armed, run-index candidate pruning silently drops node 2 from every
-    pruned candidate set (run index on, secure semantics only): the
-    segment plan's gated cursors and the summary-path loop's own run
-    gate.  Armed at
-    startup by [DOLX_FUZZ_PLANT_BUG=prune]; tests may toggle the ref
-    directly.  Never set on production paths. *)
-val planted_bug : bool ref
-
 (** Does the summary-path plan decide trunk step [step] on this handle
     without reading a page?  When [false] the step reads its page
     ({!Nok_match.qualifies}).  Only a plain step — no predicate, no value
@@ -106,10 +97,10 @@ val summary_analysis :
     produced chunk by chunk.
 
     Memory.  The summary-path plan stages nothing: each {!stream_next}
-    walks the index's resident postings one candidate at a time, as its
-    own run gate under secure semantics (a candidate inside the run
-    segment it holds passes by compare, a denied segment is skipped by
-    one gallop), and decides each in a loop over arrays the stream
+    walks the index's resident postings one candidate at a time through
+    the run-gated walk every plan shares ({!Nok_match.walk}: a candidate
+    inside the run segment it holds passes by compare, a denied segment
+    is skipped by one gallop), and decides each in a loop over arrays the stream
     fetched once (the tree's parents and subtree sizes, the summary's
     class map, each step's admissible classes), keeping one verdict per
     ancestor and earlier step; it allocates nothing per candidate.  So a

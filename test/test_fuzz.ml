@@ -8,6 +8,7 @@ module Propagate = Dolx_policy.Propagate
 module Labeling = Dolx_policy.Labeling
 module Store = Dolx_core.Secure_store
 module Engine = Dolx_nok.Engine
+module Nok_match = Dolx_nok.Nok_match
 module Prng = Dolx_util.Prng
 module Gen = Dolx_fuzz.Gen
 module Oracle = Dolx_fuzz.Oracle
@@ -159,7 +160,7 @@ let catch_and_shrink name bug =
 
 let test_shrink_access_bug () = catch_and_shrink "access" Store.planted_bug
 
-let test_shrink_prune_bug () = catch_and_shrink "prune" Engine.planted_bug
+let test_shrink_prune_bug () = catch_and_shrink "prune" Nok_match.planted_bug
 
 (* --- corpus replay: every committed seed must stay green --- *)
 

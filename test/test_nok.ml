@@ -647,26 +647,24 @@ let prop_analysis_admits_every_binding =
         (List.init (shape_size shape) Fun.id))
 
 (* The span-hull narrowing skips no admissible candidate: over a tag's
-   postings, the class-filtered cursor on the hull-narrowed slice yields
-   the members and the admissible-skipped tally of the cursor on the
-   whole slice, with or without a random run gate. *)
+   postings, the class-filtered walk on the hull-narrowed slice yields
+   the members and the admissible-skipped tally of the walk on the
+   whole slice, gated by the runs of a store labeled at random or
+   ungated. *)
 let prop_hull_cursor_equals_full_walk =
   Fixtures.qtest ~count:300 "span-hull cursor = full filtered walk"
     QCheck2.Gen.(triple gen_tree_shape (int_range 0 10) bool)
     (fun ((seed, nodes, shape), p10, gated) ->
       let tree = Dolx_fuzz.Gen.tree ~seed ~nodes in
-      let n = Tree.size tree in
-      let ps = Path_summary.build tree in
-      let index = Tag_index.build tree in
+      let acc =
+        Fixtures.random_bools (Prng.create seed) (Tree.size tree) (float_of_int p10 /. 10.0)
+      in
+      let store, index = build_secured tree acc in
+      let ps = Store.path_summary store in
       let table = Tree.tag_table tree in
       let pattern = pattern_of shape ~ret:0 in
       let sp = Summary_prune.analyze ~table ps pattern in
-      let acc = Fixtures.random_bools (Prng.create seed) n (float_of_int p10 /. 10.0) in
-      (* the least accessible node [>= v] *)
-      let gate v =
-        let rec first u = if u >= n then max_int else if acc.(u) then u else first (u + 1) in
-        first (max v 0)
-      in
+      let mode = if gated then Nok_match.secure 0 else Nok_match.insecure in
       Pattern.fold
         (fun ok (p : Pattern.pnode) ->
           ok
@@ -677,18 +675,14 @@ let prop_hull_cursor_equals_full_walk =
               match Dolx_xml.Tag.find_opt table name with
               | None -> true
               | Some tag ->
-                  let cls = Summary_prune.classes sp p in
-                  let only v = Summary_prune.mem cls (Path_summary.class_of ps v) in
+                  let classes = Summary_prune.classes sp p in
                   let walk t =
-                    let tally = ref 0 in
-                    let skipped i j =
-                      for k = i to j - 1 do
-                        if only (Postings.get t k) then incr tally
-                      done
+                    let w = Nok_match.walk ~classes store mode t in
+                    let rec drain acc =
+                      match Nok_match.next w with -1 -> List.rev acc | v -> drain (v :: acc)
                     in
-                    let gate = if gated then Some gate else None in
-                    let members = Postings.drain (Postings.cursor ?gate ~only ~skipped t) in
-                    (members, !tally)
+                    let members = drain [] in
+                    (members, w.Nok_match.w_pruned)
                   in
                   let full = Tag_index.postings index tag in
                   let lo, hi = Summary_prune.hull sp p in

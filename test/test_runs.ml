@@ -35,6 +35,24 @@ let make_dol ?(nodes = 1200) ?(subjects = 4) seed =
   in
   (tree, Dol.of_labeling labeling)
 
+(* The range questions on a list over [n] nodes, answered from the run
+   segment {!Access_runs.locate} fills: the least accessible node [>= v]
+   is [v] in an accessible segment, else the segment's end, and
+   [max_int] when that end is [n]; [\[lo, hi\]] is all accessible when
+   the accessible segment at [lo] ends past [hi] (or at [n], past which
+   no flip lies). *)
+let next_accessible ~n w v =
+  let s = Access_runs.segment () in
+  Access_runs.locate w v s;
+  if s.Access_runs.ok then v else if s.Access_runs.hi >= n then max_int else s.Access_runs.hi
+
+let span_inside ~n w ~lo ~hi =
+  lo > hi
+  ||
+  let s = Access_runs.segment () in
+  Access_runs.locate w lo s;
+  s.Access_runs.ok && (hi < s.Access_runs.hi || s.Access_runs.hi >= n)
+
 (* --- run-index verdicts = DOL oracle --- *)
 
 let prop_runs_match_dol =
@@ -120,12 +138,12 @@ let check_runs_against r ~n ~want ~what =
       (Access_runs.covered r) covered;
   List.iter
     (fun (lo, hi) ->
-      if not (Access_runs.span_inside w ~lo ~hi) then
+      if not (span_inside ~n w ~lo ~hi) then
         QCheck2.Test.fail_reportf "%s: run [%d,%d] split" what lo hi;
       (* the run's bounds: it starts at [lo], and past its end the next
          accessible node lies beyond [hi + 1] *)
-      if Access_runs.next_accessible w lo <> lo
-         || (hi < n - 1 && Access_runs.next_accessible w (hi + 1) <= hi + 1)
+      if next_accessible ~n w lo <> lo
+         || (hi < n - 1 && next_accessible ~n w (hi + 1) <= hi + 1)
          || (hi = n - 1 && not (Access_runs.mem w max_int))
       then QCheck2.Test.fail_reportf "%s: run [%d,%d] bounds" what lo hi)
     runs
@@ -180,10 +198,10 @@ let test_range_helpers () =
       let rec first p u = if u >= n then max_int else if p u then u else first p (u + 1) in
       let lo = first acc v in
       let hi = if lo = max_int then max_int else first (fun u -> not (acc u)) lo in
-      if Access_runs.next_accessible w v <> lo then
+      if next_accessible ~n w v <> lo then
         Alcotest.failf "next_accessible s=%d v=%d" s v;
       if lo <> max_int
-         && (not (Access_runs.span_inside w ~lo ~hi:(min hi n - 1))
+         && (not (span_inside ~n w ~lo ~hi:(min hi n - 1))
             || Access_runs.mem w (if hi = max_int then max_int else hi) = (hi < n))
       then Alcotest.failf "run end s=%d v=%d" s v
     done;
@@ -195,10 +213,10 @@ let test_range_helpers () =
       for v = lo to hi do
         if not (acc v) then brute := false
       done;
-      if Access_runs.span_inside w ~lo ~hi <> !brute then
+      if span_inside ~n w ~lo ~hi <> !brute then
         Alcotest.failf "span_inside s=%d [%d,%d]" s lo hi
     done;
-    check Alcotest.bool "empty span" true (Access_runs.span_inside w ~lo:5 ~hi:4)
+    check Alcotest.bool "empty span" true (span_inside ~n w ~lo:5 ~hi:4)
   done
 
 (* --- coverage statistics --- *)
@@ -537,7 +555,7 @@ let prop_walk_next_accessible =
              | 0 -> spread x mod (n + 3)  (* jump anywhere *)
              | 1 -> !v  (* repeat *)
              | _ -> !v + (x mod 700));
-          let got = Access_runs.next_accessible w !v and want = brute_next flips !v in
+          let got = next_accessible ~n w !v and want = brute_next flips !v in
           if got <> want then
             QCheck2.Test.fail_reportf "n %d, probe %d: next_accessible %d, brute force %d"
               n !v got want;
@@ -545,7 +563,7 @@ let prop_walk_next_accessible =
           (if want <> max_int then
              let k = flips_rank flips want in
              let past = if k < Array.length flips then flips.(k) else max_int in
-             if not (Access_runs.span_inside w ~lo:want ~hi:(min past n - 1))
+             if not (span_inside ~n w ~lo:want ~hi:(min past n - 1))
                 || (past < n && Access_runs.mem w past)
              then
                QCheck2.Test.fail_reportf "n %d, probe %d: run from %d not ending at %d"
@@ -588,8 +606,8 @@ let prop_walk_mixed_probes =
           let v = max 0 !v in
           let hi = v + (len mod 70_000) in
           let mem = Access_runs.mem w v
-          and next = Access_runs.next_accessible w v
-          and span = Access_runs.span_inside w ~lo:v ~hi in
+          and next = next_accessible ~n w v
+          and span = span_inside ~n w ~lo:v ~hi in
           if mem <> (flips_rank flips v land 1 = 1) then
             QCheck2.Test.fail_reportf "n %d, probe %d: mem %b" n v mem;
           if next <> brute_next flips v then
@@ -600,32 +618,38 @@ let prop_walk_mixed_probes =
           true)
         probes)
 
-(* A run-gated candidate walk allocates nothing per gate call: drain a
-   {!Postings.cursor} over every preorder, gated by the store's runs,
-   and count the minor words of the whole drain against the gate calls
-   it made. *)
+(* A run-gated candidate walk allocates nothing per gate call: build a
+   {!Nok_match.walk} over every preorder, gated by the store's runs, and
+   count the words the build and the whole drain allocate against the
+   run segments it locates.  A span is walked by position, never
+   materialized, so the build costs a few words whatever its length. *)
 let test_gate_allocates_nothing () =
   let subjects = 2 in
   let tree, dol = make_dol ~nodes:6000 ~subjects 17 in
   let store = Store.create tree dol in
   let n = Tree.size tree in
   for s = 0 to subjects - 1 do
-    let next = Store.next_accessible store ~subject:s in
-    let calls = ref 0 in
-    let gate v =
-      incr calls;
-      next v
+    (* build the subject's runs, and point the handle's cursor at them,
+       before counting *)
+    ignore (Store.accessible store ~subject:s 0);
+    (* one locate per run, denied or not *)
+    let calls = 2 * Access_runs.run_count (Access_runs.runs (Store.run_index store) ~subject:s) in
+    (* words allocated: on the minor heap, and directly on the major
+       heap, where an array of the span's length would go *)
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
     in
-    let c = Postings.cursor ~gate (Postings.span 0 (n - 1)) in
-    let rec drain k = match Postings.next c with -1 -> k | _ -> drain (k + 1) in
-    let w0 = Gc.minor_words () in
+    let w0 = allocated () in
+    let w = Nok_match.walk store (Nok_match.secure s) (Postings.span 0 (n - 1)) in
+    let rec drain k = match Nok_match.next w with -1 -> k | _ -> drain (k + 1) in
     let admitted = drain 0 in
-    let words = Gc.minor_words () -. w0 in
-    if !calls < 100 || admitted = 0 then
-      Alcotest.failf "subject %d: a weak probe (%d gate calls, %d admitted)" s !calls
+    let words = allocated () -. w0 in
+    if calls < 100 || admitted = 0 then
+      Alcotest.failf "subject %d: a weak probe (%d gate calls, %d admitted)" s calls
         admitted;
     if words > 64.0 then
-      Alcotest.failf "subject %d: %.0f minor words for %d gate calls" s words !calls
+      Alcotest.failf "subject %d: %.0f words for %d gate calls" s words calls
   done
 
 (* --- summary-path steps decided without a page --- *)
@@ -1123,9 +1147,9 @@ let test_prune_canary_reaches_loop () =
   List.iter
     (fun sem ->
       let answers armed =
-        Engine.planted_bug := armed;
+        Nok_match.planted_bug := armed;
         Fun.protect
-          ~finally:(fun () -> Engine.planted_bug := false)
+          ~finally:(fun () -> Nok_match.planted_bug := false)
           (fun () ->
             let before = Metrics.counter_value "engine.plan_summary_path" in
             let a = (Engine.run store index pattern sem).Engine.answers in
@@ -1312,6 +1336,29 @@ let test_refill_drops_stale_segments () =
   Update.set_subtree_accessibility store ~subject:0 ~grant:false Tree.root;
   check Fixtures.int_list "nothing after the deny" [] (Engine.stream_collect st)
 
+(* Every plan reaches the runs only through the handle cursor's walk: on
+   a fresh reader, a secure query costs exactly one run-list lookup (a
+   hit or a build), whichever plan the summary tier lets it take. *)
+let test_one_lookup_per_query () =
+  let store, index = plain_trunk_store () in
+  let lookups () = Metrics.counter_value "runs.hits" + Metrics.counter_value "runs.builds" in
+  List.iter
+    (fun summary ->
+      Store.set_summary store summary;
+      List.iter
+        (fun (id, q) ->
+          List.iter
+            (fun (name, semantics) ->
+              let before = lookups () in
+              Store.with_reader store (fun r -> ignore (Engine.query r index q semantics));
+              check Alcotest.int
+                (Printf.sprintf "%s %s, summary %b: one lookup" id name summary)
+                1
+                (lookups () - before))
+            [ ("Secure", Engine.Secure 1); ("Secure_path", Engine.Secure_path 1) ])
+        Xmark.queries)
+    [ true; false ]
+
 let suite =
   [
     prop_runs_match_dol;
@@ -1358,4 +1405,6 @@ let suite =
       `Quick test_plain_trunk_checks_are_run_answers;
     Alcotest.test_case "a refill after an update drops the loop's run segments" `Quick
       test_refill_drops_stale_segments;
+    Alcotest.test_case "one run lookup per secure query, whatever the plan" `Quick
+      test_one_lookup_per_query;
   ]
